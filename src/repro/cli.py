@@ -236,6 +236,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         return 2
     _apply_scheduler(args)
     from repro.resilience.policies import default_dispatch_policy
+    from repro.sim.sharding import write_records_jsonl
 
     dispatch = args.dispatch or default_dispatch_policy()
     if args.gateways is not None:
@@ -243,7 +244,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             ClusterRecoveryConfig,
             render_recovery,
             run_recovery,
-            write_trace_jsonl as write_recovery_trace,
         )
 
         try:
@@ -265,7 +265,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             return 2
         print(render_recovery(recovery))
         if args.trace_out:
-            write_recovery_trace(recovery, args.trace_out)
+            write_records_jsonl(recovery.records, args.trace_out)
             print(f"wrote {args.trace_out}", file=sys.stderr)
         return 0 if recovery.ok else 1
     if args.shards is not None:
@@ -273,7 +273,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             ShardedChaosConfig,
             render_sharded_chaos,
             run_sharded_chaos,
-            write_trace_jsonl,
         )
 
         try:
@@ -291,7 +290,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             return 2
         print(render_sharded_chaos(sharded))
         if args.trace_out:
-            write_trace_jsonl(sharded, args.trace_out)
+            write_records_jsonl(sharded.records, args.trace_out)
             print(f"wrote {args.trace_out}", file=sys.stderr)
         return 0 if sharded.ok else 1
     if args.trace_out:

@@ -26,7 +26,7 @@ violation is carried on the outcome for the caller (CLI exits non-zero).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.faas.cluster import FaaSCluster
 from repro.faas.function import FunctionSpec
@@ -133,6 +133,39 @@ class ModeOutcome:
 
 
 @dataclass
+class CellOutcome:
+    """One (mode, failure-domain cell) sub-simulation's results.
+
+    Everything here is picklable plain data: sharded cells cross the
+    process boundary on the way back from the workers.  A single-engine
+    run is the one-cell case (group 0, no windows, no records).
+    """
+
+    mode: str
+    group: int
+    submitted: int = 0
+    completed: int = 0
+    shed: int = 0
+    failed: int = 0
+    retries: int = 0
+    hedges: int = 0
+    redundant_hedges: int = 0
+    degradations: Dict[str, int] = field(default_factory=dict)
+    breaker_opens: int = 0
+    crashes: int = 0
+    recoveries: int = 0
+    fired: Dict[str, int] = field(default_factory=dict)
+    #: sorted per-cell completion latencies (µs); pooled for percentiles
+    latencies_us: List[float] = field(default_factory=list)
+    ull_latencies_us: List[float] = field(default_factory=list)
+    violations: List[str] = field(default_factory=list)
+    events_executed: int = 0
+    windows: int = 0
+    #: per-cell trace stream, sorted by (t, kind, id) — merge input
+    records: List[dict] = field(default_factory=list)
+
+
+@dataclass
 class ChaosResult:
     config: ChaosConfig
     outcomes: Dict[str, ModeOutcome] = field(default_factory=dict)
@@ -191,11 +224,18 @@ def _build_workloads(mode: str):
     return firewall, background
 
 
-def run_chaos_mode(mode: str, config: ChaosConfig) -> ModeOutcome:
-    """One mode, one seeded run, fully drained and audited."""
-    resilience = _mode_resilience(mode, config)
+def _build_stack(
+    mode: str, config: ChaosConfig, seed: int, domain: int = 0
+) -> Tuple[FaaSCluster, ResilientGateway, FailureInjector]:
+    """One mode's resilient stack on a fresh engine, seeded by *seed*.
+
+    Cluster, the firewall/background pair warmed on every host, the
+    resilient gateway, and an attached failure injector labelled with
+    failure domain *domain*.  ``config`` may be a :class:`ChaosConfig`
+    or a sharded config: only the shared shape fields are read.
+    """
     firewall, background = _build_workloads(mode)
-    cluster = FaaSCluster(hosts=config.hosts, seed=config.seed)
+    cluster = FaaSCluster(hosts=config.hosts, seed=seed)
     cluster.register(FunctionSpec("firewall", firewall, memory_mb=128))
     cluster.register(FunctionSpec("background", background, memory_mb=256))
     use_horse = None if mode != "vanilla" else False
@@ -204,7 +244,7 @@ def run_chaos_mode(mode: str, config: ChaosConfig) -> ModeOutcome:
     )
     cluster.provision_warm("background", per_host=config.warm_per_host)
 
-    gateway = ResilientGateway(cluster, resilience, seed=config.seed)
+    gateway = ResilientGateway(cluster, _mode_resilience(mode, config), seed=seed)
     # Faults concentrate on the flaky hosts (calm hosts are nearly
     # clean): that asymmetry is what per-node breakers exploit, and what
     # separates the breaker and retries-only columns at the uLL p99.
@@ -215,9 +255,100 @@ def run_chaos_mode(mode: str, config: ChaosConfig) -> ModeOutcome:
             crash_mtbf_base_s=config.crash_mtbf_base_s,
             calm_factor=0.05,
         ),
-        seed=config.seed,
+        seed=seed,
+        domain=domain,
     )
     gateway.attach(injector)
+    return cluster, gateway, injector
+
+
+def _cell_outcome(
+    mode: str, group: int, gateway: ResilientGateway, injector: FailureInjector
+) -> CellOutcome:
+    """Read one drained stack's results off its gateway and cluster."""
+    cluster = gateway.cluster
+    completed = gateway.by_state(RequestState.COMPLETED)
+    return CellOutcome(
+        mode=mode,
+        group=group,
+        submitted=len(gateway.requests),
+        completed=len(completed),
+        shed=len(gateway.by_state(RequestState.SHED)),
+        failed=len(gateway.by_state(RequestState.FAILED)),
+        retries=sum(request.retries for request in gateway.requests),
+        hedges=sum(request.hedges_used for request in gateway.requests),
+        redundant_hedges=sum(
+            request.redundant_hedges for request in gateway.requests
+        ),
+        degradations=dict(sorted(gateway.degradations.transitions.items())),
+        breaker_opens=sum(
+            breaker.open_count for breaker in gateway.breakers.values()
+        ),
+        crashes=cluster.stats.crashes,
+        recoveries=cluster.stats.recoveries,
+        fired=dict(injector.fired),
+        latencies_us=sorted(
+            to_microseconds(request.latency_ns) for request in completed
+        ),
+        ull_latencies_us=sorted(
+            to_microseconds(request.latency_ns)
+            for request in completed
+            if request.function == "firewall"
+        ),
+        violations=gateway.invariant_violations()
+        + gateway.unresolved_violations(),
+        events_executed=cluster.engine.events_executed,
+    )
+
+
+def _aggregate_mode(mode: str, cells: Sequence[CellOutcome]) -> ModeOutcome:
+    """Fold one mode's cells into its :class:`ModeOutcome`.
+
+    Counters sum; latency percentiles are computed over the pooled
+    per-cell latency lists, so they describe the whole cluster, not an
+    average of averages.
+    """
+    degradations: Dict[str, int] = {}
+    fired: Dict[str, int] = {}
+    violations: List[str] = []
+    for cell in cells:
+        for key, value in cell.degradations.items():
+            degradations[key] = degradations.get(key, 0) + value
+        for key, value in cell.fired.items():
+            fired[key] = fired.get(key, 0) + value
+        violations.extend(cell.violations)
+    latencies = sorted(
+        value for cell in cells for value in cell.latencies_us
+    )
+    ull_latencies = sorted(
+        value for cell in cells for value in cell.ull_latencies_us
+    )
+    return ModeOutcome(
+        mode=mode,
+        submitted=sum(cell.submitted for cell in cells),
+        completed=sum(cell.completed for cell in cells),
+        shed=sum(cell.shed for cell in cells),
+        failed=sum(cell.failed for cell in cells),
+        retries=sum(cell.retries for cell in cells),
+        hedges=sum(cell.hedges for cell in cells),
+        redundant_hedges=sum(cell.redundant_hedges for cell in cells),
+        degradations=dict(sorted(degradations.items())),
+        breaker_opens=sum(cell.breaker_opens for cell in cells),
+        crashes=sum(cell.crashes for cell in cells),
+        recoveries=sum(cell.recoveries for cell in cells),
+        fired=dict(sorted(fired.items())),
+        p50_us=percentile(latencies, 50.0) if latencies else 0.0,
+        p95_us=percentile(latencies, 95.0) if latencies else 0.0,
+        p99_us=percentile(latencies, 99.0) if latencies else 0.0,
+        ull_p50_us=percentile(ull_latencies, 50.0) if ull_latencies else 0.0,
+        ull_p99_us=percentile(ull_latencies, 99.0) if ull_latencies else 0.0,
+        violations=violations,
+    )
+
+
+def run_chaos_mode(mode: str, config: ChaosConfig) -> ModeOutcome:
+    """One mode, one seeded run, fully drained and audited."""
+    cluster, gateway, injector = _build_stack(mode, config, config.seed)
 
     # The arrival schedule comes from its own stream, so every mode sees
     # the identical workload and the identical failure schedule.
@@ -241,42 +372,7 @@ def run_chaos_mode(mode: str, config: ChaosConfig) -> ModeOutcome:
         )
     injector.schedule_crashes(until_ns=last)
     cluster.engine.run(until=last + seconds(config.drain_s))
-
-    completed = gateway.by_state(RequestState.COMPLETED)
-    latencies = sorted(
-        to_microseconds(request.latency_ns) for request in completed
-    )
-    ull_latencies = sorted(
-        to_microseconds(request.latency_ns)
-        for request in completed
-        if request.function == "firewall"
-    )
-    violations = gateway.invariant_violations() + gateway.unresolved_violations()
-    return ModeOutcome(
-        mode=mode,
-        submitted=len(gateway.requests),
-        completed=len(latencies),
-        shed=len(gateway.by_state(RequestState.SHED)),
-        failed=len(gateway.by_state(RequestState.FAILED)),
-        retries=sum(request.retries for request in gateway.requests),
-        hedges=sum(request.hedges_used for request in gateway.requests),
-        redundant_hedges=sum(
-            request.redundant_hedges for request in gateway.requests
-        ),
-        degradations=dict(sorted(gateway.degradations.transitions.items())),
-        breaker_opens=sum(
-            breaker.open_count for breaker in gateway.breakers.values()
-        ),
-        crashes=cluster.stats.crashes,
-        recoveries=cluster.stats.recoveries,
-        fired=dict(injector.fired),
-        p50_us=percentile(latencies, 50.0) if latencies else 0.0,
-        p95_us=percentile(latencies, 95.0) if latencies else 0.0,
-        p99_us=percentile(latencies, 99.0) if latencies else 0.0,
-        ull_p50_us=percentile(ull_latencies, 50.0) if ull_latencies else 0.0,
-        ull_p99_us=percentile(ull_latencies, 99.0) if ull_latencies else 0.0,
-        violations=violations,
-    )
+    return _aggregate_mode(mode, [_cell_outcome(mode, 0, gateway, injector)])
 
 
 def run_chaos(
@@ -291,27 +387,23 @@ def run_chaos(
     return result
 
 
-def render_chaos(result: ChaosResult) -> str:
-    """Fixed-width summary table (byte-stable for the determinism check)."""
-    config = result.config
-    # The dispatch suffix only appears off the default so the header —
-    # and with it every pre-policy golden — is byte-stable.
-    dispatch = (
-        f" dispatch={config.dispatch}"
-        if config.dispatch != "push-least-loaded"
-        else ""
-    )
+def _dispatch_suffix(dispatch: str) -> str:
+    """Header suffix naming the dispatch policy.
+
+    It only appears off the default, so the headers — and with them
+    every pre-policy golden — are byte-stable.
+    """
+    return f" dispatch={dispatch}" if dispatch != "push-least-loaded" else ""
+
+
+def _mode_lines(outcomes: Dict[str, ModeOutcome]) -> List[str]:
+    """The per-mode table and detail lines both chaos renderers print."""
     lines = [
-        f"chaos: hosts={config.hosts} requests={config.requests} "
-        f"failure_rate={config.failure_rate:g} seed={config.seed}"
-        f"{dispatch}",
-        "",
         f"{'mode':14s} {'done':>5s} {'shed':>5s} {'fail':>5s} {'retry':>6s} "
         f"{'hedge':>6s} {'degr':>5s} {'opens':>6s} "
         f"{'p99 us':>10s} {'uLL p50 us':>11s} {'uLL p99 us':>11s}",
     ]
-    for mode in result.outcomes:
-        outcome = result.outcomes[mode]
+    for outcome in outcomes.values():
         lines.append(
             f"{outcome.mode:14s} {outcome.completed:5d} {outcome.shed:5d} "
             f"{outcome.failed:5d} {outcome.retries:6d} {outcome.hedges:6d} "
@@ -320,8 +412,7 @@ def render_chaos(result: ChaosResult) -> str:
             f"{outcome.ull_p99_us:11.2f}"
         )
     lines.append("")
-    for mode in result.outcomes:
-        outcome = result.outcomes[mode]
+    for outcome in outcomes.values():
         degraded = (
             ", ".join(f"{k}:{v}" for k, v in outcome.degradations.items())
             or "none"
@@ -339,4 +430,16 @@ def render_chaos(result: ChaosResult) -> str:
                 f"{len(outcome.violations)} violations"
             )
             lines.extend(f"  {message}" for message in outcome.violations[:10])
-    return "\n".join(lines)
+    return lines
+
+
+def render_chaos(result: ChaosResult) -> str:
+    """Fixed-width summary table (byte-stable for the determinism check)."""
+    config = result.config
+    lines = [
+        f"chaos: hosts={config.hosts} requests={config.requests} "
+        f"failure_rate={config.failure_rate:g} seed={config.seed}"
+        f"{_dispatch_suffix(config.dispatch)}",
+        "",
+    ]
+    return "\n".join(lines + _mode_lines(result.outcomes))

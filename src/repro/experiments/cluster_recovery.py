@@ -29,7 +29,6 @@ all.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -39,7 +38,7 @@ from repro.controlplane import (
     exactly_once_checker,
     terminal_outcomes,
 )
-from repro.experiments.chaos import _build_workloads
+from repro.experiments.chaos import _build_workloads, _dispatch_suffix
 from repro.faas.cluster import FaaSCluster
 from repro.faas.frontend import DISPATCH_LATENCY_NS, RoutedArrival, plan_arrivals
 from repro.faas.function import FunctionSpec
@@ -56,7 +55,7 @@ from repro.resilience import (
 )
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
-from repro.sim.sharding import assign_cells, merge_records, windowed_run
+from repro.sim.sharding import cell_seed, merge_records, run_cells, windowed_run
 from repro.sim.units import seconds, to_microseconds
 
 #: Tie-break rank for record kinds at equal timestamps within one cell.
@@ -168,18 +167,13 @@ class RecoveryCellOutcome:
     records: List[dict] = field(default_factory=list)
 
 
-def recovery_cell_seed(seed: int, group: int) -> int:
-    """The derived root seed for one cell — pure in (seed, group)."""
-    return RngRegistry(seed).fork(f"recovery-cell-{group}").root_seed
-
-
 def run_recovery_cell(
     config: ClusterRecoveryConfig,
     group: int,
     arrivals: Sequence[RoutedArrival],
 ) -> RecoveryCellOutcome:
     """One cell: N gateway shards, one engine, gateway chaos, audit."""
-    seed = recovery_cell_seed(config.seed, group)
+    seed = cell_seed(config.seed, "recovery-cell-", group)
     rngs = RngRegistry(seed)
     engine = Engine()
     resilience = ResilienceConfig(
@@ -360,20 +354,6 @@ def run_recovery_cell(
     )
 
 
-def _run_cell_batch(payload) -> List[RecoveryCellOutcome]:
-    """Worker entry point (top-level, picklable): a batch of cells.
-
-    Each task is ``(config, group)`` — chaos cells and their
-    zero-gateway-failure oracle twins travel through the same pool,
-    distinguished only by the config they carry.
-    """
-    tasks, arrivals_by_group = payload
-    return [
-        run_recovery_cell(config, group, arrivals_by_group[group])
-        for config, group in tasks
-    ]
-
-
 @dataclass
 class ClusterRecoveryResult:
     config: ClusterRecoveryConfig
@@ -430,7 +410,7 @@ def _compare_oracle(
 def run_recovery(
     config: Optional[ClusterRecoveryConfig] = None,
     shards: int = 1,
-    parallel: Optional[bool] = None,
+    parallel: bool = True,
 ) -> ClusterRecoveryResult:
     """The full study: every cell plus its oracle twin, over workers.
 
@@ -440,8 +420,6 @@ def run_recovery(
     byte-identical for any worker count.
     """
     config = config or ClusterRecoveryConfig()
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
     arrivals_by_group = plan_arrivals(
         requests=config.requests,
         groups=config.groups,
@@ -450,47 +428,17 @@ def run_recovery(
         seed=config.seed,
     )
     oracle_config = replace(config, gateway_failure_rate=0.0)
-    tasks: List[Tuple[ClusterRecoveryConfig, int]] = [
-        (config, group) for group in range(config.groups)
-    ] + [(oracle_config, group) for group in range(config.groups)]
-    assignment = assign_cells(len(tasks), shards)
-    payloads = [
-        (
-            [tasks[i] for i in batch],
-            {
-                group: arrivals_by_group[group]
-                for _cfg, group in (tasks[i] for i in batch)
-            },
-        )
-        for batch in assignment
+    tasks = [
+        (cell_config, group, arrivals_by_group[group])
+        for cell_config in (config, oracle_config)
+        for group in range(config.groups)
     ]
-    use_processes = shards > 1 if parallel is None else (parallel and shards > 1)
-    if use_processes:
-        import multiprocessing
-
-        method = (
-            "fork"
-            if "fork" in multiprocessing.get_all_start_methods()
-            else "spawn"
-        )
-        context = multiprocessing.get_context(method)
-        with context.Pool(processes=shards) as pool:
-            batches = pool.map(_run_cell_batch, payloads)
-    else:
-        batches = [_run_cell_batch(payload) for payload in payloads]
+    cells = run_cells(run_recovery_cell, tasks, shards, parallel)
 
     result = ClusterRecoveryResult(config=config)
     result.oracle_strict = config.failure_rate == 0.0
-    # Tasks are [chaos cells..., oracle cells...]; the pool preserves
-    # payload order, so the assignment indices identify each twin.
-    for batch_index, batch in enumerate(batches):
-        for offset, cell in enumerate(batch):
-            task_index = assignment[batch_index][offset]
-            task_config, group = tasks[task_index]
-            if task_config is config:
-                result.cells[group] = cell
-            else:
-                result.oracle_cells[group] = cell
+    result.cells = dict(enumerate(cells[:config.groups]))
+    result.oracle_cells = dict(enumerate(cells[config.groups:]))
     if result.oracle_strict:
         for group in range(config.groups):
             result.oracle_mismatches.extend(
@@ -517,17 +465,12 @@ def render_recovery(result: ClusterRecoveryResult) -> str:
         v for cell in cells for v in cell.recovery_latencies_us
     )
     steady_count = len(latencies) - len(recovery)
-    dispatch = (
-        f" dispatch={config.dispatch}"
-        if config.dispatch != "push-least-loaded"
-        else ""
-    )
     lines = [
         f"cluster-recovery: groups={config.groups} gateways={config.gateways} "
         f"hosts/gw={config.hosts} requests={config.requests} "
         f"gw_failure_rate={config.gateway_failure_rate:g} "
         f"host_failure_rate={config.failure_rate:g} seed={config.seed}"
-        f"{dispatch}",
+        f"{_dispatch_suffix(config.dispatch)}",
         "",
         f"{'cell':>4s} {'subm':>5s} {'done':>5s} {'shed':>5s} {'fail':>5s} "
         f"{'gwcrash':>8s} {'redisp':>7s} {'fenced':>7s} {'parked':>7s} "
@@ -583,16 +526,3 @@ def render_recovery(result: ClusterRecoveryResult) -> str:
         f"lookahead_ns={DISPATCH_LATENCY_NS} trace_records={len(result.records)}"
     )
     return "\n".join(lines)
-
-
-def trace_jsonl(result: ClusterRecoveryResult) -> str:
-    """The merged trace as canonical JSONL (byte-stable form)."""
-    return "".join(
-        json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
-        for record in result.records
-    )
-
-
-def write_trace_jsonl(result: ClusterRecoveryResult, path: str) -> None:
-    with open(path, "w") as handle:
-        handle.write(trace_jsonl(result))

@@ -31,31 +31,23 @@ output or the trace mentions the worker count.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.chaos import (
     CHAOS_MODES,
-    ModeOutcome,
-    _build_workloads,
-    _mode_resilience,
+    CellOutcome,
+    ChaosResult,
+    _aggregate_mode,
+    _build_stack,
+    _cell_outcome,
+    _dispatch_suffix,
+    _mode_lines,
 )
-from repro.faas.cluster import FaaSCluster
 from repro.faas.frontend import DISPATCH_LATENCY_NS, RoutedArrival, plan_arrivals
-from repro.faas.function import FunctionSpec
-from repro.metrics.stats import percentile
-from repro.resilience import (
-    FailureConfig,
-    FailureInjector,
-    RequestState,
-    ResilientGateway,
-    default_dispatch_policy,
-    make_dispatch_policy,
-)
-from repro.sim.rng import RngRegistry
-from repro.sim.sharding import assign_cells, merge_records, windowed_run
-from repro.sim.units import seconds, to_microseconds
+from repro.resilience import default_dispatch_policy, make_dispatch_policy
+from repro.sim.sharding import cell_seed, merge_records, run_cells, windowed_run
+from repro.sim.units import seconds
 
 #: Tie-break rank for record kinds at equal timestamps within one cell.
 _KIND_ORDER = {"crash": 0, "recover": 1, "request": 2}
@@ -106,43 +98,6 @@ class ShardedChaosConfig:
         make_dispatch_policy(self.dispatch)  # validate eagerly
 
 
-@dataclass
-class CellOutcome:
-    """One (mode, failure-domain cell) sub-simulation's results.
-
-    Everything here is picklable plain data: cells cross the process
-    boundary on the way back from the workers.
-    """
-
-    mode: str
-    group: int
-    submitted: int = 0
-    completed: int = 0
-    shed: int = 0
-    failed: int = 0
-    retries: int = 0
-    hedges: int = 0
-    redundant_hedges: int = 0
-    degradations: Dict[str, int] = field(default_factory=dict)
-    breaker_opens: int = 0
-    crashes: int = 0
-    recoveries: int = 0
-    fired: Dict[str, int] = field(default_factory=dict)
-    #: sorted per-cell completion latencies (µs); pooled for percentiles
-    latencies_us: List[float] = field(default_factory=list)
-    ull_latencies_us: List[float] = field(default_factory=list)
-    violations: List[str] = field(default_factory=list)
-    events_executed: int = 0
-    windows: int = 0
-    #: per-cell trace stream, sorted by (t, kind, id) — merge input
-    records: List[dict] = field(default_factory=list)
-
-
-def cell_seed(seed: int, group: int) -> int:
-    """The derived root seed for one cell — pure in (seed, group)."""
-    return RngRegistry(seed).fork(f"shard-cell-{group}").root_seed
-
-
 def run_cell(
     mode: str,
     config: ShardedChaosConfig,
@@ -151,37 +106,15 @@ def run_cell(
 ) -> CellOutcome:
     """One failure-domain cell, one mode: build, drive, audit.
 
-    Mirrors :func:`repro.experiments.chaos.run_chaos_mode`, scoped to
-    the cell's own engine and seeded purely from ``(seed, group)``.
+    The same stack as :func:`repro.experiments.chaos.run_chaos_mode`,
+    on the cell's own engine and seeded purely from ``(seed, group)``.
     The arrival stream is delivered through the conservative-lookahead
     windows of :func:`windowed_run` — the cell never simulates past a
     horizon it could still receive a dispatch below.
     """
-    seed = cell_seed(config.seed, group)
-    resilience = _mode_resilience(mode, config)
-    firewall, background = _build_workloads(mode)
-    cluster = FaaSCluster(hosts=config.hosts, seed=seed)
-    cluster.register(FunctionSpec("firewall", firewall, memory_mb=128))
-    cluster.register(FunctionSpec("background", background, memory_mb=256))
-    use_horse = None if mode != "vanilla" else False
-    cluster.provision_warm(
-        "firewall", per_host=config.warm_per_host, use_horse=use_horse
+    cluster, gateway, injector = _build_stack(
+        mode, config, cell_seed(config.seed, "shard-cell-", group), domain=group
     )
-    cluster.provision_warm("background", per_host=config.warm_per_host)
-
-    gateway = ResilientGateway(cluster, resilience, seed=seed)
-    injector = FailureInjector(
-        cluster,
-        FailureConfig(
-            failure_rate=config.failure_rate,
-            crash_mtbf_base_s=config.crash_mtbf_base_s,
-            calm_factor=0.05,
-        ),
-        seed=seed,
-        domain=group,
-    )
-    gateway.attach(injector)
-
     records: List[dict] = []
     engine = cluster.engine
     injector.on_crash.append(
@@ -233,145 +166,41 @@ def run_cell(
         key=lambda r: (r["t"], _KIND_ORDER[r["kind"]], r.get("req", r.get("host", 0)))
     )
 
-    completed = gateway.by_state(RequestState.COMPLETED)
-    latencies = sorted(
-        to_microseconds(request.latency_ns) for request in completed
-    )
-    ull_latencies = sorted(
-        to_microseconds(request.latency_ns)
-        for request in completed
-        if request.function == "firewall"
-    )
-    violations = [
-        f"g{group}: {message}"
-        for message in gateway.invariant_violations()
-        + gateway.unresolved_violations()
-    ]
-    return CellOutcome(
-        mode=mode,
-        group=group,
-        submitted=len(gateway.requests),
-        completed=len(latencies),
-        shed=len(gateway.by_state(RequestState.SHED)),
-        failed=len(gateway.by_state(RequestState.FAILED)),
-        retries=sum(request.retries for request in gateway.requests),
-        hedges=sum(request.hedges_used for request in gateway.requests),
-        redundant_hedges=sum(
-            request.redundant_hedges for request in gateway.requests
-        ),
-        degradations=dict(sorted(gateway.degradations.transitions.items())),
-        breaker_opens=sum(
-            breaker.open_count for breaker in gateway.breakers.values()
-        ),
-        crashes=cluster.stats.crashes,
-        recoveries=cluster.stats.recoveries,
-        fired=dict(injector.fired),
-        latencies_us=latencies,
-        ull_latencies_us=ull_latencies,
-        violations=violations,
-        events_executed=engine.events_executed,
-        windows=windows,
-        records=records,
-    )
-
-
-def _run_cell_batch(payload) -> List[CellOutcome]:
-    """Worker entry point: run an assigned batch of (mode, group) cells.
-
-    Top-level (picklable) on purpose; receives only plain data.  Cells
-    run in task order inside the batch — irrelevant for results (each
-    cell is self-contained) but kept deterministic anyway.
-    """
-    config, tasks, arrivals_by_group = payload
-    return [
-        run_cell(mode, config, group, arrivals_by_group[group])
-        for mode, group in tasks
-    ]
+    cell = _cell_outcome(mode, group, gateway, injector)
+    cell.violations = [f"g{group}: {message}" for message in cell.violations]
+    cell.windows = windows
+    cell.records = records
+    return cell
 
 
 @dataclass
-class ShardedChaosResult:
+class ShardedChaosResult(ChaosResult):
+    """A chaos result (per-mode outcomes) plus its cells and trace."""
+
     config: ShardedChaosConfig
-    outcomes: Dict[str, ModeOutcome] = field(default_factory=dict)
     cells: Dict[Tuple[str, int], CellOutcome] = field(default_factory=dict)
     #: deterministic merged trace (mode-major, then (t, shard, index))
     records: List[dict] = field(default_factory=list)
     events_executed: int = 0
     windows: int = 0
 
-    def outcome(self, mode: str) -> ModeOutcome:
-        return self.outcomes[mode]
-
-    @property
-    def ok(self) -> bool:
-        return all(outcome.ok for outcome in self.outcomes.values())
-
-
-def _aggregate_mode(
-    mode: str, cells: Sequence[CellOutcome]
-) -> ModeOutcome:
-    """Fold one mode's cells into the legacy ModeOutcome shape.
-
-    Counters sum; latency percentiles are computed over the pooled
-    per-cell latency lists, so they describe the whole sharded cluster,
-    not an average of averages.
-    """
-    degradations: Dict[str, int] = {}
-    fired: Dict[str, int] = {}
-    violations: List[str] = []
-    for cell in cells:
-        for key, value in cell.degradations.items():
-            degradations[key] = degradations.get(key, 0) + value
-        for key, value in cell.fired.items():
-            fired[key] = fired.get(key, 0) + value
-        violations.extend(cell.violations)
-    latencies = sorted(
-        value for cell in cells for value in cell.latencies_us
-    )
-    ull_latencies = sorted(
-        value for cell in cells for value in cell.ull_latencies_us
-    )
-    return ModeOutcome(
-        mode=mode,
-        submitted=sum(cell.submitted for cell in cells),
-        completed=sum(cell.completed for cell in cells),
-        shed=sum(cell.shed for cell in cells),
-        failed=sum(cell.failed for cell in cells),
-        retries=sum(cell.retries for cell in cells),
-        hedges=sum(cell.hedges for cell in cells),
-        redundant_hedges=sum(cell.redundant_hedges for cell in cells),
-        degradations=dict(sorted(degradations.items())),
-        breaker_opens=sum(cell.breaker_opens for cell in cells),
-        crashes=sum(cell.crashes for cell in cells),
-        recoveries=sum(cell.recoveries for cell in cells),
-        fired=dict(sorted(fired.items())),
-        p50_us=percentile(latencies, 50.0) if latencies else 0.0,
-        p95_us=percentile(latencies, 95.0) if latencies else 0.0,
-        p99_us=percentile(latencies, 99.0) if latencies else 0.0,
-        ull_p50_us=percentile(ull_latencies, 50.0) if ull_latencies else 0.0,
-        ull_p99_us=percentile(ull_latencies, 99.0) if ull_latencies else 0.0,
-        violations=violations,
-    )
-
 
 def run_sharded_chaos(
     config: Optional[ShardedChaosConfig] = None,
     shards: int = 1,
     modes: Tuple[str, ...] = CHAOS_MODES,
-    parallel: Optional[bool] = None,
+    parallel: bool = True,
 ) -> ShardedChaosResult:
     """The full sharded study: every (mode, cell) over *shards* workers.
 
-    ``shards`` is the worker count.  ``parallel=False`` forces the
-    worker batches to run sequentially in-process (the partition, the
-    windowed drivers, and the merge are exercised identically — only
-    the OS processes are skipped); the default uses real worker
-    processes whenever ``shards > 1``.  Results are byte-identical
-    either way, and for every worker count — that is the contract.
+    ``shards`` and ``parallel`` are passed to
+    :func:`repro.sim.sharding.run_cells`: ``parallel=False`` runs every
+    cell in-process (the windowed drivers and the merge are exercised
+    identically — only the OS processes are skipped).  Results are
+    byte-identical either way, and for every worker count — that is
+    the contract.
     """
     config = config or ShardedChaosConfig()
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
     arrivals_by_group = plan_arrivals(
         requests=config.requests,
         groups=config.groups,
@@ -379,38 +208,16 @@ def run_sharded_chaos(
         ull_fraction=config.ull_fraction,
         seed=config.seed,
     )
-    tasks = [(mode, group) for mode in modes for group in range(config.groups)]
-    assignment = assign_cells(len(tasks), shards)
-    payloads = [
-        (
-            config,
-            [tasks[i] for i in batch],
-            {
-                group: arrivals_by_group[group]
-                for _mode, group in (tasks[i] for i in batch)
-            },
-        )
-        for batch in assignment
+    tasks = [
+        (mode, config, group, arrivals_by_group[group])
+        for mode in modes
+        for group in range(config.groups)
     ]
-    use_processes = shards > 1 if parallel is None else (parallel and shards > 1)
-    if use_processes:
-        import multiprocessing
-
-        method = (
-            "fork"
-            if "fork" in multiprocessing.get_all_start_methods()
-            else "spawn"
-        )
-        context = multiprocessing.get_context(method)
-        with context.Pool(processes=shards) as pool:
-            batches = pool.map(_run_cell_batch, payloads)
-    else:
-        batches = [_run_cell_batch(payload) for payload in payloads]
+    cells = run_cells(run_cell, tasks, shards, parallel)
 
     result = ShardedChaosResult(config=config)
-    for batch in batches:
-        for cell in batch:
-            result.cells[(cell.mode, cell.group)] = cell
+    for cell in cells:
+        result.cells[(cell.mode, cell.group)] = cell
     for mode in modes:
         mode_cells = [result.cells[(mode, g)] for g in range(config.groups)]
         result.outcomes[mode] = _aggregate_mode(mode, mode_cells)
@@ -432,76 +239,22 @@ def render_sharded_chaos(result: ShardedChaosResult) -> str:
     them), so only model parameters and simulated results may appear.
     """
     config = result.config
-    modes = list(result.outcomes)
-    dispatch = (
-        f" dispatch={config.dispatch}"
-        if config.dispatch != "push-least-loaded"
-        else ""
-    )
+    first_mode = next(iter(result.outcomes))
     lines = [
         f"chaos-sharded: groups={config.groups} hosts/group={config.hosts} "
         f"requests={config.requests} failure_rate={config.failure_rate:g} "
-        f"seed={config.seed}{dispatch}",
+        f"seed={config.seed}{_dispatch_suffix(config.dispatch)}",
         "shard-load: "
         + " ".join(
-            f"g{group}={result.cells[(modes[0], group)].submitted}"
+            f"g{group}={result.cells[(first_mode, group)].submitted}"
             for group in range(config.groups)
         ),
         "",
-        f"{'mode':14s} {'done':>5s} {'shed':>5s} {'fail':>5s} {'retry':>6s} "
-        f"{'hedge':>6s} {'degr':>5s} {'opens':>6s} "
-        f"{'p99 us':>10s} {'uLL p50 us':>11s} {'uLL p99 us':>11s}",
     ]
-    for mode in modes:
-        outcome = result.outcomes[mode]
-        lines.append(
-            f"{outcome.mode:14s} {outcome.completed:5d} {outcome.shed:5d} "
-            f"{outcome.failed:5d} {outcome.retries:6d} {outcome.hedges:6d} "
-            f"{sum(outcome.degradations.values()):5d} {outcome.breaker_opens:6d} "
-            f"{outcome.p99_us:10.1f} {outcome.ull_p50_us:11.2f} "
-            f"{outcome.ull_p99_us:11.2f}"
-        )
-    lines.append("")
-    for mode in modes:
-        outcome = result.outcomes[mode]
-        degraded = (
-            ", ".join(f"{k}:{v}" for k, v in outcome.degradations.items())
-            or "none"
-        )
-        fired = ", ".join(f"{k}:{v}" for k, v in sorted(outcome.fired.items()))
-        lines.append(
-            f"{outcome.mode}: crashes={outcome.crashes} "
-            f"recoveries={outcome.recoveries} degradations=[{degraded}] "
-            f"faults=[{fired}]"
-        )
-        if not outcome.ok:
-            lines.append(
-                f"{outcome.mode}: UNSOUND — "
-                f"{outcome.submitted - outcome.resolved} unresolved, "
-                f"{len(outcome.violations)} violations"
-            )
-            lines.extend(f"  {message}" for message in outcome.violations[:10])
+    lines.extend(_mode_lines(result.outcomes))
     lines.append("")
     lines.append(
         f"sharded: events={result.events_executed} windows={result.windows} "
         f"lookahead_ns={DISPATCH_LATENCY_NS} trace_records={len(result.records)}"
     )
     return "\n".join(lines)
-
-
-def trace_jsonl(result: ShardedChaosResult) -> str:
-    """The merged trace as canonical JSONL (one record per line).
-
-    Keys are sorted and separators fixed, so the artifact is
-    byte-identical for byte-identical record streams — the form the
-    cross-process determinism regression diffs.
-    """
-    return "".join(
-        json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
-        for record in result.records
-    )
-
-
-def write_trace_jsonl(result: ShardedChaosResult, path: str) -> None:
-    with open(path, "w") as handle:
-        handle.write(trace_jsonl(result))

@@ -16,7 +16,6 @@ from repro.faas.gateway import FaaSGateway
 from repro.faas.invocation import Invocation, StartType
 from repro.faas.keepalive import (
     FixedKeepAlive,
-    HistogramKeepAlive,
     HybridKeepAlive,
     KeepAlivePolicy,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "Invocation",
     "StartType",
     "FixedKeepAlive",
-    "HistogramKeepAlive",
     "HybridKeepAlive",
     "KeepAlivePolicy",
     "FaaSPlatform",

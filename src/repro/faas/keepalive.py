@@ -13,25 +13,13 @@ policies:
   pattern-change reset).  Use this wherever the platform expects a
   keep-alive policy but the adaptive behaviour should come from the
   maintained implementation.
-
-.. deprecated::
-   :class:`HistogramKeepAlive` (the simplified p99-of-raw-gaps sketch
-   of ATC'20) is superseded by :class:`HybridKeepAlive` /
-   :class:`repro.faas.prewarm.HybridHistogram`; pool protection
-   against eviction is now driven by
-   :class:`repro.faas.autoscaler.PoolTargetTracker`.  Construction
-   emits :class:`DeprecationWarning`; removal is scheduled for the PR
-   after next (see README).
 """
 
 from __future__ import annotations
 
 import abc
-import warnings
-from collections import defaultdict
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
-from repro.metrics.stats import percentile
 from repro.sim.units import seconds
 
 if TYPE_CHECKING:
@@ -91,55 +79,3 @@ class HybridKeepAlive(KeepAlivePolicy):
     def keep_alive_ns(self, function_name: str) -> int:
         decision = self.policy.decision(self._fn(function_name))
         return (decision.prewarm_ns or 0) + decision.keep_alive_ns
-
-
-class HistogramKeepAlive(KeepAlivePolicy):
-    """Per-function adaptive window from observed idle gaps.
-
-    Until enough gaps are observed the policy falls back to a default
-    window; afterwards it keeps sandboxes for the p99 idle gap plus a
-    safety margin, the essence of the ATC'20 histogram policy.
-
-    .. deprecated::
-       Use :class:`repro.faas.prewarm.HybridHistogram` instead — the
-       complete ATC'20 policy (prewarm windows, out-of-bounds fallback,
-       pattern-change reset) with bounded per-function state.  Kept for
-       the legacy pool study's comparison table.
-    """
-
-    def __init__(
-        self,
-        default_window_ns: int = seconds(600),
-        min_observations: int = 8,
-        margin: float = 1.1,
-        max_window_ns: int = seconds(3600),
-    ) -> None:
-        warnings.warn(
-            "HistogramKeepAlive is deprecated; use "
-            "repro.faas.prewarm.HybridHistogram (full ATC'20 policy)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if min_observations < 1:
-            raise ValueError(
-                f"min_observations must be >= 1, got {min_observations}"
-            )
-        if margin < 1.0:
-            raise ValueError(f"margin must be >= 1.0, got {margin}")
-        self.default_window_ns = default_window_ns
-        self.min_observations = min_observations
-        self.margin = margin
-        self.max_window_ns = max_window_ns
-        self._gaps: Dict[str, List[int]] = defaultdict(list)
-
-    def observe_idle_gap(self, function_name: str, gap_ns: int) -> None:
-        if gap_ns < 0:
-            raise ValueError(f"negative idle gap {gap_ns}")
-        self._gaps[function_name].append(gap_ns)
-
-    def keep_alive_ns(self, function_name: str) -> int:
-        gaps = self._gaps.get(function_name, [])
-        if len(gaps) < self.min_observations:
-            return self.default_window_ns
-        window = round(percentile([float(g) for g in gaps], 99) * self.margin)
-        return min(window, self.max_window_ns)

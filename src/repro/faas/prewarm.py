@@ -51,6 +51,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro.faas.autoscaler import PoolTargetTracker
 from repro.hypervisor.costs import CostModel, cost_model_for
 from repro.policyreg import PolicyRegistry
+from repro.sim.sharding import run_cells
 from repro.sim.units import SECOND, to_microseconds
 from repro.traces.replay import ReplayConfig, ReplayStats, merged_stream
 
@@ -755,12 +756,6 @@ def run_cell(config: PrewarmConfig, group: int) -> CellStats:
     return stats
 
 
-def _run_cell_batch(payload) -> List[CellStats]:
-    """Worker entry point (module-level: must pickle under spawn)."""
-    config, batch = payload
-    return [run_cell(config, group) for group in batch]
-
-
 @dataclass
 class PrewarmResult:
     """All cells of one replay-under-policy run, merged in group order."""
@@ -815,7 +810,7 @@ def counter_percentile_ns(counts: Dict[int, int], pct: float) -> int:
 def run_replay(
     config: Optional[PrewarmConfig] = None,
     shards: int = 1,
-    parallel: Optional[bool] = None,
+    parallel: bool = True,
 ) -> PrewarmResult:
     """Replay the full trace under the configured policy.
 
@@ -825,32 +820,13 @@ def run_replay(
     group order, so output is byte-identical for any worker count.
     """
     config = config or PrewarmConfig()
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    batches = [
-        [group for group in range(config.groups) if group % shards == worker]
-        for worker in range(min(shards, config.groups))
-    ]
-    payloads = [(config, batch) for batch in batches if batch]
-    use_processes = shards > 1 if parallel is None else (parallel and shards > 1)
-    if use_processes and len(payloads) > 1:
-        import multiprocessing
-
-        method = (
-            "fork"
-            if "fork" in multiprocessing.get_all_start_methods()
-            else "spawn"
-        )
-        context = multiprocessing.get_context(method)
-        with context.Pool(processes=len(payloads)) as pool:
-            results = pool.map(_run_cell_batch, payloads)
-    else:
-        results = [_run_cell_batch(payload) for payload in payloads]
-    by_group = {cell.group: cell for batch in results for cell in batch}
-    return PrewarmResult(
-        config=config,
-        cells=[by_group[group] for group in sorted(by_group)],
+    # ``run_cell`` is looked up at call time, so a patched module
+    # global (boundary tracing wraps it) is the one that runs.
+    cells = run_cells(
+        run_cell, [(config, group) for group in range(config.groups)],
+        shards, parallel,
     )
+    return PrewarmResult(config=config, cells=cells)
 
 
 def render_replay(result: PrewarmResult) -> str:

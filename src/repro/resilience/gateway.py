@@ -116,6 +116,9 @@ class Request:
     #: global request id at the control-plane frontend (-1 = unrouted);
     #: the durable key the intent log and the exactly-once oracle use
     origin: int = -1
+    #: failure reason ``_maybe_fail`` deferred to a still-executing
+    #: attempt ("" = none); applied if that attempt fails instead
+    deferred_fail: str = ""
 
     @property
     def primary_attempts(self) -> int:
@@ -608,7 +611,10 @@ class ResilientGateway:
                 "resilience.attempt_fail.hung", "failed attempts by kind"
             ).inc()
         if attempt.hedge or request.state.terminal:
-            return  # a hedge (or the completed race winner) owns the rest
+            # A hedge (or the completed race winner) owns the rest —
+            # unless the primary path already gave up on this hedge.
+            self._settle_deferred(request)
+            return
         previous = request.current_start
         request.current_start = degrade(previous)
         self.degradations.record(previous, request.current_start)
@@ -689,7 +695,9 @@ class ResilientGateway:
                 f"resilience.attempt_fail.{kind}", "failed attempts by kind"
             ).inc()
         if attempt.hedge:
-            return  # hedges are fire-once; the primary path owns retries
+            # Hedges are fire-once; the primary path owns retries.
+            self._settle_deferred(request)
+            return
         previous = request.current_start
         request.current_start = degrade(previous)
         self.degradations.record(previous, request.current_start)
@@ -702,8 +710,12 @@ class ResilientGateway:
 
     def _maybe_fail(self, request: Request, reason: str) -> None:
         """Fail the request — unless an attempt is still executing, in
-        which case that attempt decides the outcome."""
-        if request.executing > 0 or request.state.terminal:
+        which case that attempt decides the outcome: its completion wins
+        the request, its failure lands the deferred *reason*."""
+        if request.state.terminal:
+            return
+        if request.executing > 0:
+            request.deferred_fail = reason
             return
         request.state = RequestState.FAILED
         request.resolution = reason
@@ -719,6 +731,12 @@ class ResilientGateway:
                 function=request.function, reason=reason,
                 attempts=len(request.attempts),
             )
+
+    def _settle_deferred(self, request: Request) -> None:
+        """A hedge ended unsuccessfully: if no attempt is left executing
+        and the primary path already gave up, fail the request now."""
+        if request.deferred_fail and request.executing == 0:
+            self._maybe_fail(request, request.deferred_fail)
 
     def _forget_inflight(self, host_index: int, attempt: Attempt) -> None:
         self._inflight[host_index] = [
@@ -759,7 +777,9 @@ class ResilientGateway:
             if request.state.terminal:
                 continue
             if attempt.hedge:
-                # The primary is still out (or its retry is scheduled).
+                # The primary is still out (or its retry is scheduled),
+                # unless it already deferred its failure to this hedge.
+                self._settle_deferred(request)
                 continue
             previous = request.current_start
             request.current_start = degrade(previous)

@@ -28,6 +28,11 @@ worker processes.  Three primitives live here:
   shard, sequence)``), a total order pinned by tests so the merged view
   is byte-identical for any worker count.
 
+On top of them sit the three helpers every sharded study shares:
+:func:`run_cells` (the one worker-pool driver), :func:`cell_seed` (the
+sha-derived per-cell root seed) and :func:`records_jsonl` /
+:func:`write_records_jsonl` (the canonical JSONL trace form).
+
 Determinism contract: every function here is a pure function of its
 inputs.  Worker count changes *where* a cell simulates, never *what* it
 simulates, so the merged trace is invariant under the partition — the
@@ -37,10 +42,14 @@ enforces exactly that.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Sequence, Tuple
+import json
+from typing import Callable, Iterable, List, Sequence, Tuple, TypeVar
 
 from repro.sim.engine import Engine
 from repro.sim.event import Event
+from repro.sim.rng import RngRegistry
+
+T = TypeVar("T")
 
 
 def assign_cells(cells: int, shards: int) -> Tuple[Tuple[int, ...], ...]:
@@ -58,6 +67,76 @@ def assign_cells(cells: int, shards: int) -> Tuple[Tuple[int, ...], ...]:
     return tuple(
         tuple(range(worker, cells, shards)) for worker in range(shards)
     )
+
+
+def _run_batch(payload) -> list:
+    """Worker entry point (module-level: must pickle under spawn)."""
+    fn, tasks = payload
+    return [fn(*task) for task in tasks]
+
+
+def run_cells(
+    fn: Callable[..., T],
+    tasks: Sequence[tuple],
+    shards: int,
+    parallel: bool = True,
+) -> List[T]:
+    """Run ``fn(*task)`` for every task over *shards* worker processes.
+
+    Tasks are partitioned with :func:`assign_cells`; empty batches are
+    dropped and outcomes come back in *task* order, whatever the worker
+    count.  With ``shards == 1``, ``parallel=False``, or a single
+    non-empty batch, every task runs in-process in task order and
+    nothing is pickled.  Otherwise *fn* must be a module-level function
+    and every task picklable: workers start by fork where the platform
+    offers it, else by spawn.
+    """
+    if shards < 1:
+        raise ValueError(f"shards must be >= 1, got {shards}")
+    batches = [batch for batch in assign_cells(len(tasks), shards) if batch]
+    if not parallel or len(batches) < 2:
+        return [fn(*task) for task in tasks]
+    import multiprocessing
+
+    method = (
+        "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+    )
+    payloads = [(fn, [tasks[i] for i in batch]) for batch in batches]
+    with multiprocessing.get_context(method).Pool(len(payloads)) as pool:
+        results = pool.map(_run_batch, payloads)
+    outcomes: List[T] = [None] * len(tasks)  # type: ignore[list-item]
+    for batch, batch_outcomes in zip(batches, results):
+        for index, outcome in zip(batch, batch_outcomes):
+            outcomes[index] = outcome
+    return outcomes
+
+
+def cell_seed(seed: int, family: str, group: int) -> int:
+    """The derived root seed for cell *group* of a study family.
+
+    Pure in ``(seed, family, group)``: the sha-derived fork of the root
+    seed named ``family + str(group)`` (the sharded chaos study uses
+    ``"shard-cell-"``, the recovery study ``"recovery-cell-"``).
+    """
+    return RngRegistry(seed).fork(f"{family}{group}").root_seed
+
+
+def records_jsonl(records: Iterable[dict]) -> str:
+    """Records as canonical JSONL: one record per line.
+
+    Keys are sorted and separators fixed, so the text is byte-identical
+    for byte-identical record streams — the form the cross-process
+    determinism checks diff.
+    """
+    return "".join(
+        json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+        for record in records
+    )
+
+
+def write_records_jsonl(records: Iterable[dict], path: str) -> None:
+    with open(path, "w") as handle:
+        handle.write(records_jsonl(records))
 
 
 def windowed_run(

@@ -12,13 +12,11 @@ import pytest
 
 from repro.experiments.cluster_recovery import (
     ClusterRecoveryConfig,
-    recovery_cell_seed,
     render_recovery,
     run_recovery,
-    trace_jsonl,
-    write_trace_jsonl,
 )
 from repro.experiments.registry import all_specs
+from repro.sim.sharding import cell_seed, records_jsonl, write_records_jsonl
 
 FAST = ClusterRecoveryConfig(
     groups=2,
@@ -32,10 +30,10 @@ FAST = ClusterRecoveryConfig(
 )
 
 
-def _snapshot(config, shards, parallel=None):
+def _snapshot(config, shards, parallel=True):
     result = run_recovery(config, shards=shards, parallel=parallel)
     return (
-        trace_jsonl(result),
+        records_jsonl(result.records),
         render_recovery(result),
         result.ok,
         tuple(result.oracle_mismatches),
@@ -64,9 +62,11 @@ class TestConfig:
             ClusterRecoveryConfig(**kwargs)
 
     def test_cell_seeds_distinct_and_pure(self):
-        seeds = [recovery_cell_seed(5, group) for group in range(8)]
+        seeds = [cell_seed(5, "recovery-cell-", group) for group in range(8)]
         assert len(set(seeds)) == 8
-        assert seeds == [recovery_cell_seed(5, group) for group in range(8)]
+        assert seeds == [
+            cell_seed(5, "recovery-cell-", group) for group in range(8)
+        ]
 
 
 class TestRun:
@@ -115,7 +115,7 @@ class TestTrace:
     def test_trace_is_canonical_jsonl(self, tmp_path):
         result = run_recovery(FAST, shards=1)
         path = tmp_path / "trace.jsonl"
-        write_trace_jsonl(result, str(path))
+        write_records_jsonl(result.records, str(path))
         lines = path.read_text().splitlines()
         assert len(lines) == len(result.records)
         for line in lines:

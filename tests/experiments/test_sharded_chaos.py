@@ -10,18 +10,15 @@ import json
 
 import pytest
 
+from repro.experiments.chaos import CellOutcome, _aggregate_mode
 from repro.experiments.sharded_chaos import (
-    CellOutcome,
     ShardedChaosConfig,
-    _aggregate_mode,
-    cell_seed,
     run_cell,
     run_sharded_chaos,
     render_sharded_chaos,
-    trace_jsonl,
-    write_trace_jsonl,
 )
 from repro.faas.frontend import DISPATCH_LATENCY_NS, plan_arrivals
+from repro.sim.sharding import cell_seed, records_jsonl, write_records_jsonl
 
 
 FAST = ShardedChaosConfig(groups=3, hosts=2, requests=60, drain_s=10.0, seed=5)
@@ -86,9 +83,11 @@ class TestFrontend:
 
 class TestCells:
     def test_cell_seed_is_pure_and_group_distinct(self):
-        assert cell_seed(7, 0) == cell_seed(7, 0)
-        assert cell_seed(7, 0) != cell_seed(7, 1)
-        assert cell_seed(7, 0) != cell_seed(8, 0)
+        family = "shard-cell-"
+        assert cell_seed(7, family, 0) == cell_seed(7, family, 0)
+        assert cell_seed(7, family, 0) != cell_seed(7, family, 1)
+        assert cell_seed(7, family, 0) != cell_seed(8, family, 0)
+        assert cell_seed(7, family, 0) != cell_seed(7, "recovery-cell-", 0)
 
     def test_run_cell_is_reproducible(self):
         plan = plan_arrivals(
@@ -169,7 +168,7 @@ class TestRunAndRender:
         first = run_sharded_chaos(FAST, shards=1)
         second = run_sharded_chaos(FAST, shards=1)
         assert render_sharded_chaos(first) == render_sharded_chaos(second)
-        assert trace_jsonl(first) == trace_jsonl(second)
+        assert records_jsonl(first.records) == records_jsonl(second.records)
 
     def test_render_never_mentions_the_worker_count(self):
         """The rendered output is part of the byte-identity contract:
@@ -182,7 +181,7 @@ class TestRunAndRender:
 
     def test_trace_jsonl_is_canonical_and_mode_major(self, tmp_path):
         result = run_sharded_chaos(FAST, shards=1)
-        text = trace_jsonl(result)
+        text = records_jsonl(result.records)
         lines = text.splitlines()
         assert len(lines) == len(result.records)
         parsed = [json.loads(line) for line in lines]
@@ -192,7 +191,7 @@ class TestRunAndRender:
                 record, sort_keys=True, separators=(",", ":")
             )
         path = tmp_path / "trace.jsonl"
-        write_trace_jsonl(result, str(path))
+        write_records_jsonl(result.records, str(path))
         assert path.read_text() == text
 
     def test_merged_records_ascend_within_each_mode(self):

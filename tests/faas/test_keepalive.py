@@ -2,22 +2,9 @@
 
 import pytest
 
-from repro.faas.keepalive import (
-    FixedKeepAlive,
-    HistogramKeepAlive,
-    HybridKeepAlive,
-)
+from repro.faas.keepalive import FixedKeepAlive, HybridKeepAlive
 from repro.faas.prewarm import HybridHistogram
 from repro.sim.units import seconds
-
-# HistogramKeepAlive is deprecated in favour of prewarm.HybridHistogram;
-# these tests cover the legacy behaviour on purpose.
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
-
-
-def test_histogram_keepalive_is_deprecated():
-    with pytest.warns(DeprecationWarning, match="HybridHistogram"):
-        HistogramKeepAlive()
 
 
 class TestFixed:
@@ -91,56 +78,3 @@ class TestHybridKeepAlive:
     def test_negative_gap_rejected(self):
         with pytest.raises(ValueError):
             HybridKeepAlive().observe_idle_gap("f", -1)
-
-
-class TestHistogram:
-    def test_falls_back_before_enough_observations(self):
-        policy = HistogramKeepAlive(
-            default_window_ns=seconds(600), min_observations=5
-        )
-        policy.observe_idle_gap("f", seconds(1))
-        assert policy.keep_alive_ns("f") == seconds(600)
-
-    def test_adapts_to_observed_gaps(self):
-        policy = HistogramKeepAlive(min_observations=4, margin=1.0)
-        for gap_s in (10, 10, 10, 10):
-            policy.observe_idle_gap("f", seconds(gap_s))
-        assert policy.keep_alive_ns("f") == seconds(10)
-
-    def test_window_uses_p99_of_gaps(self):
-        policy = HistogramKeepAlive(min_observations=4, margin=1.0)
-        gaps = [seconds(1)] * 99 + [seconds(100)]
-        for gap in gaps:
-            policy.observe_idle_gap("f", gap)
-        window = policy.keep_alive_ns("f")
-        assert window > seconds(1)
-
-    def test_margin_scales_window(self):
-        tight = HistogramKeepAlive(min_observations=1, margin=1.0)
-        loose = HistogramKeepAlive(min_observations=1, margin=2.0)
-        for policy in (tight, loose):
-            policy.observe_idle_gap("f", seconds(10))
-        assert loose.keep_alive_ns("f") == 2 * tight.keep_alive_ns("f")
-
-    def test_max_window_caps(self):
-        policy = HistogramKeepAlive(
-            min_observations=1, margin=1.0, max_window_ns=seconds(60)
-        )
-        policy.observe_idle_gap("f", seconds(10_000))
-        assert policy.keep_alive_ns("f") == seconds(60)
-
-    def test_per_function_isolation(self):
-        policy = HistogramKeepAlive(min_observations=1, margin=1.0)
-        policy.observe_idle_gap("short", seconds(1))
-        policy.observe_idle_gap("long", seconds(100))
-        assert policy.keep_alive_ns("short") < policy.keep_alive_ns("long")
-
-    def test_negative_gap_rejected(self):
-        with pytest.raises(ValueError):
-            HistogramKeepAlive().observe_idle_gap("f", -1)
-
-    def test_bad_construction_rejected(self):
-        with pytest.raises(ValueError):
-            HistogramKeepAlive(min_observations=0)
-        with pytest.raises(ValueError):
-            HistogramKeepAlive(margin=0.5)

@@ -40,6 +40,17 @@ class TestModes:
             outcome.submitted
         )
 
+    @pytest.mark.parametrize("seed", [54, 169, 182, 194, 195])
+    def test_failure_deferred_to_a_failing_hedge_still_resolves(self, seed):
+        # On these seeds the primary path gives up (deadline or retry
+        # budget) while a hedge is still executing, and that hedge then
+        # crashes or hangs: the deferred failure must land then.
+        result = run_chaos(
+            ChaosConfig(requests=1200, dispatch="push-least-loaded", seed=seed)
+        )
+        for outcome in result.outcomes.values():
+            assert outcome.ok, (outcome.mode, outcome.violations)
+
     def test_breaker_beats_retries_only_at_tail(self):
         # The acceptance criterion: under the default seeded failure
         # profile, steering placement off flaky hosts measurably cuts

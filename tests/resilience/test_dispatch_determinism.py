@@ -21,12 +21,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.chaos import ChaosConfig, render_chaos, run_chaos
-from repro.experiments.sharded_chaos import (
-    ShardedChaosConfig,
-    run_sharded_chaos,
-    trace_jsonl,
-)
+from repro.experiments.sharded_chaos import ShardedChaosConfig, run_sharded_chaos
 from repro.resilience.policies import DISPATCH_POLICIES
+from repro.sim.sharding import records_jsonl
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -42,7 +39,8 @@ ALL_POLICIES = tuple(DISPATCH_POLICIES.families())
 
 def _merged_trace(policy: str, seed: int, shards: int) -> str:
     config = ShardedChaosConfig(seed=seed, dispatch=policy, **BATTERY)
-    return trace_jsonl(run_sharded_chaos(config, shards=shards, parallel=False))
+    result = run_sharded_chaos(config, shards=shards, parallel=False)
+    return records_jsonl(result.records)
 
 
 class TestPushIsByteIdenticalToPreRefactor:
@@ -63,7 +61,7 @@ class TestPushIsByteIdenticalToPreRefactor:
         result = run_sharded_chaos(
             ShardedChaosConfig(**FAST_SHARDED), shards=1, parallel=False
         )
-        assert trace_jsonl(result) == (
+        assert records_jsonl(result.records) == (
             GOLDEN / "sharded_fast_seed0.jsonl"
         ).read_text()
 

@@ -12,32 +12,44 @@ count.  This suite enforces the contract at three levels:
   process boundary itself leaks nothing — id counters, pool ordering,
   pickling round-trips;
 * pinned unit tests for the deterministic primitives the contract
-  rests on: the cell→worker partition, the merge tie-breaks, and the
-  conservative-lookahead window driver.
+  rests on: the cell→worker partition, the shared cell driver, the
+  merge tie-breaks, and the conservative-lookahead window driver.
+
+It also holds the obs-on vs obs-off differential for every study that
+runs on the shared cell driver (sharded chaos, recovery, replay).
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.experiments.cluster_recovery import (
+    ClusterRecoveryConfig,
+    render_recovery,
+    run_recovery,
+)
 from repro.experiments.sharded_chaos import (
     ShardedChaosConfig,
     run_sharded_chaos,
-    trace_jsonl,
     render_sharded_chaos,
 )
+from repro.faas.prewarm import PrewarmConfig, render_replay, run_replay
+from repro.obs import Observability, activate
 from repro.sim.engine import Engine
 from repro.sim.event import EventPriority
 from repro.sim.sharding import (
     assign_cells,
     merge_records,
     merged_pending,
+    records_jsonl,
+    run_cells,
     windowed_run,
 )
+from repro.traces.replay import ReplayConfig
 
 import pytest
 
 
-def _snapshot(config, shards, parallel=None):
+def _snapshot(config, shards, parallel=True):
     """Everything the invariance contract covers, as comparable bytes."""
     result = run_sharded_chaos(
         config, shards=shards, modes=("breaker",), parallel=parallel
@@ -47,7 +59,7 @@ def _snapshot(config, shards, parallel=None):
         for mode, outcome in result.outcomes.items()
     )
     return (
-        trace_jsonl(result),
+        records_jsonl(result.records),
         render_sharded_chaos(result),
         result.ok,
         verdicts,
@@ -113,6 +125,60 @@ class TestShardInvarianceRealProcesses:
             assert _snapshot(config, shards=shards) == reference
 
 
+class TestObsDoesNotPerturb:
+    """Instrumentation is observation only: every study that runs on the
+    shared cell driver renders and traces the same bytes with an active
+    observability bundle as without one."""
+
+    @staticmethod
+    def _observed(run):
+        obs = Observability()
+        with activate(obs):
+            observed = run()
+        return observed, obs
+
+    def test_sharded_chaos_trace(self):
+        config = ShardedChaosConfig(
+            groups=3, hosts=2, requests=60, drain_s=10.0, seed=5
+        )
+
+        def run():
+            result = run_sharded_chaos(config, shards=2, parallel=False)
+            return records_jsonl(result.records), render_sharded_chaos(result)
+
+        observed, obs = self._observed(run)
+        assert len(obs.tracer) > 0 and obs.metrics.names()
+        assert observed == run()
+
+    def test_recovery_trace_and_render(self):
+        config = ClusterRecoveryConfig(
+            groups=2, gateways=3, hosts=2, gateway_failure_rate=0.3,
+            requests=120, drain_s=10.0, deadline_s=5.0, seed=5,
+        )
+
+        def run():
+            result = run_recovery(config, shards=2, parallel=False)
+            return records_jsonl(result.records), render_recovery(result)
+
+        observed, obs = self._observed(run)
+        assert len(obs.tracer) > 0 and obs.metrics.names()
+        assert observed == run()
+
+    def test_replay_render(self):
+        config = PrewarmConfig(
+            replay=ReplayConfig(functions=24, duration_s=300.0, seed=3),
+            policy="hybrid",
+            memory_budget_mb=8 * 128.0,
+            groups=2,
+        )
+
+        def run():
+            return render_replay(run_replay(config, shards=2, parallel=False))
+
+        observed, _obs = self._observed(run)
+        assert observed == run()
+
+
 class TestAssignCells:
     @given(
         cells=st.integers(min_value=0, max_value=64),
@@ -138,6 +204,44 @@ class TestAssignCells:
             assign_cells(-1, 2)
         with pytest.raises(ValueError, match="shard count"):
             assign_cells(4, 0)
+
+
+def _cell(group, scale):
+    """A module-level cell function: picklable under fork and spawn."""
+    return (group, group * scale)
+
+
+class TestRunCells:
+    @pytest.mark.parametrize("parallel", [True, False])
+    @pytest.mark.parametrize(
+        "tasks, shards",
+        [
+            ([(g, 3) for g in range(7)], 1),
+            ([(g, 3) for g in range(7)], 2),
+            ([(g, 3) for g in range(7)], 3),
+            ([(g, 5) for g in range(2)], 4),  # more shards than tasks
+            ([], 3),  # zero tasks
+        ],
+    )
+    def test_outcomes_come_back_in_task_order(self, tasks, shards, parallel):
+        outcomes = run_cells(_cell, tasks, shards, parallel)
+        assert outcomes == [_cell(*task) for task in tasks]
+
+    def test_invalid_shard_count_rejected(self):
+        with pytest.raises(ValueError, match="shards"):
+            run_cells(_cell, [(0, 1)], 0)
+
+    def test_single_shard_runs_in_process_without_pickling(self):
+        """A closure cannot be pickled: running it proves the one-shard
+        path calls the cell function in this process, in task order."""
+        seen = []
+
+        def cell(group):
+            seen.append(group)
+            return -group
+
+        assert run_cells(cell, [(2,), (0,), (1,)], 1) == [-2, 0, -1]
+        assert seen == [2, 0, 1]
 
 
 class TestMergeRecords:
