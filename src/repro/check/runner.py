@@ -153,14 +153,14 @@ def _checked_pool_phase(
     firing on every event via the engine watcher.
     """
     from repro.faas import FaaSPlatform, FunctionSpec, StartType
-    from repro.faas.keepalive import FixedKeepAlive
+    from repro.faas.prewarm import FixedWindow
     from repro.sim.units import seconds
     from repro.workloads import FirewallWorkload
 
     # A short keep-alive so eviction events actually fire inside the
     # checked window (eviction is where pool/timer accounting can rot).
     faas = FaaSPlatform.build(
-        platform, seed=seed, keepalive=FixedKeepAlive(seconds(1))
+        platform, seed=seed, keepalive=FixedWindow(seconds(1))
     )
     faas.register(FunctionSpec("firewall", FirewallWorkload()))
 

@@ -11,10 +11,10 @@ reports, per policy:
 * mean initialization latency across all triggers,
 * evictions and peak pooled sandbox count (the memory cost of warmth).
 
-Policies compared: fixed windows of several lengths, and the adaptive
-ATC'20 hybrid histogram policy (via :class:`HybridKeepAlive` over
-:class:`repro.faas.prewarm.HybridHistogram`), mirroring the fixed vs
-"Serverless in the Wild" trade-off.
+Policies compared: fixed windows of several lengths
+(:class:`repro.faas.prewarm.FixedWindow`), and the adaptive ATC'20
+hybrid histogram policy (:class:`repro.faas.prewarm.HybridHistogram`),
+mirroring the fixed vs "Serverless in the Wild" trade-off.
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.experiments.runner import fresh_platform
 from repro.faas.function import FunctionSpec
 from repro.faas.invocation import StartType
-from repro.faas.keepalive import FixedKeepAlive, HybridKeepAlive, KeepAlivePolicy
-from repro.faas.prewarm import HybridHistogram
+from repro.faas.prewarm import FixedWindow, HybridHistogram, PrewarmPolicy
 from repro.faas.platform import FaaSPlatform
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
@@ -65,28 +64,25 @@ class PoolStudyResult:
         return max(self.outcomes, key=lambda n: self.outcomes[n].hit_rate)
 
 
-def _default_policies() -> Dict[str, KeepAlivePolicy]:
-    # The adaptive baseline is the ATC'20 hybrid policy (via the
-    # HybridKeepAlive facade), binned finely enough for a 120 s study
-    # and falling back to a 30 s window until it has seen 4 gaps.
-    histogram = HybridKeepAlive(
-        HybridHistogram(
+def _default_policies() -> Dict[str, PrewarmPolicy]:
+    # The adaptive baseline is the ATC'20 hybrid policy, binned finely
+    # enough for a 120 s study and falling back to a 30 s window until
+    # it has seen 4 gaps.
+    return {
+        "fixed-5s": FixedWindow(seconds(5)),
+        "fixed-30s": FixedWindow(seconds(30)),
+        "fixed-120s": FixedWindow(seconds(120)),
+        "histogram": HybridHistogram(
             bin_width_ns=seconds(5),
             bins=60,
             min_observations=4,
             default_keep_ns=seconds(30),
-        )
-    )
-    return {
-        "fixed-5s": FixedKeepAlive(seconds(5)),
-        "fixed-30s": FixedKeepAlive(seconds(30)),
-        "fixed-120s": FixedKeepAlive(seconds(120)),
-        "histogram": histogram,
+        ),
     }
 
 
 def run_pool_study(
-    policies: Optional[Dict[str, KeepAlivePolicy]] = None,
+    policies: Optional[Dict[str, PrewarmPolicy]] = None,
     functions: int = 8,
     duration_s: float = 120.0,
     mean_rate_per_function: float = 0.2,
@@ -135,7 +131,7 @@ def _run_policy(policy_name, policy, trace, seed) -> PolicyOutcome:
         now = engine.now
         previous = last_trigger_ns.get(function)
         if previous is not None:
-            policy.observe_idle_gap(function, now - previous)
+            policy.observe_gap(function, now - previous)
         last_trigger_ns[function] = now
         spec = faas.registry.get(function)
         if faas.pool.size(function) > 0:

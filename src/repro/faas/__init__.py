@@ -14,11 +14,6 @@ from repro.faas.cluster import (
 from repro.faas.function import FunctionRegistry, FunctionSpec
 from repro.faas.gateway import FaaSGateway
 from repro.faas.invocation import Invocation, StartType
-from repro.faas.keepalive import (
-    FixedKeepAlive,
-    HybridKeepAlive,
-    KeepAlivePolicy,
-)
 from repro.faas.platform import FaaSPlatform
 from repro.faas.pool import SandboxPool
 from repro.faas.prewarm import (
@@ -78,9 +73,6 @@ __all__ = [
     "FaaSGateway",
     "Invocation",
     "StartType",
-    "FixedKeepAlive",
-    "HybridKeepAlive",
-    "KeepAlivePolicy",
     "FaaSPlatform",
     "SandboxPool",
     "FixedWindow",

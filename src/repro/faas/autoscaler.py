@@ -19,11 +19,14 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Optional
+from typing import TYPE_CHECKING, Deque, Dict, Optional
 
-from repro.faas.platform import FaaSPlatform
 from repro.sim.event import Event, EventPriority
 from repro.sim.units import SECOND, seconds
+
+if TYPE_CHECKING:
+    # Annotation only: platform -> pool -> prewarm imports this module.
+    from repro.faas.platform import FaaSPlatform
 
 
 @dataclass(frozen=True)

@@ -329,8 +329,8 @@ class FaaSCluster:
 
         Warm-path pool misses degrade to cold *explicitly*: the
         transition is counted in ``stats.degraded`` (and the legacy
-        ``cold_fallbacks`` counter) and recorded on the host's trace —
-        never silently.
+        ``cold_fallbacks`` counter) and, when tracing, recorded as a
+        ``cluster.degrade`` instant — never silently.
         """
         if not self.health[index].up:
             raise NoHealthyHostError(f"host {index} is down")
@@ -348,10 +348,11 @@ class FaaSCluster:
                     f"cluster.degrade.{degraded}",
                     "warm-path miss degraded to cold",
                 ).inc()
-            host.trace.record(
-                self.engine.now, "cluster", "degrade",
-                function=function_name, host=index, transition=degraded,
-            )
+                if host.obs.tracer.enabled:
+                    host.obs.tracer.record_instant(
+                        "cluster.degrade", self.engine.now, category="cluster",
+                        function=function_name, host=index, transition=degraded,
+                    )
         self.in_flight[index] += 1
         try:
             invocation = host.trigger(function_name, effective, **kwargs)

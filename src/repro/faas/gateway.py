@@ -27,7 +27,6 @@ from repro.hypervisor.sandbox import Sandbox
 from repro.obs.context import NULL_OBS, Observability
 from repro.obs.span import OpenSpan
 from repro.sim.engine import Engine
-from repro.sim.tracing import NULL_TRACE, TraceLog
 
 #: Synthetic "process" id for gateway-level spans.  Physical CPUs use
 #: their core id as pid; the FaaS control plane gets its own track far
@@ -47,7 +46,6 @@ class FaaSGateway:
         strategies: Dict[StartType, StartStrategy],
         rng: random.Random,
         horse: Optional[HorsePauseResume] = None,
-        trace: TraceLog = NULL_TRACE,
         obs: Observability = NULL_OBS,
     ) -> None:
         self.engine = engine
@@ -57,7 +55,6 @@ class FaaSGateway:
         self.strategies = strategies
         self.rng = rng
         self.horse = horse
-        self.trace = trace
         self.obs = obs
         self.invocations: List[Invocation] = []
         #: hooks fired when an invocation completes (experiments attach)
@@ -166,11 +163,6 @@ class FaaSGateway:
             self._finish_invocation_obs(root, invocation, outcome)
         elif self.obs.enabled:
             self._finish_invocation_metrics(invocation, outcome)
-        self.trace.record(
-            now, "gateway", "trigger",
-            function=function_name, start=outcome.start_type.value,
-            init_ns=outcome.init_ns, invocation=invocation.invocation_id,
-        )
         # The completion event is kept on the invocation so failure
         # handling (repro.resilience) can cancel it if the serving host
         # crashes before exec_end_ns.
@@ -232,10 +224,6 @@ class FaaSGateway:
         if self.obs.enabled:
             self._ctr_complete.inc()
             self._hist_total.observe(invocation.total_ns)
-        self.trace.record(
-            now, "gateway", "complete",
-            function=spec.name, invocation=invocation.invocation_id,
-        )
         for hook in self.completion_hooks:
             hook(invocation)
 

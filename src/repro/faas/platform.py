@@ -21,8 +21,8 @@ from repro.core.ull_runqueue import UllRunqueueManager
 from repro.faas.function import FunctionRegistry, FunctionSpec
 from repro.faas.gateway import FaaSGateway
 from repro.faas.invocation import Invocation, StartType
-from repro.faas.keepalive import FixedKeepAlive, KeepAlivePolicy
 from repro.faas.pool import SandboxPool
+from repro.faas.prewarm import FixedWindow, PrewarmPolicy
 from repro.faas.startup import (
     ColdStart,
     HorseStart,
@@ -35,7 +35,7 @@ from repro.hypervisor.sandbox import Sandbox, SandboxState
 from repro.obs.context import Observability, current as current_obs
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
-from repro.sim.tracing import NULL_TRACE, TraceLog
+from repro.sim.units import SECOND
 
 
 class FaaSPlatform:
@@ -46,15 +46,13 @@ class FaaSPlatform:
         engine: Engine,
         virt: VirtualizationPlatform,
         rngs: RngRegistry,
-        keepalive: Optional[KeepAlivePolicy] = None,
+        keepalive: Optional[PrewarmPolicy] = None,
         horse_config: HorseConfig = HorseConfig.full(),
-        trace: TraceLog = NULL_TRACE,
         obs: Optional[Observability] = None,
     ) -> None:
         self.engine = engine
         self.virt = virt
         self.rngs = rngs
-        self.trace = trace
         #: Observability bundle; defaults to the active context (NULL
         #: unless the caller opted in with ``obs.activate(...)``).
         self.obs = obs if obs is not None else current_obs()
@@ -62,9 +60,8 @@ class FaaSPlatform:
         self.registry = FunctionRegistry()
         self.pool = SandboxPool(
             engine,
-            keepalive or FixedKeepAlive(),
+            keepalive or FixedWindow(600 * SECOND),
             on_evict=self._release_sandbox_memory,
-            trace=trace,
             obs=self.obs,
         )
         self.ull_manager = UllRunqueueManager(virt.host)
@@ -90,7 +87,6 @@ class FaaSPlatform:
             strategies=strategies,
             rng=rngs.stream("gateway"),
             horse=self.horse,
-            trace=trace,
             obs=self.obs,
         )
 
@@ -101,7 +97,7 @@ class FaaSPlatform:
         platform_name: str = "firecracker",
         seed: int = 0,
         reserved_ull_cores: int = 1,
-        keepalive: Optional[KeepAlivePolicy] = None,
+        keepalive: Optional[PrewarmPolicy] = None,
         horse_config: HorseConfig = HorseConfig.full(),
     ) -> "FaaSPlatform":
         """One-call construction with a named hypervisor platform."""

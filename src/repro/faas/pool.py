@@ -2,8 +2,12 @@
 
 Holds paused, initialized sandboxes per function.  A warm start is a
 pool hit; provisioned concurrency keeps the pool from ever emptying for
-subscribed functions; the keep-alive policy evicts idle non-provisioned
-sandboxes after their window.
+subscribed functions; a :class:`repro.faas.prewarm.PrewarmPolicy`
+decides how long an idle non-provisioned sandbox stays before eviction.
+The pool has no unload/reload phase, so a decision's prewarm window
+collapses onto the keep-alive axis: the sandbox is simply retained
+through ``prewarm + keep_alive``, the same predicted-arrival horizon at
+a higher memory cost.
 
 The pool only *stores* — pausing/resuming is the caller's job (the
 platform picks the vanilla or the HORSE path per sandbox), so the pool
@@ -15,12 +19,11 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from typing import Callable, Deque, Dict, List, Optional
 
-from repro.faas.keepalive import KeepAlivePolicy
+from repro.faas.prewarm import PrewarmPolicy
 from repro.hypervisor.sandbox import Sandbox, SandboxState
 from repro.obs.context import NULL_OBS, Observability
 from repro.sim.engine import Engine
 from repro.sim.event import Event
-from repro.sim.tracing import NULL_TRACE, TraceLog
 
 
 def _pool_handles(metrics):
@@ -38,15 +41,13 @@ class SandboxPool:
     def __init__(
         self,
         engine: Engine,
-        keepalive: KeepAlivePolicy,
+        keepalive: PrewarmPolicy,
         on_evict: Optional[Callable[[str, Sandbox], None]] = None,
-        trace: TraceLog = NULL_TRACE,
         obs: Observability = NULL_OBS,
     ) -> None:
         self._engine = engine
         self._keepalive = keepalive
         self._on_evict = on_evict
-        self._trace = trace
         self.obs = obs
         self._idle: Dict[str, Deque[Sandbox]] = defaultdict(deque)
         #: sandbox_id -> pending eviction event (cancelled on acquire)
@@ -92,10 +93,6 @@ class SandboxPool:
         self.hits += 1
         if self.obs.enabled:
             self.obs.metrics.bound("pool", _pool_handles)[0].inc()
-        self._trace.record(
-            self._engine.now, "pool", "acquire",
-            function=function_name, sandbox=sandbox.sandbox_id,
-        )
         return sandbox
 
     def release(self, function_name: str, sandbox: Sandbox) -> None:
@@ -108,13 +105,10 @@ class SandboxPool:
             )
         queue = self._idle[function_name]
         queue.append(sandbox)
-        self._trace.record(
-            self._engine.now, "pool", "release",
-            function=function_name, sandbox=sandbox.sandbox_id,
-        )
         if len(queue) <= self.provisioned_count(function_name):
             return  # inside the always-warm quota: no eviction timer
-        window = self._keepalive.keep_alive_ns(function_name)
+        decision = self._keepalive.decision(function_name)
+        window = (decision.prewarm_ns or 0) + decision.keep_alive_ns
         event = self._engine.schedule_after(
             window,
             lambda: self._evict(function_name, sandbox),
@@ -136,11 +130,6 @@ class SandboxPool:
         for event in self._eviction_events.values():
             event.cancel()
         self._eviction_events.clear()
-        if drained:
-            self._trace.record(
-                self._engine.now, "pool", "drain",
-                sandboxes=sum(len(v) for v in drained.values()),
-            )
         return drained
 
     def _evict(self, function_name: str, sandbox: Sandbox) -> None:
@@ -160,10 +149,6 @@ class SandboxPool:
                 function=function_name,
                 sandbox=sandbox.sandbox_id,
             )
-        self._trace.record(
-            self._engine.now, "pool", "evict",
-            function=function_name, sandbox=sandbox.sandbox_id,
-        )
         if self._on_evict is not None:
             self._on_evict(function_name, sandbox)
 

@@ -46,7 +46,7 @@ import heapq
 import math
 from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 from repro.faas.autoscaler import PoolTargetTracker
 from repro.hypervisor.costs import CostModel, cost_model_for
@@ -165,17 +165,22 @@ class PolicyDecision:
 
 
 class PrewarmPolicy:
-    """Per-function lifecycle decisions.  Subclasses own all state."""
+    """Per-function lifecycle decisions.  Subclasses own all state.
+
+    ``fn`` is any hashable function key: the replayer passes its dense
+    int ids, the warm pool (:class:`repro.faas.pool.SandboxPool`) passes
+    function names.
+    """
 
     name = "abstract"
 
-    def decision(self, fn: int) -> PolicyDecision:
+    def decision(self, fn: Hashable) -> PolicyDecision:
         raise NotImplementedError
 
-    def observe_gap(self, fn: int, gap_ns: int) -> None:
+    def observe_gap(self, fn: Hashable, gap_ns: int) -> None:
         """An arrival came *gap_ns* after the previous completion."""
 
-    def record_outcome(self, fn: int, warm: bool) -> None:
+    def record_outcome(self, fn: Hashable, warm: bool) -> None:
         """Was the (non-concurrent) arrival served from a resident sandbox?"""
 
 
@@ -185,7 +190,7 @@ class NoKeepAlive(PrewarmPolicy):
     name = "none"
     _DECISION = PolicyDecision(prewarm_ns=None, keep_alive_ns=0)
 
-    def decision(self, fn: int) -> PolicyDecision:
+    def decision(self, fn: Hashable) -> PolicyDecision:
         return self._DECISION
 
 
@@ -199,7 +204,7 @@ class FixedWindow(PrewarmPolicy):
         self.name = f"fixed-{window_ns // SECOND}s"
         self._decision = PolicyDecision(prewarm_ns=None, keep_alive_ns=window_ns)
 
-    def decision(self, fn: int) -> PolicyDecision:
+    def decision(self, fn: Hashable) -> PolicyDecision:
         return self._decision
 
 
@@ -256,21 +261,21 @@ class HybridHistogram(PrewarmPolicy):
         self.pattern_miss_limit = pattern_miss_limit
         self.default_keep_ns = default_keep_ns
         self._fallback = PolicyDecision(prewarm_ns=None, keep_alive_ns=default_keep_ns)
-        self._histograms: Dict[int, IdleHistogram] = {}
-        self._cached: Dict[int, PolicyDecision] = {}
-        self._misses: Dict[int, int] = {}
+        self._histograms: Dict[Hashable, IdleHistogram] = {}
+        self._cached: Dict[Hashable, PolicyDecision] = {}
+        self._misses: Dict[Hashable, int] = {}
 
-    def histogram(self, fn: int) -> IdleHistogram:
+    def histogram(self, fn: Hashable) -> IdleHistogram:
         hist = self._histograms.get(fn)
         if hist is None:
             hist = self._histograms[fn] = IdleHistogram(self.bin_width_ns, self.bins)
         return hist
 
-    def observe_gap(self, fn: int, gap_ns: int) -> None:
+    def observe_gap(self, fn: Hashable, gap_ns: int) -> None:
         self.histogram(fn).observe(gap_ns)
         self._cached.pop(fn, None)
 
-    def record_outcome(self, fn: int, warm: bool) -> None:
+    def record_outcome(self, fn: Hashable, warm: bool) -> None:
         if warm:
             self._misses[fn] = 0
             return
@@ -285,13 +290,13 @@ class HybridHistogram(PrewarmPolicy):
             misses = 0
         self._misses[fn] = misses
 
-    def decision(self, fn: int) -> PolicyDecision:
+    def decision(self, fn: Hashable) -> PolicyDecision:
         cached = self._cached.get(fn)
         if cached is None:
             cached = self._cached[fn] = self._compute(fn)
         return cached
 
-    def _compute(self, fn: int) -> PolicyDecision:
+    def _compute(self, fn: Hashable) -> PolicyDecision:
         hist = self._histograms.get(fn)
         if hist is None or hist.total < self.min_observations:
             return self._fallback

@@ -1,6 +1,6 @@
 """Measurement and statistics toolkit for the evaluation."""
 
-from repro.metrics.recorder import Breakdown, BreakdownRecorder, SeriesRecorder
+from repro.metrics.recorder import Breakdown, BreakdownRecorder
 from repro.metrics.stats import (
     ConfidenceInterval,
     Summary,
@@ -16,7 +16,6 @@ from repro.metrics.usage import CpuWorkTracker, UsageSample, UsageSampler
 __all__ = [
     "Breakdown",
     "BreakdownRecorder",
-    "SeriesRecorder",
     "ConfidenceInterval",
     "Summary",
     "confidence_interval_95",

@@ -1,72 +1,17 @@
-"""Measurement recorders.
+"""Per-phase breakdown recorders.
 
-Two recorders cover the evaluation's needs:
-
-* :class:`SeriesRecorder` — named scalar series (e.g. per-invocation
-  latency), summarized with :class:`repro.metrics.stats.Summary`.
-* :class:`BreakdownRecorder` — per-phase durations for a multi-step
-  operation (the resume path's steps 1-6), keeping both the absolute
-  nanoseconds and the share of the total, which is exactly what the
-  paper's Figure 2 plots.
-
-Both recorders keep raw samples for exact statistics.  A
-:class:`SeriesRecorder` can additionally *mirror* into an
-:class:`repro.obs.metrics.MetricRegistry` so experiment series show up
-alongside the hot-path histograms in one unified snapshot.
+:class:`BreakdownRecorder` accumulates per-phase durations for a
+multi-step operation (the resume path's steps 1-6), keeping both the
+absolute nanoseconds and the share of the total, which is exactly what
+the paper's Figure 2 plots.  It keeps raw samples for exact statistics;
+streaming latency metrics belong in :mod:`repro.obs.metrics`.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional
-
-from repro.metrics.stats import Summary
-from repro.obs.metrics import MetricRegistry
-
-
-class SeriesRecorder:
-    """Accumulates named scalar series and summarizes them.
-
-    When *registry* is given, every recorded value is also fed to a
-    same-named histogram in it, unifying experiment-level series with
-    the observability layer's metric registry.
-    """
-
-    def __init__(self, registry: Optional[MetricRegistry] = None) -> None:
-        self._series: Dict[str, List[float]] = defaultdict(list)
-        self._registry = registry
-
-    def record(self, name: str, value: float) -> None:
-        self._series[name].append(float(value))
-        if self._registry is not None:
-            self._registry.histogram(name, help="mirrored series").observe(value)
-
-    def extend(self, name: str, values: Iterable[float]) -> None:
-        for value in values:
-            self.record(name, value)
-
-    def values(self, name: str) -> List[float]:
-        """The raw values for a series (empty list if never recorded)."""
-        return list(self._series.get(name, []))
-
-    def names(self) -> List[str]:
-        return sorted(self._series)
-
-    def summary(self, name: str) -> Summary:
-        values = self._series.get(name)
-        if not values:
-            raise KeyError(f"no values recorded for series {name!r}")
-        return Summary.of(values)
-
-    def summaries(self) -> Dict[str, Summary]:
-        return {name: Summary.of(vals) for name, vals in self._series.items() if vals}
-
-    def clear(self) -> None:
-        self._series.clear()
-
-    def __len__(self) -> int:
-        return sum(len(v) for v in self._series.values())
+from typing import Dict, Iterable, List, Mapping
 
 
 @dataclass

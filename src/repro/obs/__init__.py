@@ -1,8 +1,7 @@
 """End-to-end observability for the reproduction.
 
-The ``repro.obs`` subsystem answers the question the flat
-:class:`~repro.sim.tracing.TraceLog` cannot: *where do the nanoseconds
-go?*  It provides
+The ``repro.obs`` subsystem is the simulator's one structured-event
+and metric sink, and answers *where do the nanoseconds go?*  It provides
 
 * nested timed :class:`Span`/:class:`Tracer` keyed to the sim clock
   (:mod:`repro.obs.span`), instrumenting the full resume hot path;

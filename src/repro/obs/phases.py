@@ -16,12 +16,8 @@ reconciliation property the observability tests assert.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
+from repro.metrics.recorder import Breakdown
 from repro.obs.metrics import MetricRegistry
-
-if TYPE_CHECKING:  # break the cycle: metrics.recorder imports repro.obs
-    from repro.metrics.recorder import Breakdown
 
 RESUME_MERGE_NS = "resume.merge_ns"
 RESUME_LOAD_UPDATE_NS = "resume.load_update_ns"

@@ -225,12 +225,8 @@ class FailureInjector:
             ).inc()
             host.obs.tracer.record_instant(
                 "node.crash", now, category="resilience",
-                host=index, pooled_lost=lost,
+                host=index, pooled_lost=lost, domain=self.domain,
             )
-        host.trace.record(
-            now, "failures", "crash",
-            host=index, pooled_lost=lost, domain=self.domain,
-        )
         for listener in self.on_crash:
             listener(index, now)
 
@@ -242,11 +238,9 @@ class FailureInjector:
         host = self.cluster.hosts[index]
         if host.obs.enabled:
             host.obs.tracer.record_instant(
-                "node.recover", now, category="resilience", host=index,
+                "node.recover", now, category="resilience",
+                host=index, domain=self.domain,
             )
-        host.trace.record(
-            now, "failures", "recover", host=index, domain=self.domain
-        )
         for listener in self.on_recover:
             listener(index, now)
 

@@ -24,7 +24,6 @@ from repro.sim.sharding import (
     merged_pending,
     windowed_run,
 )
-from repro.sim.tracing import NULL_TRACE, TraceEvent, TraceLog
 from repro.sim.units import (
     MICROSECOND,
     MILLISECOND,
@@ -64,9 +63,6 @@ __all__ = [
     "merge_records",
     "merged_pending",
     "windowed_run",
-    "NULL_TRACE",
-    "TraceEvent",
-    "TraceLog",
     "NANOSECOND",
     "MICROSECOND",
     "MILLISECOND",

@@ -1,9 +1,13 @@
 """Warm-pool keep-alive study."""
 
+from pathlib import Path
+
 import pytest
 
+from repro.experiments import registry
 from repro.experiments.pool_study import run_pool_study
-from repro.faas.keepalive import FixedKeepAlive
+from repro.experiments.registry import ExperimentConfig
+from repro.faas.prewarm import FixedWindow
 from repro.sim.units import seconds
 
 
@@ -60,7 +64,7 @@ class TestHitRates:
 class TestCustomPolicies:
     def test_custom_policy_set(self):
         result = run_pool_study(
-            policies={"only": FixedKeepAlive(seconds(60))},
+            policies={"only": FixedWindow(seconds(60))},
             functions=3,
             duration_s=30.0,
             seed=1,
@@ -69,3 +73,14 @@ class TestCustomPolicies:
         outcome = result.outcome("only")
         assert outcome.triggers > 0
         assert 0.0 <= outcome.hit_rate <= 1.0
+
+
+class TestGolden:
+    def test_fast_seed0_summary_matches_golden(self):
+        """The fast study's rendered table, byte for byte, as captured
+        before the pool took prewarm policies."""
+        golden = Path(__file__).parent / "golden" / "pool_study_fast_seed0.txt"
+        summary = registry.get("pool_study").run(
+            ExperimentConfig(fast=True, seed=0)
+        ).summary()
+        assert summary + "\n" == golden.read_text()

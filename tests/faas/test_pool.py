@@ -1,9 +1,11 @@
-"""SandboxPool: acquire/release, keep-alive eviction, provisioning."""
+"""SandboxPool: acquire/release, keep-alive eviction, provisioning,
+and the prewarm lifecycle policies that arm its eviction timers."""
 
 import pytest
 
-from repro.faas.keepalive import FixedKeepAlive
+from repro.faas.platform import FaaSPlatform
 from repro.faas.pool import SandboxPool
+from repro.faas.prewarm import FixedWindow, HybridHistogram, NoKeepAlive
 from repro.hypervisor.platform import firecracker_platform
 from repro.hypervisor.sandbox import Sandbox, SandboxState
 from repro.sim.engine import Engine
@@ -21,7 +23,7 @@ def paused_box(virt, vcpus=1):
 def setup():
     engine = Engine()
     virt = firecracker_platform()
-    pool = SandboxPool(engine, FixedKeepAlive(seconds(10)))
+    pool = SandboxPool(engine, FixedWindow(seconds(10)))
     return engine, virt, pool
 
 
@@ -126,3 +128,124 @@ class TestKeepAliveEviction:
         assert pool.size("fw") == 1
         engine.run(until=seconds(16))
         assert pool.size("fw") == 0
+
+
+def eviction_deadline(engine, sandbox):
+    """When the armed keep-alive timer for *sandbox* fires."""
+    (event,) = [
+        e for e in engine.pending_events()
+        if e.label == f"keepalive-evict:{sandbox.sandbox_id}"
+    ]
+    return event.time
+
+
+class TestLifecyclePolicies:
+    """The pool's eviction window comes from a prewarm.PrewarmPolicy:
+    ``prewarm + keep_alive`` of the function's current decision."""
+
+    @staticmethod
+    def hybrid(**overrides):
+        params = dict(
+            bin_width_ns=seconds(5), min_observations=4,
+            default_keep_ns=seconds(30),
+        )
+        params.update(overrides)
+        return HybridHistogram(**params)
+
+    def test_fixed_window_arms_timer_at_window(self, setup):
+        engine, virt, pool = setup
+        engine.run(until=seconds(3))
+        sandbox = paused_box(virt)
+        pool.release("fw", sandbox)
+        assert eviction_deadline(engine, sandbox) == seconds(13)
+
+    def test_default_platform_window_is_10_minutes(self):
+        faas = FaaSPlatform.build("firecracker")
+        sandbox = paused_box(faas.virt)
+        faas.pool.release("fw", sandbox)
+        assert eviction_deadline(faas.engine, sandbox) == seconds(600)
+
+    def test_nonpositive_fixed_window_rejected(self):
+        with pytest.raises(ValueError):
+            FixedWindow(0)
+
+    def test_fixed_window_ignores_observed_gaps(self):
+        engine, virt = Engine(), firecracker_platform()
+        policy = FixedWindow(seconds(10))
+        pool = SandboxPool(engine, policy)
+        policy.observe_gap("fw", seconds(99999))
+        sandbox = paused_box(virt)
+        pool.release("fw", sandbox)
+        assert eviction_deadline(engine, sandbox) == seconds(10)
+
+    def test_hybrid_arms_default_before_enough_gaps(self):
+        engine, virt = Engine(), firecracker_platform()
+        policy = self.hybrid()
+        pool = SandboxPool(engine, policy)
+        for _ in range(3):
+            policy.observe_gap("fw", seconds(7))
+        sandbox = paused_box(virt)
+        pool.release("fw", sandbox)
+        assert eviction_deadline(engine, sandbox) == seconds(30)
+
+    def test_hybrid_adapts_to_observed_gaps(self):
+        engine, virt = Engine(), firecracker_platform()
+        policy = self.hybrid(default_keep_ns=seconds(600))
+        pool = SandboxPool(engine, policy)
+        for _ in range(8):
+            policy.observe_gap("fw", seconds(7))
+        sandbox = paused_box(virt)
+        pool.release("fw", sandbox)
+        # Gaps in bin 1 -> adaptive window, no longer the fallback.
+        assert eviction_deadline(engine, sandbox) < seconds(600)
+
+    def test_hybrid_arms_prewarm_plus_keep_alive(self):
+        engine, virt = Engine(), firecracker_platform()
+        policy = self.hybrid()
+        pool = SandboxPool(engine, policy)
+        for _ in range(8):
+            policy.observe_gap("fw", seconds(42))
+        decision = policy.decision("fw")
+        assert decision.prewarm_ns is not None
+        sandbox = paused_box(virt)
+        pool.release("fw", sandbox)
+        assert eviction_deadline(engine, sandbox) == (
+            decision.prewarm_ns + decision.keep_alive_ns
+        )
+
+    def test_hybrid_per_function_isolation(self):
+        engine, virt = Engine(), firecracker_platform()
+        policy = self.hybrid(min_observations=2)
+        pool = SandboxPool(engine, policy)
+        for _ in range(4):
+            policy.observe_gap("short", seconds(2))
+            policy.observe_gap("long", seconds(200))
+        short, long = paused_box(virt), paused_box(virt)
+        pool.release("short", short)
+        pool.release("long", long)
+        assert eviction_deadline(engine, short) < eviction_deadline(engine, long)
+
+    def test_negative_gap_rejected(self):
+        with pytest.raises(ValueError):
+            self.hybrid().observe_gap("fw", -1)
+
+    def test_no_keep_alive_evicts_at_release_instant(self):
+        engine, virt = Engine(), firecracker_platform()
+        pool = SandboxPool(engine, NoKeepAlive())
+        engine.run(until=seconds(2))
+        sandbox = paused_box(virt)
+        pool.release("fw", sandbox)
+        assert eviction_deadline(engine, sandbox) == seconds(2)
+        engine.run(until=seconds(2))
+        assert pool.size("fw") == 0
+        assert sandbox.state is SandboxState.STOPPED
+
+    def test_provisioned_quota_suppresses_policy_timer(self):
+        engine, virt = Engine(), firecracker_platform()
+        pool = SandboxPool(engine, NoKeepAlive())
+        pool.mark_provisioned("fw", 1)
+        sandbox = paused_box(virt)
+        pool.release("fw", sandbox)
+        assert not engine.pending_events()
+        engine.run(until=seconds(60))
+        assert pool.idle_sandboxes("fw") == [sandbox]

@@ -5,8 +5,8 @@ import pytest
 from repro.core.hot_resume import HorsePauseResume
 from repro.faas.function import FunctionSpec
 from repro.faas.invocation import StartType
-from repro.faas.keepalive import FixedKeepAlive
 from repro.faas.pool import SandboxPool
+from repro.faas.prewarm import FixedWindow
 from repro.faas.startup import (
     ColdStart,
     HorseStart,
@@ -32,7 +32,7 @@ def spec():
 
 
 def make_pool(virt):
-    return SandboxPool(Engine(), FixedKeepAlive())
+    return SandboxPool(Engine(), FixedWindow(seconds(600)))
 
 
 class TestColdStart:

@@ -1,51 +1,8 @@
-"""Recorders: series and breakdowns."""
+"""Breakdown recorders."""
 
 import pytest
 
-from repro.metrics.recorder import Breakdown, BreakdownRecorder, SeriesRecorder
-
-
-class TestSeriesRecorder:
-    def test_record_and_values(self):
-        recorder = SeriesRecorder()
-        recorder.record("lat", 1.0)
-        recorder.record("lat", 2.0)
-        assert recorder.values("lat") == [1.0, 2.0]
-
-    def test_extend(self):
-        recorder = SeriesRecorder()
-        recorder.extend("x", [1, 2, 3])
-        assert recorder.values("x") == [1.0, 2.0, 3.0]
-
-    def test_unknown_series_empty(self):
-        assert SeriesRecorder().values("nope") == []
-
-    def test_summary(self):
-        recorder = SeriesRecorder()
-        recorder.extend("x", [1.0, 3.0])
-        assert recorder.summary("x").mean == 2.0
-
-    def test_summary_unknown_raises(self):
-        with pytest.raises(KeyError):
-            SeriesRecorder().summary("nope")
-
-    def test_names_sorted(self):
-        recorder = SeriesRecorder()
-        recorder.record("b", 1)
-        recorder.record("a", 1)
-        assert recorder.names() == ["a", "b"]
-
-    def test_len_counts_all(self):
-        recorder = SeriesRecorder()
-        recorder.extend("a", [1, 2])
-        recorder.record("b", 3)
-        assert len(recorder) == 3
-
-    def test_clear(self):
-        recorder = SeriesRecorder()
-        recorder.record("a", 1)
-        recorder.clear()
-        assert len(recorder) == 0
+from repro.metrics.recorder import Breakdown, BreakdownRecorder
 
 
 class TestBreakdown:
