@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from typing import Dict, Optional, Sequence
 
 from repro.analysis.report import ReportConfig, generate_report
@@ -238,77 +239,49 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.resilience.policies import default_dispatch_policy
     from repro.sim.sharding import write_records_jsonl
 
-    dispatch = args.dispatch or default_dispatch_policy()
+    shape = dict(
+        hosts=args.hosts,
+        failure_rate=args.failure_rate,
+        requests=args.requests,
+        seed=args.seed,
+        dispatch=args.dispatch or default_dispatch_policy(),
+    )
     if args.gateways is not None:
         from repro.experiments.cluster_recovery import (
-            ClusterRecoveryConfig,
-            render_recovery,
+            ClusterRecoveryConfig as config_type,
+            render_recovery as render,
             run_recovery,
         )
 
-        try:
-            recovery_config = ClusterRecoveryConfig(
-                groups=args.groups,
-                gateways=args.gateways,
-                hosts=args.hosts,
-                gateway_failure_rate=args.gateway_failure_rate,
-                failure_rate=args.failure_rate,
-                requests=args.requests,
-                seed=args.seed,
-                dispatch=dispatch,
-            )
-            recovery = run_recovery(
-                recovery_config, shards=args.shards or 1
-            )
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        print(render_recovery(recovery))
-        if args.trace_out:
-            write_records_jsonl(recovery.records, args.trace_out)
-            print(f"wrote {args.trace_out}", file=sys.stderr)
-        return 0 if recovery.ok else 1
-    if args.shards is not None:
+        shape.update(
+            groups=args.groups,
+            gateways=args.gateways,
+            gateway_failure_rate=args.gateway_failure_rate,
+        )
+        run = partial(run_recovery, shards=args.shards or 1)
+    elif args.shards is not None:
         from repro.experiments.sharded_chaos import (
-            ShardedChaosConfig,
-            render_sharded_chaos,
+            ShardedChaosConfig as config_type,
+            render_sharded_chaos as render,
             run_sharded_chaos,
         )
 
-        try:
-            sharded_config = ShardedChaosConfig(
-                groups=args.groups,
-                hosts=args.hosts,
-                failure_rate=args.failure_rate,
-                requests=args.requests,
-                seed=args.seed,
-                dispatch=dispatch,
-            )
-            sharded = run_sharded_chaos(sharded_config, shards=args.shards)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        print(render_sharded_chaos(sharded))
-        if args.trace_out:
-            write_records_jsonl(sharded.records, args.trace_out)
-            print(f"wrote {args.trace_out}", file=sys.stderr)
-        return 0 if sharded.ok else 1
-    if args.trace_out:
+        shape.update(groups=args.groups)
+        run = partial(run_sharded_chaos, shards=args.shards)
+    elif args.trace_out:
         print("--trace-out requires --shards", file=sys.stderr)
         return 2
+    else:
+        config_type, render, run = ChaosConfig, render_chaos, run_chaos
     try:
-        config = ChaosConfig(
-            hosts=args.hosts,
-            failure_rate=args.failure_rate,
-            requests=args.requests,
-            seed=args.seed,
-            dispatch=dispatch,
-        )
+        result = run(config_type(**shape))
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    result = run_chaos(config)
-    print(render_chaos(result))
+    print(render(result))
+    if args.trace_out:
+        write_records_jsonl(result.records, args.trace_out)
+        print(f"wrote {args.trace_out}", file=sys.stderr)
     return 0 if result.ok else 1
 
 

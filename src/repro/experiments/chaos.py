@@ -26,9 +26,10 @@ violation is carried on the outcome for the caller (CLI exits non-zero).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
 from repro.faas.cluster import FaaSCluster
+from repro.faas.frontend import RoutedArrival, plan_arrivals
 from repro.faas.function import FunctionSpec
 from repro.metrics.stats import percentile
 from repro.resilience import (
@@ -42,8 +43,8 @@ from repro.resilience import (
     default_dispatch_policy,
     make_dispatch_policy,
 )
-from repro.sim.rng import RngRegistry
-from repro.sim.units import milliseconds, seconds, to_microseconds
+from repro.sim.engine import Engine
+from repro.sim.units import seconds, to_microseconds
 from repro.workloads import FirewallWorkload, SysbenchCpuWorkload
 from repro.workloads.base import WorkloadCategory
 
@@ -56,7 +57,15 @@ CHAOSABLE: Tuple[str, ...] = ("cluster",)
 
 @dataclass(frozen=True)
 class ChaosConfig:
-    """Shape of one chaos run (identical across the compared modes)."""
+    """Shape of one chaos run (identical across the compared modes).
+
+    The one config shape of the chaos family: the sharded study and the
+    recovery study extend it, so the shared fields and their checks live
+    here only.
+    """
+
+    #: what needs two hosts, as the ``hosts`` check words it
+    _HOSTS_RULE: ClassVar[str] = "chaos needs >= 2 hosts (hedging/steering)"
 
     hosts: int = 4
     failure_rate: float = 0.1
@@ -80,20 +89,26 @@ class ChaosConfig:
 
     def __post_init__(self) -> None:
         if self.hosts < 2:
-            raise ValueError(
-                f"chaos needs >= 2 hosts (hedging/steering), got {self.hosts}"
-            )
-        if not 0.0 <= self.failure_rate < 1.0:
-            raise ValueError(
-                f"failure_rate must be in [0, 1), got {self.failure_rate}"
-            )
-        if self.requests < 1:
-            raise ValueError(f"requests must be >= 1, got {self.requests}")
-        if self.warm_per_host < 1:
-            raise ValueError(
-                f"warm_per_host must be >= 1, got {self.warm_per_host}"
-            )
+            raise ValueError(f"{self._HOSTS_RULE}, got {self.hosts}")
+        self._require(
+            ("failure_rate", 0.0 <= self.failure_rate < 1.0, "in [0, 1)"),
+            ("requests", self.requests >= 1, ">= 1"),
+            ("mean_interarrival_ms", self.mean_interarrival_ms > 0, "> 0"),
+            ("ull_fraction", 0.0 <= self.ull_fraction <= 1.0, "in [0, 1]"),
+            ("warm_per_host", self.warm_per_host >= 1, ">= 1"),
+            ("drain_s", self.drain_s > 0, "> 0"),
+            ("crash_mtbf_base_s", self.crash_mtbf_base_s > 0, "> 0"),
+        )
         make_dispatch_policy(self.dispatch)  # validate eagerly
+
+    def _require(self, *rules: Tuple[str, bool, str]) -> None:
+        """Raise a ``ValueError`` naming the first field whose rule
+        fails; each rule is ``(field, holds, wording)``."""
+        for name, holds, wording in rules:
+            if not holds:
+                raise ValueError(
+                    f"{name} must be {wording}, got {getattr(self, name)}"
+                )
 
 
 @dataclass
@@ -185,27 +200,17 @@ _STUDY_BREAKER = BreakerConfig(failure_threshold=2, open_ns=seconds(1))
 
 
 def _mode_resilience(mode: str, config: ChaosConfig) -> ResilienceConfig:
-    # Recoveries restock to the full provisioning level; a half-warmed
-    # host would turn every breaker exclusion elsewhere into cold starts.
-    rewarm = config.warm_per_host
-    dispatch = config.dispatch
-    if mode == "breaker":
-        return ResilienceConfig(
-            breaker=_STUDY_BREAKER, rewarm_per_host=rewarm, dispatch=dispatch
-        )
-    if mode == "retries-only":
-        return ResilienceConfig(
-            breaker=None, rewarm_per_host=rewarm, dispatch=dispatch
-        )
-    if mode == "vanilla":
+    if mode not in CHAOS_MODES:
+        raise ValueError(f"unknown chaos mode {mode!r}; choose from {CHAOS_MODES}")
+    return ResilienceConfig(
+        breaker=None if mode == "retries-only" else _STUDY_BREAKER,
         # No uLL class in a vanilla deployment, hence no hedging either.
-        return ResilienceConfig(
-            breaker=_STUDY_BREAKER,
-            hedge=HedgePolicy.disabled(),
-            rewarm_per_host=rewarm,
-            dispatch=dispatch,
-        )
-    raise ValueError(f"unknown chaos mode {mode!r}; choose from {CHAOS_MODES}")
+        hedge=HedgePolicy.disabled() if mode == "vanilla" else HedgePolicy(),
+        # Recoveries restock to the full provisioning level; a half-warmed
+        # host would turn every breaker exclusion elsewhere into cold starts.
+        rewarm_per_host=config.warm_per_host,
+        dispatch=config.dispatch,
+    )
 
 
 def _build_workloads(mode: str):
@@ -224,18 +229,17 @@ def _build_workloads(mode: str):
     return firewall, background
 
 
-def _build_stack(
-    mode: str, config: ChaosConfig, seed: int, domain: int = 0
-) -> Tuple[FaaSCluster, ResilientGateway, FailureInjector]:
-    """One mode's resilient stack on a fresh engine, seeded by *seed*.
+def _build_cluster(
+    mode: str, config: ChaosConfig, seed: int, engine: Optional[Engine] = None
+) -> FaaSCluster:
+    """One mode's cluster, seeded by *seed*, with the firewall/background
+    pair registered and warmed ``warm_per_host`` deep on every host.
 
-    Cluster, the firewall/background pair warmed on every host, the
-    resilient gateway, and an attached failure injector labelled with
-    failure domain *domain*.  ``config`` may be a :class:`ChaosConfig`
-    or a sharded config: only the shared shape fields are read.
+    *engine* lets several clusters share one clock (the recovery study
+    runs one cluster per gateway shard on its cell's engine).
     """
     firewall, background = _build_workloads(mode)
-    cluster = FaaSCluster(hosts=config.hosts, seed=seed)
+    cluster = FaaSCluster(hosts=config.hosts, seed=seed, engine=engine)
     cluster.register(FunctionSpec("firewall", firewall, memory_mb=128))
     cluster.register(FunctionSpec("background", background, memory_mb=256))
     use_horse = None if mode != "vanilla" else False
@@ -243,12 +247,19 @@ def _build_stack(
         "firewall", per_host=config.warm_per_host, use_horse=use_horse
     )
     cluster.provision_warm("background", per_host=config.warm_per_host)
+    return cluster
 
-    gateway = ResilientGateway(cluster, _mode_resilience(mode, config), seed=seed)
-    # Faults concentrate on the flaky hosts (calm hosts are nearly
-    # clean): that asymmetry is what per-node breakers exploit, and what
-    # separates the breaker and retries-only columns at the uLL p99.
-    injector = FailureInjector(
+
+def _host_injector(
+    cluster: FaaSCluster, config: ChaosConfig, seed: int, domain: int
+) -> FailureInjector:
+    """The host-failure injector for *cluster*, labelled *domain*.
+
+    Faults concentrate on the flaky hosts (calm hosts are nearly
+    clean): that asymmetry is what per-node breakers exploit, and what
+    separates the breaker and retries-only columns at the uLL p99.
+    """
+    return FailureInjector(
         cluster,
         FailureConfig(
             failure_rate=config.failure_rate,
@@ -258,6 +269,19 @@ def _build_stack(
         seed=seed,
         domain=domain,
     )
+
+
+def _build_stack(
+    mode: str, config: ChaosConfig, seed: int, domain: int = 0
+) -> Tuple[FaaSCluster, ResilientGateway, FailureInjector]:
+    """One mode's resilient stack on a fresh engine, seeded by *seed*.
+
+    The warmed cluster, the resilient gateway, and an attached failure
+    injector labelled with failure domain *domain*.
+    """
+    cluster = _build_cluster(mode, config, seed)
+    gateway = ResilientGateway(cluster, _mode_resilience(mode, config), seed=seed)
+    injector = _host_injector(cluster, config, seed, domain)
     gateway.attach(injector)
     return cluster, gateway, injector
 
@@ -346,30 +370,35 @@ def _aggregate_mode(mode: str, cells: Sequence[CellOutcome]) -> ModeOutcome:
     )
 
 
+def _arrival_plan(
+    config: ChaosConfig, groups: int
+) -> Dict[int, List[RoutedArrival]]:
+    """The family's one arrival plan for *config*, routed over *groups*
+    cells (:func:`repro.faas.frontend.plan_arrivals`)."""
+    return plan_arrivals(
+        config.requests,
+        groups,
+        config.mean_interarrival_ms,
+        config.ull_fraction,
+        config.seed,
+    )
+
+
 def run_chaos_mode(mode: str, config: ChaosConfig) -> ModeOutcome:
     """One mode, one seeded run, fully drained and audited."""
     cluster, gateway, injector = _build_stack(mode, config, config.seed)
 
-    # The arrival schedule comes from its own stream, so every mode sees
+    # The arrival plan comes from its own streams, so every mode sees
     # the identical workload and the identical failure schedule.
-    arrivals = RngRegistry(config.seed).fork("chaos-arrivals").stream("times")
-    mean_gap_ns = milliseconds(config.mean_interarrival_ms)
-    t = 0
-    last = 0
-    for index in range(config.requests):
-        t += max(1, round(arrivals.expovariate(1.0 / mean_gap_ns)))
-        last = t
-        ull = arrivals.random() < config.ull_fraction
-        name = "firewall" if ull else "background"
-        priority = 1 if ull else 0
+    arrivals = _arrival_plan(config, groups=1)[0]
+    for arrival in arrivals:
         cluster.engine.schedule_at(
-            t,
-            lambda name=name, priority=priority: gateway.submit(
-                name, priority=priority
-            ),
-            label=f"chaos-submit:{index}",
+            arrival.submit_ns,
+            lambda a=arrival: gateway.submit(a.function, priority=a.priority),
+            label=f"chaos-submit:{arrival.index}",
             transient=True,
         )
+    last = arrivals[-1].submit_ns
     injector.schedule_crashes(until_ns=last)
     cluster.engine.run(until=last + seconds(config.drain_s))
     return _aggregate_mode(mode, [_cell_outcome(mode, 0, gateway, injector)])

@@ -30,7 +30,7 @@ all.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
 from repro.controlplane import (
     ControlPlane,
@@ -38,24 +38,29 @@ from repro.controlplane import (
     exactly_once_checker,
     terminal_outcomes,
 )
-from repro.experiments.chaos import _build_workloads, _dispatch_suffix
-from repro.faas.cluster import FaaSCluster
-from repro.faas.frontend import DISPATCH_LATENCY_NS, RoutedArrival, plan_arrivals
-from repro.faas.function import FunctionSpec
+from repro.experiments.chaos import (
+    _arrival_plan,
+    _build_cluster,
+    _dispatch_suffix,
+    _host_injector,
+)
+from repro.experiments.sharded_chaos import (
+    ShardedChaosConfig,
+    _deliver,
+    _record_host_churn,
+)
+from repro.faas.frontend import DISPATCH_LATENCY_NS, RoutedArrival
 from repro.metrics.stats import percentile
 from repro.resilience import (
     AdmissionConfig,
-    FailureConfig,
     FailureInjector,
     GatewayFailureConfig,
     GatewayFailureInjector,
     ResilienceConfig,
-    default_dispatch_policy,
-    make_dispatch_policy,
 )
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
-from repro.sim.sharding import cell_seed, merge_records, run_cells, windowed_run
+from repro.sim.sharding import cell_seed, merge_records, run_cells
 from repro.sim.units import seconds, to_microseconds
 
 #: Tie-break rank for record kinds at equal timestamps within one cell.
@@ -69,13 +74,16 @@ _KIND_ORDER = {
 
 
 @dataclass(frozen=True)
-class ClusterRecoveryConfig:
+class ClusterRecoveryConfig(ShardedChaosConfig):
     """Shape of one recovery run (identical across worker counts).
 
     ``groups`` is the number of failure-domain cells and ``gateways``
     the number of control-plane shards per cell — both *model*
-    parameters.  The worker count is an execution knob passed to
-    :func:`run_recovery` separately.
+    parameters; ``hosts`` counts hosts per gateway shard's cluster.
+    The worker count is an execution knob passed to
+    :func:`run_recovery` separately.  The dispatch policy applies to
+    every gateway shard, and the oracle re-runs inherit it, so the
+    differential exactly-once comparison holds per policy.
 
     Defaults are tuned for the strict oracle: host failures off,
     admission capacity far above the offered load (shedding depends on
@@ -84,57 +92,34 @@ class ClusterRecoveryConfig:
     request resolves before the engine stops.
     """
 
+    _HOSTS_RULE: ClassVar[str] = "each shard needs >= 2 hosts (hedging)"
+
     groups: int = 4
-    #: control-plane shards per cell
-    gateways: int = 3
-    #: hosts per gateway shard's cluster
-    hosts: int = 2
-    gateway_failure_rate: float = 0.2
     #: host-level failure rate (0 keeps the differential oracle strict)
     failure_rate: float = 0.0
     requests: int = 600
-    mean_interarrival_ms: float = 5.0
-    ull_fraction: float = 0.5
-    warm_per_host: int = 3
-    drain_s: float = 60.0
+    #: control-plane shards per cell
+    gateways: int = 3
+    gateway_failure_rate: float = 0.2
     #: per-request retry deadline; must stay well inside ``drain_s``
     deadline_s: float = 30.0
     gw_mtbf_base_s: float = 0.25
     gw_recovery_ms: float = 400.0
-    crash_mtbf_base_s: float = 0.25
     #: admission capacity per shard (high: the oracle needs no shedding)
     admission_capacity: int = 4096
-    seed: int = 0
-    #: dispatch-policy spec for every gateway shard (same convention as
-    #: ChaosConfig; the oracle re-runs inherit it, so the differential
-    #: exactly-once comparison holds per policy)
-    dispatch: str = field(default_factory=default_dispatch_policy)
 
     def __post_init__(self) -> None:
-        if self.groups < 1:
-            raise ValueError(f"groups must be >= 1, got {self.groups}")
-        if self.gateways < 1:
-            raise ValueError(f"gateways must be >= 1, got {self.gateways}")
-        if self.hosts < 2:
-            raise ValueError(
-                f"each shard needs >= 2 hosts (hedging), got {self.hosts}"
-            )
-        if not 0.0 <= self.gateway_failure_rate < 1.0:
-            raise ValueError(
-                f"gateway_failure_rate must be in [0, 1), got "
-                f"{self.gateway_failure_rate}"
-            )
-        if not 0.0 <= self.failure_rate < 1.0:
-            raise ValueError(
-                f"failure_rate must be in [0, 1), got {self.failure_rate}"
-            )
-        if self.requests < 1:
-            raise ValueError(f"requests must be >= 1, got {self.requests}")
-        if not 0.0 < self.deadline_s < self.drain_s:
-            raise ValueError(
-                f"deadline_s must be in (0, drain_s), got {self.deadline_s}"
-            )
-        make_dispatch_policy(self.dispatch)  # validate eagerly
+        super().__post_init__()
+        self._require(
+            ("gateways", self.gateways >= 1, ">= 1"),
+            (
+                "gateway_failure_rate",
+                0.0 <= self.gateway_failure_rate < 1.0,
+                "in [0, 1)",
+            ),
+            ("deadline_s", 0.0 < self.deadline_s < self.drain_s, "in (0, drain_s)"),
+            ("gw_mtbf_base_s", self.gw_mtbf_base_s > 0, "> 0"),
+        )
 
 
 @dataclass
@@ -187,26 +172,10 @@ def run_recovery_cell(
     host_injectors: List[FailureInjector] = []
     for index in range(config.gateways):
         shard_seed = rngs.fork(f"gateway-{index}").root_seed
-        cluster = FaaSCluster(
-            hosts=config.hosts, seed=shard_seed, engine=engine
-        )
-        firewall, background = _build_workloads("horse")
-        cluster.register(FunctionSpec("firewall", firewall, memory_mb=128))
-        cluster.register(FunctionSpec("background", background, memory_mb=256))
-        cluster.provision_warm("firewall", per_host=config.warm_per_host)
-        cluster.provision_warm("background", per_host=config.warm_per_host)
+        cluster = _build_cluster("horse", config, shard_seed, engine=engine)
         shard = GatewayShard(index, cluster, resilience, seed=shard_seed)
         if config.failure_rate > 0.0:
-            injector = FailureInjector(
-                cluster,
-                FailureConfig(
-                    failure_rate=config.failure_rate,
-                    crash_mtbf_base_s=config.crash_mtbf_base_s,
-                    calm_factor=0.05,
-                ),
-                seed=shard_seed,
-                domain=group,
-            )
+            injector = _host_injector(cluster, config, shard_seed, group)
             shard.attach(injector)
             host_injectors.append(injector)
         shards.append(shard)
@@ -227,58 +196,30 @@ def run_recovery_cell(
     #: closed outage intervals per shard: shard -> [(crash, recover)]
     outage_start: Dict[int, int] = {}
     outages: List[Tuple[int, int]] = []
-    gw_injector.on_crash.append(
-        lambda index, now: (
-            records.append(
-                {"t": now, "shard": group, "kind": "gw-crash", "gw": index}
-            ),
-            outage_start.__setitem__(index, now),
-        )
-    )
-    gw_injector.on_recover.append(
-        lambda index, now: (
-            records.append(
-                {"t": now, "shard": group, "kind": "gw-recover", "gw": index}
-            ),
-            outages.append((outage_start.pop(index), now)),
-        )
-    )
-    for cluster_index, injector in enumerate(host_injectors):
-        injector.on_crash.append(
-            lambda index, now, gw=cluster_index: records.append(
-                {"t": now, "shard": group, "kind": "crash",
-                 "gw": gw, "host": index}
-            )
-        )
-        injector.on_recover.append(
-            lambda index, now, gw=cluster_index: records.append(
-                {"t": now, "shard": group, "kind": "recover",
-                 "gw": gw, "host": index}
-            )
-        )
+
+    def on_gw_crash(index: int, now: int) -> None:
+        records.append({"t": now, "shard": group, "kind": "gw-crash", "gw": index})
+        outage_start[index] = now
+
+    def on_gw_recover(index: int, now: int) -> None:
+        records.append({"t": now, "shard": group, "kind": "gw-recover", "gw": index})
+        outages.append((outage_start.pop(index), now))
+
+    gw_injector.on_crash.append(on_gw_crash)
+    gw_injector.on_recover.append(on_gw_recover)
+    for gw, injector in enumerate(host_injectors):
+        _record_host_churn(injector, records, shard=group, gw=gw)
 
     deadline_ns = seconds(config.deadline_s)
-    deliveries = [
-        (
-            arrival.deliver_ns,
-            lambda a=arrival: plane.submit(
-                a.function,
-                priority=a.priority,
-                origin=a.index,
-                deadline_ns=deadline_ns,
-            ),
-        )
-        for arrival in arrivals
-    ]
-    last = arrivals[-1].deliver_ns if arrivals else 0
-    gw_injector.schedule_crashes(until_ns=last)
-    for injector in host_injectors:
-        injector.schedule_crashes(until_ns=last)
-    windows = windowed_run(
+    windows = _deliver(
         engine,
-        deliveries,
-        lookahead_ns=DISPATCH_LATENCY_NS,
-        drain_until=last + seconds(config.drain_s),
+        arrivals,
+        lambda a: plane.submit(
+            a.function, priority=a.priority, origin=a.index,
+            deadline_ns=deadline_ns,
+        ),
+        [gw_injector, *host_injectors],
+        config,
         label="recovery-submit",
     )
 
@@ -420,13 +361,7 @@ def run_recovery(
     byte-identical for any worker count.
     """
     config = config or ClusterRecoveryConfig()
-    arrivals_by_group = plan_arrivals(
-        requests=config.requests,
-        groups=config.groups,
-        mean_interarrival_ms=config.mean_interarrival_ms,
-        ull_fraction=config.ull_fraction,
-        seed=config.seed,
-    )
+    arrivals_by_group = _arrival_plan(config, config.groups)
     oracle_config = replace(config, gateway_failure_rate=0.0)
     tasks = [
         (cell_config, group, arrivals_by_group[group])

@@ -34,25 +34,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.experiments.chaos import _STUDY_BREAKER
+from repro.experiments.chaos import ChaosConfig, _build_stack, _cell_outcome
 from repro.faas.cluster import FaaSCluster
 from repro.faas.function import FunctionSpec
 from repro.metrics.stats import percentile
-from repro.resilience import (
-    FailureConfig,
-    FailureInjector,
-    RequestState,
-    ResilienceConfig,
-    ResilientGateway,
-)
+from repro.resilience import RequestState, ResilientGateway
 from repro.resilience.policies import DISPATCH_POLICIES
 from repro.sim.rng import RngRegistry
 from repro.sim.units import milliseconds, seconds, to_microseconds
-from repro.workloads import (
-    FirewallWorkload,
-    MlInferenceWorkload,
-    SysbenchCpuWorkload,
-)
+from repro.workloads import MlInferenceWorkload
 
 #: Workload mixes the zoo compares, in rendering order.
 DISPATCH_MIXES: Tuple[str, ...] = ("balanced", "ull-heavy", "accel")
@@ -91,20 +81,31 @@ class DispatchZooConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.hosts < 2:
-            raise ValueError(f"zoo needs >= 2 hosts, got {self.hosts}")
-        if self.requests < 1:
-            raise ValueError(f"requests must be >= 1, got {self.requests}")
-        for rate in self.failure_rates:
-            if not 0.0 <= rate < 1.0:
-                raise ValueError(f"failure_rate must be in [0, 1), got {rate}")
         for mix in self.mixes:
             if mix not in DISPATCH_MIXES:
                 raise ValueError(
                     f"unknown mix {mix!r}; choose from {DISPATCH_MIXES}"
                 )
-        for policy in self.policies:
-            DISPATCH_POLICIES.make(policy)  # validate eagerly
+        # The shared shape checks are ChaosConfig's: build every cell's
+        # config once (and one more, so an empty sweep is checked too).
+        self._cell_config(0.0, "push-least-loaded")
+        for failure_rate in self.failure_rates:
+            for policy in self.policies:
+                self._cell_config(failure_rate, policy)
+
+    def _cell_config(self, failure_rate: float, policy: str) -> ChaosConfig:
+        """The chaos-stack shape of one (failure rate, policy) cell."""
+        return ChaosConfig(
+            hosts=self.hosts,
+            failure_rate=failure_rate,
+            requests=self.requests,
+            mean_interarrival_ms=self.mean_interarrival_ms,
+            warm_per_host=self.warm_per_host,
+            drain_s=self.drain_s,
+            crash_mtbf_base_s=self.crash_mtbf_base_s,
+            seed=self.seed,
+            dispatch=policy,
+        )
 
 
 @dataclass
@@ -157,24 +158,6 @@ class DispatchZooResult:
         return all(cell.ok for cell in self.cells.values())
 
 
-def _mix_functions(mix: str) -> List[FunctionSpec]:
-    firewall = FirewallWorkload()
-    firewall.name = "firewall"
-    background = SysbenchCpuWorkload()
-    background.name = "background"
-    specs = [
-        FunctionSpec("firewall", firewall, memory_mb=128),
-        FunctionSpec("background", background, memory_mb=256),
-    ]
-    if mix == "accel":
-        infer = MlInferenceWorkload()
-        infer.name = "infer"
-        specs.append(
-            FunctionSpec("infer", infer, memory_mb=512, accelerator="gpu")
-        )
-    return specs
-
-
 def _schedule_arrivals(
     gateway: ResilientGateway, cluster: FaaSCluster, mix: str,
     config: DispatchZooConfig,
@@ -215,48 +198,37 @@ def run_zoo_cell(
     policy: str, failure_rate: float, mix: str, config: DispatchZooConfig
 ) -> ZooCell:
     """One policy under one failure rate and mix: seeded, drained,
-    audited."""
-    cluster = FaaSCluster(hosts=config.hosts, seed=config.seed)
-    specs = _mix_functions(mix)
-    for spec in specs:
-        cluster.register(spec)
+    audited — on the chaos study's ``breaker`` stack."""
+    cluster, gateway, injector = _build_stack(
+        "breaker", config._cell_config(failure_rate, policy), config.seed
+    )
     if mix == "accel":
+        infer = MlInferenceWorkload()
+        infer.name = "infer"
+        cluster.register(
+            FunctionSpec("infer", infer, memory_mb=512, accelerator="gpu")
+        )
         # Half the fleet carries the accelerator — the heterogeneity the
         # eligibility filter (and sticky/pull placement) must respect.
         for index in range(config.hosts // 2):
             cluster.tag_accelerator(index, "gpu")
-    for spec in specs:
-        cluster.provision_warm(spec.name, per_host=config.warm_per_host)
-
-    resilience = ResilienceConfig(
-        breaker=_STUDY_BREAKER,
-        rewarm_per_host=config.warm_per_host,
-        dispatch=policy,
-    )
-    gateway = ResilientGateway(cluster, resilience, seed=config.seed)
-    injector = FailureInjector(
-        cluster,
-        FailureConfig(
-            failure_rate=failure_rate,
-            crash_mtbf_base_s=config.crash_mtbf_base_s,
-            calm_factor=0.05,
-        ),
-        seed=config.seed,
-    )
-    gateway.attach(injector)
+        cluster.provision_warm("infer", per_host=config.warm_per_host)
 
     last = _schedule_arrivals(gateway, cluster, mix, config)
     injector.schedule_crashes(until_ns=last)
     cluster.engine.run(until=last + seconds(config.drain_s))
 
-    cell = ZooCell(policy=policy, failure_rate=failure_rate, mix=mix)
-    cell.submitted = len(gateway.requests)
-    cell.completed = len(gateway.by_state(RequestState.COMPLETED))
-    cell.shed = len(gateway.by_state(RequestState.SHED))
-    cell.failed = len(gateway.by_state(RequestState.FAILED))
-    cell.crashes = cluster.stats.crashes
-    cell.violations = (
-        gateway.invariant_violations() + gateway.unresolved_violations()
+    outcome = _cell_outcome("breaker", 0, gateway, injector)
+    cell = ZooCell(
+        policy=policy,
+        failure_rate=failure_rate,
+        mix=mix,
+        submitted=outcome.submitted,
+        completed=outcome.completed,
+        shed=outcome.shed,
+        failed=outcome.failed,
+        crashes=outcome.crashes,
+        violations=outcome.violations,
     )
 
     by_class: Dict[str, List[float]] = {}

@@ -1,17 +1,17 @@
 """Sharded chaos study: the cluster run partitioned over worker processes.
 
-The legacy chaos study (:mod:`repro.experiments.chaos`) simulates one
-cluster on one engine in one process — which caps it at a single core.
-This study scales the same comparison out: the cluster is modelled as
-``groups`` independent failure-domain *cells*, each a full resilient
-stack (its own :class:`~repro.faas.cluster.FaaSCluster`, gateway,
-breakers, and :class:`~repro.resilience.FailureInjector`) simulated by
-its own :class:`~repro.sim.engine.Engine`.  Requests enter through the
-shard front-end (:mod:`repro.faas.frontend`): the router assigns each
-arrival to a cell and delivers it after the fixed gateway-dispatch hop
-— the only cross-shard message in the model, and therefore the
-conservative lookahead that lets each cell simulate ahead safely
-(:func:`repro.sim.sharding.windowed_run`).
+The single-engine chaos study (:mod:`repro.experiments.chaos`)
+simulates one cluster on one engine in one process — which caps it at
+a single core.  This study scales the same comparison out on the same
+core — config shape, stack builder and arrival plan: the cluster is
+modelled as ``groups`` independent failure-domain *cells*, each a full
+resilient stack (:func:`~repro.experiments.chaos._build_stack`)
+simulated by its own :class:`~repro.sim.engine.Engine`.  Requests enter
+through the shard front-end (:mod:`repro.faas.frontend`): the router
+assigns each arrival to a cell and delivers it after the fixed
+gateway-dispatch hop — the only cross-shard message in the model, and
+therefore the conservative lookahead that lets each cell simulate ahead
+safely (:func:`repro.sim.sharding.windowed_run`).
 
 ``shards`` selects how many worker processes the fixed set of cells is
 distributed over (:func:`repro.sim.sharding.assign_cells`).  The hard
@@ -32,20 +32,24 @@ output or the trace mentions the worker count.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, ClassVar, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.chaos import (
     CHAOS_MODES,
     CellOutcome,
+    ChaosConfig,
     ChaosResult,
     _aggregate_mode,
+    _arrival_plan,
     _build_stack,
     _cell_outcome,
     _dispatch_suffix,
     _mode_lines,
 )
-from repro.faas.frontend import DISPATCH_LATENCY_NS, RoutedArrival, plan_arrivals
-from repro.resilience import default_dispatch_policy, make_dispatch_policy
+from repro.faas.frontend import DISPATCH_LATENCY_NS, RoutedArrival
+from repro.resilience import FailureInjector
+from repro.sim.engine import Engine
 from repro.sim.sharding import cell_seed, merge_records, run_cells, windowed_run
 from repro.sim.units import seconds
 
@@ -54,48 +58,61 @@ _KIND_ORDER = {"crash": 0, "recover": 1, "request": 2}
 
 
 @dataclass(frozen=True)
-class ShardedChaosConfig:
-    """Shape of one sharded chaos run (identical across modes and
-    worker counts).  ``groups`` is the number of failure-domain cells —
-    a *model* parameter fixed by the config; the worker count is an
+class ShardedChaosConfig(ChaosConfig):
+    """A chaos shape partitioned into ``groups`` failure-domain cells
+    (identical across modes and worker counts).  ``groups`` is a
+    *model* parameter fixed by the config; the worker count is an
     execution knob passed to :func:`run_sharded_chaos` separately, so
-    changing it cannot change the simulated system.
+    changing it cannot change the simulated system.  ``hosts`` counts
+    hosts per cell and ``requests`` the global load routed across them.
     """
 
-    groups: int = 8
-    #: hosts per cell (the legacy study's ``hosts``, per failure domain)
+    _HOSTS_RULE: ClassVar[str] = "each cell needs >= 2 hosts (hedging/steering)"
+
     hosts: int = 2
-    failure_rate: float = 0.1
-    #: global request count, routed across the cells
-    requests: int = 1200
-    mean_interarrival_ms: float = 5.0
-    ull_fraction: float = 0.5
-    warm_per_host: int = 3
-    drain_s: float = 60.0
-    crash_mtbf_base_s: float = 0.25
-    seed: int = 0
-    #: dispatch-policy spec for every cell's gateway (resolved at
-    #: construction, same convention as ChaosConfig)
-    dispatch: str = field(default_factory=default_dispatch_policy)
+    groups: int = 8
 
     def __post_init__(self) -> None:
-        if self.groups < 1:
-            raise ValueError(f"groups must be >= 1, got {self.groups}")
-        if self.hosts < 2:
-            raise ValueError(
-                f"each cell needs >= 2 hosts (hedging/steering), got {self.hosts}"
+        self._require(("groups", self.groups >= 1, ">= 1"))
+        super().__post_init__()
+
+
+def _record_host_churn(
+    injector: FailureInjector, records: List[dict], **tags: object
+) -> None:
+    """Append a ``crash``/``recover`` record, tagged *tags*, to *records*
+    on each of *injector*'s host events."""
+    for kind, hooks in (("crash", injector.on_crash), ("recover", injector.on_recover)):
+        hooks.append(
+            lambda index, now, kind=kind: records.append(
+                {"t": now, **tags, "kind": kind, "host": index}
             )
-        if not 0.0 <= self.failure_rate < 1.0:
-            raise ValueError(
-                f"failure_rate must be in [0, 1), got {self.failure_rate}"
-            )
-        if self.requests < 1:
-            raise ValueError(f"requests must be >= 1, got {self.requests}")
-        if self.warm_per_host < 1:
-            raise ValueError(
-                f"warm_per_host must be >= 1, got {self.warm_per_host}"
-            )
-        make_dispatch_policy(self.dispatch)  # validate eagerly
+        )
+
+
+def _deliver(
+    engine: Engine,
+    arrivals: Sequence[RoutedArrival],
+    submit: Callable[[RoutedArrival], object],
+    injectors: Sequence,
+    config: ShardedChaosConfig,
+    label: str,
+) -> int:
+    """Drive one cell: schedule the injectors' crashes up to the last
+    delivery, then hand each arrival to *submit* at its ``deliver_ns``
+    through the conservative-lookahead windows of :func:`windowed_run`
+    — the cell never simulates past a horizon it could still receive a
+    dispatch below.  Returns the window count."""
+    last = arrivals[-1].deliver_ns if arrivals else 0
+    for injector in injectors:
+        injector.schedule_crashes(until_ns=last)
+    return windowed_run(
+        engine,
+        [(arrival.deliver_ns, partial(submit, arrival)) for arrival in arrivals],
+        lookahead_ns=DISPATCH_LATENCY_NS,
+        drain_until=last + seconds(config.drain_s),
+        label=label,
+    )
 
 
 def run_cell(
@@ -107,43 +124,20 @@ def run_cell(
     """One failure-domain cell, one mode: build, drive, audit.
 
     The same stack as :func:`repro.experiments.chaos.run_chaos_mode`,
-    on the cell's own engine and seeded purely from ``(seed, group)``.
-    The arrival stream is delivered through the conservative-lookahead
-    windows of :func:`windowed_run` — the cell never simulates past a
-    horizon it could still receive a dispatch below.
+    on the cell's own engine and seeded purely from ``(seed, group)``;
+    the cell's arrivals arrive through :func:`_deliver`.
     """
     cluster, gateway, injector = _build_stack(
         mode, config, cell_seed(config.seed, "shard-cell-", group), domain=group
     )
     records: List[dict] = []
-    engine = cluster.engine
-    injector.on_crash.append(
-        lambda index, now: records.append(
-            {"t": now, "shard": group, "mode": mode, "kind": "crash", "host": index}
-        )
-    )
-    injector.on_recover.append(
-        lambda index, now: records.append(
-            {"t": now, "shard": group, "mode": mode, "kind": "recover", "host": index}
-        )
-    )
-
-    deliveries = [
-        (
-            arrival.deliver_ns,
-            lambda name=arrival.function, priority=arrival.priority: gateway.submit(
-                name, priority=priority
-            ),
-        )
-        for arrival in arrivals
-    ]
-    last = arrivals[-1].deliver_ns if arrivals else 0
-    injector.schedule_crashes(until_ns=last)
-    windows = windowed_run(
-        engine,
-        deliveries,
-        lookahead_ns=DISPATCH_LATENCY_NS,
-        drain_until=last + seconds(config.drain_s),
+    _record_host_churn(injector, records, shard=group, mode=mode)
+    windows = _deliver(
+        cluster.engine,
+        arrivals,
+        lambda a: gateway.submit(a.function, priority=a.priority),
+        [injector],
+        config,
         label="chaos-submit",
     )
 
@@ -201,13 +195,7 @@ def run_sharded_chaos(
     the contract.
     """
     config = config or ShardedChaosConfig()
-    arrivals_by_group = plan_arrivals(
-        requests=config.requests,
-        groups=config.groups,
-        mean_interarrival_ms=config.mean_interarrival_ms,
-        ull_fraction=config.ull_fraction,
-        seed=config.seed,
-    )
+    arrivals_by_group = _arrival_plan(config, config.groups)
     tasks = [
         (mode, config, group, arrivals_by_group[group])
         for mode in modes

@@ -11,11 +11,11 @@ conservative lookahead window (:func:`repro.sim.sharding.windowed_run`).
 :func:`plan_arrivals` draws the global arrival schedule and the routing
 decisions from dedicated seeded streams, so the routed plan is a pure
 function of ``(config-shaped arguments, seed)``: every worker layout
-sees the identical per-cell delivery streams.  The inter-arrival and
-uLL-class draws deliberately mirror the legacy chaos study's stream
-(``fork("chaos-arrivals").stream("times")``) so the sharded study's
-offered load is shaped identically; routing draws come from their own
-forked stream and cannot perturb the arrival times.
+sees the identical per-cell delivery streams.  It is the one arrival
+plan of the chaos family: the single-engine study schedules the
+``groups=1`` plan at each ``submit_ns``, the sharded and recovery
+studies deliver each cell's list at ``deliver_ns``.  Routing draws come
+from their own forked stream and cannot perturb the arrival times.
 """
 
 from __future__ import annotations
@@ -59,9 +59,9 @@ def plan_arrivals(
 
     Returns ``{group: [RoutedArrival, ...]}`` with every group present
     (possibly empty) and each group's list in ascending delivery order.
-    Arrival times and the uLL draw replicate the legacy chaos stream;
-    the group comes from an independent ``shard-router`` stream so the
-    same seed offers the same load whether or not it is sharded.
+    Arrival times and the uLL draw come from the ``chaos-arrivals``
+    stream; the group comes from an independent ``shard-router`` stream
+    so the same seed offers the same load whether or not it is sharded.
     """
     if requests < 1:
         raise ValueError(f"requests must be >= 1, got {requests}")

@@ -7,6 +7,7 @@ and the registry/CLI surface.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +16,8 @@ from repro.experiments.cluster_recovery import (
     render_recovery,
     run_recovery,
 )
-from repro.experiments.registry import all_specs
+from repro.experiments import registry
+from repro.experiments.registry import ExperimentConfig, all_specs
 from repro.sim.sharding import cell_seed, records_jsonl, write_records_jsonl
 
 FAST = ClusterRecoveryConfig(
@@ -194,3 +196,16 @@ class TestCli:
         )
         assert code == 2
         assert "gateway_failure_rate" in capsys.readouterr().err
+
+
+class TestGolden:
+    def test_fast_seed0_summary_matches_golden(self):
+        """The fast study's rendered summary, byte for byte, as captured
+        while each gateway shard built its own cluster inline."""
+        golden = (
+            Path(__file__).parent / "golden" / "cluster_recovery_fast_seed0.txt"
+        )
+        summary = registry.get("cluster_recovery").run(
+            ExperimentConfig(fast=True, seed=0)
+        ).summary()
+        assert summary + "\n" == golden.read_text()

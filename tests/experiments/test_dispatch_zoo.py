@@ -1,5 +1,7 @@
 """Dispatch-policy zoo: cross-product structure, soundness, determinism."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.experiments.dispatch_zoo import (
@@ -9,6 +11,8 @@ from repro.experiments.dispatch_zoo import (
     render_dispatch_zoo,
     run_dispatch_zoo,
 )
+from repro.experiments import registry
+from repro.experiments.registry import ExperimentConfig
 
 FAST = DispatchZooConfig(
     hosts=2, requests=80, failure_rates=(0.1,), mixes=("balanced", "accel")
@@ -127,3 +131,14 @@ class TestRegistry:
 
     def test_mixes_constant_is_the_full_set(self):
         assert DISPATCH_MIXES == ("balanced", "ull-heavy", "accel")
+
+
+class TestGolden:
+    def test_fast_seed0_summary_matches_golden(self):
+        """The fast zoo's rendered table, byte for byte, as captured
+        while the zoo still built its own stack."""
+        golden = Path(__file__).parent / "golden" / "dispatch_zoo_fast_seed0.txt"
+        summary = registry.get("dispatch_zoo").run(
+            ExperimentConfig(fast=True, seed=0)
+        ).summary()
+        assert summary + "\n" == golden.read_text()

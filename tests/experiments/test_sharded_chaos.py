@@ -10,7 +10,13 @@ import json
 
 import pytest
 
-from repro.experiments.chaos import CellOutcome, _aggregate_mode
+from repro.experiments.chaos import (
+    CHAOS_MODES,
+    CellOutcome,
+    ChaosConfig,
+    _aggregate_mode,
+    run_chaos,
+)
 from repro.experiments.sharded_chaos import (
     ShardedChaosConfig,
     run_cell,
@@ -210,6 +216,46 @@ class TestRunAndRender:
             ShardedChaosConfig(hosts=1)
         with pytest.raises(ValueError, match="shards"):
             run_sharded_chaos(FAST, shards=0)
+
+
+class TestSingleEngineEquivalence:
+    """Single-engine chaos and the one-group sharded run share the stack
+    builder and the arrival plan; only the cell seed and the windowed
+    delivery hop differ, so they must offer the identical load."""
+
+    HOSTS, REQUESTS = 2, 120
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_same_submissions_and_plan_in_every_mode(self, seed):
+        single = run_chaos(
+            ChaosConfig(hosts=self.HOSTS, requests=self.REQUESTS, seed=seed)
+        )
+        sharded = run_sharded_chaos(
+            ShardedChaosConfig(
+                groups=1, hosts=self.HOSTS, requests=self.REQUESTS, seed=seed
+            ),
+            shards=1,
+        )
+        assert single.ok and sharded.ok
+        planned = [
+            arrival.function
+            for arrival in plan_arrivals(
+                requests=self.REQUESTS, groups=1, mean_interarrival_ms=5.0,
+                ull_fraction=0.5, seed=seed,
+            )[0]
+        ]
+        for mode in CHAOS_MODES:
+            assert (
+                sharded.outcome(mode).submitted
+                == single.outcome(mode).submitted
+                == self.REQUESTS
+            )
+            requests = sorted(
+                (r for r in sharded.records
+                 if r["mode"] == mode and r["kind"] == "request"),
+                key=lambda r: r["req"],
+            )
+            assert [r["fn"] for r in requests] == planned
 
 
 class TestCli:

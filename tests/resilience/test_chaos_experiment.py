@@ -8,6 +8,7 @@ same seed are comparable byte-for-byte.
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
@@ -18,6 +19,9 @@ from repro.experiments.chaos import (
     run_chaos,
     run_chaos_mode,
 )
+from repro.experiments.cluster_recovery import ClusterRecoveryConfig
+from repro.experiments.dispatch_zoo import DispatchZooConfig
+from repro.experiments.sharded_chaos import ShardedChaosConfig
 from repro.resilience import FAILURE_KINDS
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
@@ -74,6 +78,38 @@ class TestModes:
             ChaosConfig(failure_rate=1.5)
         with pytest.raises(ValueError):
             ChaosConfig(requests=0)
+
+
+#: Shape values that used to yield a plausible empty table or a crash.
+_HOSTILE = (
+    ("drain_s", 0.0),
+    ("drain_s", -1.0),
+    ("mean_interarrival_ms", 0.0),
+    ("mean_interarrival_ms", float("nan")),
+    ("crash_mtbf_base_s", 0.0),
+    ("ull_fraction", 1.5),
+    ("ull_fraction", -0.1),
+    ("gw_mtbf_base_s", 0.0),
+)
+
+
+@pytest.mark.parametrize(
+    "config_type, name, value",
+    [
+        (config_type, name, value)
+        for config_type in (
+            ChaosConfig,
+            ShardedChaosConfig,
+            ClusterRecoveryConfig,
+            DispatchZooConfig,
+        )
+        for name, value in _HOSTILE
+        if name in {f.name for f in fields(config_type)}
+    ],
+)
+def test_hostile_shape_value_rejected_by_name(config_type, name, value):
+    with pytest.raises(ValueError, match=name):
+        config_type(**{name: value})
 
 
 class TestRender:
