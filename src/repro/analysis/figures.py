@@ -1,14 +1,14 @@
 """Render experiment results as the paper's figure series (text).
 
-Each ``figureN_series`` returns the plottable data (x values plus one
-named series per line/bar group), and ``render_figureN`` a plain-text
-view of it; the benchmark harness prints these so a reproduction run
-shows the same rows/series the paper plots.
+Each ``render_figureN`` returns a plain-text view of one figure; the
+benchmark harness prints these so a reproduction run shows the same
+rows/series the paper plots.  ``figure1_series``/``figure4_series``
+return the bar-group data the report's bar charts draw.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List
 
 from repro.analysis.tables import render_table
 from repro.experiments.colocation import ColocationResult
@@ -43,17 +43,6 @@ def render_figure1(result: Table1Result) -> str:
 # ----------------------------------------------------------------------
 # Figure 2: resume breakdown vs vCPUs
 # ----------------------------------------------------------------------
-def figure2_series(result: Figure2Result) -> Dict[str, List[float]]:
-    """Per-step mean ns keyed by step name, plus the hot-step share."""
-    steps = sorted({step for p in result.points for step in p.mean_step_ns})
-    series: Dict[str, List[float]] = {
-        step: [p.mean_step_ns.get(step, 0.0) for p in result.points]
-        for step in steps
-    }
-    series["steps4+5 share %"] = [100.0 * p.hot_share for p in result.points]
-    return series
-
-
 def render_figure2(result: Figure2Result) -> str:
     headers = ["vCPUs", "total ns"] + [step for step in HOT_STEPS] + ["4+5 %"]
     rows = []
@@ -72,14 +61,6 @@ def render_figure2(result: Figure2Result) -> str:
 # ----------------------------------------------------------------------
 # Figure 3: resume time per setup vs vCPUs
 # ----------------------------------------------------------------------
-def figure3_series(result: Figure3Result) -> Dict[str, List[float]]:
-    vcpus = result.vcpu_counts()
-    return {
-        setup: [result.mean_ns(setup, v) for v in vcpus]
-        for setup in result.series
-    }
-
-
 def render_figure3(result: Figure3Result) -> str:
     vcpus = result.vcpu_counts()
     headers = ["setup"] + [f"{v} vCPU" for v in vcpus] + ["max speedup"]
@@ -124,15 +105,6 @@ def render_figure4(result: Figure4Result) -> str:
 # ----------------------------------------------------------------------
 # §5.4 colocation latency table
 # ----------------------------------------------------------------------
-def colocation_series(result: ColocationResult) -> Dict[str, List[Tuple]]:
-    out: Dict[str, List[Tuple]] = {"vanilla": [], "horse": []}
-    for vcpus in result.vcpu_counts():
-        for mode in ("vanilla", "horse"):
-            summary = result.run(mode, vcpus).summary()
-            out[mode].append((vcpus, summary.mean_us, summary.p95_us, summary.p99_us))
-    return out
-
-
 def render_colocation(result: ColocationResult) -> str:
     headers = [
         "uLL vCPUs", "mode", "mean (ms)", "p95 (ms)", "p99 (ms)",

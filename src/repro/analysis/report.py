@@ -5,13 +5,11 @@ Figures 1-4, the §5.2 overhead study and the §5.4 colocation study) and
 returns a Markdown document with paper-vs-measured comparisons —
 the data EXPERIMENTS.md is built from.  Invoke from the command line::
 
-    python -m repro.analysis.report [--fast] [--out report.md]
+    python -m repro report [--fast] [--seed N] [--out report.md]
 """
 
 from __future__ import annotations
 
-import argparse
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.analysis.ascii_chart import bar_chart, sparkline
@@ -30,30 +28,17 @@ from repro.experiments.registry import get as get_experiment
 from repro.faas.invocation import StartType
 
 
-@dataclass
-class ReportConfig:
-    repetitions: int = 10
-    seed: int = 0
-    fast: bool = False
-
-    @property
-    def experiment_config(self) -> ExperimentConfig:
-        """The registry config matching this report's fidelity."""
-        return ExperimentConfig(fast=self.fast, seed=self.seed)
-
-
-def generate_report(config: Optional[ReportConfig] = None) -> str:
+def generate_report(config: Optional[ExperimentConfig] = None) -> str:
     """Run the paper evaluation through the experiment registry.
 
     Every result object is obtained via the registered specs (one
     source of truth for fast/full parameters); this module only holds
     the narrative that stitches the artifacts into Markdown.
     """
-    config = config or ReportConfig()
-    exp_config = config.experiment_config
+    config = config or ExperimentConfig(fast=False)
     sections = ["# HORSE reproduction — full evaluation report\n"]
 
-    table1 = get_experiment("table1").run(exp_config).raw
+    table1 = get_experiment("table1").run(config).raw
     sections.append("## Table 1 — sandbox readiness per scenario\n")
     sections.append("```\n" + render_table1(table1) + "\n```\n")
 
@@ -65,7 +50,7 @@ def generate_report(config: Optional[ReportConfig] = None) -> str:
         + "\n```\n"
     )
 
-    figure2 = get_experiment("figure2").run(exp_config).raw
+    figure2 = get_experiment("figure2").run(config).raw
     sections.append("## Figure 2 — vanilla resume breakdown\n")
     sections.append("```\n" + render_figure2(figure2) + "\n```\n")
     sections.append(
@@ -76,7 +61,7 @@ def generate_report(config: Optional[ReportConfig] = None) -> str:
         "(paper: 87.5% -> 93.1%).\n"
     )
 
-    figure3 = get_experiment("figure3").run(exp_config).raw
+    figure3 = get_experiment("figure3").run(config).raw
     sections.append("## Figure 3 — resume time per setup\n")
     sections.append("```\n" + render_figure3(figure3) + "\n```\n")
     vanil_series = [figure3.mean_ns("vanil", v) for v in figure3.vcpu_counts()]
@@ -95,7 +80,7 @@ def generate_report(config: Optional[ReportConfig] = None) -> str:
         f"{figure3.horse_flatness():.3f} (paper: constant ~150 ns).\n"
     )
 
-    overhead = get_experiment("overhead").run(exp_config).raw
+    overhead = get_experiment("overhead").run(config).raw
     sections.append("## §5.2 — CPU and memory overhead of HORSE\n")
     peak_vcpus = max(overhead.vcpu_counts())
     sections.append(
@@ -111,7 +96,7 @@ def generate_report(config: Optional[ReportConfig] = None) -> str:
         f"{overhead.resume_cpu_delta_pct(peak_vcpus):.6f}% (paper: <= 2.7%)\n"
     )
 
-    figure4 = get_experiment("figure4").run(exp_config).raw
+    figure4 = get_experiment("figure4").run(config).raw
     sections.append("## Figure 4 — HORSE vs cold/restore/warm\n")
     sections.append("```\n" + render_figure4(figure4) + "\n```\n")
     sections.append(
@@ -129,7 +114,7 @@ def generate_report(config: Optional[ReportConfig] = None) -> str:
         "(paper: 142.84x).\n"
     )
 
-    colocation = get_experiment("colocation").run(exp_config).raw
+    colocation = get_experiment("colocation").run(config).raw
     sections.append("## §5.4 — colocation with long-running functions\n")
     sections.append("```\n" + render_colocation(colocation) + "\n```\n")
     worst = max(colocation.vcpu_counts())
@@ -143,22 +128,3 @@ def generate_report(config: Optional[ReportConfig] = None) -> str:
     )
 
     return "\n".join(sections)
-
-
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--fast", action="store_true", help="3 reps, sparse sweeps")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", type=str, default=None, help="write Markdown here")
-    args = parser.parse_args()
-    report = generate_report(ReportConfig(seed=args.seed, fast=args.fast))
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(report)
-        print(f"wrote {args.out}")
-    else:
-        print(report)
-
-
-if __name__ == "__main__":
-    main()

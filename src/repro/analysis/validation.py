@@ -17,12 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.experiments.colocation import run_colocation
-from repro.experiments.figure2 import run_figure2
-from repro.experiments.figure3 import run_figure3
-from repro.experiments.figure4 import run_figure4
-from repro.experiments.overhead import run_overhead
-from repro.experiments.table1 import run_table1
+from repro.experiments.registry import ExperimentConfig, get
 from repro.faas.invocation import StartType
 
 
@@ -55,13 +50,12 @@ class ClaimCheck:
 
 
 def validate_all(fast: bool = True, seed: int = 0) -> List[ClaimCheck]:
-    """Run the evaluation and check every claim."""
-    reps = 3 if fast else 10
-    sweep = (1, 8, 36) if fast else (1, 2, 4, 8, 16, 24, 36)
+    """Run the evaluation through the registry and check every claim."""
+    config = ExperimentConfig(fast=fast, seed=seed)
     checks: List[ClaimCheck] = []
 
     # -- Table 1 ---------------------------------------------------------
-    table1 = run_table1(repetitions=reps, seed=seed)
+    table1 = get("table1").run(config).raw
     warm_fw = table1.cell("firewall", StartType.WARM)
     checks.append(ClaimCheck(
         "T1-warm-init", "warm init time (us)", "1.1 us",
@@ -88,7 +82,7 @@ def validate_all(fast: bool = True, seed: int = 0) -> List[ClaimCheck]:
     ))
 
     # -- Figure 2 ---------------------------------------------------------
-    figure2 = run_figure2(vcpu_counts=sweep, repetitions=reps)
+    figure2 = get("figure2").run(config).raw
     checks.append(ClaimCheck(
         "F2-hot-share-1", "steps 4+5 share at 1 vCPU", "87.5 %",
         100 * figure2.points[0].hot_share, (86.0, 89.0),
@@ -100,7 +94,8 @@ def validate_all(fast: bool = True, seed: int = 0) -> List[ClaimCheck]:
     ))
 
     # -- Figure 3 ---------------------------------------------------------
-    figure3 = run_figure3(vcpu_counts=sweep, repetitions=reps)
+    figure3 = get("figure3").run(config).raw
+    sweep = figure3.vcpu_counts()
     checks.append(ClaimCheck(
         "F3-coal-min", "coalescing-only min improvement", "16 %",
         100 * figure3.min_improvement("coal"), (14.0, 20.0),
@@ -132,7 +127,7 @@ def validate_all(fast: bool = True, seed: int = 0) -> List[ClaimCheck]:
     ))
 
     # -- §5.2 overhead -----------------------------------------------------
-    overhead = run_overhead(vcpu_counts=(1, 36), seed=seed)
+    overhead = get("overhead").run(config).raw
     checks.append(ClaimCheck(
         "OV-memory", "P2SM memory for 10 sandboxes (kB)", "~528 kB",
         overhead.memory_delta_bytes(36) / 1000, (500.0, 555.0),
@@ -147,7 +142,7 @@ def validate_all(fast: bool = True, seed: int = 0) -> List[ClaimCheck]:
     ))
 
     # -- Figure 4 -----------------------------------------------------------
-    figure4 = run_figure4(repetitions=reps, seed=seed)
+    figure4 = get("figure4").run(config).raw
     low, high = figure4.horse_init_pct_range()
     checks.append(ClaimCheck(
         "F4-horse-low", "HORSE min init share (%)", "0.77 %",
@@ -167,7 +162,7 @@ def validate_all(fast: bool = True, seed: int = 0) -> List[ClaimCheck]:
     ))
 
     # -- §5.4 colocation -----------------------------------------------------
-    colocation = run_colocation(vcpu_counts=(1, 36), seed=seed)
+    colocation = get("colocation").run(config).raw
     checks.append(ClaimCheck(
         "CO-p99", "p99 overhead at 36 uLL vCPUs (us)", "~30 us",
         colocation.p99_overhead_us(36), (0.0, 60.0),

@@ -208,6 +208,8 @@ def check_figure3(
     obs: Optional[Observability] = None,
 ) -> CheckReport:
     """Re-run the Figure-3 cycles checked; see the module docstring."""
+    if max_ulps < 0:
+        raise ValueError(f"max_ulps must be >= 0, got {max_ulps}")
     if vcpu_counts is None:
         vcpu_counts = (1, 8, 36) if fast else (1, 2, 4, 8, 16, 24, 36)
     if fast:

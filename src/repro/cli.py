@@ -18,8 +18,9 @@ Commands:
 * ``bench``        — run the sim-kernel performance gate;
 * ``demo``         — the quickstart comparison of the four start paths.
 
-The ``experiment``/``list``/``trace`` commands drive off the experiment
-registry (:mod:`repro.experiments.registry`): registering a new
+The ``experiment``/``list``/``trace``/``profile``/``report``/``validate``
+commands drive off the experiment registry
+(:mod:`repro.experiments.registry`): registering a new
 :class:`~repro.experiments.registry.ExperimentSpec` makes it runnable
 and listable here with no CLI change.  Commands that run the simulation
 accept ``--scheduler heap|calendar`` to select the engine's pending-
@@ -31,15 +32,10 @@ from __future__ import annotations
 import argparse
 import sys
 from functools import partial
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
-from repro.analysis.report import ReportConfig, generate_report
-from repro.experiments.registry import ExperimentConfig, all_specs
+from repro.experiments.registry import ExperimentConfig, all_specs, experiment_ids
 from repro.experiments.registry import get as get_experiment
-
-#: id -> title, derived from the registry (kept for compatibility — the
-#: registry is the source of truth).
-EXPERIMENTS: Dict[str, str] = {spec.id: spec.title for spec in all_specs()}
 
 
 def _apply_scheduler(args: argparse.Namespace) -> None:
@@ -69,7 +65,9 @@ def _run_experiment(name: str, fast: bool, seed: int, platform: str) -> str:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    report = generate_report(ReportConfig(seed=args.seed, fast=args.fast))
+    from repro.analysis.report import generate_report
+
+    report = generate_report(ExperimentConfig(fast=args.fast, seed=args.seed))
     if args.out:
         with open(args.out, "w") as handle:
             handle.write(report)
@@ -80,23 +78,19 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    if args.name not in EXPERIMENTS:
-        print(
-            f"unknown experiment {args.name!r}; "
-            f"choose from {', '.join(sorted(EXPERIMENTS))}",
-            file=sys.stderr,
-        )
-        return 2
-    _apply_scheduler(args)
-    spec = get_experiment(args.name)
-    result = spec.run(
-        ExperimentConfig(
+    try:
+        spec = get_experiment(args.name)
+        config = ExperimentConfig(
             fast=args.fast,
             seed=args.seed,
             platform=args.platform,
             shards=args.shards,
         )
-    )
+    except (KeyError, ValueError) as exc:
+        print(exc.args[0], file=sys.stderr)
+        return 2
+    _apply_scheduler(args)
+    result = spec.run(config)
     if args.json:
         print(result.to_json())
         return 0
@@ -123,12 +117,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         write_jsonl,
     )
 
-    if args.name not in EXPERIMENTS:
-        print(
-            f"unknown experiment {args.name!r}; "
-            f"choose from {', '.join(sorted(EXPERIMENTS))}",
-            file=sys.stderr,
-        )
+    try:
+        get_experiment(args.name)
+    except KeyError as exc:
+        print(exc.args[0], file=sys.stderr)
         return 2
     obs = Observability(Tracer(), MetricRegistry())
     with activate(obs):
@@ -168,6 +160,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    obs = Observability(Tracer(), MetricRegistry())
     try:
         fault_plan = (
             FaultPlan(
@@ -177,20 +170,19 @@ def _cmd_check(args: argparse.Namespace) -> int:
             if args.fault
             else None
         )
+        with activate(obs):
+            report = run_check(
+                args.name,
+                fast=args.fast,
+                platform=args.platform,
+                seed=args.seed,
+                fault_plan=fault_plan,
+                max_ulps=args.max_ulps,
+                obs=obs,
+            )
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    obs = Observability(Tracer(), MetricRegistry())
-    with activate(obs):
-        report = run_check(
-            args.name,
-            fast=args.fast,
-            platform=args.platform,
-            seed=args.seed,
-            fault_plan=fault_plan,
-            max_ulps=args.max_ulps,
-            obs=obs,
-        )
     print(report.render())
     return 0 if report.ok else 1
 
@@ -364,7 +356,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             for mode in CHAOS_MODES:
                 profiler.phase(mode)
                 run_chaos_mode(mode, config)
-    elif args.name in EXPERIMENTS:
+    elif args.name in experiment_ids():
         with profiling(profiler):
             profiler.phase(args.name)
             _run_experiment(
@@ -373,7 +365,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     else:
         print(
             f"unknown profile target {args.name!r}; choose 'chaos' or one of "
-            f"{', '.join(sorted(EXPERIMENTS))}",
+            f"{', '.join(experiment_ids())}",
             file=sys.stderr,
         )
         return 2
@@ -497,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     report.set_defaults(func=_cmd_report)
 
     experiment = subparsers.add_parser("experiment", help="one paper artifact")
-    experiment.add_argument("name", help=", ".join(sorted(EXPERIMENTS)))
+    experiment.add_argument("name", help=", ".join(experiment_ids()))
     experiment.add_argument("--fast", action="store_true")
     experiment.add_argument("--seed", type=int, default=0)
     experiment.add_argument(
@@ -519,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace = subparsers.add_parser(
         "trace", help="run one artifact traced; export Chrome JSON + JSONL"
     )
-    trace.add_argument("name", help=", ".join(sorted(EXPERIMENTS)))
+    trace.add_argument("name", help=", ".join(experiment_ids()))
     trace.add_argument("--fast", action="store_true")
     trace.add_argument("--seed", type=int, default=0)
     trace.add_argument(
@@ -658,7 +650,7 @@ def build_parser() -> argparse.ArgumentParser:
         "profiler; write folded stacks + hotspot table",
     )
     profile.add_argument(
-        "name", help="'chaos' or one of " + ", ".join(sorted(EXPERIMENTS))
+        "name", help="'chaos' or one of " + ", ".join(experiment_ids())
     )
     profile.add_argument("--seed", type=int, default=0)
     profile.add_argument("--fast", action="store_true")

@@ -1,94 +1,8 @@
-"""Experiment drivers: one module per paper table/figure.
+"""Experiment drivers: one module per paper table, figure or study.
 
-========  =============================  ==========================
-exp id    paper artifact                 driver
-========  =============================  ==========================
-T1        Table 1                        :func:`repro.experiments.table1.run_table1`
-F1        Figure 1                       Table 1 result, ``figure1_series``
-F2        Figure 2                       :func:`repro.experiments.figure2.run_figure2`
-F3        Figure 3                       :func:`repro.experiments.figure3.run_figure3`
-OV        §5.2 overhead                  :func:`repro.experiments.overhead.run_overhead`
-F4        Figure 4                       :func:`repro.experiments.figure4.run_figure4`
-CO        §5.4 colocation                :func:`repro.experiments.colocation.run_colocation`
-========  =============================  ==========================
+The paper artifacts and the studies built on them are listed, with
+runtime estimates, by ``repro list``; DESIGN.md §4 maps each one to its
+driver module.  :mod:`repro.experiments.registry` is the one surface
+that runs, renders and flattens them; import the driver modules
+directly for their ``run_*`` functions.
 """
-
-from repro.experiments.ablations import (
-    ablate_mechanism_split,
-    ablate_platform,
-    ablate_precompute_churn,
-    ablate_ull_runqueue_count,
-)
-from repro.experiments.ablations_energy import ablate_skip_vs_coalesce
-from repro.experiments.colocation import (
-    ColocationResult,
-    ColocationRun,
-    run_colocation,
-)
-from repro.experiments.pool_study import PoolStudyResult, run_pool_study
-from repro.experiments.registry import (
-    ExperimentConfig,
-    ExperimentResult,
-    ExperimentSpec,
-    all_specs,
-    experiment_ids,
-    get,
-    register,
-)
-from repro.experiments.slo import SloResult, run_slo
-from repro.experiments.figure2 import Figure2Result, run_figure2
-from repro.experiments.figure3 import SETUPS, Figure3Result, run_figure3
-from repro.experiments.figure4 import FIGURE4_SCENARIOS, Figure4Result, run_figure4
-from repro.experiments.overhead import OverheadResult, run_overhead
-from repro.experiments.runner import (
-    DEFAULT_REPETITIONS,
-    VCPU_SWEEP,
-    RepeatedMeasurement,
-    repeat,
-)
-from repro.experiments.table1 import (
-    TABLE1_SCENARIOS,
-    ScenarioCell,
-    Table1Result,
-    run_table1,
-)
-
-__all__ = [
-    "ablate_mechanism_split",
-    "ablate_platform",
-    "ablate_precompute_churn",
-    "ablate_ull_runqueue_count",
-    "ablate_skip_vs_coalesce",
-    "ExperimentConfig",
-    "ExperimentResult",
-    "ExperimentSpec",
-    "all_specs",
-    "experiment_ids",
-    "get",
-    "register",
-    "PoolStudyResult",
-    "run_pool_study",
-    "SloResult",
-    "run_slo",
-    "ColocationResult",
-    "ColocationRun",
-    "run_colocation",
-    "Figure2Result",
-    "run_figure2",
-    "SETUPS",
-    "Figure3Result",
-    "run_figure3",
-    "FIGURE4_SCENARIOS",
-    "Figure4Result",
-    "run_figure4",
-    "OverheadResult",
-    "run_overhead",
-    "DEFAULT_REPETITIONS",
-    "VCPU_SWEEP",
-    "RepeatedMeasurement",
-    "repeat",
-    "TABLE1_SCENARIOS",
-    "ScenarioCell",
-    "Table1Result",
-    "run_table1",
-]

@@ -9,25 +9,28 @@ native result in an :class:`ExperimentResult`, which exposes the common
 protocol every consumer builds on:
 
 * ``summary()`` — the rendered fixed-width table/series (what the CLI
-  prints; byte-identical to the pre-registry output for the original
-  experiment ids);
-* ``rows()``    — the result flattened to a list of scalar dicts, for
-  programmatic consumers and JSON export;
+  prints);
+* ``rows()``    — the result flattened to a list of scalar dicts, the
+  one structured export;
 * ``to_json()`` — ``{"experiment", "title", "rows"}`` as a JSON string.
 
-The CLI's ``experiment``/``list``/``trace`` commands and the report
-generator drive off :func:`all_specs` — there is no separately
-maintained id→function table.  The original ``run_*`` entry points keep
-their signatures and remain the primitive layer; the registry is a
-veneer over them, so existing callers and tests are untouched.
+This module is the one place that knows how to run, render and flatten
+a paper artifact: the CLI's ``experiment``/``list``/``trace``/``profile``
+commands, the Markdown report and the claim validation all drive off
+:func:`get`/:func:`all_specs`.  Drivers and renderers are named as
+``"module:function"`` strings and imported on first call, so importing
+the registry imports no experiment driver.
 """
 
 from __future__ import annotations
 
 import enum
+import importlib
 import json
 from dataclasses import dataclass, fields, is_dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence
+
+from repro.experiments.runner import DEFAULT_REPETITIONS, VCPU_SWEEP
 
 _Scalar = (int, float, str, bool)
 
@@ -52,13 +55,17 @@ class ExperimentConfig:
     #: ignore it.
     shards: int = 1
 
+    def __post_init__(self) -> None:
+        if self.shards < 1:
+            raise ValueError(f"shards must be >= 1, got {self.shards}")
+
     @property
     def repetitions(self) -> int:
-        return 3 if self.fast else 10
+        return 3 if self.fast else DEFAULT_REPETITIONS
 
     @property
     def vcpu_sweep(self) -> tuple:
-        return (1, 8, 36) if self.fast else (1, 2, 4, 8, 16, 24, 36)
+        return (1, 8, 36) if self.fast else VCPU_SWEEP
 
 
 class ExperimentResult:
@@ -140,6 +147,26 @@ def all_specs() -> List[ExperimentSpec]:
     return [_REGISTRY[experiment_id] for experiment_id in experiment_ids()]
 
 
+def _deferred(
+    target: str,
+    kwargs: Optional[Callable[[ExperimentConfig], Dict[str, Any]]] = None,
+) -> Callable[[Any], Any]:
+    """``"module:function"`` as a callable that imports it when called.
+
+    Without ``kwargs`` the callable passes its one argument through
+    (renderers, row flatteners); with it, the argument is an
+    :class:`ExperimentConfig` mapped to the driver's keyword arguments.
+    """
+    module, _, name = target.partition(":")
+
+    def call(arg: Any) -> Any:
+        function = getattr(importlib.import_module(module), name)
+        return function(**kwargs(arg)) if kwargs else function(arg)
+
+    call.__qualname__ = target
+    return call
+
+
 # ----------------------------------------------------------------------
 # Row flattening helpers
 # ----------------------------------------------------------------------
@@ -185,42 +212,22 @@ def _grid_rows(result: Any) -> List[Dict[str, Any]]:
 
 
 # ----------------------------------------------------------------------
-# Runners — parameter choices identical to the pre-registry CLI.
+# Runner arguments, renderers and row flatteners per experiment.
 # ----------------------------------------------------------------------
-def _run_table1_grid(config: ExperimentConfig) -> Any:
-    from repro.experiments.table1 import run_table1
-
-    return run_table1(
+def _grid_args(config: ExperimentConfig) -> Dict[str, Any]:
+    """Table 1 / Figure 4: repeated grid over (category, scenario)."""
+    return dict(
         repetitions=config.repetitions, seed=config.seed, platform=config.platform
     )
 
 
-def _render_table1(result: Any) -> str:
-    from repro.analysis.tables import render_table1
-
-    return render_table1(result)
-
-
-def _render_figure1(result: Any) -> str:
-    from repro.analysis.figures import render_figure1
-
-    return render_figure1(result)
-
-
-def _run_figure2(config: ExperimentConfig) -> Any:
-    from repro.experiments.figure2 import run_figure2
-
-    return run_figure2(
+def _sweep_args(config: ExperimentConfig) -> Dict[str, Any]:
+    """Figures 2/3: repeated resume cycles over the vCPU sweep."""
+    return dict(
         vcpu_counts=config.vcpu_sweep,
         repetitions=config.repetitions,
         platform=config.platform,
     )
-
-
-def _render_figure2(result: Any) -> str:
-    from repro.analysis.figures import render_figure2
-
-    return render_figure2(result)
 
 
 def _figure2_rows(result: Any) -> List[Dict[str, Any]]:
@@ -237,22 +244,6 @@ def _figure2_rows(result: Any) -> List[Dict[str, Any]]:
     return rows
 
 
-def _run_figure3(config: ExperimentConfig) -> Any:
-    from repro.experiments.figure3 import run_figure3
-
-    return run_figure3(
-        vcpu_counts=config.vcpu_sweep,
-        repetitions=config.repetitions,
-        platform=config.platform,
-    )
-
-
-def _render_figure3(result: Any) -> str:
-    from repro.analysis.figures import render_figure3
-
-    return render_figure3(result)
-
-
 def _figure3_rows(result: Any) -> List[Dict[str, Any]]:
     rows = []
     for setup in sorted(result.series):
@@ -265,30 +256,6 @@ def _figure3_rows(result: Any) -> List[Dict[str, Any]]:
                 }
             )
     return rows
-
-
-def _run_figure4(config: ExperimentConfig) -> Any:
-    from repro.experiments.figure4 import run_figure4
-
-    return run_figure4(
-        repetitions=config.repetitions, seed=config.seed, platform=config.platform
-    )
-
-
-def _render_figure4(result: Any) -> str:
-    from repro.analysis.figures import render_figure4
-
-    return render_figure4(result)
-
-
-def _run_overhead(config: ExperimentConfig) -> Any:
-    from repro.experiments.overhead import run_overhead
-
-    return run_overhead(
-        vcpu_counts=(1, 36) if config.fast else config.vcpu_sweep,
-        seed=config.seed,
-        platform=config.platform,
-    )
 
 
 def _render_overhead(result: Any) -> str:
@@ -315,22 +282,6 @@ def _overhead_rows(result: Any) -> List[Dict[str, Any]]:
     ]
 
 
-def _run_colocation(config: ExperimentConfig) -> Any:
-    from repro.experiments.colocation import run_colocation
-
-    return run_colocation(
-        vcpu_counts=(1, 36) if config.fast else (1, 8, 16, 36),
-        seed=config.seed,
-        platform=config.platform,
-    )
-
-
-def _render_colocation(result: Any) -> str:
-    from repro.analysis.figures import render_colocation
-
-    return render_colocation(result)
-
-
 def _colocation_rows(result: Any) -> List[Dict[str, Any]]:
     rows = []
     for (mode, ull_vcpus), run in sorted(result.runs.items()):
@@ -350,12 +301,6 @@ def _run_chaos(config: ExperimentConfig) -> Any:
         else ChaosConfig(seed=config.seed)
     )
     return run_chaos(chaos_config)
-
-
-def _render_chaos(result: Any) -> str:
-    from repro.experiments.chaos import render_chaos
-
-    return render_chaos(result)
 
 
 def _chaos_rows(result: Any) -> List[Dict[str, Any]]:
@@ -385,18 +330,6 @@ def _run_dispatch_zoo(config: ExperimentConfig) -> Any:
     return run_dispatch_zoo(zoo_config)
 
 
-def _render_dispatch_zoo(result: Any) -> str:
-    from repro.experiments.dispatch_zoo import render_dispatch_zoo
-
-    return render_dispatch_zoo(result)
-
-
-def _dispatch_zoo_rows(result: Any) -> List[Dict[str, Any]]:
-    from repro.experiments.dispatch_zoo import dispatch_zoo_rows
-
-    return dispatch_zoo_rows(result)
-
-
 def _run_cluster_sharded(config: ExperimentConfig) -> Any:
     from repro.experiments.sharded_chaos import (
         ShardedChaosConfig,
@@ -411,12 +344,6 @@ def _run_cluster_sharded(config: ExperimentConfig) -> Any:
     return run_sharded_chaos(sharded_config, shards=config.shards)
 
 
-def _render_cluster_sharded(result: Any) -> str:
-    from repro.experiments.sharded_chaos import render_sharded_chaos
-
-    return render_sharded_chaos(result)
-
-
 def _run_cluster_recovery(config: ExperimentConfig) -> Any:
     from repro.experiments.cluster_recovery import (
         ClusterRecoveryConfig,
@@ -429,12 +356,6 @@ def _run_cluster_recovery(config: ExperimentConfig) -> Any:
         else ClusterRecoveryConfig(seed=config.seed)
     )
     return run_recovery(recovery_config, shards=config.shards)
-
-
-def _render_cluster_recovery(result: Any) -> str:
-    from repro.experiments.cluster_recovery import render_recovery
-
-    return render_recovery(result)
 
 
 def _recovery_rows(result: Any) -> List[Dict[str, Any]]:
@@ -472,14 +393,10 @@ def _recovery_rows(result: Any) -> List[Dict[str, Any]]:
     return rows
 
 
-def _run_cluster_study(config: ExperimentConfig) -> Any:
-    from repro.experiments.cluster_study import run_cluster_study
-
+def _cluster_study_args(config: ExperimentConfig) -> Dict[str, Any]:
     if config.fast:
-        return run_cluster_study(
-            hosts=2, functions=3, duration_s=10.0, seed=config.seed
-        )
-    return run_cluster_study(seed=config.seed)
+        return dict(hosts=2, functions=3, duration_s=10.0, seed=config.seed)
+    return dict(seed=config.seed)
 
 
 def _render_cluster_study(result: Any) -> str:
@@ -504,12 +421,10 @@ def _cluster_study_rows(result: Any) -> List[Dict[str, Any]]:
     ]
 
 
-def _run_pool_study(config: ExperimentConfig) -> Any:
-    from repro.experiments.pool_study import run_pool_study
-
+def _pool_study_args(config: ExperimentConfig) -> Dict[str, Any]:
     if config.fast:
-        return run_pool_study(functions=4, duration_s=30.0, seed=config.seed)
-    return run_pool_study(seed=config.seed)
+        return dict(functions=4, duration_s=30.0, seed=config.seed)
+    return dict(seed=config.seed)
 
 
 def _render_pool_study(result: Any) -> str:
@@ -535,16 +450,6 @@ def _pool_study_rows(result: Any) -> List[Dict[str, Any]]:
     ]
 
 
-def _run_slo(config: ExperimentConfig) -> Any:
-    from repro.experiments.slo import run_slo
-
-    return run_slo(
-        invocations=50 if config.fast else 200,
-        seed=config.seed,
-        platform=config.platform,
-    )
-
-
 def _render_slo(result: Any) -> str:
     lines = [f"{'category':16s} {'scenario':10s} {'budget us':>10s} {'attained':>9s}"]
     for (category, scenario), cell in sorted(
@@ -565,14 +470,6 @@ def _slo_rows(result: Any) -> List[Dict[str, Any]]:
             result.cells.items(), key=lambda item: (item[0][0], item[0][1].value)
         )
     ]
-
-
-def _run_transport(config: ExperimentConfig) -> Any:
-    from repro.experiments.transport_sensitivity import run_transport_sensitivity
-
-    return run_transport_sensitivity(
-        invocations=30 if config.fast else 100, seed=config.seed
-    )
 
 
 def _render_transport(result: Any) -> str:
@@ -651,38 +548,16 @@ def _ablations_rows(results: Dict[str, Any]) -> List[Dict[str, Any]]:
     return rows
 
 
-def _run_prewarm_frontier(config: ExperimentConfig) -> Any:
-    from repro.experiments.prewarm_frontier import run_prewarm_frontier
-
-    return run_prewarm_frontier(
-        fast=config.fast, seed=config.seed, shards=config.shards
-    )
-
-
-def _render_prewarm_frontier(result: Any) -> str:
-    from repro.experiments.prewarm_frontier import render_prewarm_frontier
-
-    return render_prewarm_frontier(result)
-
-
-def _prewarm_frontier_rows(result: Any) -> List[Dict[str, Any]]:
-    from repro.experiments.prewarm_frontier import prewarm_frontier_rows
-
-    return prewarm_frontier_rows(result)
-
-
 # ----------------------------------------------------------------------
-# The registry itself.  Titles for the original CLI ids are kept
-# byte-identical to the pre-registry table so existing output and tests
-# are unchanged.
+# The registry itself.
 # ----------------------------------------------------------------------
 register(
     ExperimentSpec(
         id="table1",
         title="Table 1 — init/exec/init% for cold/restore/warm x categories",
         fast_estimate_s=1.0,
-        runner=_run_table1_grid,
-        renderer=_render_table1,
+        runner=_deferred("repro.experiments.table1:run_table1", _grid_args),
+        renderer=_deferred("repro.analysis.tables:render_table1"),
         rows_fn=_grid_rows,
     )
 )
@@ -691,8 +566,8 @@ register(
         id="figure1",
         title="Figure 1 — init share per scenario",
         fast_estimate_s=1.0,
-        runner=_run_table1_grid,
-        renderer=_render_figure1,
+        runner=_deferred("repro.experiments.table1:run_table1", _grid_args),
+        renderer=_deferred("repro.analysis.figures:render_figure1"),
         rows_fn=_grid_rows,
     )
 )
@@ -701,8 +576,8 @@ register(
         id="figure2",
         title="Figure 2 — vanilla resume breakdown vs vCPUs",
         fast_estimate_s=1.0,
-        runner=_run_figure2,
-        renderer=_render_figure2,
+        runner=_deferred("repro.experiments.figure2:run_figure2", _sweep_args),
+        renderer=_deferred("repro.analysis.figures:render_figure2"),
         rows_fn=_figure2_rows,
     )
 )
@@ -711,8 +586,8 @@ register(
         id="figure3",
         title="Figure 3 — resume time: vanil/ppsm/coal/horse",
         fast_estimate_s=2.0,
-        runner=_run_figure3,
-        renderer=_render_figure3,
+        runner=_deferred("repro.experiments.figure3:run_figure3", _sweep_args),
+        renderer=_deferred("repro.analysis.figures:render_figure3"),
         rows_fn=_figure3_rows,
     )
 )
@@ -721,8 +596,8 @@ register(
         id="figure4",
         title="Figure 4 — init share incl. HORSE",
         fast_estimate_s=1.0,
-        runner=_run_figure4,
-        renderer=_render_figure4,
+        runner=_deferred("repro.experiments.figure4:run_figure4", _grid_args),
+        renderer=_deferred("repro.analysis.figures:render_figure4"),
         rows_fn=lambda result: _grid_rows(result.grid),
     )
 )
@@ -731,7 +606,14 @@ register(
         id="overhead",
         title="§5.2 — CPU and memory overhead",
         fast_estimate_s=1.0,
-        runner=_run_overhead,
+        runner=_deferred(
+            "repro.experiments.overhead:run_overhead",
+            lambda config: dict(
+                vcpu_counts=(1, 36) if config.fast else config.vcpu_sweep,
+                seed=config.seed,
+                platform=config.platform,
+            ),
+        ),
         renderer=_render_overhead,
         rows_fn=_overhead_rows,
     )
@@ -741,8 +623,15 @@ register(
         id="colocation",
         title="§5.4 — colocation with long-running functions",
         fast_estimate_s=4.0,
-        runner=_run_colocation,
-        renderer=_render_colocation,
+        runner=_deferred(
+            "repro.experiments.colocation:run_colocation",
+            lambda config: dict(
+                vcpu_counts=(1, 36) if config.fast else (1, 8, 16, 36),
+                seed=config.seed,
+                platform=config.platform,
+            ),
+        ),
+        renderer=_deferred("repro.analysis.figures:render_colocation"),
         rows_fn=_colocation_rows,
     )
 )
@@ -752,7 +641,7 @@ register(
         title="Chaos — resilience modes under seeded failures",
         fast_estimate_s=6.0,
         runner=_run_chaos,
-        renderer=_render_chaos,
+        renderer=_deferred("repro.experiments.chaos:render_chaos"),
         rows_fn=_chaos_rows,
     )
 )
@@ -762,8 +651,8 @@ register(
         title="Zoo — dispatch policies x failure rate x workload mix",
         fast_estimate_s=2.0,
         runner=_run_dispatch_zoo,
-        renderer=_render_dispatch_zoo,
-        rows_fn=_dispatch_zoo_rows,
+        renderer=_deferred("repro.experiments.dispatch_zoo:render_dispatch_zoo"),
+        rows_fn=_deferred("repro.experiments.dispatch_zoo:dispatch_zoo_rows"),
     )
 )
 register(
@@ -772,7 +661,7 @@ register(
         title="Sharded — chaos study partitioned over worker processes",
         fast_estimate_s=2.0,
         runner=_run_cluster_sharded,
-        renderer=_render_cluster_sharded,
+        renderer=_deferred("repro.experiments.sharded_chaos:render_sharded_chaos"),
         rows_fn=_chaos_rows,
     )
 )
@@ -782,7 +671,7 @@ register(
         title="Recovery — gateway crashes under the exactly-once oracle",
         fast_estimate_s=2.0,
         runner=_run_cluster_recovery,
-        renderer=_render_cluster_recovery,
+        renderer=_deferred("repro.experiments.cluster_recovery:render_recovery"),
         rows_fn=_recovery_rows,
     )
 )
@@ -791,7 +680,9 @@ register(
         id="cluster_study",
         title="Cluster — placement policies on a multi-host cluster",
         fast_estimate_s=3.0,
-        runner=_run_cluster_study,
+        runner=_deferred(
+            "repro.experiments.cluster_study:run_cluster_study", _cluster_study_args
+        ),
         renderer=_render_cluster_study,
         rows_fn=_cluster_study_rows,
     )
@@ -801,7 +692,9 @@ register(
         id="pool_study",
         title="Pools — keep-alive policies on an Azure-style trace",
         fast_estimate_s=2.0,
-        runner=_run_pool_study,
+        runner=_deferred(
+            "repro.experiments.pool_study:run_pool_study", _pool_study_args
+        ),
         renderer=_render_pool_study,
         rows_fn=_pool_study_rows,
     )
@@ -811,9 +704,16 @@ register(
         id="prewarm_frontier",
         title="Frontier — memory budget vs p99 under prewarm policies",
         fast_estimate_s=8.0,
-        runner=_run_prewarm_frontier,
-        renderer=_render_prewarm_frontier,
-        rows_fn=_prewarm_frontier_rows,
+        runner=_deferred(
+            "repro.experiments.prewarm_frontier:run_prewarm_frontier",
+            lambda config: dict(
+                fast=config.fast, seed=config.seed, shards=config.shards
+            ),
+        ),
+        renderer=_deferred(
+            "repro.experiments.prewarm_frontier:render_prewarm_frontier"
+        ),
+        rows_fn=_deferred("repro.experiments.prewarm_frontier:prewarm_frontier_rows"),
     )
 )
 register(
@@ -821,7 +721,14 @@ register(
         id="slo",
         title="SLO — deadline attainment per (category, scenario)",
         fast_estimate_s=2.0,
-        runner=_run_slo,
+        runner=_deferred(
+            "repro.experiments.slo:run_slo",
+            lambda config: dict(
+                invocations=50 if config.fast else 200,
+                seed=config.seed,
+                platform=config.platform,
+            ),
+        ),
         renderer=_render_slo,
         rows_fn=_slo_rows,
     )
@@ -831,7 +738,12 @@ register(
         id="transport_sensitivity",
         title="Transport — trigger-transport overhead sensitivity",
         fast_estimate_s=1.0,
-        runner=_run_transport,
+        runner=_deferred(
+            "repro.experiments.transport_sensitivity:run_transport_sensitivity",
+            lambda config: dict(
+                invocations=30 if config.fast else 100, seed=config.seed
+            ),
+        ),
         renderer=_render_transport,
         rows_fn=_transport_rows,
     )

@@ -431,12 +431,15 @@ class PrewarmConfig:
     protect_headroom: float = 1.5
 
     def __post_init__(self) -> None:
-        if self.memory_budget_mb <= 0:
+        if not 0 < self.memory_budget_mb < math.inf:
             raise ValueError(
-                f"memory budget must be positive, got {self.memory_budget_mb}"
+                f"memory_budget_mb must be positive and finite, "
+                f"got {self.memory_budget_mb}"
             )
-        if self.sandbox_mb <= 0:
-            raise ValueError(f"sandbox_mb must be positive, got {self.sandbox_mb}")
+        if not 0 < self.sandbox_mb < math.inf:
+            raise ValueError(
+                f"sandbox_mb must be positive and finite, got {self.sandbox_mb}"
+            )
         if self.exec_ns < 0:
             raise ValueError(f"exec_ns must be >= 0, got {self.exec_ns}")
         if self.groups < 1:

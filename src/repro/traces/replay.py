@@ -138,8 +138,10 @@ class ReplayConfig:
     def __post_init__(self) -> None:
         if self.functions <= 0:
             raise ValueError(f"functions must be positive, got {self.functions}")
-        if self.duration_s <= 0:
-            raise ValueError(f"duration must be positive, got {self.duration_s}")
+        if not 0 < self.duration_s < math.inf:
+            raise ValueError(
+                f"duration_s must be positive and finite, got {self.duration_s}"
+            )
         if self.mean_rate_per_function < 0:
             raise ValueError(
                 f"mean rate must be >= 0, got {self.mean_rate_per_function}"

@@ -3,10 +3,7 @@
 import pytest
 
 from repro.analysis.figures import (
-    colocation_series,
     figure1_series,
-    figure2_series,
-    figure3_series,
     figure4_series,
     render_colocation,
     render_figure1,
@@ -70,15 +67,13 @@ class TestRenderers:
     def test_figure2(self, figure2):
         text = render_figure2(figure2)
         assert "4-sorted-merge" in text
-        series = figure2_series(figure2)
-        assert "steps4+5 share %" in series
+        assert "4+5 %" in text
 
     def test_figure3(self, figure3):
         text = render_figure3(figure3)
         for setup in ("vanil", "ppsm", "coal", "horse"):
             assert setup in text
-        series = figure3_series(figure3)
-        assert len(series["horse"]) == 2
+        assert "1 vCPU" in text and "36 vCPU" in text
 
     def test_figure4(self, figure4):
         text = render_figure4(figure4)
@@ -90,5 +85,4 @@ class TestRenderers:
         result = run_colocation(vcpu_counts=(1,), seed=0)
         text = render_colocation(result)
         assert "p99" in text
-        series = colocation_series(result)
-        assert set(series) == {"vanilla", "horse"}
+        assert "vanilla" in text and "horse" in text

@@ -1,75 +1,44 @@
-"""JSON/CSV export of experiment results."""
+"""JSON export of the paper artifacts: ``repro experiment <id> --json``.
 
-import csv
+``ExperimentResult.to_json()`` is the one structured export; these
+tests pin its shape for the five plotted paper artifacts.
+"""
+
 import json
 
 import pytest
 
-from repro.analysis.export import (
-    colocation_to_json,
-    figure2_to_json,
-    figure3_to_json,
-    figure4_to_json,
-    table1_to_json,
-    write_csv,
-    write_json,
-)
-from repro.experiments.colocation import run_colocation
-from repro.experiments.figure2 import run_figure2
-from repro.experiments.figure3 import run_figure3
-from repro.experiments.figure4 import run_figure4
-from repro.experiments.table1 import run_table1
+from repro.experiments.registry import ExperimentConfig, get
+
+ARTIFACTS = ("table1", "figure2", "figure3", "figure4", "colocation")
 
 
 @pytest.fixture(scope="module")
 def payloads():
-    return {
-        "table1": table1_to_json(run_table1(repetitions=2)),
-        "figure2": figure2_to_json(run_figure2(vcpu_counts=(1, 8), repetitions=2)),
-        "figure3": figure3_to_json(run_figure3(vcpu_counts=(1, 8), repetitions=2)),
-        "figure4": figure4_to_json(run_figure4(repetitions=2)),
-        "colocation": colocation_to_json(run_colocation(vcpu_counts=(1,))),
-    }
+    config = ExperimentConfig(fast=True, seed=0)
+    return {name: json.loads(get(name).run(config).to_json()) for name in ARTIFACTS}
 
 
 class TestPayloadShape:
     def test_every_payload_names_its_artifact(self, payloads):
         for name, payload in payloads.items():
-            assert payload["artifact"] == name
+            assert payload["experiment"] == name
+            assert payload["title"] == get(name).title
 
     def test_rows_match_columns(self, payloads):
-        for payload in payloads.values():
-            width = len(payload["columns"])
-            assert payload["rows"], payload["artifact"]
+        for name, payload in payloads.items():
+            assert payload["rows"], name
+            columns = set(payload["rows"][0])
             for row in payload["rows"]:
-                assert len(row) == width
+                assert set(row) == columns, name
 
     def test_payloads_json_serializable(self, payloads):
-        for payload in payloads.values():
-            json.dumps(payload)
+        for name, payload in payloads.items():
+            assert json.loads(json.dumps(payload)) == payload, name
 
     def test_figure3_covers_all_setups(self, payloads):
-        setups = {row[0] for row in payloads["figure3"]["rows"]}
+        setups = {row["setup"] for row in payloads["figure3"]["rows"]}
         assert setups == {"vanil", "ppsm", "coal", "horse"}
 
     def test_table1_has_nine_rows(self, payloads):
         assert len(payloads["table1"]["rows"]) == 9
-
-
-class TestWriters:
-    def test_write_json_roundtrip(self, payloads, tmp_path):
-        path = write_json(tmp_path / "t1.json", payloads["table1"])
-        loaded = json.loads(path.read_text())
-        assert loaded == payloads["table1"]
-
-    def test_write_csv_roundtrip(self, payloads, tmp_path):
-        payload = payloads["figure3"]
-        path = write_csv(tmp_path / "f3.csv", payload["columns"], payload["rows"])
-        with path.open() as handle:
-            rows = list(csv.reader(handle))
-        assert rows[0] == payload["columns"]
-        assert len(rows) == len(payload["rows"]) + 1
-
-    def test_write_csv_rejects_ragged_rows(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_csv(tmp_path / "bad.csv", ["a", "b"], [["only-one"]])

@@ -125,9 +125,39 @@ class TestResultProtocol:
 
 
 class TestCliContract:
-    def test_cli_experiments_table_mirrors_registry(self):
-        from repro.cli import EXPERIMENTS
+    def test_cli_experiments_table_mirrors_registry(self, capsys):
+        """``repro list`` is the CLI's experiment table: every spec's id
+        and title, straight from the registry."""
+        from repro.cli import main
 
-        assert set(EXPERIMENTS) == EXPECTED_IDS
-        for spec in all_specs():
-            assert EXPERIMENTS[spec.id] == spec.title
+        assert main(["list"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(EXPECTED_IDS)
+        for spec, line in zip(all_specs(), lines):
+            assert line.split()[0] == spec.id
+            assert line.endswith(spec.title)
+
+
+class TestInstrumentationDoesNotPerturb:
+    """Observability and the subsystem profiler only watch: every spec's
+    fast seed-0 summary and rows are the same with either switched on."""
+
+    @pytest.mark.parametrize("spec_id", sorted(EXPECTED_IDS))
+    def test_obs_and_profiler_leave_results_unchanged(self, spec_id):
+        from repro.obs import MetricRegistry, Observability, Tracer, activate
+        from repro.obs.profile import SubsystemProfiler, profiling
+
+        spec = get(spec_id)
+        config = ExperimentConfig(fast=True, seed=0)
+
+        def observed():
+            result = spec.run(config)
+            return result.summary(), result.rows()
+
+        plain = observed()
+        with activate(Observability(Tracer(), MetricRegistry())):
+            traced = observed()
+        with profiling(SubsystemProfiler(spec_id)):
+            profiled = observed()
+        assert traced == plain
+        assert profiled == plain

@@ -1,5 +1,7 @@
 """The claim-validation gate: every paper claim must stay in band."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.analysis.validation import (
@@ -44,3 +46,11 @@ class TestValidation:
         )
         assert "DEVIATION" in str(deviation)
         assert failed_checks([passing, failing, deviation]) == [failing]
+
+
+class TestGolden:
+    def test_fast_seed0_summary_matches_golden(self, checks):
+        """The fast claim table, byte for byte, as captured while
+        validation still called the six drivers directly."""
+        golden = Path(__file__).parent / "golden" / "validate_fast_seed0.txt"
+        assert summarize(checks) + "\n" == golden.read_text()

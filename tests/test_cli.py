@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cli import EXPERIMENTS, build_parser, main
+from repro.cli import build_parser, main
+from repro.experiments.registry import experiment_ids, get
 
 
 class TestParser:
@@ -30,7 +31,7 @@ class TestCommands:
     def test_list_prints_all_experiments(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
-        for name in EXPERIMENTS:
+        for name in experiment_ids():
             assert name in out
 
     def test_unknown_experiment_fails(self, capsys):
@@ -47,11 +48,30 @@ class TestCommands:
     def test_experiment_commands_run_fast(self, capsys, name):
         assert main(["experiment", name, "--fast"]) == 0
         out = capsys.readouterr().out
-        assert EXPERIMENTS[name].split(" — ")[0] in out
+        assert get(name).title.split(" — ")[0] in out
 
     def test_overhead_command(self, capsys):
         assert main(["experiment", "overhead", "--fast"]) == 0
         assert "mem delta" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["experiment", "chaos", "--fast", "--shards", "-3"], "shards"),
+            (["experiment", "cluster_sharded", "--fast", "--shards", "0"], "shards"),
+            (["replay", "--hours", "0.01", "--memory-budget", "nan"],
+             "memory_budget_mb"),
+            (["replay", "--hours", "0.01", "--sandbox-mb", "inf"], "sandbox_mb"),
+            (["replay", "--hours", "inf"], "duration_s"),
+            (["replay", "--hours", "nan"], "duration_s"),
+            (["check", "figure3", "--fast", "--max-ulps", "-5"], "max_ulps"),
+        ],
+    )
+    def test_out_of_range_value_rejected_by_name(self, capsys, argv, field):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"{field} must be")
 
     def test_trace_unknown_experiment_fails(self, capsys):
         assert main(["trace", "figure99"]) == 2
