@@ -26,6 +26,7 @@ _EXPORTS = {
     "MergeReport": "repro.core.p2sm",
     "P2SMState": "repro.core.p2sm",
     "PrecomputeReport": "repro.core.p2sm",
+    "QueueSnapshot": "repro.core.p2sm",
     "SubChain": "repro.core.p2sm",
     "sorted_merge_reference": "repro.core.p2sm",
     "UllAssignmentError": "repro.core.ull_runqueue",
@@ -47,6 +48,7 @@ if TYPE_CHECKING:  # static analyzers see the real names
         MergeReport,
         P2SMState,
         PrecomputeReport,
+        QueueSnapshot,
         SubChain,
         sorted_merge_reference,
     )

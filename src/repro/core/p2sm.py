@@ -26,8 +26,10 @@ nanoseconds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Generic, List, Optional, TypeVar
+from bisect import bisect_right, insort_right
+from dataclasses import dataclass
+from operator import le
+from typing import Dict, Generic, List, NamedTuple, Optional, TypeVar
 
 from repro.core.linked_list import ListNode, SortedLinkedList
 
@@ -87,16 +89,42 @@ class PrecomputeReport:
         )
 
 
+class QueueSnapshot(NamedTuple):
+    """One walk of a target list, shared by every refresh against it.
+
+    ``nodes`` is arrayB's content (index 0 the sentinel), ``keys`` the
+    sort keys of ``nodes[1:]``, and ``ordered`` whether those keys are
+    non-decreasing — false only for a list a fault has mangled.
+    """
+
+    nodes: List[ListNode]
+    keys: List[float]
+    ordered: bool
+
+    @classmethod
+    def of(cls, target: SortedLinkedList) -> "QueueSnapshot":
+        nodes = [target.head]
+        node = target.head.next
+        while node is not None:
+            nodes.append(node)
+            node = node.next
+        key = target.key
+        keys = [key(node.value) for node in nodes[1:]]
+        return cls(nodes, keys, all(map(le, keys, keys[1:])))
+
+
 class P2SMState(Generic[T]):
     """Precomputed state tying one sorted list *A* to a target *B*.
 
     The hypervisor keeps one instance per (paused uLL sandbox,
     ull_runqueue) pair and refreshes it whenever either side changes
     (the paper: "the updates are performed each time ull_runqueue is
-    updated").  ``refresh`` is a full rebuild — O(|A| + |B|) — which is
-    faithful to the paper's worst-case analysis; incremental updates for
-    single-element changes are provided as an optimization and produce
-    identical state (property-tested).
+    updated").  Every refresh rebuilds arrayB and posA from scratch and
+    reports the work as a full O(|A| + |B|) rebuild, faithful to the
+    paper's worst-case analysis; there is no incremental update path.
+    On the host the rebuild is cheap: arrayB is a copy of a shared
+    :class:`QueueSnapshot`, A is bucketed by binary search, and A's
+    chain nodes are relinked rather than reallocated.
     """
 
     def __init__(self, values_a: List[T], target: SortedLinkedList[T]) -> None:
@@ -106,79 +134,82 @@ class P2SMState(Generic[T]):
         self.array_b: List[ListNode[T]] = []
         self.pos_a: Dict[int, SubChain[T]] = {}
         self.last_report = PrecomputeReport()
+        #: one chain node per ``values_a`` entry, relinked by every
+        #: refresh; None until the next refresh after A changes
+        self._chain_nodes: Optional[List[ListNode[T]]] = None
         self.refresh()
 
     # ------------------------------------------------------------------
     # Pre-computation phase
     # ------------------------------------------------------------------
-    def refresh(self) -> PrecomputeReport:
-        """Rebuild arrayB and posA against the target's current state."""
-        report = PrecomputeReport()
-        # arrayB: position -> node, with index 0 the sentinel.
-        self.array_b = [self._target.head]
-        for node in self._target.nodes():
-            self.array_b.append(node)
-        report.array_entries = len(self.array_b)
+    def refresh(self, snapshot: Optional[QueueSnapshot] = None) -> PrecomputeReport:
+        """Rebuild arrayB and posA against the target's current state.
 
-        # posA: bucket the (sorted) A values by their insertion position
-        # relative to B.  One forward scan over both sorted sequences.
-        self.pos_a = {}
-        b_keys = [self._key(node.value) for node in self._target.nodes()]
+        *snapshot* must be a :class:`QueueSnapshot` of this state's
+        target taken since its last change; without one, the target is
+        walked here.
+        """
+        if snapshot is None:
+            snapshot = QueueSnapshot.of(self._target)
+        b_nodes, b_keys, ordered = snapshot
+        # arrayB: position -> node, with index 0 the sentinel.  A private
+        # copy: the snapshot is shared by every sandbox tied to the queue.
+        self.array_b = b_nodes.copy()
+
+        # posA: bucket A by insertion position relative to B, as a
+        # forward scan over both sorted sequences would.  Positions never
+        # decrease along A, so each search resumes where the last one
+        # stopped; an unordered B (only a fault makes one) gets the scan.
+        nodes = self._chain_nodes
+        if nodes is None:
+            nodes = self._chain_nodes = [ListNode(v) for v in self.values_a]
+        key = self._key
+        pos_a: Dict[int, SubChain[T]] = {}
         position = 0
-        for value in self.values_a:
-            value_key = self._key(value)
-            while position < len(b_keys) and b_keys[position] <= value_key:
-                position += 1
-                report.scan_steps += 1
-            self._append_to_chain(position, value)
-            report.chain_nodes += 1
-        report.posa_keys = len(self.pos_a)
-        self.last_report = report
-        return report
-
-    def _append_to_chain(self, position: int, value: T) -> None:
-        node = ListNode(value)
-        chain = self.pos_a.get(position)
-        if chain is None:
-            self.pos_a[position] = SubChain(head=node, tail=node, length=1)
-        else:
-            chain.tail.next = node
-            chain.tail = node
-            chain.length += 1
+        for node in nodes:
+            value_key = key(node.value)
+            if ordered:
+                position = bisect_right(b_keys, value_key, position)
+            else:
+                while position < len(b_keys) and b_keys[position] <= value_key:
+                    position += 1
+            node.next = None
+            chain = pos_a.get(position)
+            if chain is None:
+                pos_a[position] = SubChain(node, node, 1)
+            else:
+                chain.tail.next = node
+                chain.tail = node
+                chain.length += 1
+        self.pos_a = pos_a
+        # The forward scan takes one step per position it passes.
+        self.last_report = PrecomputeReport(
+            array_entries=len(b_nodes),
+            posa_keys=len(pos_a),
+            scan_steps=position,
+            chain_nodes=len(nodes),
+        )
+        return self.last_report
 
     # ------------------------------------------------------------------
-    # Incremental maintenance (paper §4.1.1 complexity analysis)
+    # A-side updates
     # ------------------------------------------------------------------
     def add_to_a(self, value: T) -> None:
-        """Add one element to A: O(n) position scan + O(1) chain insert."""
-        value_key = self._key(value)
-        # Keep values_a sorted (binary insertion over the cached list).
-        lo, hi = 0, len(self.values_a)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._key(self.values_a[mid]) <= value_key:
-                lo = mid + 1
-            else:
-                hi = mid
-        self.values_a.insert(lo, value)
-        # Chains must stay sorted within a bucket, so a full bucket
-        # rebuild of the affected position keeps the invariant simple
-        # and matches the paper's O(n) insert bound.
-        self._rebuild_buckets()
+        """Add one element to A, then fully rebuild (O(|A| + |B|))."""
+        insort_right(self.values_a, value, key=self._key)
+        self._chain_nodes = None
+        self.refresh()
 
     def remove_from_a(self, value: T) -> bool:
-        """Remove one element from A: O(m) over A's elements."""
+        """Remove one element from A (identity or equality), then fully
+        rebuild; False, with nothing rebuilt, when it is absent."""
         for index, existing in enumerate(self.values_a):
             if existing is value or existing == value:
                 del self.values_a[index]
-                self._rebuild_buckets()
+                self._chain_nodes = None
+                self.refresh()
                 return True
         return False
-
-    def _rebuild_buckets(self) -> None:
-        """Recompute posA after an A-side update (arrayB is re-derived
-        from the unchanged target, so it comes out identical)."""
-        self.refresh()
 
     # ------------------------------------------------------------------
     # Freshness verification (repro.check)
@@ -257,6 +288,8 @@ class P2SMState(Generic[T]):
             report.merged_elements += chain.length
         self.pos_a = {}
         self.values_a = []
+        # The chain nodes now belong to the target.
+        self._chain_nodes = None
         return report
 
     # ------------------------------------------------------------------

@@ -12,13 +12,19 @@ paused sandboxes already tied to each queue.
 precomputation of every tied sandbox whenever its queue changes ("the
 updates are performed each time ull_runqueue is updated"), accounting
 the refresh work so the §5.2 overhead study can report it.
+
+Each update walks the queue once into a
+:class:`~repro.core.p2sm.QueueSnapshot` (its nodes with the sentinel
+first, their sort keys, and whether those keys are in order), and every
+tied sandbox's refresh rebuilds from that one snapshot.  The accounted
+work is still one full rebuild per tied sandbox.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.core.p2sm import P2SMState
+from repro.core.p2sm import P2SMState, QueueSnapshot
 from repro.hypervisor.cpu import Host
 from repro.hypervisor.runqueue import RunQueue
 from repro.hypervisor.sandbox import Sandbox
@@ -115,15 +121,20 @@ class UllRunqueueManager:
         """Refresh the P2SM state of every sandbox tied to this queue.
 
         Called after any structural change to a reserved queue (a task
-        enqueued or finished).  Returns the number of structure entries
-        rebuilt, which the overhead experiment converts to CPU time.
+        enqueued or finished).  The queue is walked once, into a
+        snapshot every tied refresh shares.  Returns the number of
+        structure entries a full rebuild touches, which the overhead
+        experiment converts to CPU time.
         """
         entries = 0
+        snapshot: Optional[QueueSnapshot] = None
         for sandbox in self._assignments.get(runqueue_id, []):
             state: Optional[P2SMState] = sandbox.p2sm_state
             if state is None:
                 continue
-            report = state.refresh()
+            if snapshot is None:
+                snapshot = QueueSnapshot.of(self._queues[runqueue_id].entities)
+            report = state.refresh(snapshot)
             entries += report.array_entries + report.chain_nodes
             self.refresh_operations += 1
         self.refresh_entries_touched += entries

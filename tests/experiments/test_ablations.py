@@ -29,6 +29,12 @@ class TestUllRunqueueCount:
         per_resume = [p.refresh_entries_per_resume for p in points]
         assert per_resume == sorted(per_resume, reverse=True)
 
+    def test_refresh_entries_per_resume_pinned(self):
+        """The modelled refresh cost is a full rebuild's entry count,
+        whatever the host-side refresh does to produce the same state."""
+        points = ablate_ull_runqueue_count(queue_counts=(1, 4))
+        assert [p.refresh_entries_per_resume for p in points] == [407.5, 33.5]
+
 
 class TestPrecomputeChurn:
     @pytest.fixture(scope="class")
@@ -50,6 +56,18 @@ class TestPrecomputeChurn:
         busy = [p for p in points if p.churn_events]
         ratios = [p.entries_per_event for p in busy]
         assert max(ratios) / min(ratios) < 1.5
+
+    def test_refresh_work_pinned(self):
+        """Exact (operations, entries) per churn level: five tied
+        sandboxes of four vCPUs on an otherwise empty queue, each refresh
+        touching the sentinel's arrayB entry plus 4 chain nodes (one more
+        arrayB entry while the visitor is queued)."""
+        points = ablate_precompute_churn(churn_levels=(10, 50, 200))
+        assert [(p.refresh_operations, p.refresh_entries) for p in points] == [
+            (100, 550),
+            (500, 2750),
+            (2000, 11000),
+        ]
 
 
 class TestPlatformAblation:

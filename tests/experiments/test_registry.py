@@ -8,6 +8,7 @@ suite stays fast.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -136,6 +137,19 @@ class TestCliContract:
         for spec, line in zip(all_specs(), lines):
             assert line.split()[0] == spec.id
             assert line.endswith(spec.title)
+
+
+class TestGolden:
+    """``repro experiment <id> --fast`` stdout, byte for byte, for the
+    specs whose numbers come from the modelled P2SM refresh cost."""
+
+    @pytest.mark.parametrize("spec_id", ["overhead", "ablations"])
+    def test_fast_seed0_output_matches_golden(self, spec_id, capsys):
+        from repro.cli import main
+
+        golden = Path(__file__).parent / "golden" / f"{spec_id}_fast_seed0.txt"
+        assert main(["experiment", spec_id, "--fast"]) == 0
+        assert capsys.readouterr().out == golden.read_text()
 
 
 class TestInstrumentationDoesNotPerturb:
