@@ -30,6 +30,7 @@ event structure (identical results either way; see DESIGN.md §10).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import partial
 from typing import Optional, Sequence
@@ -106,8 +107,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     ``activate`` block pick the bundle up from the active observability
     context, so any experiment id traces without modification.
     """
-    import os
-
     from repro.obs import (
         MetricRegistry,
         Observability,
@@ -329,8 +328,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     artifacts and stdout are deterministic — same seed, byte-identical;
     the machine-dependent wall-time attribution goes to stderr only.
     """
-    import os
-
     from repro.obs.profile import SubsystemProfiler, profiling
 
     _apply_scheduler(args)
@@ -732,8 +729,33 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 1 if failed_checks(checks) else 0
 
 
+def _policy_env_error() -> Optional[str]:
+    """Why a ``REPRO_*`` policy variable is invalid, or None if none is."""
+    from repro.faas.prewarm import PREWARM_POLICIES
+    from repro.resilience.policies import DISPATCH_POLICIES
+    from repro.sim.engine import _ENV_SCHEDULER
+    from repro.sim.schedulers import scheduler_kinds
+
+    scheduler = os.environ.get(_ENV_SCHEDULER, "").strip()
+    if scheduler and scheduler not in scheduler_kinds():
+        return (
+            f"{_ENV_SCHEDULER}: unknown scheduler {scheduler!r} "
+            f"(want {' | '.join(scheduler_kinds())})"
+        )
+    for registry in (DISPATCH_POLICIES, PREWARM_POLICIES):
+        try:
+            registry.env_spec()
+        except ValueError as exc:
+            return str(exc)
+    return None
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    problem = _policy_env_error()
+    if problem is not None:
+        print(problem, file=sys.stderr)
+        return 2
     return args.func(args)
 
 

@@ -33,7 +33,12 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 from repro.core.coalesce import CoalescedUpdate
-from repro.core.p2sm import MergeReport, P2SMState, sorted_merge_reference
+from repro.core.p2sm import (
+    MergeReport,
+    P2SMState,
+    QueueSnapshot,
+    sorted_merge_reference,
+)
 from repro.core.ull_runqueue import UllRunqueueManager
 from repro.hypervisor.costs import CostModel
 from repro.hypervisor.cpu import Host
@@ -181,9 +186,11 @@ class HorsePauseResume:
         precompute_entries = 0
         p2sm_ns = 0.0
         if self.config.enable_p2sm:
-            sandbox.p2sm_state = P2SMState(sandbox.merge_vcpus, queue.entities)
-            report = sandbox.p2sm_state.last_report
-            precompute_entries = report.array_entries + report.chain_nodes
+            snapshot = QueueSnapshot.of(queue.entities)
+            sandbox.p2sm_state = P2SMState(
+                sandbox.merge_vcpus, queue.entities, snapshot
+            )
+            precompute_entries = len(snapshot.nodes) + len(sandbox.merge_vcpus)
             p2sm_ns = self.costs.p2sm_refresh_entry_ns * precompute_entries
             duration += p2sm_ns
 

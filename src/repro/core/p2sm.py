@@ -113,48 +113,88 @@ class QueueSnapshot(NamedTuple):
         return cls(nodes, keys, all(map(le, keys, keys[1:])))
 
 
+def _built_on_read(name: str) -> property:
+    """A :class:`P2SMState` structure that is built from the pending
+    snapshot on first access.  Assignment builds first too, so a
+    pending snapshot never overwrites what was assigned (the fault
+    injector rewrites arrayB and posA)."""
+    private = "_" + name
+
+    def read(state: "P2SMState"):
+        if state._pending is not None:
+            state._materialize()
+        return getattr(state, private)
+
+    def assign(state: "P2SMState", value) -> None:
+        if state._pending is not None:
+            state._materialize()
+        setattr(state, private, value)
+
+    return property(read, assign)
+
+
 class P2SMState(Generic[T]):
     """Precomputed state tying one sorted list *A* to a target *B*.
 
     The hypervisor keeps one instance per (paused uLL sandbox,
     ull_runqueue) pair and refreshes it whenever either side changes
     (the paper: "the updates are performed each time ull_runqueue is
-    updated").  Every refresh rebuilds arrayB and posA from scratch and
-    reports the work as a full O(|A| + |B|) rebuild, faithful to the
-    paper's worst-case analysis; there is no incremental update path.
-    On the host the rebuild is cheap: arrayB is a copy of a shared
-    :class:`QueueSnapshot`, A is bucketed by binary search, and A's
-    chain nodes are relinked rather than reallocated.
+    updated").  Every refresh is accounted as a full O(|A| + |B|)
+    rebuild of arrayB and posA, faithful to the paper's worst-case
+    analysis; there is no incremental update path.
+
+    On the host the rebuild is deferred: a refresh only records the
+    :class:`QueueSnapshot` of the target it was handed, and the first
+    read of :attr:`array_b`, :attr:`pos_a` or :attr:`last_report`
+    afterwards builds them from that snapshot — arrayB as a copy of
+    its nodes, A bucketed by binary search, A's chain nodes relinked
+    rather than reallocated.  Building from the notification-time
+    snapshot, never from a fresh walk, makes the result identical to
+    an eager rebuild at refresh time, and keeps a target that changed
+    without a refresh detectably stale.
     """
 
-    def __init__(self, values_a: List[T], target: SortedLinkedList[T]) -> None:
+    def __init__(
+        self,
+        values_a: List[T],
+        target: SortedLinkedList[T],
+        snapshot: Optional[QueueSnapshot] = None,
+    ) -> None:
         self._target = target
         self._key = target.key
         self.values_a: List[T] = sorted(values_a, key=self._key)
-        self.array_b: List[ListNode[T]] = []
-        self.pos_a: Dict[int, SubChain[T]] = {}
-        self.last_report = PrecomputeReport()
+        self._array_b: List[ListNode[T]] = []
+        self._pos_a: Dict[int, SubChain[T]] = {}
+        self._last_report = PrecomputeReport()
         #: one chain node per ``values_a`` entry, relinked by every
-        #: refresh; None until the next refresh after A changes
+        #: rebuild; None until the next rebuild after A changes
         self._chain_nodes: Optional[List[ListNode[T]]] = None
-        self.refresh()
+        #: the snapshot the next read builds from; None once built
+        self._pending: Optional[QueueSnapshot] = None
+        self.refresh(snapshot)
 
     # ------------------------------------------------------------------
     # Pre-computation phase
     # ------------------------------------------------------------------
-    def refresh(self, snapshot: Optional[QueueSnapshot] = None) -> PrecomputeReport:
-        """Rebuild arrayB and posA against the target's current state.
+    def refresh(self, snapshot: Optional[QueueSnapshot] = None) -> None:
+        """Redo arrayB and posA against the target's current state.
 
         *snapshot* must be a :class:`QueueSnapshot` of this state's
         target taken since its last change; without one, the target is
-        walked here.
+        walked here.  Only the snapshot is kept: the structures are
+        built from it on their next read.
         """
         if snapshot is None:
             snapshot = QueueSnapshot.of(self._target)
-        b_nodes, b_keys, ordered = snapshot
+        self._pending = snapshot
+
+    def _materialize(self) -> None:
+        """Build arrayB, posA and the report from the pending snapshot."""
+        b_nodes, b_keys, ordered = self._pending
+        self._pending = None
         # arrayB: position -> node, with index 0 the sentinel.  A private
         # copy: the snapshot is shared by every sandbox tied to the queue.
-        self.array_b = b_nodes.copy()
+        self._array_b = b_nodes.copy()
 
         # posA: bucket A by insertion position relative to B, as a
         # forward scan over both sorted sequences would.  Positions never
@@ -181,15 +221,18 @@ class P2SMState(Generic[T]):
                 chain.tail.next = node
                 chain.tail = node
                 chain.length += 1
-        self.pos_a = pos_a
+        self._pos_a = pos_a
         # The forward scan takes one step per position it passes.
-        self.last_report = PrecomputeReport(
+        self._last_report = PrecomputeReport(
             array_entries=len(b_nodes),
             posa_keys=len(pos_a),
             scan_steps=position,
             chain_nodes=len(nodes),
         )
-        return self.last_report
+
+    array_b = _built_on_read("array_b")
+    pos_a = _built_on_read("pos_a")
+    last_report = _built_on_read("last_report")
 
     # ------------------------------------------------------------------
     # A-side updates
@@ -280,13 +323,15 @@ class P2SMState(Generic[T]):
         is consumed (A's elements now live in B); callers must call
         :meth:`refresh` with a new A before merging again.
         """
-        report = MergeReport(threads=len(self.pos_a))
-        for position, chain in self.pos_a.items():
-            anchor = self.array_b[position]
+        pos_a = self.pos_a
+        array_b = self.array_b
+        report = MergeReport(threads=len(pos_a))
+        for position, chain in pos_a.items():
+            anchor = array_b[position]
             self._target.splice_after(anchor, chain.head, chain.tail, chain.length)
             report.pointer_writes += 2
             report.merged_elements += chain.length
-        self.pos_a = {}
+        self._pos_a = {}
         self.values_a = []
         # The chain nodes now belong to the target.
         self._chain_nodes = None

@@ -16,8 +16,10 @@ the refresh work so the §5.2 overhead study can report it.
 Each update walks the queue once into a
 :class:`~repro.core.p2sm.QueueSnapshot` (its nodes with the sentinel
 first, their sort keys, and whether those keys are in order), and every
-tied sandbox's refresh rebuilds from that one snapshot.  The accounted
-work is still one full rebuild per tied sandbox.
+tied sandbox's refresh records that one snapshot; a sandbox builds its
+structures from it only when they are read (at resume, or by a check).
+The accounted work is still one full rebuild per tied sandbox: its
+arrayB entries plus its chain nodes.
 """
 
 from __future__ import annotations
@@ -134,8 +136,8 @@ class UllRunqueueManager:
                 continue
             if snapshot is None:
                 snapshot = QueueSnapshot.of(self._queues[runqueue_id].entities)
-            report = state.refresh(snapshot)
-            entries += report.array_entries + report.chain_nodes
+            state.refresh(snapshot)
+            entries += len(snapshot.nodes) + len(state.values_a)
             self.refresh_operations += 1
         self.refresh_entries_touched += entries
         return entries

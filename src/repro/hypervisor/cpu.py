@@ -9,7 +9,8 @@ core, and carves out the reserved ``ull_runqueue`` cores HORSE uses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from heapq import heapify, heapreplace
+from typing import Callable, Dict, Iterator, List, Optional
 
 from repro.hypervisor.dvfs import DvfsGovernor, FrequencyRange, GovernorMode
 from repro.hypervisor.runqueue import RunQueue
@@ -62,6 +63,12 @@ EDGE_NODE = HostSpec(
     max_khz=3_000_000,
     memory_mb=32 * 1024,
 )
+
+
+#: Placements of at least this many vCPUs pick from a heap instead of
+#: scanning once per vCPU: heapifying the general queues costs about
+#: as much as three scans of them.
+HEAP_PLACEMENT_PICKS = 4
 
 
 @dataclass
@@ -202,6 +209,33 @@ class Host:
                 best_load = load
                 best_len = length
         return best
+
+    def least_loaded_generals(self, count: int) -> Iterator[RunQueue]:
+        """*count* successive :meth:`least_loaded_general` picks, for
+        placing a sandbox's vCPUs with one enqueue onto each pick
+        between draws.
+
+        Few picks are plain scans.  From :data:`HEAP_PLACEMENT_PICKS`
+        on, a heap keyed ``(load, length, runqueue_id)`` holds every
+        general queue; the only queue that changed since the last draw
+        is the one it returned, so re-keying that one entry keeps every
+        pick equal to a fresh scan, ties included.
+        """
+        if count < HEAP_PLACEMENT_PICKS:
+            for _ in range(count):
+                yield self.least_loaded_general()
+            return
+        heap = [
+            (rq.load.value, rq.entities._size, rq.runqueue_id, rq)
+            for rq in self._general_runqueues
+        ]
+        heapify(heap)
+        for _ in range(count):
+            best = heap[0][3]
+            yield best
+            heapreplace(
+                heap, (best.load.value, best.entities._size, best.runqueue_id, best)
+            )
 
     def refresh_frequencies(self) -> None:
         """Let the governor re-pick each core's frequency from its load."""

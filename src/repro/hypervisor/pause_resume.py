@@ -23,7 +23,6 @@ from typing import Callable, List, Optional
 
 from repro.hypervisor.costs import CostModel
 from repro.hypervisor.cpu import Host
-from repro.hypervisor.runqueue import RunQueue
 from repro.hypervisor.sandbox import Sandbox, SandboxError, SandboxState
 from repro.hypervisor.scheduler.base import SchedulerPolicy
 from repro.metrics.recorder import Breakdown
@@ -193,16 +192,14 @@ class VanillaPauseResume:
     # ------------------------------------------------------------------
     # Placement
     # ------------------------------------------------------------------
-    def select_runqueue(self, _sandbox: Sandbox) -> RunQueue:
-        """Vanilla placement rule: least-loaded general-purpose queue."""
-        return self.host.least_loaded_general()
-
     def place_initial(self, sandbox: Sandbox, now_ns: int) -> None:
         """First placement when a sandbox boots (not timed — boot costs
-        dominate and are charged by the start strategies)."""
+        dominate and are charged by the start strategies).  Each vCPU
+        goes to the least-loaded general-purpose queue, as on resume."""
         sandbox.require_state(SandboxState.CREATING)
+        placements = self.host.least_loaded_generals(sandbox.vcpu_count)
         for vcpu in sandbox.vcpus:
-            runqueue = self.select_runqueue(sandbox)
+            runqueue = next(placements)
             self.policy.on_enqueue(vcpu)
             runqueue.enqueue_sorted(vcpu, now_ns)
         sandbox.transition(SandboxState.RUNNING)
@@ -354,8 +351,10 @@ class VanillaPauseResume:
         load_ns = 0.0
         total_scan_steps = 0
         runqueue_ids: List[int] = []
+        # Vanilla placement rule: least-loaded general-purpose queue.
+        placements = self.host.least_loaded_generals(sandbox.vcpu_count)
         for position, vcpu in enumerate(sandbox.vcpus):
-            runqueue = self.select_runqueue(sandbox)
+            runqueue = next(placements)
             self.policy.on_enqueue(vcpu)
             # Step 4: real O(n) sorted insert; count the scan hops.
             scan_steps = runqueue.enqueue_sorted_without_load(vcpu)

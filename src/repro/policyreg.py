@@ -15,8 +15,9 @@ mechanism behind all of them:
   the family's own business (and so error messages can be precise);
 * **process default** — ``default()`` resolves, in order, the
   ``set_default()`` override, the axis's ``REPRO_*`` environment
-  variable (ignored if it names an unknown policy — batch sweeps must
-  not die on a stale env), then the built-in;
+  variable (a ``ValueError`` naming the variable if it names an
+  unknown policy — a typo must not silently run the built-in), then
+  the built-in;
 * **discovery** — ``kinds()`` lists the registered spec syntaxes, which
   is what ``repro list --policies`` prints.
 
@@ -116,18 +117,22 @@ class PolicyRegistry:
         return previous
 
     def default(self) -> str:
-        """Effective default: override > env var > builtin.
-
-        The env var is read lazily (tests monkeypatch it) and ignored
-        when invalid — same contract as ``REPRO_SIM_SCHEDULER``.
-        """
+        """Effective default: override > env var > builtin."""
         if self._override is not None:
             return self._override
+        return self.env_spec() or self._builtin
+
+    def env_spec(self) -> Optional[str]:
+        """The env var's spec, or None when it is unset or blank.
+
+        Read lazily (tests monkeypatch it); an invalid one raises a
+        ``ValueError`` that names the variable.
+        """
         env = os.environ.get(self.env_var, "").strip()
-        if env:
-            try:
-                self.make(env)
-            except ValueError:
-                return self._builtin
-            return env
-        return self._builtin
+        if not env:
+            return None
+        try:
+            self.make(env)
+        except ValueError as exc:
+            raise ValueError(f"{self.env_var}: {exc}") from None
+        return env

@@ -51,7 +51,9 @@ _ENV_SCHEDULER = "REPRO_SIM_SCHEDULER"
 #: default-priority call pay an ``int()`` conversion in schedule_at.
 _PRIORITY_NORMAL = int(EventPriority.NORMAL)
 
-_default_scheduler = os.environ.get(_ENV_SCHEDULER, "calendar")
+# An invalid value falls back here so the package still imports; the
+# ``repro`` CLI rejects it (exit 2) before running anything.
+_default_scheduler = os.environ.get(_ENV_SCHEDULER, "").strip() or "calendar"
 if _default_scheduler not in scheduler_kinds():
     _default_scheduler = "calendar"
 

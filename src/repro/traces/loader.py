@@ -35,7 +35,9 @@ def load_azure_invocations_csv(
 
     The schema has metadata columns (HashOwner, HashApp, HashFunction,
     Trigger) followed by one column per minute ("1", "2", ..., "1440")
-    holding invocation counts.
+    holding invocation counts.  A count that is not a non-negative
+    integer, or a second row for the same function, raises
+    :class:`TraceFormatError`.
     """
     path = Path(path)
     with path.open(newline="") as handle:
@@ -57,6 +59,11 @@ def load_azure_invocations_csv(
             if max_functions is not None and row_index >= max_functions:
                 break
             name = row.get("HashFunction") or f"row-{row_index}"
+            if name in invocations:
+                raise TraceFormatError(
+                    f"{path}: duplicate row for function {name!r} "
+                    f"(data row {row_index + 1})"
+                )
             timestamps: List[int] = []
             for column in minute_columns:
                 raw = row.get(column, "") or "0"
@@ -67,6 +74,11 @@ def load_azure_invocations_csv(
                         f"{path}: non-integer count {raw!r} at "
                         f"function {name!r} minute {column}"
                     ) from None
+                if count < 0:
+                    raise TraceFormatError(
+                        f"{path}: negative count {count} at "
+                        f"function {name!r} minute {column}"
+                    )
                 minute_start = (int(column) - 1) * 60 * SECOND
                 for _ in range(count):
                     timestamps.append(minute_start + round(rng.random() * 60 * SECOND))

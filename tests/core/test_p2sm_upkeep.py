@@ -1,12 +1,13 @@
 """P2SM upkeep: every refresh equals a fresh precomputation.
 
 ``UllRunqueueManager.on_queue_updated`` walks a reserved queue once
-into a :class:`QueueSnapshot` that every tied sandbox's refresh shares,
-and each refresh reuses its chain nodes.  None of that may be
-observable: after any sequence of HORSE pauses and resumes and foreign
-vCPU traffic on the reserved queues, each tied state must equal a
-:class:`P2SMState` built from scratch, and the accounted refresh work
-must stay a full rebuild's.
+into a :class:`QueueSnapshot` that every tied sandbox's refresh
+records; a state builds arrayB and posA from its recorded snapshot on
+first read, reusing its chain nodes.  None of that may be observable:
+after any sequence of HORSE pauses and resumes and foreign vCPU traffic
+on the reserved queues, read at any point, each tied state must equal a
+:class:`P2SMState` built from the snapshot of its queue's last update,
+and the accounted refresh work must stay a full rebuild's.
 """
 
 import pytest
@@ -75,10 +76,14 @@ def expected_cost(horse, queue_ids, exclude=None):
     return operations, entries
 
 
-def assert_matches_fresh(horse, sandbox):
+def assert_matches_fresh(horse, sandbox, snapshot=None):
+    """*sandbox*'s state equals one built from *snapshot* (default: a
+    walk of its queue now)."""
     state = sandbox.p2sm_state
     queue = horse.ull.queue(sandbox.assigned_ull_runqueue)
-    fresh = P2SMState(sandbox.merge_vcpus, queue.entities)
+    if snapshot is None:
+        snapshot = QueueSnapshot.of(queue.entities)
+    fresh = P2SMState(sandbox.merge_vcpus, queue.entities, snapshot)
     assert len(state.array_b) == len(fresh.array_b)
     assert all(a is b for a, b in zip(state.array_b, fresh.array_b))
     assert sorted(state.pos_a) == sorted(fresh.pos_a)
@@ -91,7 +96,7 @@ def assert_matches_fresh(horse, sandbox):
     # A full rebuild's work, derived independently of refresh: the scan
     # ends at the last bucket's position.
     assert state.last_report == PrecomputeReport(
-        array_entries=len(queue) + 1,
+        array_entries=len(snapshot.nodes),
         posa_keys=len(state.pos_a),
         scan_steps=max(state.pos_a, default=0),
         chain_nodes=len(sandbox.merge_vcpus),
@@ -153,6 +158,172 @@ class TestRefreshEqualsFreshBuild:
             for sandbox in sandboxes:
                 if sandbox.state is SandboxState.PAUSED:
                     assert_matches_fresh(horse, sandbox)
+
+
+def record_update_snapshots(horse):
+    """Map each tied sandbox to the snapshot of its queue's last update.
+
+    Wraps ``on_queue_updated`` (which HORSE calls through the manager
+    instance) to walk the queue right after each notification, before
+    anything else can touch it: the snapshot a deferred build must use.
+    Pauses are recorded by the caller.
+    """
+    ull = horse.ull
+    snapshots = {}
+    notify = ull.on_queue_updated
+
+    def spy(queue_id):
+        entries = notify(queue_id)
+        snapshot = QueueSnapshot.of(ull.queue(queue_id).entities)
+        for sandbox in ull.assigned_to(queue_id):
+            snapshots[sandbox.sandbox_id] = snapshot
+        return entries
+
+    ull.on_queue_updated = spy
+    return snapshots
+
+
+@st.composite
+def deferred_scenarios(draw):
+    shapes, initially_paused, steps = draw(scenarios())
+    # Per step: whether the tied states are read afterwards, and which
+    # running vCPUs then consume CPU time (vruntime 0-30 per charge).
+    reads = draw(st.lists(st.booleans(), min_size=len(steps), max_size=len(steps)))
+    charges = draw(
+        st.lists(
+            st.lists(
+                st.tuples(st.integers(min_value=0, max_value=31), VRUNTIMES),
+                max_size=3,
+            ),
+            min_size=len(steps),
+            max_size=len(steps),
+        )
+    )
+    return shapes, initially_paused, list(zip(steps, reads, charges))
+
+
+class TestDeferredBuild:
+    """Several updates may land before a state is read; the read builds
+    from the snapshot of the last one, never from the queue as it is at
+    read time."""
+
+    @pytest.mark.parametrize("reserved", [1, 2])
+    @given(scenario=deferred_scenarios())
+    @settings(max_examples=60, deadline=None)
+    def test_reads_after_unread_updates(self, reserved, scenario):
+        shapes, initially_paused, steps = scenario
+        horse, sandboxes = build(reserved, shapes, initially_paused)
+        ull = horse.ull
+        policy = horse.policy
+        snapshots = record_update_snapshots(horse)
+        paused_keys = {}
+
+        def record_pause(sandbox):
+            queue = ull.queue(sandbox.assigned_ull_runqueue)
+            snapshots[sandbox.sandbox_id] = QueueSnapshot.of(queue.entities)
+            paused_keys[sandbox.sandbox_id] = [
+                policy.sort_key(vcpu) for vcpu in sandbox.merge_vcpus
+            ]
+
+        def assert_reads_match():
+            for sandbox in sandboxes:
+                if sandbox.state is not SandboxState.PAUSED:
+                    continue
+                # No path moves a tied, paused vCPU's sort key, so the
+                # deferred build may key A at read time.
+                assert [
+                    policy.sort_key(vcpu) for vcpu in sandbox.merge_vcpus
+                ] == paused_keys[sandbox.sandbox_id]
+                assert_matches_fresh(
+                    horse, sandbox, snapshots[sandbox.sandbox_id]
+                )
+
+        for sandbox in sandboxes[:initially_paused]:
+            record_pause(sandbox)
+        foreign = []
+        now = 0
+        for (action, pick, vruntime), read, charges in steps:
+            now += 1_000
+            if action == "toggle":
+                sandbox = sandboxes[pick % len(sandboxes)]
+                if sandbox.state is SandboxState.PAUSED:
+                    horse.resume(sandbox, now)
+                else:
+                    horse.pause(sandbox, now)
+                    record_pause(sandbox)
+            elif action == "enqueue":
+                queue_id = ull.queue_ids[pick % len(ull.queue_ids)]
+                vcpu = Vcpu(
+                    index=0,
+                    sandbox_id=f"foreign-{len(foreign)}",
+                    vruntime=float(vruntime),
+                )
+                ull.queue(queue_id).enqueue_sorted(vcpu, now)
+                foreign.append((queue_id, vcpu))
+                ull.on_queue_updated(queue_id)
+            elif foreign:
+                queue_id, vcpu = foreign.pop(pick % len(foreign))
+                assert ull.queue(queue_id).dequeue(vcpu, now)
+                ull.on_queue_updated(queue_id)
+            # Running vCPUs (on reserved queues too) consume CPU time:
+            # the queues' sort keys move with no update in between.
+            running = [
+                vcpu
+                for sandbox in sandboxes
+                if sandbox.state is SandboxState.RUNNING
+                for vcpu in sandbox.vcpus
+            ] + [vcpu for _queue_id, vcpu in foreign]
+            for which, ran_ns in charges:
+                if running:
+                    policy.charge(running[which % len(running)], ran_ns)
+            if read:
+                assert_reads_match()
+        assert_reads_match()
+
+
+class TestStaleness:
+    def paused_on_one_queue(self, count=3):
+        virt = firecracker_platform(reserved_ull_cores=1)
+        horse = HorsePauseResume(virt.host, virt.policy, virt.costs)
+        sandboxes = []
+        for _ in range(count):
+            sandbox = Sandbox(vcpus=3, memory_mb=128, is_ull=True)
+            virt.vanilla.place_initial(sandbox, 0)
+            horse.pause(sandbox, 0)
+            sandboxes.append(sandbox)
+        # Resuming one fills the queue; the others get an unread update.
+        horse.resume(sandboxes[0], 1_000)
+        return horse, sandboxes[1:]
+
+    def test_unnotified_queue_change_reads_stale(self):
+        horse, tied = self.paused_on_one_queue()
+        queue = horse.ull.queue(tied[0].assigned_ull_runqueue)
+        intruder = Vcpu(index=0, sandbox_id="intruder", vruntime=0.0)
+        queue.enqueue_sorted(intruder, 2_000)  # no on_queue_updated
+        problems = horse.ull.check_freshness()
+        for sandbox in tied:
+            assert (
+                f"{sandbox.sandbox_id} on queue {queue.runqueue_id}: arrayB has "
+                f"{len(queue)} entries, target has {len(queue) + 1} positions"
+            ) in problems
+        horse.ull.on_queue_updated(queue.runqueue_id)
+        assert horse.ull.check_freshness() == []
+
+    @pytest.mark.parametrize("kind", ["stale_arrayb", "stale_posa"])
+    def test_fault_is_overwritten_by_the_next_update(self, kind):
+        horse, tied = self.paused_on_one_queue(count=4)
+        victim = tied[0]
+        queue = horse.ull.queue(victim.assigned_ull_runqueue)
+        injector = FaultInjector(FaultPlan.single(kind, cycle=0))
+        fired = injector.inject_before_resume(horse, victim, queue)
+        assert [f.kind for f in fired] == [kind]
+        assert victim.p2sm_state.verify_against_target() != []
+        foreign = Vcpu(index=0, sandbox_id="foreign", vruntime=5.0)
+        queue.enqueue_sorted(foreign, 2_000)
+        horse.ull.on_queue_updated(queue.runqueue_id)
+        assert horse.ull.check_freshness() == []
+        for sandbox in tied:
+            assert_matches_fresh(horse, sandbox)
 
 
 def make_target(values):

@@ -80,9 +80,10 @@ class TestRegistry:
         monkeypatch.setenv("REPRO_DISPATCH_POLICY", "pull-2")
         assert default_dispatch_policy() == "pull-2"
 
-    def test_invalid_env_var_falls_back(self, monkeypatch):
+    def test_invalid_env_var_raises_naming_it(self, monkeypatch):
         monkeypatch.setenv("REPRO_DISPATCH_POLICY", "garbage")
-        assert default_dispatch_policy() == "push-least-loaded"
+        with pytest.raises(ValueError, match="^REPRO_DISPATCH_POLICY: .*'garbage'"):
+            default_dispatch_policy()
 
     def test_set_default_validates_and_returns_previous(self, monkeypatch):
         monkeypatch.delenv("REPRO_DISPATCH_POLICY", raising=False)

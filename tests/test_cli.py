@@ -73,6 +73,24 @@ class TestCommands:
         assert captured.out == ""
         assert captured.err.startswith(f"{field} must be")
 
+    @pytest.mark.parametrize(
+        "variable, argv",
+        [
+            ("REPRO_SIM_SCHEDULER", ["chaos", "cluster"]),
+            ("REPRO_DISPATCH_POLICY", ["demo"]),
+            ("REPRO_PREWARM_POLICY", ["replay"]),
+        ],
+    )
+    def test_invalid_policy_env_var_exits_two_naming_it(
+        self, capsys, monkeypatch, variable, argv
+    ):
+        monkeypatch.setenv(variable, "hybird")
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"{variable}: ")
+        assert "'hybird'" in captured.err
+
     def test_trace_unknown_experiment_fails(self, capsys):
         assert main(["trace", "figure99"]) == 2
         assert "unknown experiment" in capsys.readouterr().err

@@ -81,3 +81,24 @@ class TestLoader:
         path.write_text("")
         with pytest.raises(TraceFormatError):
             load_azure_invocations_csv(path, random.Random(0))
+
+    def test_negative_count_rejected_naming_function_and_minute(self, tmp_path):
+        path = write_csv(tmp_path, "HashFunction,1,2\nf1,-5,3\n")
+        with pytest.raises(TraceFormatError) as excinfo:
+            load_azure_invocations_csv(path, random.Random(0))
+        message = str(excinfo.value)
+        assert str(path) in message
+        assert "'f1'" in message and "minute 1" in message
+
+    def test_duplicate_function_row_rejected(self, tmp_path):
+        # Before this was rejected the second row replaced the first and
+        # the negative count read as zero: f1 came back with 4 invocations.
+        path = write_csv(tmp_path, "HashFunction,1,2\nf1,-5,3\nf1,2,2\n")
+        with pytest.raises(TraceFormatError, match="negative"):
+            load_azure_invocations_csv(path, random.Random(0))
+        path = write_csv(tmp_path, "HashFunction,1,2\nf1,5,3\nf1,2,2\n")
+        with pytest.raises(TraceFormatError) as excinfo:
+            load_azure_invocations_csv(path, random.Random(0))
+        message = str(excinfo.value)
+        assert str(path) in message
+        assert "duplicate" in message and "'f1'" in message
