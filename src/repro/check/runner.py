@@ -160,7 +160,7 @@ def _checked_pool_phase(
     # A short keep-alive so eviction events actually fire inside the
     # checked window (eviction is where pool/timer accounting can rot).
     faas = FaaSPlatform.build(
-        platform, seed=seed, keepalive=FixedWindow(seconds(1))
+        platform, seed=seed, policy=FixedWindow(seconds(1))
     )
     faas.register(FunctionSpec("firewall", FirewallWorkload()))
 

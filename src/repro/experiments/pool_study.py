@@ -112,7 +112,7 @@ def _run_policy(policy_name, policy, trace, seed) -> PolicyOutcome:
         engine=engine,
         virt=fresh_platform("firecracker"),
         rngs=RngRegistry(seed),
-        keepalive=policy,
+        policy=policy,
     )
     bodies = ull_workloads()
     for index, function in enumerate(trace.function_names()):

@@ -512,8 +512,17 @@ def _run_ablations(config: ExperimentConfig) -> Dict[str, Any]:
         "mechanism_split": ablate_mechanism_split(),
     }
     if not config.fast:
+        from repro.experiments.ablations_dispatch import run_dispatch_interference
+        from repro.experiments.ablations_energy import ablate_skip_vs_coalesce
+        from repro.experiments.ablations_restore import ablate_restore_prefetch
+
         results["precompute_churn"] = ablate_precompute_churn()
         results["platform"] = ablate_platform()
+        results["skip_vs_coalesce"] = ablate_skip_vs_coalesce()
+        results["restore_prefetch"] = ablate_restore_prefetch()
+        results["dispatch_interference"] = run_dispatch_interference(
+            seed=config.seed
+        )
     return results
 
 
@@ -530,13 +539,20 @@ def _render_ablations(results: Dict[str, Any]) -> str:
     return "\n".join(lines)
 
 
+#: Computed properties each ablation reports beside its dataclass fields.
+_ABLATION_EXTRAS = {
+    "restore_prefetch": ("effective_ready_ns",),
+    "dispatch_interference": ("mean_delta_us", "p99_delta_us"),
+}
+
+
 def _ablations_rows(results: Dict[str, Any]) -> List[Dict[str, Any]]:
     rows = []
     for name in sorted(results):
         value = results[name]
         points = value if isinstance(value, list) else [value]
         for point in points:
-            row = _object_row(point)
+            row = _object_row(point, _ABLATION_EXTRAS.get(name, ()))
             if name == "mechanism_split":
                 # Its payload is a step -> (vanilla, horse) dict; flatten
                 # to the per-step saving the figure actually reports.

@@ -46,7 +46,7 @@ class FaaSPlatform:
         engine: Engine,
         virt: VirtualizationPlatform,
         rngs: RngRegistry,
-        keepalive: Optional[PrewarmPolicy] = None,
+        policy: Optional[PrewarmPolicy] = None,
         horse_config: HorseConfig = HorseConfig.full(),
         obs: Optional[Observability] = None,
     ) -> None:
@@ -60,7 +60,7 @@ class FaaSPlatform:
         self.registry = FunctionRegistry()
         self.pool = SandboxPool(
             engine,
-            keepalive or FixedWindow(600 * SECOND),
+            policy or FixedWindow(600 * SECOND),
             on_evict=self._release_sandbox_memory,
             obs=self.obs,
         )
@@ -97,7 +97,7 @@ class FaaSPlatform:
         platform_name: str = "firecracker",
         seed: int = 0,
         reserved_ull_cores: int = 1,
-        keepalive: Optional[PrewarmPolicy] = None,
+        policy: Optional[PrewarmPolicy] = None,
         horse_config: HorseConfig = HorseConfig.full(),
     ) -> "FaaSPlatform":
         """One-call construction with a named hypervisor platform."""
@@ -109,7 +109,7 @@ class FaaSPlatform:
             engine=engine,
             virt=virt,
             rngs=RngRegistry(seed),
-            keepalive=keepalive,
+            policy=policy,
             horse_config=horse_config,
         )
 

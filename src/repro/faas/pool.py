@@ -41,12 +41,12 @@ class SandboxPool:
     def __init__(
         self,
         engine: Engine,
-        keepalive: PrewarmPolicy,
+        policy: PrewarmPolicy,
         on_evict: Optional[Callable[[str, Sandbox], None]] = None,
         obs: Observability = NULL_OBS,
     ) -> None:
         self._engine = engine
-        self._keepalive = keepalive
+        self._policy = policy
         self._on_evict = on_evict
         self.obs = obs
         self._idle: Dict[str, Deque[Sandbox]] = defaultdict(deque)
@@ -107,7 +107,7 @@ class SandboxPool:
         queue.append(sandbox)
         if len(queue) <= self.provisioned_count(function_name):
             return  # inside the always-warm quota: no eviction timer
-        decision = self._keepalive.decision(function_name)
+        decision = self._policy.decision(function_name)
         window = (decision.prewarm_ns or 0) + decision.keep_alive_ns
         event = self._engine.schedule_after(
             window,

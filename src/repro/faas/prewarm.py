@@ -64,9 +64,6 @@ __all__ = [
     "HybridHistogram",
     "PREWARM_POLICIES",
     "make_policy",
-    "prewarm_policy_kinds",
-    "register_prewarm_policy",
-    "set_default_prewarm_policy",
     "default_prewarm_policy",
     "PrewarmConfig",
     "CellStats",
@@ -240,6 +237,12 @@ class HybridHistogram(PrewarmPolicy):
         pattern_miss_limit: int = 4,
         default_keep_ns: int = 600 * SECOND,
     ) -> None:
+        # The histogram is built lazily on the first gap, so check its
+        # shape here: a bad spec must fail before the replay starts.
+        if bin_width_ns <= 0:
+            raise ValueError(f"bin_width_ns must be positive, got {bin_width_ns}")
+        if bins <= 0:
+            raise ValueError(f"bins must be positive, got {bins}")
         if not 0 < head_pct <= tail_pct <= 100:
             raise ValueError(f"need 0 < head <= tail <= 100, got {head_pct}, {tail_pct}")
         if not 0 < head_margin <= 1:
@@ -321,8 +324,9 @@ class HybridHistogram(PrewarmPolicy):
 
 
 #: The prewarm policy axis on the shared registry convention
-#: (see :mod:`repro.policyreg`): string specs, ``register_*`` /
-#: ``set_default_*`` hooks, and the ``REPRO_PREWARM_POLICY`` env var.
+#: (see :mod:`repro.policyreg`): string specs, ``register`` /
+#: ``set_default`` on the registry, and the ``REPRO_PREWARM_POLICY``
+#: env var.
 PREWARM_POLICIES = PolicyRegistry(
     axis="prewarm", env_var="REPRO_PREWARM_POLICY", builtin="hybrid"
 )
@@ -375,23 +379,6 @@ def make_policy(spec: str) -> PrewarmPolicy:
     return PREWARM_POLICIES.make(spec)
 
 
-def prewarm_policy_kinds() -> List[str]:
-    """Registered prewarm-policy spec syntaxes."""
-    return PREWARM_POLICIES.kinds()
-
-
-def register_prewarm_policy(family, factory, syntax=None, parameterized=False):
-    """Register a new prewarm-policy family (rejects duplicates)."""
-    PREWARM_POLICIES.register(
-        family, factory, syntax=syntax, parameterized=parameterized
-    )
-
-
-def set_default_prewarm_policy(spec: str) -> str:
-    """Set the process-default prewarm policy; returns the previous."""
-    return PREWARM_POLICIES.set_default(spec)
-
-
 def default_prewarm_policy() -> str:
     """Effective default: override > ``REPRO_PREWARM_POLICY`` > builtin."""
     return PREWARM_POLICIES.default()
@@ -408,7 +395,7 @@ class PrewarmConfig:
 
     replay: ReplayConfig = field(default_factory=ReplayConfig)
     #: prewarm-policy spec; defaults to the process default
-    #: (``REPRO_PREWARM_POLICY`` env / ``set_default_prewarm_policy``)
+    #: (``REPRO_PREWARM_POLICY`` env / ``PREWARM_POLICIES.set_default``)
     policy: str = field(default_factory=default_prewarm_policy)
     memory_budget_mb: float = 4096.0
     sandbox_mb: float = 128.0

@@ -10,14 +10,6 @@ from repro.hypervisor.costs import (
     XEN_COSTS,
     cost_model_for,
 )
-from repro.hypervisor.control import (
-    Action,
-    Command,
-    CommandError,
-    CommandResponse,
-    ControlPlane,
-    UnknownSandboxError,
-)
 from repro.hypervisor.cpu import CLOUDLAB_R650, EDGE_NODE, Core, Host, HostSpec
 from repro.hypervisor.dispatch import CoreDispatcher, HostDispatcher, WorkItem
 from repro.hypervisor.energy import (
@@ -31,7 +23,6 @@ from repro.hypervisor.memory import (
     LazyRestoreModel,
     WorkingSet,
 )
-from repro.hypervisor.xenstore import InMemoryXenStore, XenstoreLifecycleMirror
 from repro.hypervisor.dvfs import DvfsGovernor, FrequencyRange, GovernorMode
 from repro.hypervisor.load_tracking import (
     DECAY_FACTOR,
@@ -77,12 +68,6 @@ __all__ = [
     "CoreDispatcher",
     "HostDispatcher",
     "WorkItem",
-    "Action",
-    "Command",
-    "CommandError",
-    "CommandResponse",
-    "ControlPlane",
-    "UnknownSandboxError",
     "CorePowerModel",
     "EnergyAccount",
     "frequency_error_ratio",
@@ -90,8 +75,6 @@ __all__ = [
     "GuestMemory",
     "LazyRestoreModel",
     "WorkingSet",
-    "InMemoryXenStore",
-    "XenstoreLifecycleMirror",
     "DvfsGovernor",
     "FrequencyRange",
     "GovernorMode",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from typing import TYPE_CHECKING, Callable, List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.core.coalesce import CoalescedUpdate
 from repro.hypervisor.vcpu import Vcpu
@@ -78,10 +78,6 @@ class Sandbox:
         # -- lifecycle bookkeeping ---------------------------------------
         self.pause_count = 0
         self.resume_count = 0
-        #: observers called as f(sandbox, new_state) after each legal
-        #: transition — how toolstack mirrors (e.g. XenStore) track
-        #: lifecycle without the state machine knowing about them.
-        self.observers: List[Callable[["Sandbox", SandboxState], None]] = []
 
     # ------------------------------------------------------------------
     @property
@@ -98,8 +94,6 @@ class Sandbox:
         self.state = target
         if target is SandboxState.PAUSED:
             self.pause_count += 1
-        for observer in self.observers:
-            observer(self, target)
 
     def require_state(self, *allowed: SandboxState) -> None:
         """Raise unless the sandbox is in one of *allowed* states."""

@@ -41,11 +41,8 @@ from typing import Dict, Iterator, List, Optional, Tuple
 #: ``other.<stem>`` so unclassified work is visible, never silently
 #: folded into a named bucket.
 STEM_SUBSYSTEMS: Dict[str, str] = {
-    # sim kernel / process layer
+    # sim kernel: unlabeled events
     "": "sim.process",
-    "sleep": "sim.process",
-    "wake": "sim.process",
-    "start": "sim.process",
     # hypervisor
     "slice": "hypervisor.dispatch",
     "merge-thread": "hypervisor.merge",

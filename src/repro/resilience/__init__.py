@@ -70,7 +70,6 @@ from repro.resilience.policies import (
     dispatch_policy_kinds,
     eligible_candidates,
     make_dispatch_policy,
-    register_dispatch_policy,
     set_default_dispatch_policy,
 )
 from repro.resilience.retry import HedgePolicy, RetryPolicy
@@ -112,7 +111,6 @@ __all__ = [
     "dispatch_policy_kinds",
     "eligible_candidates",
     "make_dispatch_policy",
-    "register_dispatch_policy",
     "set_default_dispatch_policy",
     "HedgePolicy",
     "RetryPolicy",

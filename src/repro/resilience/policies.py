@@ -422,13 +422,6 @@ def dispatch_policy_kinds() -> List[str]:
     return DISPATCH_POLICIES.kinds()
 
 
-def register_dispatch_policy(family, factory, syntax=None, parameterized=False):
-    """Register a new dispatch-policy family (rejects duplicates)."""
-    DISPATCH_POLICIES.register(
-        family, factory, syntax=syntax, parameterized=parameterized
-    )
-
-
 def set_default_dispatch_policy(spec: str) -> str:
     """Set the process-default dispatch policy; returns the previous."""
     return DISPATCH_POLICIES.set_default(spec)

@@ -3,8 +3,7 @@
 Callers schedule callbacks at future simulated instants;
 :meth:`Engine.run` pops events in time order, advances the clock, and
 invokes them.  All higher layers (hypervisor, FaaS platform,
-experiments) are built on this single primitive plus the
-generator-based processes in :mod:`repro.sim.process`.
+experiments) are built on this single primitive.
 
 The pending-event set is pluggable (``Engine(scheduler="heap")`` or
 ``"calendar"`` — see :mod:`repro.sim.schedulers`): a binary heap, or a
@@ -191,14 +190,14 @@ class Engine:
         priority: int = 20,
         label: str = "",
     ) -> None:
-        """Lean transient scheduling for the process-layer hot path.
+        """Lean transient scheduling for fire-and-forget hops.
 
         Equivalent to ``schedule_after(..., transient=True)`` with the
         handle discarded, minus the per-call overhead that path pays:
         no Event returned, no enum coercion (*priority* must already be
-        a plain int), one combined bounds check.  Every simulated
-        sleep, wake-up, and spawn/join hop funnels through here, which
-        is why it exists.
+        a plain int), one combined bounds check.  The engine bench
+        behind the calendar/heap gate (:mod:`repro.perf.gate`) drives
+        its event stream through here.
         """
         if delay < 0 or self._stopped:
             if self._stopped:

@@ -18,11 +18,3 @@ class SchedulingInPastError(SimError):
 
 class EngineStoppedError(SimError):
     """An operation required a running engine but it has been stopped."""
-
-
-class ProcessError(SimError):
-    """A simulated process misbehaved (bad yield, double-start, ...)."""
-
-
-class ResourceError(SimError):
-    """A simulated resource was misused (double release, not owner, ...)."""

@@ -429,17 +429,3 @@ def make_scheduler(kind: str):
 def scheduler_kinds() -> tuple:
     """The selectable scheduler names, stable order."""
     return tuple(sorted(_SCHEDULERS))
-
-
-def register_scheduler(kind: str, factory) -> None:
-    """Register a new scheduler kind (the shared policy-axis
-    convention: ``register_*`` + string spec + ``REPRO_*`` env var —
-    see :mod:`repro.policyreg`).  *factory* is a zero-argument callable
-    returning a fresh scheduler; duplicates are rejected so ``make``
-    results cannot depend on import order.
-    """
-    if not kind or kind != kind.strip():
-        raise ValueError(f"bad scheduler kind name {kind!r}")
-    if kind in _SCHEDULERS:
-        raise ValueError(f"scheduler {kind!r} is already registered")
-    _SCHEDULERS[kind] = factory

@@ -1,4 +1,4 @@
-"""Invocation arrival modeling: processes, Azure-like synthesis, loader."""
+"""Invocation arrival modeling: processes, Azure-like synthesis, replay."""
 
 from repro.traces.arrival import (
     ArrivalProcess,
@@ -12,7 +12,6 @@ from repro.traces.azure import (
     burst_arrival_stream,
     synthesize_trace,
 )
-from repro.traces.loader import TraceFormatError, load_azure_invocations_csv
 from repro.traces.replay import (
     FunctionProfile,
     ReplayConfig,
@@ -24,24 +23,8 @@ from repro.traces.replay import (
     merged_stream,
     stream_seed,
 )
-from repro.traces.stats import (
-    TraceProfile,
-    burstiness_index,
-    gini_coefficient,
-    interarrival_cv,
-    interarrival_gaps,
-    profile_trace,
-    top_k_share,
-)
 
 __all__ = [
-    "TraceProfile",
-    "burstiness_index",
-    "gini_coefficient",
-    "interarrival_cv",
-    "interarrival_gaps",
-    "profile_trace",
-    "top_k_share",
     "ArrivalProcess",
     "DeterministicArrivals",
     "PoissonArrivals",
@@ -59,6 +42,4 @@ __all__ = [
     "materialized_oracle",
     "merged_stream",
     "stream_seed",
-    "TraceFormatError",
-    "load_azure_invocations_csv",
 ]

@@ -152,6 +152,36 @@ class TestGolden:
         assert capsys.readouterr().out == golden.read_text()
 
 
+class TestFullAblations:
+    """Full mode runs every ablation study the repo has, and each one's
+    rows stay flat, finite JSON scalars."""
+
+    def test_rows_name_all_seven_ablations_with_finite_scalars(self):
+        import math
+
+        rows = get("ablations").run(ExperimentConfig(fast=False, seed=0)).rows()
+        assert {row["ablation"] for row in rows} == {
+            "dispatch_interference",
+            "mechanism_split",
+            "platform",
+            "precompute_churn",
+            "restore_prefetch",
+            "skip_vs_coalesce",
+            "ull_runqueue_count",
+        }
+        for row in rows:
+            for value in row.values():
+                assert isinstance(value, (str, int, float, bool)), row
+                if isinstance(value, float):
+                    assert math.isfinite(value), row
+        by_name = {row["ablation"]: row for row in rows}
+        assert "effective_ready_ns" in by_name["restore_prefetch"]
+        assert {"mean_delta_us", "p99_delta_us"} <= set(
+            by_name["dispatch_interference"]
+        )
+        json.loads(json.dumps(rows, allow_nan=False))
+
+
 class TestInstrumentationDoesNotPerturb:
     """Observability and the subsystem profiler only watch: every spec's
     fast seed-0 summary and rows are the same with either switched on."""

@@ -187,6 +187,9 @@ class TestHybridHistogramWindows:
         {"tail_margin": 0.9},
         {"min_observations": 0},
         {"pattern_miss_limit": 0},
+        {"bin_width_ns": 0},
+        {"bin_width_ns": -SECOND},
+        {"bins": 0},
     ])
     def test_bad_construction_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -207,7 +210,9 @@ class TestMakePolicy:
         assert narrow.bin_width_ns == 10 * SECOND
         assert narrow.name == "hybrid-10"
 
-    @pytest.mark.parametrize("spec", ["lru", "fixed-", "fixed-x", "hybrid-x", ""])
+    @pytest.mark.parametrize(
+        "spec", ["lru", "fixed-", "fixed-x", "hybrid-x", "hybrid-0", "hybrid--60", ""]
+    )
     def test_bad_spellings_rejected(self, spec):
         with pytest.raises(ValueError):
             make_policy(spec)
@@ -245,6 +250,7 @@ class TestPrewarmConfig:
         {"groups": 0},
         {"warmup_s": 600.0},              # == duration
         {"policy": "lru"},                # bad spelling caught up front
+        {"policy": "hybrid-0"},           # zero-width bins caught up front
     ])
     def test_bad_config_rejected(self, kwargs):
         with pytest.raises(ValueError):

@@ -2,8 +2,8 @@
 
 The pluggable dispatch layer (DESIGN.md §15) routes every gateway
 placement decision through a :class:`DispatchPolicy`.  These tests pin
-the registry convention (specs, env var, ``register_*`` /
-``set_default_*``), the accelerator eligibility filter, and the
+the registry convention (specs, env var, ``register`` /
+``set_default``), the accelerator eligibility filter, and the
 per-policy behaviour the zoo study relies on.
 """
 

@@ -65,6 +65,10 @@ class TestCommands:
             (["replay", "--hours", "inf"], "duration_s"),
             (["replay", "--hours", "nan"], "duration_s"),
             (["check", "figure3", "--fast", "--max-ulps", "-5"], "max_ulps"),
+            (["replay", "--policy", "hybrid-0", "--functions", "5",
+              "--hours", "0.01"], "bin_width_ns"),
+            (["replay", "--policy", "hybrid--60", "--functions", "5",
+              "--hours", "0.01"], "bin_width_ns"),
         ],
     )
     def test_out_of_range_value_rejected_by_name(self, capsys, argv, field):
