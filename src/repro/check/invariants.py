@@ -211,11 +211,12 @@ class InvariantRegistry:
 # Built-in checker factories
 # ----------------------------------------------------------------------
 def runqueue_checker(host) -> Checker:
-    """Sortedness, size, link integrity, and load sign of every queue."""
+    """Sortedness, size, link integrity, and load sign of every built
+    queue (an unbuilt queue is empty at zero load: nothing to break)."""
 
     def check(_now_ns: int) -> List[str]:
         problems: List[str] = []
-        for runqueue in host.runqueues.values():
+        for runqueue in host.built_runqueues():
             problems.extend(runqueue.invariant_violations())
         return problems
 
@@ -225,12 +226,14 @@ def runqueue_checker(host) -> Checker:
 def lifecycle_checker(host, sandboxes: Sequence) -> Checker:
     """vCPU/sandbox lifecycle legality against actual queue residency.
 
-    * a RUNNABLE vCPU must sit on exactly the queue it claims;
+    * a RUNNABLE vCPU must sit on exactly the queue it claims, and that
+      queue must have been built;
     * a PAUSED sandbox must have no vCPU on any queue;
     * no vCPU may appear on two queues (or twice on one).
 
     A RUNNING vCPU is legitimately off-queue (the dispatcher pops the
     entity it puts on the core), so only RUNNABLE residency is enforced.
+    Only built queues are read; checking never builds one.
     """
     from repro.hypervisor.sandbox import SandboxState
     from repro.hypervisor.vcpu import VcpuState
@@ -238,7 +241,7 @@ def lifecycle_checker(host, sandboxes: Sequence) -> Checker:
     def check(_now_ns: int) -> List[str]:
         problems: List[str] = []
         placement = {}
-        for runqueue in host.runqueues.values():
+        for runqueue in host.built_runqueues():
             if runqueue.entities.structure_errors():
                 continue  # the runqueue checker owns broken links
             for vcpu in runqueue.entities:
@@ -257,7 +260,13 @@ def lifecycle_checker(host, sandboxes: Sequence) -> Checker:
                         f"#{vcpu.vcpu_id} still sits on queue {queued}"
                     )
                 if vcpu.state is VcpuState.RUNNABLE:
-                    if queued is None:
+                    if vcpu.runqueue_id not in host.runqueues:
+                        problems.append(
+                            f"vCPU #{vcpu.vcpu_id} ({sandbox.sandbox_id}) is "
+                            f"runnable on queue {vcpu.runqueue_id}, which was "
+                            f"never built"
+                        )
+                    elif queued is None:
                         problems.append(
                             f"vCPU #{vcpu.vcpu_id} ({sandbox.sandbox_id}) is "
                             f"runnable but on no queue"
@@ -310,7 +319,7 @@ def dvfs_sample_checker(host) -> Checker:
     """No queue's load sample may come from a skewed (future) clock."""
 
     def check(now_ns: int) -> List[str]:
-        return sample_violations(host.runqueues.values(), now_ns)
+        return sample_violations(host.built_runqueues(), now_ns)
 
     return check
 

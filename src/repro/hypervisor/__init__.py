@@ -10,7 +10,7 @@ from repro.hypervisor.costs import (
     XEN_COSTS,
     cost_model_for,
 )
-from repro.hypervisor.cpu import CLOUDLAB_R650, EDGE_NODE, Core, Host, HostSpec
+from repro.hypervisor.cpu import CLOUDLAB_R650, EDGE_NODE, Host, HostSpec
 from repro.hypervisor.dispatch import CoreDispatcher, HostDispatcher, WorkItem
 from repro.hypervisor.energy import (
     CorePowerModel,
@@ -62,7 +62,6 @@ __all__ = [
     "cost_model_for",
     "CLOUDLAB_R650",
     "EDGE_NODE",
-    "Core",
     "Host",
     "HostSpec",
     "CoreDispatcher",

@@ -2,20 +2,23 @@
 
 The paper's testbed is a Cloudlab r650: 2 Intel Xeon Platinum 8360Y
 sockets x 36 cores at 2.4 GHz, 128 GB RAM.  :data:`CLOUDLAB_R650`
-describes it; :class:`Host` instantiates the cores, one run queue per
-core, and carves out the reserved ``ull_runqueue`` cores HORSE uses.
+describes it; :class:`Host` holds one run queue per core, carves out
+the reserved ``ull_runqueue`` cores HORSE uses, and builds each
+general queue only when something first uses it.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
-from heapq import heapify, heapreplace
-from typing import Callable, Dict, Iterator, List, Optional
+from heapq import heapify, heappush, heapreplace
+from operator import attrgetter
+from typing import Callable, Dict, Iterator, List
 
 from repro.hypervisor.dvfs import DvfsGovernor, FrequencyRange, GovernorMode
 from repro.hypervisor.runqueue import RunQueue
 from repro.hypervisor.vcpu import Vcpu
-from repro.obs.context import Observability
+from repro.obs.context import NULL_OBS, Observability
 
 
 @dataclass(frozen=True)
@@ -40,6 +43,12 @@ class HostSpec:
     def total_cores(self) -> int:
         threads = 2 if self.hyperthreading else 1
         return self.sockets * self.cores_per_socket * threads
+
+    def socket_of(self, core_id: int) -> int:
+        """The socket core *core_id* sits on (cores number socket by socket)."""
+        if not 0 <= core_id < self.total_cores:
+            raise ValueError(f"{self.name}: no core {core_id}")
+        return core_id // (self.total_cores // self.sockets)
 
 
 #: The paper's testbed (hyperthreading disabled for the §2/§3 analysis).
@@ -70,23 +79,19 @@ EDGE_NODE = HostSpec(
 #: as much as three scans of them.
 HEAP_PLACEMENT_PICKS = 4
 
-
-@dataclass
-class Core:
-    """One physical core: identity, frequency, and current occupant."""
-
-    core_id: int
-    socket: int
-    khz: int
-    running: Optional[Vcpu] = None
-
-    @property
-    def busy(self) -> bool:
-        return self.running is not None
+_by_id = attrgetter("runqueue_id")
 
 
 class Host:
-    """A running server: cores, their run queues, and memory accounting."""
+    """A running server: per-core run queues, frequencies and memory.
+
+    The reserved uLL queues are built with the host; a general queue is
+    built by :meth:`runqueue` the first time anything uses it.
+    :attr:`runqueues` maps core id to the queues built so far.  An
+    unbuilt queue is empty at zero load, so readers of per-queue state
+    (placement, the ``repro.check`` checkers, the fold export) lose
+    nothing by skipping it.
+    """
 
     def __init__(
         self,
@@ -108,65 +113,53 @@ class Host:
             mode=governor_mode,
             frequency=FrequencyRange(spec.base_khz // 3, spec.max_khz),
         )
-        self.cores: List[Core] = []
+        #: each core's current frequency, written by refresh_frequencies
+        self.core_khz: List[int] = [spec.base_khz] * spec.total_cores
         self.runqueues: Dict[int, RunQueue] = {}
         self._memory_used_mb = 0
-
-        per_socket = spec.cores_per_socket * (2 if spec.hyperthreading else 1)
-        for core_id in range(spec.total_cores):
-            self.cores.append(
-                Core(core_id=core_id, socket=core_id // per_socket, khz=spec.base_khz)
-            )
+        self._sort_key = sort_key
+        self._default_timeslice_ns = default_timeslice_ns
+        self._ull_timeslice_ns = ull_timeslice_ns
+        self._obs: Observability = NULL_OBS
         # The *last* reserved_ull_cores cores host the ull_runqueues,
         # keeping core 0 (where toolstacks pin housekeeping) general.
-        first_ull = spec.total_cores - reserved_ull_cores
-        for core in self.cores:
-            is_ull = core.core_id >= first_ull
-            self.runqueues[core.core_id] = RunQueue(
-                runqueue_id=core.core_id,
-                sort_key=sort_key,
-                core_id=core.core_id,
-                timeslice_ns=ull_timeslice_ns if is_ull else default_timeslice_ns,
-                reserved_for_ull=is_ull,
-            )
-        # Queue partitions never change after construction; both views
-        # are cached in runqueue_id order so the per-resume placement
-        # scan does not rebuild them (least_loaded_general is on the
-        # chaos hot path — see repro.obs.profile).
-        self._general_runqueues: List[RunQueue] = [
-            rq for rq in self.runqueues.values() if not rq.reserved_for_ull
-        ]
+        self._first_ull = spec.total_cores - reserved_ull_cores
+        #: built general queues in runqueue_id order (the placement scan)
+        self._general_runqueues: List[RunQueue] = []
+        #: lowest general core id whose queue is not built yet
+        self._next_unbuilt = 0
         self._ull_runqueues: List[RunQueue] = [
-            rq for rq in self.runqueues.values() if rq.reserved_for_ull
+            self._build(core_id)
+            for core_id in range(self._first_ull, spec.total_cores)
         ]
 
     # ------------------------------------------------------------------
     def attach_observability(self, obs: Observability) -> None:
-        """Wire one obs bundle into the governor and every run queue.
+        """Wire one obs bundle into the governor and every run queue,
+        including the ones built later.
 
         Load-fold counts are batched as plain ints on each
         :class:`~repro.hypervisor.load_tracking.RunqueueLoad`; a
-        registry collector sums them at snapshot/render time so the
-        fold hot path never touches the registry.
+        registry collector sums them over the queues built by
+        snapshot/render time, so the fold hot path never touches the
+        registry.
         """
+        self._obs = obs
         self.governor.obs = obs
         for runqueue in self.runqueues.values():
             runqueue.obs = obs
         if obs.metrics.enabled:
-            loads = [rq.load for rq in self.runqueues.values()]
             iterated = obs.metrics.counter(
                 "load.fold.iterated", "vanilla per-entity load folds"
             )
             coalesced = obs.metrics.counter(
                 "load.fold.coalesced", "HORSE fused load folds"
             )
+            runqueues = self.runqueues
 
-            def export_folds(
-                _exported: List[int] = [0, 0],
-                _loads: List = loads,
-            ) -> None:
-                total_iter = sum(load.folds_iterated for load in _loads)
-                total_coal = sum(load.folds_coalesced for load in _loads)
+            def export_folds(_exported: List[int] = [0, 0]) -> None:
+                total_iter = sum(rq.load.folds_iterated for rq in runqueues.values())
+                total_coal = sum(rq.load.folds_coalesced for rq in runqueues.values())
                 iterated.inc(total_iter - _exported[0])
                 coalesced.inc(total_coal - _exported[1])
                 _exported[0] = total_iter
@@ -177,7 +170,43 @@ class Host:
     # ------------------------------------------------------------------
     # Run-queue views
     # ------------------------------------------------------------------
+    def runqueue(self, core_id: int) -> RunQueue:
+        """Core *core_id*'s run queue, built on first use."""
+        runqueue = self.runqueues.get(core_id)
+        if runqueue is None:
+            if not 0 <= core_id < self.spec.total_cores:
+                raise KeyError(f"host has no core {core_id}")
+            runqueue = self._build(core_id)
+        return runqueue
+
+    def _build(self, core_id: int) -> RunQueue:
+        """Create core *core_id*'s queue and index it."""
+        is_ull = core_id >= self._first_ull
+        runqueue = RunQueue(
+            runqueue_id=core_id,
+            sort_key=self._sort_key,
+            core_id=core_id,
+            timeslice_ns=self._ull_timeslice_ns if is_ull else self._default_timeslice_ns,
+            reserved_for_ull=is_ull,
+            obs=self._obs,
+        )
+        self.runqueues[core_id] = runqueue
+        if not is_ull:
+            insort(self._general_runqueues, runqueue, key=_by_id)
+            unbuilt = self._next_unbuilt
+            while unbuilt < self._first_ull and unbuilt in self.runqueues:
+                unbuilt += 1
+            self._next_unbuilt = unbuilt
+        return runqueue
+
+    def built_runqueues(self) -> List[RunQueue]:
+        """The queues built so far, in runqueue_id order (builds none)."""
+        return self._general_runqueues + self._ull_runqueues
+
     def general_runqueues(self) -> List[RunQueue]:
+        """Every general-purpose queue, in id order (builds them all)."""
+        while self._next_unbuilt < self._first_ull:
+            self._build(self._next_unbuilt)
         return list(self._general_runqueues)
 
     def ull_runqueues(self) -> List[RunQueue]:
@@ -185,17 +214,21 @@ class Host:
 
     def least_loaded_general(self) -> RunQueue:
         """The general queue with the lowest tracked load (vanilla
-        placement rule for a resuming vCPU).
+        placement rule for a resuming vCPU): lowest ``(load, length,
+        runqueue_id)``.
 
-        Manual scan over the cached queue list: the queues iterate in
-        runqueue_id order and only a strictly smaller (load, length)
-        displaces the incumbent, so ties break toward the lowest id —
-        exactly the old ``min`` over ``(load, len, id)`` tuples, minus
-        the per-queue tuple and lambda allocations.
+        Manual scan over the built queues in runqueue_id order: only a
+        strictly smaller (load, length) displaces the incumbent, so ties
+        break toward the lowest id without per-queue tuples.  Every
+        unbuilt queue keys ``(0.0, 0, id)``, so only the lowest unbuilt
+        id can win, and it is built only when it does.
         """
         queues = self._general_runqueues
+        unbuilt = self._next_unbuilt
         if not queues:
-            raise RuntimeError("host has no general-purpose run queues")
+            if unbuilt >= self._first_ull:
+                raise RuntimeError("host has no general-purpose run queues")
+            return self._build(unbuilt)
         best = queues[0]
         best_load = best.load.value
         best_len = best.entities._size
@@ -208,6 +241,11 @@ class Host:
                 best = rq
                 best_load = load
                 best_len = length
+        if unbuilt < self._first_ull and (
+            best_load > 0.0
+            or (best_load == 0.0 and (best_len > 0 or unbuilt < best.runqueue_id))
+        ):
+            return self._build(unbuilt)
         return best
 
     def least_loaded_generals(self, count: int) -> Iterator[RunQueue]:
@@ -217,9 +255,11 @@ class Host:
 
         Few picks are plain scans.  From :data:`HEAP_PLACEMENT_PICKS`
         on, a heap keyed ``(load, length, runqueue_id)`` holds every
-        general queue; the only queue that changed since the last draw
-        is the one it returned, so re-keying that one entry keeps every
-        pick equal to a fresh scan, ties included.
+        built general queue plus a ``(0.0, 0, id)`` stand-in for the
+        lowest unbuilt one.  The only queue that changed since the last
+        draw is the one it returned, so re-keying that one entry keeps
+        every pick equal to a fresh scan, ties included.  A popped
+        stand-in builds its queue and makes way for the next unbuilt id.
         """
         if count < HEAP_PLACEMENT_PICKS:
             for _ in range(count):
@@ -229,18 +269,27 @@ class Host:
             (rq.load.value, rq.entities._size, rq.runqueue_id, rq)
             for rq in self._general_runqueues
         ]
+        if self._next_unbuilt < self._first_ull:
+            heap.append((0.0, 0, self._next_unbuilt, None))
         heapify(heap)
         for _ in range(count):
-            best = heap[0][3]
+            _, _, runqueue_id, best = heap[0]
+            stand_in = best is None
+            if stand_in:
+                best = self._build(runqueue_id)
             yield best
             heapreplace(
-                heap, (best.load.value, best.entities._size, best.runqueue_id, best)
+                heap, (best.load.value, best.entities._size, runqueue_id, best)
             )
+            if stand_in and self._next_unbuilt < self._first_ull:
+                heappush(heap, (0.0, 0, self._next_unbuilt, None))
 
     def refresh_frequencies(self) -> None:
         """Let the governor re-pick each core's frequency from its load."""
-        for core in self.cores:
-            core.khz = self.governor.target_khz(self.runqueues[core.core_id].load.value)
+        for core_id in range(self.spec.total_cores):
+            self.core_khz[core_id] = self.governor.target_khz(
+                self.runqueue(core_id).load.value
+            )
 
     # ------------------------------------------------------------------
     # Memory accounting

@@ -211,8 +211,8 @@ class HostDispatcher:
         self.engine = engine
         self.host = host
         self.cores: Dict[int, CoreDispatcher] = {
-            core_id: CoreDispatcher(engine, runqueue, policy, costs)
-            for core_id, runqueue in host.runqueues.items()
+            core_id: CoreDispatcher(engine, host.runqueue(core_id), policy, costs)
+            for core_id in range(host.spec.total_cores)
         }
 
     def core(self, core_id: int) -> CoreDispatcher:

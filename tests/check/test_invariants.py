@@ -134,6 +134,22 @@ class TestBuiltinCheckers:
         problems = lifecycle_checker(virt.host, [running, paused])(0)
         assert any("on no queue" in m for m in problems)
 
+    def test_lifecycle_checker_flags_runnable_vcpu_on_unbuilt_queue(self):
+        virt, horse, running, paused = make_paused_pair()
+        host = virt.host
+        vcpu = running.vcpus[0]
+        host.runqueues[vcpu.runqueue_id].entities.remove(vcpu)
+        unbuilt = host.spec.total_cores - 2  # a general queue nothing used
+        assert unbuilt not in host.runqueues
+        vcpu.mark_runnable(unbuilt)
+        built = sorted(host.runqueues)
+        problems = lifecycle_checker(host, [running, paused])(0)
+        assert problems == [
+            f"vCPU #{vcpu.vcpu_id} ({running.sandbox_id}) is runnable on "
+            f"queue {unbuilt}, which was never built"
+        ]
+        assert sorted(host.runqueues) == built  # reported, not built
+
     def test_event_heap_checker_flags_past_events(self):
         engine = Engine()
         engine.schedule_at(100, lambda: None)

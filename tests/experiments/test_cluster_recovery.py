@@ -16,8 +16,12 @@ from repro.experiments.cluster_recovery import (
     render_recovery,
     run_recovery,
 )
+from repro.check import dvfs_sample_checker, lifecycle_checker, runqueue_checker
 from repro.experiments import registry
+from repro.experiments.chaos import _build_cluster
 from repro.experiments.registry import ExperimentConfig, all_specs
+from repro.faas.invocation import StartType
+from repro.hypervisor.runqueue import RunQueue
 from repro.sim.sharding import cell_seed, records_jsonl, write_records_jsonl
 
 FAST = ClusterRecoveryConfig(
@@ -209,3 +213,42 @@ class TestGolden:
             ExperimentConfig(fast=True, seed=0)
         ).summary()
         assert summary + "\n" == golden.read_text()
+
+
+class TestHostObjectBudget:
+    """A cell's hosts build a general run queue only for a vCPU."""
+
+    def test_built_queues_are_reserved_plus_used(self, monkeypatch):
+        used = set()
+        for name in ("enqueue_sorted", "enqueue_sorted_without_load"):
+            original = getattr(RunQueue, name)
+
+            def record(self, *args, _original=original):
+                used.add(self)
+                return _original(self, *args)
+
+            monkeypatch.setattr(RunQueue, name, record)
+        cluster = _build_cluster("horse", FAST, seed=5)
+        for index in range(len(cluster.hosts)):
+            cluster.trigger_on(index, "background", StartType.WARM)
+            cluster.trigger_on(index, "firewall", StartType.HORSE)
+        cluster.engine.run()
+
+        for platform in cluster.hosts:
+            host = platform.virt.host
+            general_used = {
+                rq for rq in used
+                if not rq.reserved_for_ull and host.runqueues.get(rq.runqueue_id) is rq
+            }
+            expected = len(host.ull_runqueues()) + len(general_used)
+            assert general_used
+            assert len(host.runqueues) == expected < host.spec.total_cores
+            sandboxes = [
+                sandbox
+                for name in ("firewall", "background")
+                for sandbox in platform.pool.idle_sandboxes(name)
+            ]
+            assert runqueue_checker(host)(cluster.engine.now) == []
+            assert lifecycle_checker(host, sandboxes)(cluster.engine.now) == []
+            assert dvfs_sample_checker(host)(cluster.engine.now) == []
+            assert len(host.runqueues) == expected

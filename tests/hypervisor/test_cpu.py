@@ -48,8 +48,29 @@ class TestHostSpec:
 
 class TestTopology:
     def test_one_runqueue_per_core(self):
+        host = make_host(reserved=2)
+        for core_id in range(host.spec.total_cores):
+            queue = host.runqueue(core_id)
+            assert queue.runqueue_id == queue.core_id == core_id
+            assert queue.reserved_for_ull == (core_id >= 6)
+            assert host.runqueue(core_id) is queue
+        assert sorted(host.runqueues) == list(range(host.spec.total_cores))
+
+    def test_no_such_core(self):
         host = make_host()
-        assert len(host.runqueues) == host.spec.total_cores
+        with pytest.raises(KeyError):
+            host.runqueue(host.spec.total_cores)
+        with pytest.raises(KeyError):
+            host.runqueue(-1)
+
+    def test_general_queues_built_on_first_use(self):
+        host = make_host(reserved=2)
+        assert sorted(host.runqueues) == [6, 7]
+        host.runqueue(3)
+        assert sorted(host.runqueues) == [3, 6, 7]
+        assert [q.runqueue_id for q in host.built_runqueues()] == [3, 6, 7]
+        assert [q.runqueue_id for q in host.general_runqueues()] == list(range(6))
+        assert [q.runqueue_id for q in host.built_runqueues()] == list(range(8))
 
     def test_reserved_queues_are_last_cores(self):
         host = make_host(reserved=2)
@@ -69,9 +90,14 @@ class TestTopology:
             make_host(reserved=-1)
 
     def test_socket_assignment(self):
-        host = make_host()
-        assert host.cores[0].socket == 0
-        assert host.cores[7].socket == 1
+        spec = make_host().spec
+        assert [spec.socket_of(c) for c in range(8)] == [0] * 4 + [1] * 4
+        with pytest.raises(ValueError):
+            spec.socket_of(8)
+
+    def test_socket_assignment_with_hyperthreads(self):
+        spec = HostSpec("t", 2, 2, 1_000_000, 2_000_000, 1024, hyperthreading=True)
+        assert [spec.socket_of(c) for c in range(8)] == [0] * 4 + [1] * 4
 
 
 class TestPlacement:
@@ -91,6 +117,7 @@ class TestPlacement:
         host = make_host()
         host.refresh_frequencies()
         assert host.governor.decisions == host.spec.total_cores
+        assert len(host.core_khz) == host.spec.total_cores
 
 
 class TestMemory:

@@ -51,5 +51,5 @@ class TestFactories:
         vcpu = Vcpu(index=0, sandbox_id="sb")
         vcpu.credit = 100.0
         vcpu.vruntime = 7.0
-        assert fc.host.runqueues[0].sort_key(vcpu) == 7.0
-        assert xen.host.runqueues[0].sort_key(vcpu) == -100.0
+        assert fc.host.runqueue(0).sort_key(vcpu) == 7.0
+        assert xen.host.runqueue(0).sort_key(vcpu) == -100.0
