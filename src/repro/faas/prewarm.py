@@ -46,6 +46,7 @@ import heapq
 import math
 from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
+from math import ceil
 from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 from repro.faas.autoscaler import PoolTargetTracker
@@ -84,11 +85,17 @@ class IdleHistogram:
     """Fixed-width idle-gap histogram with an out-of-bounds bucket.
 
     ATC'20 uses 1-minute bins over a 4-hour range; we default to 1-minute
-    bins over 2 hours (120 bins), enough for this replayer's period range
-    and cheap to scan per decision.
+    bins over 2 hours (120 bins), enough for this replayer's period range.
+
+    Percentile queries are O(1) after the first: each percentile asked
+    for keeps a nearest-rank cursor ``[pct / 100, bin, below]``, where
+    ``below`` counts the observations in the bins before ``bin`` and
+    ``bin == len(counts)`` means the rank lands in the OOB tail.
+    :meth:`observe` moves every cursor to its new rank, stepping only
+    over the bins between the old and the new position.
     """
 
-    __slots__ = ("bin_width_ns", "counts", "oob", "total")
+    __slots__ = ("bin_width_ns", "counts", "oob", "total", "_cursors")
 
     def __init__(self, bin_width_ns: int = 60 * SECOND, bins: int = 120) -> None:
         if bin_width_ns <= 0:
@@ -99,32 +106,65 @@ class IdleHistogram:
         self.counts = [0] * bins
         self.oob = 0
         self.total = 0
+        self._cursors: Dict[float, List] = {}
 
     def observe(self, gap_ns: int) -> None:
         if gap_ns < 0:
             raise ValueError(f"negative idle gap {gap_ns}")
+        counts = self.counts
+        bins = len(counts)
         index = gap_ns // self.bin_width_ns
-        if index >= len(self.counts):
+        if index >= bins:
             self.oob += 1
         else:
-            self.counts[index] += 1
-        self.total += 1
+            counts[index] += 1
+        total = self.total = self.total + 1
+        for cursor in self._cursors.values():
+            fraction, at, below = cursor
+            if index < at:
+                below += 1
+            rank = ceil(fraction * total)
+            if rank < 1:
+                rank = 1
+            while below >= rank:
+                at -= 1
+                below -= counts[at]
+            while at < bins and below + counts[at] < rank:
+                below += counts[at]
+                at += 1
+            cursor[1] = at
+            cursor[2] = below
 
     def oob_fraction(self) -> float:
         return self.oob / self.total if self.total else 0.0
 
     def percentile_bin(self, pct: float) -> Optional[int]:
         """Nearest-rank bin index; ``None`` when the rank falls OOB."""
-        if self.total == 0:
+        at = self.cursor(pct)[1]
+        if self.total == 0 or at == len(self.counts):
             return None
-        rank = max(1, math.ceil(pct / 100.0 * self.total))
-        seen = 0
-        for index, count in enumerate(self.counts):
-            if count:
-                seen += count
-                if seen >= rank:
-                    return index
-        return None
+        return at
+
+    def cursor(self, pct: float) -> List:
+        """The live ``[pct / 100, bin, below]`` cursor for *pct*.
+
+        The first call places it with one scan; :meth:`observe` and
+        :meth:`reset` keep it current, so a caller may hold on to it.
+        While the histogram is empty the cursor rests at bin 0, where
+        the first observation's rank starts its forward step.
+        """
+        cursor = self._cursors.get(pct)
+        if cursor is None:
+            counts = self.counts
+            fraction = pct / 100.0
+            at = below = 0
+            if self.total:
+                rank = max(1, ceil(fraction * self.total))
+                while at < len(counts) and below + counts[at] < rank:
+                    below += counts[at]
+                    at += 1
+            cursor = self._cursors[pct] = [fraction, at, below]
+        return cursor
 
     def lower_edge_ns(self, bin_index: int) -> int:
         return bin_index * self.bin_width_ns
@@ -138,6 +178,8 @@ class IdleHistogram:
             self.counts[index] = 0
         self.oob = 0
         self.total = 0
+        for cursor in self._cursors.values():
+            cursor[1] = cursor[2] = 0
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +295,11 @@ class HybridHistogram(PrewarmPolicy):
             raise ValueError(f"min_observations must be >= 1, got {min_observations}")
         if pattern_miss_limit < 1:
             raise ValueError(f"pattern_miss_limit must be >= 1, got {pattern_miss_limit}")
+        if not 0 <= oob_threshold <= 1:
+            raise ValueError(f"oob_threshold must be in [0, 1], got {oob_threshold}")
+        if default_keep_ns < 0:
+            # A negative keep-alive would unload before the run ends.
+            raise ValueError(f"default_keep_ns must be >= 0, got {default_keep_ns}")
         self.bin_width_ns = bin_width_ns
         self.bins = bins
         self.min_observations = min_observations
@@ -264,19 +311,25 @@ class HybridHistogram(PrewarmPolicy):
         self.pattern_miss_limit = pattern_miss_limit
         self.default_keep_ns = default_keep_ns
         self._fallback = PolicyDecision(prewarm_ns=None, keep_alive_ns=default_keep_ns)
-        self._histograms: Dict[Hashable, IdleHistogram] = {}
-        self._cached: Dict[Hashable, PolicyDecision] = {}
+        #: per function: its histogram and that histogram's head and
+        #: tail cursors, read directly on every decision
+        self._functions: Dict[Hashable, Tuple[IdleHistogram, List, List]] = {}
+        #: one decision per ``(head_bin, tail_bin)`` pair: bin width and
+        #: margins are fixed per instance, so the pair decides the window
+        self._windows: Dict[Tuple[int, int], PolicyDecision] = {}
         self._misses: Dict[Hashable, int] = {}
 
     def histogram(self, fn: Hashable) -> IdleHistogram:
-        hist = self._histograms.get(fn)
-        if hist is None:
-            hist = self._histograms[fn] = IdleHistogram(self.bin_width_ns, self.bins)
-        return hist
+        entry = self._functions.get(fn)
+        if entry is None:
+            hist = IdleHistogram(self.bin_width_ns, self.bins)
+            entry = self._functions[fn] = (
+                hist, hist.cursor(self.head_pct), hist.cursor(self.tail_pct)
+            )
+        return entry[0]
 
     def observe_gap(self, fn: Hashable, gap_ns: int) -> None:
         self.histogram(fn).observe(gap_ns)
-        self._cached.pop(fn, None)
 
     def record_outcome(self, fn: Hashable, warm: bool) -> None:
         if warm:
@@ -286,31 +339,35 @@ class HybridHistogram(PrewarmPolicy):
         if misses >= self.pattern_miss_limit:
             # Pattern changed: the histogram predicts the *old* behaviour
             # (that's why we keep missing) — start over.
-            hist = self._histograms.get(fn)
-            if hist is not None:
-                hist.reset()
-            self._cached.pop(fn, None)
+            entry = self._functions.get(fn)
+            if entry is not None:
+                entry[0].reset()
             misses = 0
         self._misses[fn] = misses
 
     def decision(self, fn: Hashable) -> PolicyDecision:
-        cached = self._cached.get(fn)
-        if cached is None:
-            cached = self._cached[fn] = self._compute(fn)
-        return cached
-
-    def _compute(self, fn: Hashable) -> PolicyDecision:
-        hist = self._histograms.get(fn)
-        if hist is None or hist.total < self.min_observations:
+        entry = self._functions.get(fn)
+        if entry is None:
+            return self._fallback
+        hist, head, tail = entry
+        if hist.total < self.min_observations:
             return self._fallback
         if hist.oob_fraction() > self.oob_threshold:
             # The function's gaps mostly exceed the histogram range —
             # its percentiles say nothing useful.
             return self._fallback
-        head_bin = hist.percentile_bin(self.head_pct)
-        tail_bin = hist.percentile_bin(self.tail_pct)
-        if head_bin is None or tail_bin is None:
-            # The percentile rank itself lands in the OOB tail.
+        bins = (head[1], tail[1])
+        window = self._windows.get(bins)
+        if window is None:
+            window = self._windows[bins] = self._window(hist, *bins)
+        return window
+
+    def _window(
+        self, hist: IdleHistogram, head_bin: int, tail_bin: int
+    ) -> PolicyDecision:
+        if tail_bin == self.bins:
+            # The tail's rank lands in the OOB tail (the head's can only
+            # if the tail's does).
             return self._fallback
         prewarm = round(self.head_margin * hist.lower_edge_ns(head_bin))
         tail = round(self.tail_margin * hist.upper_edge_ns(tail_bin))
@@ -508,6 +565,8 @@ class _Cell:
         )
         self.restore_ns = costs.restore_ns
         self.cold_ns = costs.cold_start_ns
+        self.exec_ns = config.exec_ns
+        self.sandbox_mb = config.sandbox_mb
         self.budget_mb = config.memory_budget_mb / config.groups
         self.warmup_ns = round(config.warmup_s * SECOND)
         self.states: Dict[int, _FnState] = {}
@@ -525,9 +584,6 @@ class _Cell:
 
     # -- memory ----------------------------------------------------------
 
-    def _resident_mb(self) -> float:
-        return len(self.lru) * self.config.sandbox_mb
-
     def _free_for_load(self, now: int, strict: bool) -> bool:
         """Make room for one sandbox, evicting idle LRU victims.
 
@@ -536,9 +592,9 @@ class _Cell:
         never be refused memory the simulation can model as borrowed.
         An in-flight sandbox (``busy_until > now``) is never a victim.
         """
-        need = self.config.sandbox_mb
+        need = self.sandbox_mb
         trackers = self.trackers
-        while self._resident_mb() + need > self.budget_mb:
+        while len(self.lru) * need + need > self.budget_mb:
             victim = None
             for fn in self.lru:               # oldest first
                 if self.states[fn].busy_until > now:
@@ -573,16 +629,16 @@ class _Cell:
         self.stats.pressure_evictions += 1
 
     def _track_peaks(self) -> None:
-        mb = self._resident_mb()
-        if mb > self.stats.peak_resident_mb:
-            self.stats.peak_resident_mb = mb
-        if len(self.lifecycle) > self.stats.peak_lifecycle_heap:
-            self.stats.peak_lifecycle_heap = len(self.lifecycle)
+        stats = self.stats
+        mb = len(self.lru) * self.sandbox_mb
+        if mb > stats.peak_resident_mb:
+            stats.peak_resident_mb = mb
+        if len(self.lifecycle) > stats.peak_lifecycle_heap:
+            stats.peak_lifecycle_heap = len(self.lifecycle)
 
     # -- lifecycle timers (lazy-cancel heap + compaction) ----------------
 
-    def _schedule(self, when: int, kind: int, fn: int) -> None:
-        state = self.states[fn]
+    def _schedule(self, state: _FnState, when: int, kind: int, fn: int) -> None:
         if kind == _UNLOAD:
             state.unload_at = when
         else:
@@ -655,13 +711,15 @@ class _Cell:
         state.resident = True
         self.lru[fn] = None
         self.stats.prewarm_loads += 1
-        self._schedule(now + state.post_load_keep_ns, _UNLOAD, fn)
+        self._schedule(state, now + state.post_load_keep_ns, _UNLOAD, fn)
         self._track_peaks()
 
     # -- arrivals --------------------------------------------------------
 
     def on_arrival(self, now: int, fn: int) -> None:
-        self._drain_lifecycle(now)
+        lifecycle = self.lifecycle
+        if lifecycle and lifecycle[0][0] <= now:
+            self._drain_lifecycle(now)
         state = self.states.get(fn)
         if state is None:
             state = self.states[fn] = _FnState()
@@ -673,57 +731,63 @@ class _Cell:
             if tracker is None:
                 tracker = trackers[fn] = PoolTargetTracker(
                     window_ns=self.protect_window_ns,
-                    expected_busy_ns=max(1, self.config.exec_ns),
+                    expected_busy_ns=max(1, self.exec_ns),
                     headroom=self.config.protect_headroom,
                     min_pool=0,
                     max_pool=1,
                 )
             tracker.observe(now)
 
-        concurrent = state.busy_until > now
-        if not concurrent and state.last_end >= 0:
-            self.policy.observe_gap(fn, now - state.last_end)
-
-        if concurrent:
+        policy = self.policy
+        busy_until = state.busy_until
+        if busy_until > now:
             # Sandbox is executing: the invocation piggybacks, no
             # init latency (and no idle gap to observe).
             init_ns = 0
             stats.concurrent_hits += 1
-        elif state.resident:
-            init_ns = self.horse_resume_ns
-            stats.horse_hits += 1
-            self.policy.record_outcome(fn, warm=True)
         else:
-            init_ns = self.restore_ns if state.has_snapshot else self.cold_ns
-            if state.has_snapshot:
-                stats.restores += 1
+            if state.last_end >= 0:
+                policy.observe_gap(fn, now - state.last_end)
+            if state.resident:
+                init_ns = self.horse_resume_ns
+                stats.horse_hits += 1
+                policy.record_outcome(fn, True)
             else:
-                stats.cold_boots += 1
-            self.policy.record_outcome(fn, warm=False)
-            self._free_for_load(now, strict=False)
-            state.resident = True
-            state.has_snapshot = True     # boot/restore leaves a snapshot
-            self.lru[fn] = None
+                if state.has_snapshot:
+                    init_ns = self.restore_ns
+                    stats.restores += 1
+                else:
+                    init_ns = self.cold_ns
+                    stats.cold_boots += 1
+                policy.record_outcome(fn, False)
+                self._free_for_load(now, strict=False)
+                state.resident = True
+                state.has_snapshot = True     # boot/restore leaves a snapshot
+                self.lru[fn] = None
         self.lru.move_to_end(fn)
         if now >= self.warmup_ns:
             self.latency[init_ns] += 1
         else:
             stats.warmup_events += 1
 
-        start = now + init_ns
-        end = max(state.busy_until, start + self.config.exec_ns)
-        state.busy_until = end
-        state.last_end = end
+        end = now + init_ns + self.exec_ns
+        if busy_until > end:
+            end = busy_until
+        state.busy_until = state.last_end = end
 
-        decision = self.policy.decision(fn)
+        decision = policy.decision(fn)
         if decision.prewarm_ns is None:
             state.load_at = None          # cancel any pending prewarm
-            self._schedule(end + decision.keep_alive_ns, _UNLOAD, fn)
+            self._schedule(state, end + decision.keep_alive_ns, _UNLOAD, fn)
         else:
             state.post_load_keep_ns = decision.keep_alive_ns
-            self._schedule(end, _UNLOAD, fn)
-            self._schedule(end + decision.prewarm_ns, _LOAD, fn)
-        self._track_peaks()
+            self._schedule(state, end, _UNLOAD, fn)
+            self._schedule(state, end + decision.prewarm_ns, _LOAD, fn)
+        mb = len(self.lru) * self.sandbox_mb
+        if mb > stats.peak_resident_mb:
+            stats.peak_resident_mb = mb
+        if len(self.lifecycle) > stats.peak_lifecycle_heap:
+            stats.peak_lifecycle_heap = len(self.lifecycle)
 
     def finish(self) -> CellStats:
         self.stats.latency_counts = dict(self.latency)

@@ -38,6 +38,7 @@ import hashlib
 import heapq
 import math
 from dataclasses import dataclass, field
+from math import log
 from typing import Iterator, List, Optional, Tuple
 
 from repro.sim.units import SECOND
@@ -83,12 +84,19 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def random(self) -> float:
-        """Uniform float in [0, 1) with 53 bits of entropy."""
-        return (self.next_u64() >> 11) * (1.0 / (1 << 53))
+        """Uniform float in [0, 1) with 53 bits of entropy.
+
+        ``next_u64() >> 11`` scaled by 2**-53.  The finalizer is inlined
+        because the replayer draws at least once per arrival.
+        """
+        z = self._state = (self._state + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+        return ((z ^ (z >> 31)) >> 11) * (1.0 / (1 << 53))
 
     def expovariate(self, lambd: float) -> float:
         # 1 - random() is in (0, 1], so log() never sees zero.
-        return -math.log(1.0 - self.random()) / lambd
+        return -log(1.0 - self.random()) / lambd
 
     def paretovariate(self, alpha: float) -> float:
         u = 1.0 - self.random()
@@ -318,8 +326,9 @@ def merged_stream(
     """
     if indices is None:
         indices = list(range(config.functions))
-    streams = {}
-    heap: List[Tuple[int, int]] = []
+    # Entries are (t, index, seq, stream).  Indices are distinct, so
+    # comparisons never reach the stream.
+    heap: List[Tuple[int, int, int, Iterator[int]]] = []
     for index in indices:
         it = arrival_stream(config, index)
         first = next(it, None)
@@ -327,27 +336,22 @@ def merged_stream(
             if stats is not None:
                 stats.exhausted_streams += 1
             continue
-        streams[index] = it
-        heap.append((first, index))
+        heap.append((first, index, 0, it))
     heapq.heapify(heap)
     if stats is not None:
         stats.peak_buffered = max(stats.peak_buffered, len(heap))
-    seq = dict.fromkeys(streams, 0)
     while heap:
-        t, index = heap[0]
-        yield t, index, seq[index]
-        seq[index] += 1
-        nxt = next(streams[index], None)
+        t, index, seq, it = heap[0]
+        yield t, index, seq
+        nxt = next(it, None)
         if nxt is None:
             heapq.heappop(heap)
-            del streams[index]
-            del seq[index]
             if stats is not None:
                 stats.exhausted_streams += 1
         else:
             # Replace the popped head in one sift — the heap never
             # grows past its initial size.
-            heapq.heapreplace(heap, (nxt, index))
+            heapq.heapreplace(heap, (nxt, index, seq + 1, it))
         if stats is not None:
             stats.events += 1
 

@@ -7,7 +7,11 @@ is never evicted — is driven both directly and end-to-end (any breach
 lands in ``CellStats.violations``).
 """
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.faas.prewarm import (
     FixedWindow,
@@ -194,6 +198,156 @@ class TestHybridHistogramWindows:
     def test_bad_construction_rejected(self, kwargs):
         with pytest.raises(ValueError):
             HybridHistogram(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"oob_threshold": -0.1},
+        {"oob_threshold": 1.5},
+        {"oob_threshold": math.nan},
+        {"default_keep_ns": -1},
+    ])
+    def test_hostile_thresholds_rejected_by_name(self, kwargs):
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=name):
+            HybridHistogram(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"oob_threshold": 0.0}, {"oob_threshold": 1.0}, {"default_keep_ns": 0},
+    ])
+    def test_threshold_edges_accepted(self, kwargs):
+        HybridHistogram(**kwargs)
+
+    def test_same_bin_pair_shares_one_decision(self):
+        policy = self.make_policy()
+        policy.observe_gap(1, 90 * SECOND)
+        policy.observe_gap(2, 100 * SECOND)      # also bin 1
+        assert policy.decision(1) is policy.decision(2)
+        policy.observe_gap(2, 30 * SECOND)       # head moves to bin 0
+        assert policy.decision(1) is not policy.decision(2)
+
+
+# ---------------------------------------------------------------------------
+# Nearest-rank cursors and the bin-pair memo vs from-scratch references
+# ---------------------------------------------------------------------------
+
+WIDTH = 10
+
+
+def nearest_rank_bin(gaps, bins, pct):
+    """The bin of the rank-th smallest gap, or None past the bins."""
+    if not gaps:
+        return None
+    rank = max(1, math.ceil(pct / 100.0 * len(gaps)))
+    if rank > len(gaps):
+        return None
+    index = sorted(gaps)[rank - 1] // WIDTH
+    return index if index < bins else None
+
+
+percents = st.one_of(
+    st.sampled_from([100.0, 99.0, 50.0, 5.0, 0.5, 0.01]),
+    st.floats(min_value=0.001, max_value=100.0),
+)
+
+
+def histogram_ops(bins):
+    gap = st.integers(min_value=0, max_value=WIDTH * bins + 2 * WIDTH)
+    return st.lists(
+        st.one_of(
+            st.tuples(st.just("observe"), gap),
+            st.tuples(st.just("query"), percents),
+            st.tuples(st.just("reset"), st.none()),
+        ),
+        max_size=80,
+    )
+
+
+class TestCursorDifferential:
+    """Cursors vs a brute-force nearest-rank over the raw gaps."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), bins=st.integers(min_value=1, max_value=8))
+    def test_cursors_match_brute_force(self, data, bins):
+        ops = data.draw(histogram_ops(bins))
+        hist = IdleHistogram(bin_width_ns=WIDTH, bins=bins)
+        gaps = []
+        queried = []
+        for op, arg in ops:
+            if op == "observe":
+                hist.observe(arg)
+                gaps.append(arg)
+            elif op == "reset":
+                hist.reset()
+                gaps.clear()
+            else:
+                queried.append(arg)       # may create a cursor mid-stream
+            for pct in queried:
+                assert hist.percentile_bin(pct) == nearest_rank_bin(gaps, bins, pct)
+            assert hist.total == len(gaps)
+
+
+def reference_decision(policy, gaps):
+    """The hybrid window computed from scratch over one function's gaps."""
+    fallback = PolicyDecision(prewarm_ns=None, keep_alive_ns=policy.default_keep_ns)
+    if len(gaps) < policy.min_observations:
+        return fallback, None
+    oob = sum(gap >= WIDTH * policy.bins for gap in gaps)
+    if oob / len(gaps) > policy.oob_threshold:
+        return fallback, None
+    head = nearest_rank_bin(gaps, policy.bins, policy.head_pct)
+    tail = nearest_rank_bin(gaps, policy.bins, policy.tail_pct)
+    if head is None or tail is None:
+        return fallback, None
+    prewarm = round(policy.head_margin * (head * WIDTH))
+    tail_ns = round(policy.tail_margin * ((tail + 1) * WIDTH))
+    if prewarm <= 0:
+        return PolicyDecision(None, max(tail_ns, WIDTH)), (head, tail)
+    return PolicyDecision(prewarm, max(tail_ns - prewarm, WIDTH)), (head, tail)
+
+
+class TestDecisionMemo:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        bins=st.integers(min_value=1, max_value=8),
+        head_pct=percents,
+        oob_threshold=st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+    )
+    def test_every_decision_matches_a_fresh_window(
+        self, data, bins, head_pct, oob_threshold
+    ):
+        tail_pct = data.draw(st.floats(min_value=head_pct, max_value=100.0))
+        policy = HybridHistogram(
+            bin_width_ns=WIDTH, bins=bins, min_observations=3,
+            head_pct=head_pct, tail_pct=tail_pct, oob_threshold=oob_threshold,
+            pattern_miss_limit=3, default_keep_ns=7 * WIDTH,
+        )
+        functions = range(3)
+        gaps = {fn: [] for fn in functions}
+        misses = dict.fromkeys(functions, 0)
+        ops = data.draw(st.lists(st.tuples(
+            st.sampled_from(functions),
+            st.one_of(
+                st.integers(min_value=0, max_value=WIDTH * bins + 2 * WIDTH),
+                st.booleans(),            # a recorded outcome: warm or not
+            ),
+        ), max_size=60))
+        for fn, arg in ops:
+            if isinstance(arg, bool):
+                policy.record_outcome(fn, arg)
+                misses[fn] = 0 if arg else misses[fn] + 1
+                if misses[fn] >= 3:
+                    gaps[fn].clear()
+                    misses[fn] = 0
+            else:
+                policy.observe_gap(fn, arg)
+                gaps[fn].append(arg)
+            by_pair = {}
+            for other in functions:
+                expected, pair = reference_decision(policy, gaps[other])
+                got = policy.decision(other)
+                assert got == expected
+                if pair is not None:
+                    assert by_pair.setdefault(pair, got) is got
 
 
 class TestMakePolicy:

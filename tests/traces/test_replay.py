@@ -6,6 +6,8 @@ contracts with hand-built cases plus the production-cardinality soak
 (marked ``soak``; tier-1 skips it via the default ``-m "not soak"``).
 """
 
+import math
+
 import pytest
 
 from repro.traces.replay import (
@@ -28,6 +30,20 @@ class TestSplitMix64:
         assert rng.next_u64() == 0xE220A8397B1DCDAF
         assert rng.next_u64() == 0x6E789E6AA1B965F4
         assert rng.next_u64() == 0x06C45D188009454F
+
+    @pytest.mark.parametrize("seed", [0, 1, 0xDEADBEEF, 2**64 - 1, stream_seed(0, 3)])
+    def test_draws_bit_exact_against_next_u64(self, seed):
+        # Each random()/expovariate() call consumes exactly one 64-bit
+        # word: its top 53 bits scaled into [0, 1).  The expected values
+        # come from a second generator's next_u64(), whose first outputs
+        # test_reference_sequence pins.
+        rng, words = SplitMix64(seed), SplitMix64(seed)
+        for i in range(20_000):           # 10,000 draws of each kind
+            u = (words.next_u64() >> 11) / 2**53
+            if i % 2:
+                assert rng.expovariate(2.5) == -math.log(1.0 - u) / 2.5
+            else:
+                assert rng.random() == u
 
     def test_random_in_unit_interval(self):
         rng = SplitMix64(1234)
