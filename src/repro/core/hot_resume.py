@@ -32,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
-from repro.core.coalesce import CoalescedUpdate
 from repro.core.p2sm import (
     MergeReport,
     P2SMState,
@@ -42,7 +41,7 @@ from repro.core.p2sm import (
 from repro.core.ull_runqueue import UllRunqueueManager
 from repro.hypervisor.costs import CostModel
 from repro.hypervisor.cpu import Host
-from repro.hypervisor.load_tracking import DEFAULT_ENTITY_WEIGHT
+from repro.hypervisor.load_tracking import coalesced_enqueue_update
 from repro.hypervisor.pause_resume import (
     STEP_FINALIZE,
     STEP_LOAD,
@@ -55,6 +54,7 @@ from repro.hypervisor.pause_resume import (
     ResumeFaultHook,
     ResumeResult,
     apply_resume_fault,
+    dequeue_sandbox,
 )
 from repro.hypervisor.runqueue import RunQueue
 from repro.hypervisor.sandbox import Sandbox, SandboxState
@@ -150,25 +150,22 @@ class HorsePauseResume:
         # re-assigning.
         self.ull.unassign(sandbox)
         sandbox.clear_horse_artifacts()
-        duration = self.costs.pause_fixed_ns
-        dequeued = 0
-        touched_ull_queues = set()
-        for vcpu in sandbox.vcpus:
-            if vcpu.runqueue_id is not None:
-                if self.ull.is_ull_queue(vcpu.runqueue_id):
-                    touched_ull_queues.add(vcpu.runqueue_id)
-                runqueue = self.host.runqueues[vcpu.runqueue_id]
-                if runqueue.dequeue(vcpu, now_ns):
-                    dequeued += 1
-                    duration += self.costs.pause_dequeue_vcpu_ns
-            vcpu.mark_paused()
+        dequeued, by_queue = dequeue_sandbox(self.host, sandbox, now_ns)
+        duration = (
+            self.costs.pause_fixed_ns + self.costs.pause_dequeue_vcpu_ns * dequeued
+        )
         # Dequeuing mutated reserved queues: every *other* paused
         # sandbox tied to them holds arrayB entries referencing nodes
         # that may just have been unlinked — refresh their
         # precomputation now ("the updates are performed each time
-        # ull_runqueue is updated", §4.1.3).
-        for queue_id in touched_ull_queues:
-            self.ull.on_queue_updated(queue_id)
+        # ull_runqueue is updated", §4.1.3).  Each refresh hands back
+        # the snapshot it walked (None when nothing tied needed one).
+        ull = self.ull
+        snapshots = {
+            queue_id: ull.on_queue_updated(queue_id)
+            for queue_id in by_queue
+            if ull.is_ull_queue(queue_id)
+        }
         sandbox.transition(SandboxState.PAUSED)
 
         dequeue_ns = duration
@@ -182,11 +179,17 @@ class HorsePauseResume:
         duration += sort_ns
 
         # Tie to a reserved queue and precompute P2SM structures.
-        queue = self.ull.assign(sandbox)
+        queue = ull.assign(sandbox)
         precompute_entries = 0
         p2sm_ns = 0.0
         if self.config.enable_p2sm:
-            snapshot = QueueSnapshot.of(queue.entities)
+            # A snapshot this pause already took of the assigned queue is
+            # still exact: since it was taken, only the pausing sandbox's
+            # own (unlinked) vCPUs changed.  Never reuse one across
+            # calls — running vCPUs' keys move without any list change.
+            snapshot = snapshots.get(queue.runqueue_id)
+            if snapshot is None:
+                snapshot = QueueSnapshot.of(queue.entities)
             sandbox.p2sm_state = P2SMState(
                 sandbox.merge_vcpus, queue.entities, snapshot
             )
@@ -194,13 +197,10 @@ class HorsePauseResume:
             p2sm_ns = self.costs.p2sm_refresh_entry_ns * precompute_entries
             duration += p2sm_ns
 
-        # Precompute the fused load update from the sandbox's vCPU count.
+        # The fused load update depends only on the vCPU count.
         coalesce_ns = 0.0
         if self.config.enable_coalescing:
-            template = queue.load.enqueue_update(DEFAULT_ENTITY_WEIGHT)
-            sandbox.coalesced_update = CoalescedUpdate.precompute(
-                template.alpha, template.beta, sandbox.vcpu_count
-            )
+            sandbox.coalesced_update = coalesced_enqueue_update(sandbox.vcpu_count)
             coalesce_ns = self.costs.horse_pause_coalesce_ns
             duration += coalesce_ns
 

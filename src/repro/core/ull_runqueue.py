@@ -119,17 +119,18 @@ class UllRunqueueManager:
     # ------------------------------------------------------------------
     # Precomputation freshness
     # ------------------------------------------------------------------
-    def on_queue_updated(self, runqueue_id: int) -> int:
+    def on_queue_updated(self, runqueue_id: int) -> Optional[QueueSnapshot]:
         """Refresh the P2SM state of every sandbox tied to this queue.
 
         Called after any structural change to a reserved queue (a task
         enqueued or finished).  The queue is walked once, into a
-        snapshot every tied refresh shares.  Returns the number of
-        structure entries a full rebuild touches, which the overhead
-        experiment converts to CPU time.
+        snapshot every tied refresh shares; the structure entries a
+        full rebuild touches accrue in :attr:`refresh_entries_touched`,
+        which the overhead experiment converts to CPU time.  Returns
+        the snapshot, or None when no tied sandbox needed one.
         """
-        entries = 0
         snapshot: Optional[QueueSnapshot] = None
+        refreshed = entries = 0
         for sandbox in self._assignments.get(runqueue_id, []):
             state: Optional[P2SMState] = sandbox.p2sm_state
             if state is None:
@@ -137,10 +138,12 @@ class UllRunqueueManager:
             if snapshot is None:
                 snapshot = QueueSnapshot.of(self._queues[runqueue_id].entities)
             state.refresh(snapshot)
-            entries += len(snapshot.nodes) + len(state.values_a)
-            self.refresh_operations += 1
-        self.refresh_entries_touched += entries
-        return entries
+            refreshed += 1
+            entries += len(state.values_a)
+        if snapshot is not None:
+            self.refresh_operations += refreshed
+            self.refresh_entries_touched += entries + refreshed * len(snapshot.nodes)
+        return snapshot
 
     def check_freshness(self) -> List[str]:
         """Staleness across every tied sandbox's P2SM state (repro.check).

@@ -20,9 +20,11 @@ The DVFS governor reads the tracked load to pick core frequencies.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import Sequence
 
-from repro.core.coalesce import AffineUpdate
+from repro.core.coalesce import AffineUpdate, CoalescedUpdate
 
 #: One PELT accounting period (ns) — Linux uses 1024 us; 1 ms here.
 PELT_PERIOD_NS = 1_000_000
@@ -72,9 +74,13 @@ class RunqueueLoad:
         return AffineUpdate(alpha=DECAY_FACTOR, beta=weight * (1.0 - DECAY_FACTOR))
 
     def enqueue_entity(self, now_ns: int, weight: float = DEFAULT_ENTITY_WEIGHT) -> None:
-        """Fold one newly runnable entity into the aggregate (vanilla path)."""
+        """Fold one newly runnable entity into the aggregate (vanilla path).
+
+        ``enqueue_update(weight).apply(value)`` written out, so a fold
+        allocates nothing: the same float expression, bit for bit.
+        """
         self.decay_to(now_ns)
-        self.value = self.enqueue_update(weight).apply(self.value)
+        self.value = DECAY_FACTOR * self.value + weight * (1.0 - DECAY_FACTOR)
         self.updates_applied += 1
         self.folds_iterated += 1
 
@@ -94,3 +100,29 @@ class RunqueueLoad:
         self.decay_to(now_ns)
         self.value = max(0.0, self.value - weight * (1.0 - DECAY_FACTOR))
         self.updates_applied += 1
+
+    def dequeue_entities(self, now_ns: int, weights: Sequence[float]) -> None:
+        """Remove several entities at one instant, in the order given.
+
+        One decay, then :meth:`dequeue_entity`'s subtraction per weight:
+        the same floats as one call per weight, whose later decays span
+        zero periods.
+        """
+        self.decay_to(now_ns)
+        value = self.value
+        for weight in weights:
+            value = max(0.0, value - weight * (1.0 - DECAY_FACTOR))
+        self.value = value
+        self.updates_applied += len(weights)
+
+
+@functools.lru_cache(maxsize=128)
+def coalesced_enqueue_update(n: int) -> CoalescedUpdate:
+    """The fused update for *n* default-weight enqueues (HORSE pause).
+
+    It depends on *n* alone, so it is built once per vCPU count and
+    shared; :class:`CoalescedUpdate` is frozen, and a fault that loses
+    a sandbox's update replaces the sandbox's reference instead.
+    """
+    template = RunqueueLoad().enqueue_update(DEFAULT_ENTITY_WEIGHT)
+    return CoalescedUpdate.precompute(template.alpha, template.beta, n)

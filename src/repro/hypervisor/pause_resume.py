@@ -19,12 +19,13 @@ exactly the data behind the paper's Figure 2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.hypervisor.costs import CostModel
 from repro.hypervisor.cpu import Host
 from repro.hypervisor.sandbox import Sandbox, SandboxError, SandboxState
 from repro.hypervisor.scheduler.base import SchedulerPolicy
+from repro.hypervisor.vcpu import Vcpu
 from repro.metrics.recorder import Breakdown
 from repro.obs.context import Observability, current as current_obs
 from repro.obs.phases import observe_resume
@@ -162,6 +163,34 @@ def apply_resume_fault(
     raise ValueError(f"unknown resume fault kind {fault.kind!r}")
 
 
+def dequeue_sandbox(
+    host: Host, sandbox: Sandbox, now_ns: int
+) -> Tuple[int, Dict[int, List[Vcpu]]]:
+    """Take every vCPU of *sandbox* off its run queue and mark it paused.
+
+    The vCPUs are grouped by the queue they claim, so each queue is
+    walked once (:meth:`RunQueue.dequeue_all`) and folds its removed
+    vCPUs out in sandbox order.  Shared by the vanilla and the HORSE
+    pause.  Returns how many vCPUs were removed, and the grouping keyed
+    by every queue id a vCPU claimed.
+    """
+    by_queue: Dict[int, List[Vcpu]] = {}
+    for vcpu in sandbox.vcpus:
+        queue_id = vcpu.runqueue_id
+        if queue_id is not None:
+            group = by_queue.get(queue_id)
+            if group is None:
+                by_queue[queue_id] = [vcpu]
+            else:
+                group.append(vcpu)
+        vcpu.mark_paused()
+    runqueues = host.runqueues
+    dequeued = 0
+    for queue_id, group in by_queue.items():
+        dequeued += runqueues[queue_id].dequeue_all(group, now_ns)
+    return dequeued, by_queue
+
+
 def _pause_counter(metrics):
     return metrics.counter("pause.count")
 
@@ -210,15 +239,10 @@ class VanillaPauseResume:
     def pause(self, sandbox: Sandbox, now_ns: int) -> PauseResult:
         """Remove every vCPU from its run queue; sandbox goes PAUSED."""
         sandbox.require_state(SandboxState.RUNNING)
-        duration = self.costs.pause_fixed_ns
-        dequeued = 0
-        for vcpu in sandbox.vcpus:
-            if vcpu.runqueue_id is not None:
-                runqueue = self.host.runqueues[vcpu.runqueue_id]
-                if runqueue.dequeue(vcpu, now_ns):
-                    dequeued += 1
-                    duration += self.costs.pause_dequeue_vcpu_ns
-            vcpu.mark_paused()
+        dequeued, _by_queue = dequeue_sandbox(self.host, sandbox, now_ns)
+        duration = (
+            self.costs.pause_fixed_ns + self.costs.pause_dequeue_vcpu_ns * dequeued
+        )
         sandbox.transition(SandboxState.PAUSED)
         self.pauses += 1
         if self.obs.enabled:

@@ -14,7 +14,7 @@ model converts into simulated nanoseconds.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence
 
 from repro.core.linked_list import SortedLinkedList
 from repro.hypervisor.load_tracking import RunqueueLoad
@@ -134,15 +134,54 @@ class RunQueue:
         handles[2].inc(scan_steps)
         handles[3].set(self.entities._size)
 
-    def dequeue(self, vcpu: Vcpu, now_ns: int) -> bool:
-        """Remove *vcpu* (pause path); folds its load contribution out."""
-        removed = self.entities.remove(vcpu)
-        if removed:
-            vcpu.mark_paused()
-            self.load.dequeue_entity(now_ns, vcpu.weight)
-            self.dequeue_count += 1
-            if self.obs.enabled:
-                self._bound_instruments()[4].inc()
+    def dequeue_all(self, vcpus: Sequence[Vcpu], now_ns: int) -> int:
+        """Unlink every one of *vcpus* that sits on this queue (pause path).
+
+        One walk of the list finds them all.  The load then decays once
+        to *now_ns* and folds each removed vCPU out in *vcpus* order —
+        the floats of dequeuing them one at a time.  The vCPUs' own
+        state is the caller's to set.  Returns how many were removed.
+        """
+        entities = self.entities
+        prev = entities.head
+        node = prev.next
+        if len(vcpus) == 1:
+            # The common case (vanilla spreads a sandbox over queues):
+            # an identity scan, with no set to build.
+            target = vcpus[0]
+            while node is not None and node.value is not target:
+                prev = node
+                node = node.next
+            if node is None:
+                return 0
+            prev.next = node.next
+            node.next = None
+            entities._size -= 1
+            self.load.dequeue_entity(now_ns, target.weight)
+            removed = 1
+        else:
+            pending = set(vcpus)
+            while node is not None:
+                following = node.next
+                if node.value in pending:
+                    prev.next = following
+                    node.next = None
+                    pending.remove(node.value)
+                    if not pending:
+                        break
+                else:
+                    prev = node
+                node = following
+            if pending:  # some were not on this queue
+                vcpus = [vcpu for vcpu in vcpus if vcpu not in pending]
+            removed = len(vcpus)
+            if not removed:
+                return 0
+            entities._size -= removed
+            self.load.dequeue_entities(now_ns, [vcpu.weight for vcpu in vcpus])
+        self.dequeue_count += removed
+        if self.obs.enabled:
+            self._bound_instruments()[4].inc(removed)
         return removed
 
     def peek_next(self) -> Optional[Vcpu]:

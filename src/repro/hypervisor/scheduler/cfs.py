@@ -8,6 +8,8 @@ active in the paper's Firecracker experiments.
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 from repro.hypervisor.scheduler.base import SchedulerPolicy
 from repro.hypervisor.vcpu import Vcpu
 from repro.sim.units import milliseconds
@@ -27,8 +29,9 @@ class CfsPolicy(SchedulerPolicy):
         self._timeslice_ns = timeslice_ns
         self._min_vruntime = 0.0
 
-    def sort_key(self, vcpu: Vcpu) -> float:
-        return vcpu.vruntime
+    #: ``vcpu.vruntime``, read in C: every run-queue hop and snapshot
+    #: key read calls it.
+    sort_key = staticmethod(attrgetter("vruntime"))
 
     def on_enqueue(self, vcpu: Vcpu) -> None:
         self.observe_enqueue(vcpu)

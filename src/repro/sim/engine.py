@@ -50,10 +50,17 @@ _ENV_SCHEDULER = "REPRO_SIM_SCHEDULER"
 #: default-priority call pay an ``int()`` conversion in schedule_at.
 _PRIORITY_NORMAL = int(EventPriority.NORMAL)
 
-# An invalid value falls back here so the package still imports; the
-# ``repro`` CLI rejects it (exit 2) before running anything.
 _default_scheduler = os.environ.get(_ENV_SCHEDULER, "").strip() or "calendar"
+#: Why the environment's scheduler is unusable, or None.  The package
+#: still imports (the ``repro`` CLI rejects the value with exit 2), but
+#: the first Engine built without ``scheduler=`` raises this rather
+#: than run on a default nobody asked for.
+_env_problem: Optional[str] = None
 if _default_scheduler not in scheduler_kinds():
+    _env_problem = (
+        f"{_ENV_SCHEDULER}: unknown scheduler {_default_scheduler!r}; "
+        f"choose from {scheduler_kinds()}"
+    )
     _default_scheduler = "calendar"
 
 
@@ -61,15 +68,17 @@ def set_default_scheduler(kind: str) -> str:
     """Set the scheduler new :class:`Engine` instances use by default.
 
     Returns the previous default.  Engines built with an explicit
-    ``scheduler=`` argument are unaffected.
+    ``scheduler=`` argument are unaffected.  An explicit default
+    overrides a bad ``REPRO_SIM_SCHEDULER``.
     """
-    global _default_scheduler
+    global _default_scheduler, _env_problem
     if kind not in scheduler_kinds():
         raise ValueError(
             f"unknown scheduler {kind!r}; choose from {scheduler_kinds()}"
         )
     previous = _default_scheduler
     _default_scheduler = kind
+    _env_problem = None
     return previous
 
 
@@ -82,8 +91,12 @@ class Engine:
     """Discrete-event simulation engine with pluggable schedulers."""
 
     def __init__(self, start_time: int = 0, scheduler: Optional[str] = None) -> None:
+        if not scheduler:
+            if _env_problem is not None:
+                raise ValueError(_env_problem)
+            scheduler = _default_scheduler
         self.clock = SimClock(start_time)
-        self._sched = make_scheduler(scheduler or _default_scheduler)
+        self._sched = make_scheduler(scheduler)
         # Bound method cached once: the scheduler never changes after
         # construction and every schedule_* call pushes exactly once.
         self._push = self._sched.push

@@ -146,7 +146,7 @@ class TestRefreshEqualsFreshBuild:
                 if not foreign:
                     continue
                 queue_id, vcpu = foreign.pop(pick % len(foreign))
-                assert ull.queue(queue_id).dequeue(vcpu, now)
+                assert ull.queue(queue_id).dequeue_all([vcpu], now) == 1
                 ull.on_queue_updated(queue_id)
                 cost = expected_cost(horse, [queue_id])
             operations += cost[0]
@@ -173,11 +173,16 @@ def record_update_snapshots(horse):
     notify = ull.on_queue_updated
 
     def spy(queue_id):
-        entries = notify(queue_id)
+        taken = notify(queue_id)
         snapshot = QueueSnapshot.of(ull.queue(queue_id).entities)
+        if taken is not None:
+            # The snapshot handed back (a pause may build from it) is
+            # the queue as it stands after the notification.
+            assert taken.nodes == snapshot.nodes
+            assert taken.keys == snapshot.keys
         for sandbox in ull.assigned_to(queue_id):
             snapshots[sandbox.sandbox_id] = snapshot
-        return entries
+        return taken
 
     ull.on_queue_updated = spy
     return snapshots
@@ -263,7 +268,7 @@ class TestDeferredBuild:
                 ull.on_queue_updated(queue_id)
             elif foreign:
                 queue_id, vcpu = foreign.pop(pick % len(foreign))
-                assert ull.queue(queue_id).dequeue(vcpu, now)
+                assert ull.queue(queue_id).dequeue_all([vcpu], now) == 1
                 ull.on_queue_updated(queue_id)
             # Running vCPUs (on reserved queues too) consume CPU time:
             # the queues' sort keys move with no update in between.
@@ -400,3 +405,85 @@ class TestChainNodeLifetime:
         assert state.remove_from_a(5)
         assert {k: c.values() for k, c in state.pos_a.items()} == {1: [12, 15]}
         assert state.verify_against_target() == []
+
+
+class TestOneWalkPerQueue:
+    """A HORSE pause walks each touched reserved queue once: the
+    snapshot ``on_queue_updated`` takes after the dequeue is the one the
+    pausing sandbox's own state builds from when it is tied to that
+    same queue.  The accounted work and the built state are unchanged."""
+
+    def walks(self, monkeypatch):
+        walked = []
+        of = QueueSnapshot.of.__func__
+
+        def spy(cls, target):
+            walked.append(target)
+            return of(cls, target)
+
+        monkeypatch.setattr(QueueSnapshot, "of", classmethod(spy))
+        return walked
+
+    def paused(self, virt, horse, count, vcpus=3):
+        sandboxes = []
+        for _ in range(count):
+            sandbox = Sandbox(vcpus=vcpus, memory_mb=128, is_ull=True)
+            virt.vanilla.place_initial(sandbox, 0)
+            horse.pause(sandbox, 0)
+            sandboxes.append(sandbox)
+        return sandboxes
+
+    def assert_pause_accounting(self, horse, sandbox, result, before, cost):
+        ull = horse.ull
+        assert ull.refresh_operations == before[0] + cost[0]
+        assert ull.refresh_entries_touched == before[1] + cost[1]
+        queue = ull.queue(sandbox.assigned_ull_runqueue)
+        assert result.precompute_entries == len(queue) + 1 + sandbox.vcpu_count
+        assert_matches_fresh(horse, sandbox)
+
+    def test_one_reserved_queue_is_walked_once(self, monkeypatch):
+        virt = firecracker_platform(reserved_ull_cores=1)
+        horse = HorsePauseResume(virt.host, virt.policy, virt.costs)
+        mover, *tied = self.paused(virt, horse, count=4, vcpus=4)
+        horse.resume(mover, 1_000)
+        (queue_id,) = horse.ull.queue_ids
+        assert {vcpu.runqueue_id for vcpu in mover.vcpus} == {queue_id}
+
+        walked = self.walks(monkeypatch)
+        before = (horse.ull.refresh_operations, horse.ull.refresh_entries_touched)
+        result = horse.pause(mover, 2_000)
+        cost = expected_cost(horse, [queue_id], exclude=mover)
+        queue = horse.ull.queue(queue_id)
+        assert walked == [queue.entities]
+        assert mover.assigned_ull_runqueue == queue_id
+        self.assert_pause_accounting(horse, mover, result, before, cost)
+        for sandbox in tied:
+            assert_matches_fresh(horse, sandbox)
+
+    def test_distinct_dequeue_and_assigned_queues_are_walked_once_each(
+        self, monkeypatch
+    ):
+        virt = firecracker_platform(reserved_ull_cores=2)
+        horse = HorsePauseResume(virt.host, virt.policy, virt.costs)
+        # Ties alternate q0, q1, q0, q1, q0: the mover lands on q0.
+        *others, mover = self.paused(virt, horse, count=5)
+        first, second = horse.ull.queue_ids
+        assert mover.assigned_ull_runqueue == first
+        horse.resume(mover, 1_000)
+        # Resuming one of q1's ties leaves q1 the less assigned queue.
+        leaver = next(s for s in others if s.assigned_ull_runqueue == second)
+        horse.resume(leaver, 1_500)
+
+        walked = self.walks(monkeypatch)
+        before = (horse.ull.refresh_operations, horse.ull.refresh_entries_touched)
+        result = horse.pause(mover, 2_000)
+        cost = expected_cost(horse, [first], exclude=mover)
+        assert mover.assigned_ull_runqueue == second
+        assert walked == [
+            horse.ull.queue(first).entities,
+            horse.ull.queue(second).entities,
+        ]
+        self.assert_pause_accounting(horse, mover, result, before, cost)
+        for sandbox in others:
+            if sandbox is not leaver:
+                assert_matches_fresh(horse, sandbox)

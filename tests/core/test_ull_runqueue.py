@@ -106,8 +106,11 @@ class TestPrecomputeFreshness:
         # Mutate the queue: the tied sandbox's arrayB must be rebuilt.
         other = Sandbox(vcpus=1, memory_mb=128)
         queue.entities.insert_sorted(other.vcpus[0])
-        entries = manager.on_queue_updated(queue.runqueue_id)
-        assert entries > 0
+        snapshot = manager.on_queue_updated(queue.runqueue_id)
+        assert snapshot is not None
+        assert snapshot.nodes == [queue.entities.head, *queue.entities.nodes()]
+        # One full rebuild: arrayB (sentinel + 1 element) plus A's two.
+        assert manager.refresh_entries_touched == 2 + 2
         assert manager.refresh_operations == 1
         # arrayB now mirrors the grown queue (sentinel + 1 element).
         assert len(sandbox.p2sm_state.array_b) == 2
@@ -116,7 +119,9 @@ class TestPrecomputeFreshness:
         manager = UllRunqueueManager(make_host(reserved=1))
         sandbox = Sandbox(vcpus=1, memory_mb=128)
         queue = manager.assign(sandbox)
-        assert manager.on_queue_updated(queue.runqueue_id) == 0
+        assert manager.on_queue_updated(queue.runqueue_id) is None
+        assert manager.refresh_operations == 0
+        assert manager.refresh_entries_touched == 0
 
     def test_total_precompute_bytes(self):
         host = make_host(reserved=1)

@@ -1,13 +1,16 @@
 """PELT load tracking: decay, folds, coalesced equivalence."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.coalesce import apply_n_times
+from repro.core.coalesce import CoalescedUpdate, apply_n_times, ulps_apart
 from repro.hypervisor.load_tracking import (
     DECAY_FACTOR,
     DEFAULT_ENTITY_WEIGHT,
     PELT_PERIOD_NS,
     RunqueueLoad,
+    coalesced_enqueue_update,
 )
 
 
@@ -91,3 +94,60 @@ class TestDequeue:
         load = RunqueueLoad(value=1.0)
         load.dequeue_entity(0, weight=1e6)
         assert load.value == 0.0
+
+
+VALUES = st.floats(min_value=0.0, max_value=1e7, allow_nan=False)
+WEIGHTS = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
+GAPS = st.integers(min_value=0, max_value=100 * PELT_PERIOD_NS)
+
+
+class TestFoldBitIdentity:
+    """The allocation-free folds are the affine-update expressions,
+    float for float."""
+
+    @given(value=VALUES, weight=WEIGHTS, start=GAPS, gap=GAPS)
+    @settings(max_examples=300, deadline=None)
+    def test_enqueue_entity_is_the_affine_update(self, value, weight, start, gap):
+        folded = RunqueueLoad(value=value, last_update_ns=start)
+        folded.enqueue_entity(start + gap, weight)
+        reference = RunqueueLoad(value=value, last_update_ns=start)
+        reference.decay_to(start + gap)
+        expected = reference.enqueue_update(weight).apply(reference.value)
+        assert ulps_apart(folded.value, expected) == 0
+        assert folded.updates_applied == 1
+
+    @given(
+        value=VALUES,
+        weights=st.lists(WEIGHTS, min_size=1, max_size=8),
+        start=GAPS,
+        gap=GAPS,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_dequeue_entities_is_one_dequeue_per_weight(
+        self, value, weights, start, gap
+    ):
+        batched = RunqueueLoad(value=value, last_update_ns=start)
+        batched.dequeue_entities(start + gap, weights)
+        one_by_one = RunqueueLoad(value=value, last_update_ns=start)
+        for weight in weights:
+            one_by_one.dequeue_entity(start + gap, weight)
+        assert ulps_apart(batched.value, one_by_one.value) == 0
+        assert batched.updates_applied == one_by_one.updates_applied == len(weights)
+        assert batched.last_update_ns == one_by_one.last_update_ns
+
+
+class TestSharedCoalescedUpdate:
+    def test_equals_a_fresh_precompute(self):
+        template = RunqueueLoad().enqueue_update(DEFAULT_ENTITY_WEIGHT)
+        for n in range(1, 65):
+            fresh = CoalescedUpdate.precompute(template.alpha, template.beta, n)
+            shared = coalesced_enqueue_update(n)
+            assert shared == fresh, n
+            assert ulps_apart(shared.alpha_n, fresh.alpha_n) == 0, n
+            assert ulps_apart(shared.beta_sum, fresh.beta_sum) == 0, n
+            assert coalesced_enqueue_update(n) is shared, n
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_fewer_than_one_vcpu_rejected(self, n):
+        with pytest.raises(ValueError):
+            coalesced_enqueue_update(n)

@@ -53,6 +53,10 @@ class TestPause:
         sandbox = place_and_pause(virt, vcpus=3)
         assert sandbox.state is SandboxState.PAUSED
         assert all(len(q) == 0 for q in virt.host.runqueues.values())
+        assert all(
+            v.state is VcpuState.PAUSED and v.runqueue_id is None
+            for v in sandbox.vcpus
+        )
 
     def test_pause_result_counts_dequeues(self):
         virt = firecracker_platform()
@@ -60,7 +64,9 @@ class TestPause:
         virt.vanilla.place_initial(sandbox, 0)
         result = virt.vanilla.pause(sandbox, 0)
         assert result.dequeued_vcpus == 3
-        assert result.duration_ns > 0
+        assert result.duration_ns == round(
+            virt.costs.pause_fixed_ns + 3 * virt.costs.pause_dequeue_vcpu_ns
+        )
 
     def test_pause_requires_running(self):
         virt = firecracker_platform()

@@ -61,24 +61,30 @@ class TestEnqueue:
 
 
 class TestDequeue:
-    def test_dequeue_removes_and_marks_paused(self):
+    def test_dequeue_all_unlinks_and_leaves_vcpu_state(self):
         queue = make_queue()
         vcpu = make_vcpu()
         queue.enqueue_sorted(vcpu, 0)
-        assert queue.dequeue(vcpu, 0) is True
+        assert queue.dequeue_all([vcpu], 0) == 1
         assert len(queue) == 0
-        assert vcpu.state is VcpuState.PAUSED
-        assert vcpu.runqueue_id is None
+        assert queue.dequeue_count == 1
+        # Pausing marks the vCPU; the queue only unlinks it.
+        assert vcpu.state is VcpuState.RUNNABLE
+        assert vcpu.runqueue_id == 7
 
     def test_dequeue_missing_returns_false(self):
         queue = make_queue()
-        assert queue.dequeue(make_vcpu(), 0) is False
+        queue.enqueue_sorted(make_vcpu(), 0)
+        assert queue.dequeue_all([make_vcpu()], 0) == 0
+        assert queue.dequeue_all([make_vcpu(), make_vcpu(index=1)], 0) == 0
+        assert len(queue) == 1
+        assert queue.load.updates_applied == 1
 
     def test_dequeue_folds_load_out(self):
         queue = make_queue()
         vcpu = make_vcpu()
         queue.enqueue_sorted(vcpu, 0)
-        queue.dequeue(vcpu, 0)
+        queue.dequeue_all([vcpu], 0)
         assert queue.load.value == pytest.approx(0.0, abs=1e-9)
 
 

@@ -1,5 +1,7 @@
 """Scheduler policies: credit2 and CFS ordering semantics."""
 
+import pickle
+
 import pytest
 
 from repro.hypervisor.runqueue import RunQueue
@@ -74,6 +76,22 @@ class TestCfs:
         hog = make_vcpu(vruntime=1000.0)
         assert policy.sort_key(fresh) < policy.sort_key(hog)
 
+    def test_sort_key_is_the_vruntime(self):
+        policy = CfsPolicy()
+        vcpu = make_vcpu(vruntime=42.5)
+        assert policy.sort_key(vcpu) == vcpu.vruntime
+        policy.charge(vcpu, 1000)
+        assert policy.sort_key(vcpu) == vcpu.vruntime
+        # The key takes no policy state, so queues may hold it unbound.
+        assert CfsPolicy.sort_key(vcpu) == vcpu.vruntime
+
+    def test_policy_pickles(self):
+        policy = CfsPolicy(timeslice_ns=milliseconds(3))
+        clone = pickle.loads(pickle.dumps(policy))
+        vcpu = make_vcpu(vruntime=7.0)
+        assert clone.sort_key(vcpu) == 7.0
+        assert clone.default_timeslice_ns() == milliseconds(3)
+
     def test_charge_accumulates_vruntime(self):
         policy = CfsPolicy()
         vcpu = make_vcpu()
@@ -129,7 +147,7 @@ class TestPolicyDrivenQueueIntegrity:
             now += policy.default_timeslice_ns()
             head = queue.peek_next()
             assert head is not None
-            queue.dequeue(head, now)
+            queue.dequeue_all([head], now)
             policy.charge(head, policy.default_timeslice_ns())
             policy.on_enqueue(head)
             queue.enqueue_sorted(head, now)
@@ -159,7 +177,7 @@ class TestPolicyDrivenQueueIntegrity:
                 head = queue.peek_next()
                 if head is None:
                     continue
-                queue.dequeue(head, now)
+                queue.dequeue_all([head], now)
                 policy.charge(head, policy.default_timeslice_ns())
                 if step % 4 == 3:
                     parked.append(head)  # sleeps off-queue for a while

@@ -1,7 +1,13 @@
 """Engine: event ordering, priorities, cancellation, run semantics."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.sim.engine import Engine
 from repro.sim.errors import EngineStoppedError, SchedulingInPastError
 from repro.sim.event import EventPriority
@@ -196,3 +202,50 @@ class TestDeterminism:
             return trace
 
         assert run_once() == run_once()
+
+
+class TestBadSchedulerEnvironment:
+    """A bad ``REPRO_SIM_SCHEDULER`` must not silently become the
+    calendar queue for library users: the import still works, and the
+    first engine that relies on the default raises, naming the value."""
+
+    def run_with_env(self, value, code):
+        src = Path(repro.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(src), "REPRO_SIM_SCHEDULER": value}
+        return subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+
+    def test_default_engine_raises_naming_value_and_kinds(self):
+        result = self.run_with_env(
+            "hybird",
+            "import repro.sim.engine as engine\n"
+            "try:\n"
+            "    engine.Engine()\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n",
+        )
+        assert result.returncode == 0, result.stderr
+        message = result.stdout.strip()
+        assert message.startswith("REPRO_SIM_SCHEDULER: ")
+        assert "'hybird'" in message
+        assert "'calendar'" in message and "'heap'" in message
+
+    def test_explicit_choices_still_build(self):
+        result = self.run_with_env(
+            "hybird",
+            "from repro.sim.engine import Engine, set_default_scheduler\n"
+            "print(Engine(scheduler='heap').scheduler)\n"
+            "set_default_scheduler('heap')\n"
+            "print(Engine().scheduler)\n",
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["heap", "heap"]
+
+    def test_valid_value_is_the_default(self):
+        result = self.run_with_env(
+            "heap", "from repro.sim.engine import Engine\nprint(Engine().scheduler)\n"
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "heap"
