@@ -85,12 +85,6 @@ class FaultPlan:
     seed: int = 0
     specs: Tuple[FaultSpec, ...] = ()
 
-    @classmethod
-    def single(
-        cls, kind: str, seed: int = 0, cycle: Optional[int] = None
-    ) -> "FaultPlan":
-        return cls(seed=seed, specs=(FaultSpec(kind, cycle),))
-
 
 @dataclass(frozen=True)
 class InjectedFault:
@@ -135,11 +129,6 @@ class FaultInjector:
         self.injected: List[InjectedFault] = []
 
     # ------------------------------------------------------------------
-    @property
-    def exhausted(self) -> bool:
-        """True once every planned fault has fired."""
-        return all(armed.fired for armed in self._armed)
-
     def _claim(
         self, kinds: Tuple[str, ...], eligible: Callable[[str], bool]
     ) -> List[_ArmedSpec]:

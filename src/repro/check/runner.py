@@ -63,12 +63,6 @@ class CheckReport:
     def ok(self) -> bool:
         return not self.violations and not self.unfired
 
-    def violations_by_checker(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for violation in self.violations:
-            counts[violation.checker] = counts.get(violation.checker, 0) + 1
-        return counts
-
     def render(self) -> str:
         lines = [
             f"repro check {self.experiment} ({self.platform}): "

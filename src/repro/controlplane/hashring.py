@@ -66,11 +66,5 @@ class HashRing:
                 return node
         return None  # pragma: no cover — up is non-empty and a subset
 
-    def preferred(self, key: str) -> int:
-        """The all-alive owner (where the key lives in steady state)."""
-        owner = self.owner(key, range(self.nodes))
-        assert owner is not None
-        return owner
-
     def __repr__(self) -> str:
         return f"HashRing(nodes={self.nodes}, vnodes={self.vnodes})"

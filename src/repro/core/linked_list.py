@@ -143,37 +143,6 @@ class SortedLinkedList(Generic[T]):
         return node.value
 
     # ------------------------------------------------------------------
-    # Positional access (what P2SM's arrayB precomputes)
-    # ------------------------------------------------------------------
-    def node_at(self, position: int) -> ListNode[T]:
-        """Node at *position*, where 0 is the sentinel head.
-
-        Position *i* >= 1 is the i-th element.  O(position) walk; P2SM
-        exists precisely to avoid calling this on the hot path.
-        """
-        if position < 0 or position > self._size:
-            raise IndexError(f"position {position} out of range 0..{self._size}")
-        node: ListNode[T] = self.head
-        for _ in range(position):
-            assert node.next is not None
-            node = node.next
-        return node
-
-    def position_for_key(self, key_value: float) -> int:
-        """Sorted position (0 = before first element) for *key_value*.
-
-        The returned position indexes the node a sub-list with this key
-        must splice after — the quantity P2SM's ``posA`` stores.
-        """
-        position = 0
-        node = self.head.next
-        while node is not None and self._key(node.value) <= key_value:
-            self.scan_steps += 1
-            position += 1
-            node = node.next
-        return position
-
-    # ------------------------------------------------------------------
     # Splicing (the primitive the P2SM merge threads execute)
     # ------------------------------------------------------------------
     def splice_after(
@@ -199,30 +168,16 @@ class SortedLinkedList(Generic[T]):
         self._size += length
 
     # ------------------------------------------------------------------
-    # Invariant checking (used by tests and debug assertions)
+    # Invariant checking (repro.check and tests)
     # ------------------------------------------------------------------
-    def is_sorted(self) -> bool:
-        """True when every adjacent pair is in ascending key order."""
-        previous_key: Optional[float] = None
-        for value in self:
-            current = self._key(value)
-            if previous_key is not None and current < previous_key:
-                return False
-            previous_key = current
-        return True
-
-    def check_size(self) -> bool:
-        """True when the cached size equals the walked node count."""
-        return sum(1 for _ in self) == self._size
-
     def structure_errors(self) -> List[str]:
         """Structural problems as human-readable strings (empty = sound).
 
         One cycle-safe walk checks link integrity (no cycle, no node
         chain longer than the size counter admits), the size counter,
-        and sortedness.  Unlike :meth:`is_sorted`/:meth:`check_size`,
-        this cannot loop forever on a corrupted list, so it is safe to
-        call on state a fault injector has deliberately mangled.
+        and sortedness.  It cannot loop forever on a corrupted list, so
+        it is safe to call on state a fault injector has deliberately
+        mangled.
         """
         errors: List[str] = []
         limit = self._size + 1
@@ -250,11 +205,6 @@ class SortedLinkedList(Generic[T]):
                 f"size counter drifted: walked {walked}, cached {self._size}"
             )
         return errors
-
-    def reset_scan_counter(self) -> int:
-        """Return and zero ``scan_steps`` (cost-model bookkeeping)."""
-        steps, self.scan_steps = self.scan_steps, 0
-        return steps
 
     def __repr__(self) -> str:
         preview = ", ".join(repr(v) for _, v in zip(range(4), self))

@@ -26,7 +26,7 @@ nanoseconds.
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from operator import le
 from typing import Dict, Generic, List, NamedTuple, Optional, TypeVar
@@ -34,12 +34,6 @@ from typing import Dict, Generic, List, NamedTuple, Optional, TypeVar
 from repro.core.linked_list import ListNode, SortedLinkedList
 
 T = TypeVar("T")
-
-# Modeled memory footprint of the precomputed structures, used by the
-# overhead study (paper §5.2 reports ~528 KB for 10 paused sandboxes).
-ARRAYB_BYTES_PER_ENTRY = 8      # one pointer per B position
-POSA_BYTES_PER_BUCKET = 48      # hashmap bucket: key + head/tail/len
-CHAIN_BYTES_PER_NODE = 16       # node pointer + key cache in the chain
 
 
 @dataclass
@@ -78,15 +72,6 @@ class PrecomputeReport:
     posa_keys: int = 0
     scan_steps: int = 0
     chain_nodes: int = 0
-
-    @property
-    def memory_bytes(self) -> int:
-        """Modeled resident size of arrayB + posA for this pairing."""
-        return (
-            self.array_entries * ARRAYB_BYTES_PER_ENTRY
-            + self.posa_keys * POSA_BYTES_PER_BUCKET
-            + self.chain_nodes * CHAIN_BYTES_PER_NODE
-        )
 
 
 class QueueSnapshot(NamedTuple):
@@ -167,7 +152,8 @@ class P2SMState(Generic[T]):
         self._pos_a: Dict[int, SubChain[T]] = {}
         self._last_report = PrecomputeReport()
         #: one chain node per ``values_a`` entry, relinked by every
-        #: rebuild; None until the next rebuild after A changes
+        #: rebuild; None until the first rebuild after construction or
+        #: a merge (which hands the nodes to the target)
         self._chain_nodes: Optional[List[ListNode[T]]] = None
         #: the snapshot the next read builds from; None once built
         self._pending: Optional[QueueSnapshot] = None
@@ -233,26 +219,6 @@ class P2SMState(Generic[T]):
     array_b = _built_on_read("array_b")
     pos_a = _built_on_read("pos_a")
     last_report = _built_on_read("last_report")
-
-    # ------------------------------------------------------------------
-    # A-side updates
-    # ------------------------------------------------------------------
-    def add_to_a(self, value: T) -> None:
-        """Add one element to A, then fully rebuild (O(|A| + |B|))."""
-        insort_right(self.values_a, value, key=self._key)
-        self._chain_nodes = None
-        self.refresh()
-
-    def remove_from_a(self, value: T) -> bool:
-        """Remove one element from A (identity or equality), then fully
-        rebuild; False, with nothing rebuilt, when it is absent."""
-        for index, existing in enumerate(self.values_a):
-            if existing is value or existing == value:
-                del self.values_a[index]
-                self._chain_nodes = None
-                self.refresh()
-                return True
-        return False
 
     # ------------------------------------------------------------------
     # Freshness verification (repro.check)
@@ -336,16 +302,6 @@ class P2SMState(Generic[T]):
         # The chain nodes now belong to the target.
         self._chain_nodes = None
         return report
-
-    # ------------------------------------------------------------------
-    @property
-    def memory_bytes(self) -> int:
-        """Current modeled footprint of the precomputed structures."""
-        return (
-            len(self.array_b) * ARRAYB_BYTES_PER_ENTRY
-            + len(self.pos_a) * POSA_BYTES_PER_BUCKET
-            + sum(chain.length for chain in self.pos_a.values()) * CHAIN_BYTES_PER_NODE
-        )
 
     def __repr__(self) -> str:
         return (

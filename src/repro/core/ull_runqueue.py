@@ -171,16 +171,6 @@ class UllRunqueueManager:
                 )
         return problems
 
-    # ------------------------------------------------------------------
-    def total_precompute_bytes(self) -> int:
-        """Live modeled footprint of all tied sandboxes' P2SM state."""
-        total = 0
-        for members in self._assignments.values():
-            for sandbox in members:
-                if sandbox.p2sm_state is not None:
-                    total += sandbox.p2sm_state.memory_bytes
-        return total
-
     def __repr__(self) -> str:
         counts = ", ".join(
             f"q{qid}:{len(boxes)}" for qid, boxes in sorted(self._assignments.items())

@@ -5,6 +5,8 @@ Procedure (paper): on a server already running 10 1-vCPU sandboxes
 them for 5 seconds, then resume them; sweep the uLL sandboxes' vCPU
 count 1 -> 36; sample CPU and memory usage every 500 ms; governor in
 performance mode.  Compare HORSE against the vanilla pause/resume.
+The performance governor is the paper's setup and is not modelled:
+simulated work is charged in ns, whatever the clock.
 
 Paper anchors:
 
@@ -23,7 +25,6 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.core.hot_resume import HorseConfig, HorsePauseResume
 from repro.experiments.runner import VCPU_SWEEP, fresh_platform
-from repro.hypervisor.dvfs import GovernorMode
 from repro.hypervisor.sandbox import Sandbox
 from repro.metrics.usage import CpuWorkTracker, UsageSampler
 from repro.sim.engine import Engine
@@ -50,11 +51,6 @@ class PhaseUsage:
     refresh_work_ns: float = 0.0
     workload_work_ns: float = 0.0
 
-    @property
-    def machinery_ns(self) -> float:
-        """Pause/resume machinery only (the overhead under study)."""
-        return self.pause_work_ns + self.resume_work_ns + self.refresh_work_ns
-
 
 @dataclass
 class OverheadRunResult:
@@ -66,10 +62,6 @@ class OverheadRunResult:
     extra_memory_bytes: int
     running_memory_bytes: int
     samples: int
-
-    def cpu_overhead_pct(self, phase_work_ns: float, window_ns: int, cores: int) -> float:
-        """Work expressed as % of one sampling window's core capacity."""
-        return 100.0 * phase_work_ns / (window_ns * cores)
 
     @property
     def memory_overhead_pct(self) -> float:
@@ -122,7 +114,7 @@ def _run_one(
 ) -> OverheadRunResult:
     """One full §5.2 timeline in one mode ('vanilla' or 'horse')."""
     engine = Engine()
-    virt = fresh_platform(platform, governor_mode=GovernorMode.PERFORMANCE)
+    virt = fresh_platform(platform)
     rngs = RngRegistry(seed)
     tracker = CpuWorkTracker()
     costs = virt.costs

@@ -60,9 +60,6 @@ class PoolStudyResult:
     def policy_names(self) -> List[str]:
         return sorted(self.outcomes)
 
-    def best_hit_rate(self) -> str:
-        return max(self.outcomes, key=lambda n: self.outcomes[n].hit_rate)
-
 
 def _default_policies() -> Dict[str, PrewarmPolicy]:
     # The adaptive baseline is the ATC'20 hybrid policy, binned finely

@@ -28,7 +28,7 @@ import enum
 import importlib
 import json
 from dataclasses import dataclass, fields, is_dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.runner import DEFAULT_REPETITIONS, VCPU_SWEEP
 
@@ -193,12 +193,18 @@ def _object_row(obj: Any, extra: Sequence[str] = ()) -> Dict[str, Any]:
     return row
 
 
+def _sorted_cells(result: Any) -> List[Tuple[Tuple[str, Any], Any]]:
+    """``result.cells`` items, keyed ``(name, scenario)``, in name then
+    scenario-value order."""
+    return sorted(
+        result.cells.items(), key=lambda item: (item[0][0], item[0][1].value)
+    )
+
+
 def _grid_rows(result: Any) -> List[Dict[str, Any]]:
     """Rows for a Table1-shaped grid of (category, scenario) cells."""
     rows = []
-    for (category, scenario), cell in sorted(
-        result.cells.items(), key=lambda item: (item[0][0], item[0][1].value)
-    ):
+    for (category, scenario), cell in _sorted_cells(result):
         rows.append(
             {
                 "category": category,
@@ -452,9 +458,7 @@ def _pool_study_rows(result: Any) -> List[Dict[str, Any]]:
 
 def _render_slo(result: Any) -> str:
     lines = [f"{'category':16s} {'scenario':10s} {'budget us':>10s} {'attained':>9s}"]
-    for (category, scenario), cell in sorted(
-        result.cells.items(), key=lambda item: (item[0][0], item[0][1].value)
-    ):
+    for (category, scenario), cell in _sorted_cells(result):
         lines.append(
             f"{category:16s} {scenario.value:10s} "
             f"{cell.budget_ns / 1000:10.1f} "
@@ -466,9 +470,7 @@ def _render_slo(result: Any) -> str:
 def _slo_rows(result: Any) -> List[Dict[str, Any]]:
     return [
         _object_row(cell, extra=("attainment",))
-        for _key, cell in sorted(
-            result.cells.items(), key=lambda item: (item[0][0], item[0][1].value)
-        )
+        for _key, cell in _sorted_cells(result)
     ]
 
 
@@ -477,9 +479,7 @@ def _render_transport(result: Any) -> str:
         f"{'transport':12s} {'scenario':10s} {'overhead %':>10s} "
         f"{'transport ns':>13s} {'init ns':>10s}"
     ]
-    for (transport, scenario), cell in sorted(
-        result.cells.items(), key=lambda item: (item[0][0], item[0][1].value)
-    ):
+    for (transport, scenario), cell in _sorted_cells(result):
         lines.append(
             f"{transport:12s} {scenario.value:10s} "
             f"{cell.mean_overhead_pct:10.3f} {cell.mean_transport_ns:13.1f} "
@@ -491,9 +491,7 @@ def _render_transport(result: Any) -> str:
 def _transport_rows(result: Any) -> List[Dict[str, Any]]:
     return [
         _object_row(cell)
-        for _key, cell in sorted(
-            result.cells.items(), key=lambda item: (item[0][0], item[0][1].value)
-        )
+        for _key, cell in _sorted_cells(result)
     ]
 
 

@@ -3,7 +3,8 @@
 Every experiment driver follows the paper's procedure: repeat the
 measurement (10x by default, "enough for us to achieve 95% confidence
 interval <= 3%"), vary one parameter, and summarize with mean + CI.
-This module hosts the repetition loop, per-repetition RNG forking, and
+This module holds the paper's repetition count and vCPU sweep, the
+mean + CI accumulator each driver fills in its own repetition loop, and
 small helpers for building fresh fixtures so repetitions never share
 mutable state.
 """
@@ -11,14 +12,11 @@ mutable state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Generic, Iterable, List, Sequence, TypeVar
+from typing import List
 
 from repro.hypervisor.platform import VirtualizationPlatform, platform_by_name
 from repro.hypervisor.sandbox import Sandbox
 from repro.metrics.stats import ConfidenceInterval, confidence_interval_95
-from repro.sim.rng import RngRegistry
-
-T = TypeVar("T")
 
 #: The paper's repetition count.
 DEFAULT_REPETITIONS = 10
@@ -48,27 +46,6 @@ class RepeatedMeasurement:
         return confidence_interval_95(self.values)
 
 
-def repeat(
-    measure: Callable[[RngRegistry, int], float],
-    repetitions: int = DEFAULT_REPETITIONS,
-    seed: int = 0,
-    label: str = "measurement",
-) -> RepeatedMeasurement:
-    """Run *measure* once per repetition with a forked RNG registry.
-
-    *measure* receives ``(rngs, repetition_index)`` and returns one
-    scalar.  Fixtures must be built inside *measure* so repetitions are
-    independent.
-    """
-    if repetitions < 1:
-        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-    root = RngRegistry(seed)
-    result = RepeatedMeasurement(label=label)
-    for index in range(repetitions):
-        result.add(measure(root.fork(f"rep-{index}"), index))
-    return result
-
-
 def fresh_platform(name: str = "firecracker", **kwargs) -> VirtualizationPlatform:
     """A brand-new hypervisor instance (no shared run-queue state)."""
     return platform_by_name(name, **kwargs)
@@ -83,35 +60,3 @@ def paused_sandbox(
     virt.vanilla.pause(sandbox, 0)
     return sandbox
 
-
-@dataclass
-class SweepSeries(Generic[T]):
-    """One named series over a parameter sweep (e.g. resume ns vs vCPUs)."""
-
-    name: str
-    parameter: str
-    points: Dict[T, RepeatedMeasurement] = field(default_factory=dict)
-
-    def add_point(self, value: T, measurement: RepeatedMeasurement) -> None:
-        self.points[value] = measurement
-
-    def parameters(self) -> List[T]:
-        return sorted(self.points)
-
-    def means(self) -> List[float]:
-        return [self.points[p].mean for p in self.parameters()]
-
-    def as_rows(self) -> List[tuple]:
-        return [
-            (p, self.points[p].mean, self.points[p].ci95.half_width)
-            for p in self.parameters()
-        ]
-
-
-def max_relative_ci(series: Iterable[RepeatedMeasurement]) -> float:
-    """Largest CI half-width / mean across measurements (QA check:
-    the paper targets <= 3 %)."""
-    worst = 0.0
-    for measurement in series:
-        worst = max(worst, measurement.ci95.relative_half_width)
-    return worst

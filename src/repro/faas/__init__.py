@@ -46,7 +46,6 @@ from repro.faas.transport import (
     TCP,
     TransportKind,
     TransportModel,
-    transport_by_name,
 )
 
 __all__ = [
@@ -67,7 +66,6 @@ __all__ = [
     "TCP",
     "TransportKind",
     "TransportModel",
-    "transport_by_name",
     "FunctionRegistry",
     "FunctionSpec",
     "FaaSGateway",

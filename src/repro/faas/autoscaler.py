@@ -146,9 +146,6 @@ class PoolAutoscaler:
         """Record one trigger at the current instant."""
         self.tracker.observe(self.faas.engine.now)
 
-    def observed_rate_per_second(self) -> float:
-        return self.tracker.rate_per_second(self.faas.engine.now)
-
     def desired_pool_size(self) -> int:
         """Little's law with headroom, clamped to the config bounds."""
         return self.tracker.target(self.faas.engine.now)

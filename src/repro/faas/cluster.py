@@ -374,9 +374,6 @@ class FaaSCluster:
         self.in_flight[index] -= 1
 
     # ------------------------------------------------------------------
-    def total_pooled(self, function_name: str) -> int:
-        return sum(host.pool.size(function_name) for host in self.hosts)
-
     def __repr__(self) -> str:
         up = sum(h.up for h in self.health)
         return (

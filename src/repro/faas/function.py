@@ -76,6 +76,3 @@ class FunctionRegistry:
 
     def names(self) -> List[str]:
         return sorted(self._functions)
-
-    def ull_functions(self) -> List[FunctionSpec]:
-        return [f for f in self._functions.values() if f.is_ull]

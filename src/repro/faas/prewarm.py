@@ -381,9 +381,8 @@ class HybridHistogram(PrewarmPolicy):
 
 
 #: The prewarm policy axis on the shared registry convention
-#: (see :mod:`repro.policyreg`): string specs, ``register`` /
-#: ``set_default`` on the registry, and the ``REPRO_PREWARM_POLICY``
-#: env var.
+#: (see :mod:`repro.policyreg`): string specs, ``register`` on the
+#: registry, and the ``REPRO_PREWARM_POLICY`` env var.
 PREWARM_POLICIES = PolicyRegistry(
     axis="prewarm", env_var="REPRO_PREWARM_POLICY", builtin="hybrid"
 )
@@ -437,7 +436,7 @@ def make_policy(spec: str) -> PrewarmPolicy:
 
 
 def default_prewarm_policy() -> str:
-    """Effective default: override > ``REPRO_PREWARM_POLICY`` > builtin."""
+    """Effective default: ``REPRO_PREWARM_POLICY`` > builtin."""
     return PREWARM_POLICIES.default()
 
 
@@ -452,7 +451,7 @@ class PrewarmConfig:
 
     replay: ReplayConfig = field(default_factory=ReplayConfig)
     #: prewarm-policy spec; defaults to the process default
-    #: (``REPRO_PREWARM_POLICY`` env / ``PREWARM_POLICIES.set_default``)
+    #: (``REPRO_PREWARM_POLICY`` env, else ``hybrid``)
     policy: str = field(default_factory=default_prewarm_policy)
     memory_budget_mb: float = 4096.0
     sandbox_mb: float = 128.0

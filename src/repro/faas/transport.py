@@ -59,13 +59,3 @@ KERNEL_BYPASS = TransportModel(TransportKind.KERNEL_BYPASS, base_ns=microseconds
 TCP = TransportModel(TransportKind.TCP, base_ns=microseconds(30))
 
 ALL_TRANSPORTS = (LOCAL, NANO_FABRIC, KERNEL_BYPASS, TCP)
-
-
-def transport_by_name(name: str) -> TransportModel:
-    for model in ALL_TRANSPORTS:
-        if model.kind.value == name.lower():
-            return model
-    raise ValueError(
-        f"unknown transport {name!r}; expected one of "
-        f"{[m.kind.value for m in ALL_TRANSPORTS]}"
-    )

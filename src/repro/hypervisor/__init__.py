@@ -14,7 +14,6 @@ from repro.hypervisor.cpu import CLOUDLAB_R650, EDGE_NODE, Host, HostSpec
 from repro.hypervisor.dispatch import CoreDispatcher, HostDispatcher, WorkItem
 from repro.hypervisor.energy import (
     CorePowerModel,
-    EnergyAccount,
     frequency_error_ratio,
 )
 from repro.hypervisor.memory import (
@@ -68,7 +67,6 @@ __all__ = [
     "HostDispatcher",
     "WorkItem",
     "CorePowerModel",
-    "EnergyAccount",
     "frequency_error_ratio",
     "DEFAULT_WORKING_SET",
     "GuestMemory",

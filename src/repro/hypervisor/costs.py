@@ -106,16 +106,6 @@ class CostModel:
     # Derived helpers
     # --------------------------------------------------------------------
     @property
-    def resume_fixed_ns(self) -> float:
-        """Vanilla steps 1+2+3+6 combined."""
-        return (
-            self.resume_parse_ns
-            + self.resume_lock_ns
-            + self.resume_sanity_ns
-            + self.resume_finalize_ns
-        )
-
-    @property
     def fast_fixed_ns(self) -> float:
         """HORSE fast-path fixed cost (steps 1+2+3 trimmed + finalize)."""
         return self.fast_parse_ns + self.fast_lock_ns + self.fast_sanity_ns

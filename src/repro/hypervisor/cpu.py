@@ -15,7 +15,6 @@ from heapq import heapify, heappush, heapreplace
 from operator import attrgetter
 from typing import Callable, Dict, Iterator, List
 
-from repro.hypervisor.dvfs import DvfsGovernor, FrequencyRange, GovernorMode
 from repro.hypervisor.runqueue import RunQueue
 from repro.hypervisor.vcpu import Vcpu
 from repro.obs.context import NULL_OBS, Observability
@@ -28,8 +27,6 @@ class HostSpec:
     name: str
     sockets: int
     cores_per_socket: int
-    base_khz: int
-    max_khz: int
     memory_mb: int
     hyperthreading: bool = False
 
@@ -44,20 +41,12 @@ class HostSpec:
         threads = 2 if self.hyperthreading else 1
         return self.sockets * self.cores_per_socket * threads
 
-    def socket_of(self, core_id: int) -> int:
-        """The socket core *core_id* sits on (cores number socket by socket)."""
-        if not 0 <= core_id < self.total_cores:
-            raise ValueError(f"{self.name}: no core {core_id}")
-        return core_id // (self.total_cores // self.sockets)
-
 
 #: The paper's testbed (hyperthreading disabled for the §2/§3 analysis).
 CLOUDLAB_R650 = HostSpec(
     name="cloudlab-r650",
     sockets=2,
     cores_per_socket=36,
-    base_khz=2_400_000,
-    max_khz=3_500_000,
     memory_mb=128 * 1024,
 )
 
@@ -68,8 +57,6 @@ EDGE_NODE = HostSpec(
     name="edge-node",
     sockets=1,
     cores_per_socket=8,
-    base_khz=2_000_000,
-    max_khz=3_000_000,
     memory_mb=32 * 1024,
 )
 
@@ -83,7 +70,7 @@ _by_id = attrgetter("runqueue_id")
 
 
 class Host:
-    """A running server: per-core run queues, frequencies and memory.
+    """A running server: per-core run queues and memory.
 
     The reserved uLL queues are built with the host; a general queue is
     built by :meth:`runqueue` the first time anything uses it.
@@ -100,7 +87,6 @@ class Host:
         default_timeslice_ns: int,
         ull_timeslice_ns: int,
         reserved_ull_cores: int = 1,
-        governor_mode: GovernorMode = GovernorMode.ONDEMAND,
     ) -> None:
         if reserved_ull_cores < 0:
             raise ValueError(f"negative reserved core count {reserved_ull_cores}")
@@ -109,12 +95,6 @@ class Host:
                 f"cannot reserve {reserved_ull_cores} of {spec.total_cores} cores"
             )
         self.spec = spec
-        self.governor = DvfsGovernor(
-            mode=governor_mode,
-            frequency=FrequencyRange(spec.base_khz // 3, spec.max_khz),
-        )
-        #: each core's current frequency, written by refresh_frequencies
-        self.core_khz: List[int] = [spec.base_khz] * spec.total_cores
         self.runqueues: Dict[int, RunQueue] = {}
         self._memory_used_mb = 0
         self._sort_key = sort_key
@@ -135,8 +115,8 @@ class Host:
 
     # ------------------------------------------------------------------
     def attach_observability(self, obs: Observability) -> None:
-        """Wire one obs bundle into the governor and every run queue,
-        including the ones built later.
+        """Wire one obs bundle into every run queue, including the ones
+        built later.
 
         Load-fold counts are batched as plain ints on each
         :class:`~repro.hypervisor.load_tracking.RunqueueLoad`; a
@@ -145,7 +125,6 @@ class Host:
         registry.
         """
         self._obs = obs
-        self.governor.obs = obs
         for runqueue in self.runqueues.values():
             runqueue.obs = obs
         if obs.metrics.enabled:
@@ -283,13 +262,6 @@ class Host:
             )
             if stand_in and self._next_unbuilt < self._first_ull:
                 heappush(heap, (0.0, 0, self._next_unbuilt, None))
-
-    def refresh_frequencies(self) -> None:
-        """Let the governor re-pick each core's frequency from its load."""
-        for core_id in range(self.spec.total_cores):
-            self.core_khz[core_id] = self.governor.target_khz(
-                self.runqueue(core_id).load.value
-            )
 
     # ------------------------------------------------------------------
     # Memory accounting

@@ -232,6 +232,3 @@ class HostDispatcher:
         dispatcher = self.least_busy_general()
         dispatcher.submit(item)
         return dispatcher
-
-    def total_completed(self) -> int:
-        return sum(len(d.completed) for d in self.cores.values())

@@ -1,12 +1,15 @@
 """DVFS governor: maps run-queue load to core frequency.
 
 The paper's step 5 matters because the updated load variable "is used
-for frequency scaling".  This module closes that loop: a governor reads
-each run queue's tracked load and picks the core's frequency.  Two
-governors are provided, mirroring the experiments:
+for frequency scaling".  A governor turns a tracked load into a core
+frequency.  No host runs one: the governor runs only in the
+skip-vs-coalesce ablation (``repro.experiments.ablations_energy``),
+which measures the frequency a stale load would pick, and
+:func:`sample_violations` backs the ``invariant.dvfs_clock`` checker.
+Three modes are provided:
 
-* ``performance`` — all cores pinned to max frequency (used by the
-  paper's §5.2 overhead study);
+* ``performance`` — pinned to max frequency;
+* ``powersave`` — pinned to min frequency;
 * ``ondemand`` — frequency interpolates between min and max with the
   load/capacity ratio, the classic load-following policy.
 """
@@ -18,7 +21,6 @@ from dataclasses import dataclass
 from typing import Iterable, List
 
 from repro.hypervisor.load_tracking import DEFAULT_ENTITY_WEIGHT
-from repro.obs.context import NULL_OBS, Observability
 
 
 class GovernorMode(enum.Enum):
@@ -52,14 +54,12 @@ class DvfsGovernor:
         mode: GovernorMode = GovernorMode.ONDEMAND,
         frequency: FrequencyRange = FrequencyRange(800_000, 2_400_000),
         capacity: float = DEFAULT_ENTITY_WEIGHT,
-        obs: Observability = NULL_OBS,
     ) -> None:
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.mode = mode
         self.frequency = frequency
         self.capacity = capacity
-        self.obs = obs
         self.decisions = 0
 
     def target_khz(self, load: float) -> int:
@@ -73,10 +73,6 @@ class DvfsGovernor:
             utilization = min(1.0, max(0.0, load / self.capacity))
             span = self.frequency.max_khz - self.frequency.min_khz
             khz = self.frequency.clamp(self.frequency.min_khz + span * utilization)
-        if self.obs.enabled:
-            metrics = self.obs.metrics
-            metrics.counter("dvfs.decisions").inc()
-            metrics.gauge("dvfs.target_khz").set(khz)
         return khz
 
     def __repr__(self) -> str:

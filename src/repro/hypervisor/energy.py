@@ -1,10 +1,10 @@
-"""Energy model: what the DVFS loop does with the tracked load.
+"""Energy model: what a DVFS governor does with the tracked load.
 
 The paper's step 5 matters because the run-queue load variable "is used
-for frequency scaling".  This module closes the loop quantitatively: a
-simple CMOS-style power model (P = P_static + c * f^3 over the active
-frequency range) converts governor decisions into power, which lets
-experiments measure the *consequence* of load-tracking choices:
+for frequency scaling".  A simple CMOS-style power model
+(P = P_static + c * f^3 over the active frequency range) converts
+governor decisions into power, which lets the skip-vs-coalesce ablation
+measure the *consequence* of load-tracking choices:
 
 * HORSE's coalesced update preserves the exact load value, so DVFS
   decisions — and therefore energy — are identical to the vanilla
@@ -52,12 +52,6 @@ class CorePowerModel:
         dynamic_peak = self.peak_watts - self.static_watts
         return self.static_watts + dynamic_peak * ratio**3
 
-    def energy_joules(self, khz: int, duration_ns: int) -> float:
-        """Energy spent running at *khz* for *duration_ns*."""
-        if duration_ns < 0:
-            raise ValueError(f"negative duration {duration_ns}")
-        return self.power_watts(khz) * duration_ns * 1e-9
-
 
 def frequency_error_ratio(
     governor: DvfsGovernor, true_load: float, stale_load: float
@@ -74,15 +68,3 @@ def frequency_error_ratio(
         return 0.0
     return abs(stale_khz - true_khz) / true_khz
 
-
-@dataclass
-class EnergyAccount:
-    """Accumulates per-core energy over governor decisions."""
-
-    model: CorePowerModel = CorePowerModel()
-    total_joules: float = 0.0
-    intervals: int = 0
-
-    def charge_interval(self, khz: int, duration_ns: int) -> None:
-        self.total_joules += self.model.energy_joules(khz, duration_ns)
-        self.intervals += 1

@@ -15,7 +15,8 @@ This module implements a faithful small PELT:
   (decay one period, then blend the entity's contribution in), i.e.
   ``alpha = y`` and ``beta = w * (1 - y)``.
 
-The DVFS governor reads the tracked load to pick core frequencies.
+In the kernel, the DVFS governor reads the tracked load to pick core
+frequencies; here only the skip-vs-coalesce ablation runs a governor.
 """
 
 from __future__ import annotations

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from repro.hypervisor.costs import CostModel, FIRECRACKER_COSTS, XEN_COSTS
 from repro.hypervisor.cpu import CLOUDLAB_R650, Host, HostSpec
-from repro.hypervisor.dvfs import GovernorMode
 from repro.hypervisor.pause_resume import VanillaPauseResume
 from repro.hypervisor.scheduler.base import SchedulerPolicy
 from repro.hypervisor.scheduler.cfs import CfsPolicy
@@ -46,7 +45,6 @@ def _build(
     policy: SchedulerPolicy,
     spec: HostSpec,
     reserved_ull_cores: int,
-    governor_mode: GovernorMode,
 ) -> VirtualizationPlatform:
     host = Host(
         spec=spec,
@@ -54,7 +52,6 @@ def _build(
         default_timeslice_ns=policy.default_timeslice_ns(),
         ull_timeslice_ns=round(costs.ull_timeslice_ns),
         reserved_ull_cores=reserved_ull_cores,
-        governor_mode=governor_mode,
     )
     vanilla = VanillaPauseResume(host=host, policy=policy, costs=costs)
     platform = VirtualizationPlatform(
@@ -75,34 +72,20 @@ def _build(
 def firecracker_platform(
     spec: HostSpec = CLOUDLAB_R650,
     reserved_ull_cores: int = 1,
-    governor_mode: GovernorMode = GovernorMode.ONDEMAND,
 ) -> VirtualizationPlatform:
     """Firecracker on KVM: microVM vCPUs are CFS-scheduled host threads."""
     return _build(
-        "firecracker",
-        FIRECRACKER_COSTS,
-        CfsPolicy(),
-        spec,
-        reserved_ull_cores,
-        governor_mode,
+        "firecracker", FIRECRACKER_COSTS, CfsPolicy(), spec, reserved_ull_cores
     )
 
 
 def xen_platform(
     spec: HostSpec = CLOUDLAB_R650,
     reserved_ull_cores: int = 1,
-    governor_mode: GovernorMode = GovernorMode.ONDEMAND,
 ) -> VirtualizationPlatform:
     """Xen 4.17 with the credit2 scheduler (and the LightVM-style
     in-memory XenStore the paper applies, folded into the cost model)."""
-    return _build(
-        "xen",
-        XEN_COSTS,
-        Credit2Policy(),
-        spec,
-        reserved_ull_cores,
-        governor_mode,
-    )
+    return _build("xen", XEN_COSTS, Credit2Policy(), spec, reserved_ull_cores)
 
 
 def platform_by_name(name: str, **kwargs) -> VirtualizationPlatform:

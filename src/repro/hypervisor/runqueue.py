@@ -4,8 +4,8 @@ A run queue is the object both of the paper's hot operations touch:
 
 * step 4 — *sorted merge* of each resuming vCPU into the queue's
   sorted linked list (sort key comes from the scheduler policy);
-* step 5 — *load update* of the queue's PELT aggregate, which the DVFS
-  governor reads.
+* step 5 — *load update* of the queue's PELT aggregate, which the
+  kernel's DVFS governor reads.
 
 ``RunQueue`` executes both operations for real and exposes the raw
 operation counts (linked-list scan steps, load folds) that the cost
@@ -184,10 +184,6 @@ class RunQueue:
             self._bound_instruments()[4].inc(removed)
         return removed
 
-    def peek_next(self) -> Optional[Vcpu]:
-        """The vCPU the core would pick next (least sort key)."""
-        return self.entities.first()
-
     def pop_next(self) -> Optional[Vcpu]:
         return self.entities.pop_first()
 
@@ -200,10 +196,10 @@ class RunQueue:
     def invariant_violations(self) -> List[str]:
         """Every broken structural invariant, as messages (empty = sound).
 
-        Non-raising twin of :meth:`check_invariants`, used by the
-        ``repro.check`` registry so a corrupted queue is *reported*
-        rather than aborting the run.  The underlying walk is
-        cycle-safe, so this is callable on fault-injected state.
+        Used by the ``repro.check`` registry, so a corrupted queue is
+        *reported* rather than aborting the run, and by tests as
+        ``assert not queue.invariant_violations()``.  The underlying
+        walk is cycle-safe, so this is callable on fault-injected state.
         """
         prefix = f"runqueue {self.runqueue_id}"
         violations = [
@@ -218,11 +214,6 @@ class RunQueue:
         if self.load.value < 0.0:
             violations.append(f"{prefix}: negative load {self.load.value}")
         return violations
-
-    def check_invariants(self) -> None:
-        """Raise AssertionError when a structural invariant is broken."""
-        violations = self.invariant_violations()
-        assert not violations, "; ".join(violations)
 
     def __repr__(self) -> str:
         kind = "ull" if self.reserved_for_ull else "general"

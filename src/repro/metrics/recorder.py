@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping
+from typing import Dict, List
 
 
 @dataclass
@@ -35,16 +35,6 @@ class Breakdown:
         if total == 0:
             return 0.0
         return self.phases.get(phase, 0) / total
-
-    def combined_share(self, phases: Iterable[str]) -> float:
-        """Fraction of the total spent in the union of *phases*."""
-        total = self.total_ns
-        if total == 0:
-            return 0.0
-        return sum(self.phases.get(p, 0) for p in phases) / total
-
-    def as_dict(self) -> Mapping[str, int]:
-        return dict(self.phases)
 
 
 class BreakdownRecorder:

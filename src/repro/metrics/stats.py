@@ -102,13 +102,6 @@ class ConfidenceInterval:
     def high(self) -> float:
         return self.mean + self.half_width
 
-    @property
-    def relative_half_width(self) -> float:
-        """CI half-width as a fraction of the mean (paper targets <=3 %)."""
-        if self.mean == 0:
-            return 0.0
-        return abs(self.half_width / self.mean)
-
     def __str__(self) -> str:
         return f"{self.mean:.4g} +/- {self.half_width:.2g} (n={self.n})"
 

@@ -50,9 +50,6 @@ class CpuWorkTracker:
     def total(self, phase: str) -> float:
         return self._cumulative.get(phase, 0.0)
 
-    def grand_total(self) -> float:
-        return sum(self._cumulative.values())
-
     def phases(self) -> Dict[str, float]:
         return dict(self._cumulative)
 

@@ -141,19 +141,6 @@ class Histogram:
             seen += bucket_count
         return self.maximum
 
-    def nonzero_buckets(self) -> Dict[float, int]:
-        """Upper-edge -> count for populated buckets (inf = overflow)."""
-        out: Dict[float, int] = {}
-        for index, bucket_count in enumerate(self.counts):
-            if bucket_count:
-                edge = (
-                    self.bounds[index]
-                    if index < len(self.bounds)
-                    else float("inf")
-                )
-                out[edge] = bucket_count
-        return out
-
     def __repr__(self) -> str:
         return f"Histogram({self.name}, n={self.count}, mean={self.mean:.1f})"
 
@@ -253,9 +240,6 @@ class MetricRegistry:
 
     def counters(self) -> Dict[str, Counter]:
         return dict(self._counters)
-
-    def gauges(self) -> Dict[str, Gauge]:
-        return dict(self._gauges)
 
     def histograms(self) -> Dict[str, Histogram]:
         return dict(self._histograms)

@@ -224,11 +224,6 @@ class SubsystemProfiler:
                 per_subsystem.get(WATCHER_SITE[0], 0) + self.watcher_wall_ns
             )
         attributed = sum(per_subsystem.values())
-        named = sum(
-            wall
-            for subsystem, wall in per_subsystem.items()
-            if not subsystem.startswith("other.")
-        )
         total = self.total_wall_ns or attributed
         lines = [f"wall-time attribution for {self.name!r}:"]
         for subsystem, wall in sorted(
@@ -236,7 +231,7 @@ class SubsystemProfiler:
         ):
             share = 100.0 * wall / attributed if attributed else 0.0
             lines.append(f"  {subsystem:<24s} {wall / 1e6:10.2f} ms {share:6.2f}%")
-        coverage = 100.0 * named / attributed if attributed else 100.0
+        coverage = 100.0 * self.named_coverage()
         loop_share = 100.0 * attributed / total if total else 0.0
         lines.append(
             f"  named-subsystem coverage {coverage:.2f}% of attributed wall "

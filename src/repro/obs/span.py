@@ -82,10 +82,6 @@ class OpenSpan:
     def attrs(self) -> Dict[str, Any]:
         return self.span.attrs
 
-    def set_track(self, pid: int, tid: int) -> None:
-        self.span.pid = pid
-        self.span.tid = tid
-
     def close(self, end_ns: int, **attrs: Any) -> Span:
         """Finish the span at *end_ns*; merges *attrs* in."""
         if self._closed:
@@ -364,9 +360,6 @@ class _NullOpenSpan(OpenSpan):
     @property
     def attrs(self) -> Dict[str, Any]:
         return {}
-
-    def set_track(self, pid: int, tid: int) -> None:
-        return None
 
     def close(self, end_ns: int, **attrs: Any) -> Span:
         return self.span

@@ -13,11 +13,11 @@ mechanism behind all of them:
 * **registration** — ``register(family, factory)`` adds a family;
   factories receive the *full* spec string so parameter syntax stays
   the family's own business (and so error messages can be precise);
-* **process default** — ``default()`` resolves, in order, the
-  ``set_default()`` override, the axis's ``REPRO_*`` environment
-  variable (a ``ValueError`` naming the variable if it names an
-  unknown policy — a typo must not silently run the built-in), then
-  the built-in;
+* **process default** — ``default()`` resolves, in order, the axis's
+  ``REPRO_*`` environment variable (a ``ValueError`` naming the
+  variable if it names an unknown policy — a typo must not silently
+  run the built-in), then the built-in.  There is no in-process
+  override: a caller that wants another policy passes its spec;
 * **discovery** — ``kinds()`` lists the registered spec syntaxes, which
   is what ``repro list --policies`` prints.
 
@@ -51,7 +51,6 @@ class PolicyRegistry:
         self.env_var = env_var
         self._builtin = builtin
         self._families: Dict[str, _Family] = {}
-        self._override: Optional[str] = None
 
     # ------------------------------------------------------------------
     def register(
@@ -107,19 +106,8 @@ class PolicyRegistry:
         return sorted(self._families)
 
     # ------------------------------------------------------------------
-    def set_default(self, spec: str) -> str:
-        """Set the process-default spec; returns the previous effective
-        default.  Validates eagerly — a typo should fail at the call
-        site, not inside the first simulation that resolves it."""
-        self.make(spec)
-        previous = self.default()
-        self._override = spec
-        return previous
-
     def default(self) -> str:
-        """Effective default: override > env var > builtin."""
-        if self._override is not None:
-            return self._override
+        """Effective default: env var > builtin."""
         return self.env_spec() or self._builtin
 
     def env_spec(self) -> Optional[str]:

@@ -67,10 +67,8 @@ from repro.resilience.policies import (
     PullQueuePolicy,
     PushPlacementPolicy,
     default_dispatch_policy,
-    dispatch_policy_kinds,
     eligible_candidates,
     make_dispatch_policy,
-    set_default_dispatch_policy,
 )
 from repro.resilience.retry import HedgePolicy, RetryPolicy
 
@@ -108,10 +106,8 @@ __all__ = [
     "PullQueuePolicy",
     "PushPlacementPolicy",
     "default_dispatch_policy",
-    "dispatch_policy_kinds",
     "eligible_candidates",
     "make_dispatch_policy",
-    "set_default_dispatch_policy",
     "HedgePolicy",
     "RetryPolicy",
 ]

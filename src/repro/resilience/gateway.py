@@ -149,8 +149,8 @@ class ResilienceConfig:
     #: warm sandboxes re-provisioned per function when a host recovers
     rewarm_per_host: int = 1
     #: dispatch-policy spec (see repro.resilience.policies); None
-    #: resolves the process default (``REPRO_DISPATCH_POLICY`` env /
-    #: ``set_default_dispatch_policy``) at gateway construction
+    #: resolves the process default (``REPRO_DISPATCH_POLICY`` env, else
+    #: ``push-least-loaded``) at gateway construction
     dispatch: Optional[str] = None
 
 

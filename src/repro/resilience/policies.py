@@ -21,8 +21,9 @@ small hook protocol wide enough for push *and* pull shaped scheduling:
   the gateway's audit.
 
 Policies are registered on a shared :class:`~repro.policyreg.PolicyRegistry`
-(``REPRO_DISPATCH_POLICY`` env var, ``set_default_dispatch_policy``)
-under the same convention as sim schedulers and prewarm policies.
+under the same convention as sim schedulers and prewarm policies; the
+``REPRO_DISPATCH_POLICY`` env var picks the default, and there is no
+in-process override.
 
 Shipped contenders
 ------------------
@@ -417,16 +418,6 @@ def make_dispatch_policy(spec: str) -> DispatchPolicy:
     return DISPATCH_POLICIES.make(spec)
 
 
-def dispatch_policy_kinds() -> List[str]:
-    """Registered dispatch-policy spec syntaxes."""
-    return DISPATCH_POLICIES.kinds()
-
-
-def set_default_dispatch_policy(spec: str) -> str:
-    """Set the process-default dispatch policy; returns the previous."""
-    return DISPATCH_POLICIES.set_default(spec)
-
-
 def default_dispatch_policy() -> str:
-    """Effective default: override > ``REPRO_DISPATCH_POLICY`` > builtin."""
+    """Effective default: ``REPRO_DISPATCH_POLICY`` > builtin."""
     return DISPATCH_POLICIES.default()

@@ -31,8 +31,6 @@ from repro.sim.units import (
     nanoseconds,
     seconds,
     to_microseconds,
-    to_milliseconds,
-    to_seconds,
 )
 
 __all__ = [
@@ -57,7 +55,5 @@ __all__ = [
     "milliseconds",
     "seconds",
     "to_microseconds",
-    "to_milliseconds",
-    "to_seconds",
     "format_duration",
 ]

@@ -344,18 +344,6 @@ class Engine:
         """Fire exactly one pending event.  Returns False if none left."""
         return self.run(max_events=1) == 1
 
-    def peek_next_time(self) -> Optional[int]:
-        """Time of the next pending (non-cancelled) event, or None."""
-        sched = self._sched
-        while True:
-            event = sched.peek()
-            if event is None:
-                return None
-            if not event.cancelled:
-                return event.time
-            sched.pop_due(None)
-            self._recycle(event)
-
     def pending_events(self) -> List[Event]:
         """Sorted snapshot of non-cancelled pending events.
 
@@ -386,11 +374,6 @@ class Engine:
         the no-watcher dispatch branch never consults it.
         """
         self._watchers.append(watcher)
-
-    def remove_watcher(self, watcher: Callable[[Event], None]) -> None:
-        """Detach a previously added watcher (no-op if absent)."""
-        if watcher in self._watchers:
-            self._watchers.remove(watcher)
 
     def stop(self) -> None:
         """Permanently stop the engine; further scheduling raises."""

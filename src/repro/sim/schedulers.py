@@ -59,11 +59,6 @@ class HeapScheduler:
     def push(self, event: Event) -> None:
         heappush(self._heap, event)
 
-    def peek(self) -> Optional[Event]:
-        """The minimum pending event (cancelled or not), or None."""
-        heap = self._heap
-        return heap[0] if heap else None
-
     def pop_due(self, limit: Optional[int]) -> Optional[Event]:
         """Pop and return the minimum event if its time is <= *limit*
         (no limit when None); otherwise leave it and return None."""
@@ -224,11 +219,6 @@ class CalendarScheduler:
         self._cursor = window & mask
         self._horizon = (window + 1) * width
         return buckets[self._cursor]
-
-    def peek(self) -> Optional[Event]:
-        """The minimum pending event (cancelled or not), or None."""
-        bucket = self._position_at_min()
-        return bucket[-1][3] if bucket is not None else None
 
     def pop_due(self, limit: Optional[int]) -> Optional[Event]:
         """Pop and return the minimum event if its time is <= *limit*

@@ -44,16 +44,6 @@ def to_microseconds(ns: int) -> float:
     return ns / MICROSECOND
 
 
-def to_milliseconds(ns: int) -> float:
-    """Convert integer nanoseconds to float milliseconds."""
-    return ns / MILLISECOND
-
-
-def to_seconds(ns: int) -> float:
-    """Convert integer nanoseconds to float seconds."""
-    return ns / SECOND
-
-
 def format_duration(ns: int) -> str:
     """Render a duration with the most natural unit, e.g. ``'1.10 us'``.
 

@@ -1,11 +1,6 @@
 """Invocation arrival modeling: processes, Azure-like synthesis, replay."""
 
-from repro.traces.arrival import (
-    ArrivalProcess,
-    DeterministicArrivals,
-    PoissonArrivals,
-    TraceDrivenArrivals,
-)
+from repro.traces.arrival import ArrivalProcess, PoissonArrivals
 from repro.traces.azure import (
     AzureTraceConfig,
     SyntheticTrace,
@@ -26,9 +21,7 @@ from repro.traces.replay import (
 
 __all__ = [
     "ArrivalProcess",
-    "DeterministicArrivals",
     "PoissonArrivals",
-    "TraceDrivenArrivals",
     "AzureTraceConfig",
     "SyntheticTrace",
     "burst_arrival_stream",

@@ -1,16 +1,16 @@
 """Arrival processes: when invocations hit the platform.
 
-Experiments drive the FaaS gateway from an arrival process.  Three are
-provided: deterministic (fixed period, e.g. "10 uLL triggers per
-second"), Poisson (memoryless background traffic), and trace-driven
-(replay of explicit timestamps, e.g. a chunk of the Azure trace).
+Examples drive the FaaS gateway from an arrival process:
+:class:`PoissonArrivals` is memoryless background traffic.  A
+synthesized Azure-like trace is replayed from its sorted timestamps
+(:meth:`repro.traces.azure.SyntheticTrace.merged_timestamps`).
 """
 
 from __future__ import annotations
 
 import abc
 import random
-from typing import Iterator, List, Sequence
+from typing import Iterator
 
 
 class ArrivalProcess(abc.ABC):
@@ -19,30 +19,6 @@ class ArrivalProcess(abc.ABC):
     @abc.abstractmethod
     def arrivals(self, start_ns: int, end_ns: int) -> Iterator[int]:
         """Yield arrival instants in [start_ns, end_ns), ascending."""
-
-    def arrival_list(self, start_ns: int, end_ns: int) -> List[int]:
-        return list(self.arrivals(start_ns, end_ns))
-
-
-class DeterministicArrivals(ArrivalProcess):
-    """Fixed inter-arrival period, optionally with a phase offset."""
-
-    def __init__(self, period_ns: int, offset_ns: int = 0) -> None:
-        if period_ns <= 0:
-            raise ValueError(f"period must be positive, got {period_ns}")
-        if offset_ns < 0:
-            raise ValueError(f"offset must be >= 0, got {offset_ns}")
-        self.period_ns = period_ns
-        self.offset_ns = offset_ns
-
-    def arrivals(self, start_ns: int, end_ns: int) -> Iterator[int]:
-        if end_ns <= start_ns:
-            return
-        first = start_ns + self.offset_ns
-        when = first
-        while when < end_ns:
-            yield when
-            when += self.period_ns
 
 
 class PoissonArrivals(ArrivalProcess):
@@ -67,23 +43,3 @@ class PoissonArrivals(ArrivalProcess):
                 return
             yield round(when)
 
-
-class TraceDrivenArrivals(ArrivalProcess):
-    """Replay explicit timestamps (e.g. from the Azure trace loader)."""
-
-    def __init__(self, timestamps_ns: Sequence[int]) -> None:
-        ordered = sorted(int(t) for t in timestamps_ns)
-        if any(t < 0 for t in ordered):
-            raise ValueError("trace contains negative timestamps")
-        self._timestamps = ordered
-
-    def __len__(self) -> int:
-        return len(self._timestamps)
-
-    def arrivals(self, start_ns: int, end_ns: int) -> Iterator[int]:
-        for when in self._timestamps:
-            if when < start_ns:
-                continue
-            if when >= end_ns:
-                return
-            yield when

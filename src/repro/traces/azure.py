@@ -16,8 +16,8 @@ with its published structure:
 * a minute-level **diurnal modulation** is optional (irrelevant for a
   30 s chunk but kept for longer studies).
 
-:func:`synthesize_trace` returns a :class:`SyntheticTrace` whose
-``timestamps_for`` feeds :class:`~repro.traces.arrival.TraceDrivenArrivals`.
+:func:`synthesize_trace` returns a :class:`SyntheticTrace`; experiments
+replay its ``merged_timestamps``.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List
 
 from repro.sim.units import SECOND
-from repro.traces.arrival import TraceDrivenArrivals
 
 
 @dataclass(frozen=True)
@@ -67,18 +66,8 @@ class SyntheticTrace:
     #: function name -> sorted arrival timestamps (ns)
     invocations: Dict[str, List[int]] = field(default_factory=dict)
 
-    @property
-    def total_invocations(self) -> int:
-        return sum(len(ts) for ts in self.invocations.values())
-
     def function_names(self) -> List[str]:
         return sorted(self.invocations)
-
-    def timestamps_for(self, function: str) -> TraceDrivenArrivals:
-        try:
-            return TraceDrivenArrivals(self.invocations[function])
-        except KeyError:
-            raise KeyError(f"no function {function!r} in trace") from None
 
     def merged_timestamps(self) -> List[int]:
         """All arrivals across functions, sorted — the platform's view."""

@@ -46,7 +46,7 @@ class TestEveryKindIsCaught:
     @pytest.mark.parametrize("kind", FAULT_KINDS)
     def test_injected_fault_produces_reported_violations(self, kind):
         report = check_figure3(
-            fault_plan=FaultPlan.single(kind, seed=11), **FAST
+            fault_plan=FaultPlan(seed=11, specs=(FaultSpec(kind),)), **FAST
         )
         assert report.unfired == [], f"{kind} never found an eligible cycle"
         assert [f.kind for f in report.injected] == [kind]
@@ -57,7 +57,7 @@ class TestEveryKindIsCaught:
         assert all(v.context for v in report.violations)
 
     def test_same_plan_replays_identically(self):
-        plan = FaultPlan.single("stale_posa", seed=3)
+        plan = FaultPlan(seed=3, specs=(FaultSpec("stale_posa"),))
         first = check_figure3(fault_plan=plan, **FAST)
         second = check_figure3(fault_plan=plan, **FAST)
         assert [(f.kind, f.cycle) for f in first.injected] == [
@@ -81,7 +81,7 @@ class TestEligibilityAccounting:
 
         report = check_figure3(
             setups={"ppsm": HorseConfig.ppsm_only()},
-            fault_plan=FaultPlan.single("drop_coalesced", seed=0),
+            fault_plan=FaultPlan(specs=(FaultSpec("drop_coalesced"),)),
             **FAST,
         )
         assert report.unfired == ["drop_coalesced"]

@@ -18,24 +18,24 @@ class TestHashStability:
     def test_same_population_same_ring(self):
         one, two = HashRing(5), HashRing(5)
         for key in ("firewall", "background", "fn-7", ""):
-            assert one.preferred(key) == two.preferred(key)
+            assert one.owner(key, range(5)) == two.owner(key, range(5))
 
 
 class TestRouting:
     def test_owner_requires_alive_membership(self):
         ring = HashRing(4)
         assert ring.owner("firewall", []) is None
-        assert ring.owner("firewall", range(4)) == ring.preferred("firewall")
+        assert ring.owner("firewall", range(4)) in range(4)
 
     def test_single_node_owns_everything(self):
         ring = HashRing(1)
-        assert ring.preferred("a") == 0
+        assert ring.owner("a", range(ring.nodes)) == 0
         assert ring.owner("b", [0]) == 0
 
     def test_down_owner_spills_to_successor_and_snaps_back(self):
         ring = HashRing(4)
         key = "firewall"
-        home = ring.preferred(key)
+        home = ring.owner(key, range(ring.nodes))
         alive = [i for i in range(4) if i != home]
         fallback = ring.owner(key, alive)
         assert fallback is not None and fallback != home
@@ -45,10 +45,10 @@ class TestRouting:
     def test_other_keys_do_not_move_when_one_shard_dies(self):
         ring = HashRing(4, vnodes=64)
         keys = [f"fn-{i}" for i in range(200)]
-        victim = ring.preferred(keys[0])
+        victim = ring.owner(keys[0], range(ring.nodes))
         alive = [i for i in range(4) if i != victim]
         for key in keys:
-            home = ring.preferred(key)
+            home = ring.owner(key, range(ring.nodes))
             if home != victim:
                 assert ring.owner(key, alive) == home
 
@@ -69,5 +69,5 @@ class TestValidation:
 
     def test_vnodes_spread_load(self):
         ring = HashRing(4, vnodes=64)
-        owners = {ring.preferred(f"fn-{i}") for i in range(400)}
+        owners = {ring.owner(f"fn-{i}", range(ring.nodes)) for i in range(400)}
         assert owners == set(range(4))

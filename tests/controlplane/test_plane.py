@@ -12,7 +12,7 @@ from tests.controlplane.conftest import build_plane
 class TestRouting:
     def test_submit_lands_on_preferred_owner(self, engine):
         plane = build_plane(engine, shards=3)
-        home = plane.ring.preferred("firewall")
+        home = plane.ring.owner("firewall", range(plane.ring.nodes))
         plane.submit("firewall", origin=1)
         assert plane.shards[home].log.admitted(1) is not None
         for index, shard in enumerate(plane.shards):
@@ -21,7 +21,7 @@ class TestRouting:
 
     def test_down_owner_spills_to_successor(self, engine):
         plane = build_plane(engine, shards=3)
-        home = plane.ring.preferred("firewall")
+        home = plane.ring.owner("firewall", range(plane.ring.nodes))
         plane.crash_shard(home, engine.now)
         plane.submit("firewall", origin=2)
         spill = next(

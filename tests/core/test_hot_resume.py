@@ -91,7 +91,7 @@ class TestResume:
         assert result.runqueue_ids == [queue_id]
         queue = horse.ull.queue(queue_id)
         assert len(queue) == sandbox.vcpu_count
-        queue.check_invariants()
+        assert not queue.invariant_violations()
 
     def test_resume_sets_running_state(self):
         _, horse, sandbox = make_fixture()
@@ -245,7 +245,7 @@ class TestMultiSandboxInteraction:
         horse.resume(second, 0)
         queue = horse.ull.queue(horse.ull.queue_ids[0])
         assert len(queue) == 2
-        queue.check_invariants()
+        assert not queue.invariant_violations()
 
     def test_second_sandbox_precompute_sees_first_resume(self):
         """Pausing two sandboxes against the same queue, then resuming
@@ -262,4 +262,4 @@ class TestMultiSandboxInteraction:
         horse.resume(second, 0)
         queue = horse.ull.queue(horse.ull.queue_ids[0])
         assert len(queue) == 6
-        queue.check_invariants()
+        assert not queue.invariant_violations()

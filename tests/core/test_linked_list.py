@@ -1,4 +1,4 @@
-"""SortedLinkedList: sorted inserts, removal, positions, splicing."""
+"""SortedLinkedList: sorted inserts, removal, splicing, invariants."""
 
 import pytest
 from hypothesis import given, settings
@@ -84,36 +84,6 @@ class TestRemove:
         assert lst.to_list() == [2]
 
 
-class TestPositions:
-    def test_node_at_zero_is_sentinel(self):
-        lst = make_list([1, 2])
-        assert lst.node_at(0) is lst.head
-
-    def test_node_at_returns_elements(self):
-        lst = make_list([10, 20, 30])
-        assert lst.node_at(1).value == 10
-        assert lst.node_at(3).value == 30
-
-    def test_node_at_out_of_range(self):
-        lst = make_list([1])
-        with pytest.raises(IndexError):
-            lst.node_at(2)
-        with pytest.raises(IndexError):
-            lst.node_at(-1)
-
-    def test_position_for_key_before_all(self):
-        assert make_list([10, 20]).position_for_key(5) == 0
-
-    def test_position_for_key_between(self):
-        assert make_list([10, 20]).position_for_key(15) == 1
-
-    def test_position_for_key_after_all(self):
-        assert make_list([10, 20]).position_for_key(25) == 2
-
-    def test_position_for_equal_key_goes_after(self):
-        assert make_list([10, 20]).position_for_key(10) == 1
-
-
 class TestSplice:
     def test_splice_into_empty_list(self):
         lst = make_list()
@@ -129,15 +99,15 @@ class TestSplice:
         head = ListNode(2)
         tail = ListNode(3)
         head.next = tail
-        anchor = lst.node_at(1)  # node holding 1
+        anchor = lst.head.next  # node holding 1
         lst.splice_after(anchor, head, tail, 2)
         assert lst.to_list() == [1, 2, 3, 4]
-        assert lst.is_sorted()
+        assert not lst.structure_errors()
 
     def test_splice_single_node(self):
         lst = make_list([1, 3])
         node = ListNode(2)
-        lst.splice_after(lst.node_at(1), node, node, 1)
+        lst.splice_after(lst.head.next, node, node, 1)
         assert lst.to_list() == [1, 2, 3]
 
     def test_splice_zero_length_rejected(self):
@@ -148,7 +118,7 @@ class TestSplice:
 
     def test_splice_does_not_count_scan_steps(self):
         lst = make_list([1, 2, 3])
-        lst.reset_scan_counter()
+        lst.scan_steps = 0
         node = ListNode(0)
         lst.splice_after(lst.head, node, node, 1)
         assert lst.scan_steps == 0
@@ -162,20 +132,14 @@ class TestScanAccounting:
 
     def test_insert_at_end_scans_whole_list(self):
         lst = make_list([1, 2, 3])
-        lst.reset_scan_counter()
+        lst.scan_steps = 0
         lst.insert_sorted(10)
         assert lst.scan_steps == 3
 
     def test_insert_at_front_costs_zero_scans(self):
         lst = make_list([5, 6])
-        lst.reset_scan_counter()
+        lst.scan_steps = 0
         lst.insert_sorted(1)
-        assert lst.scan_steps == 0
-
-    def test_reset_returns_previous_count(self):
-        lst = make_list([1, 2, 3])
-        steps = lst.scan_steps
-        assert lst.reset_scan_counter() == steps
         assert lst.scan_steps == 0
 
 
@@ -184,8 +148,7 @@ class TestInvariantsProperty:
     @settings(max_examples=60)
     def test_always_sorted_and_sized(self, values):
         lst = make_list(values)
-        assert lst.is_sorted()
-        assert lst.check_size()
+        assert not lst.structure_errors()
         assert lst.to_list() == sorted(values)
 
     @given(
@@ -200,13 +163,4 @@ class TestInvariantsProperty:
         expected = sorted(values)
         expected.remove(victim)
         assert lst.to_list() == expected
-        assert lst.is_sorted()
-        assert lst.check_size()
-
-    @given(st.lists(st.integers(0, 50), max_size=30), st.integers(0, 50))
-    @settings(max_examples=40)
-    def test_position_for_key_matches_bisect(self, values, probe):
-        import bisect
-
-        lst = make_list(values)
-        assert lst.position_for_key(probe) == bisect.bisect_right(sorted(values), probe)
+        assert not lst.structure_errors()

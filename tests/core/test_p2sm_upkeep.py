@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.check import FaultInjector, FaultPlan
+from repro.check import FaultInjector, FaultPlan, FaultSpec
 from repro.core.hot_resume import HorsePauseResume
 from repro.core.linked_list import SortedLinkedList
 from repro.core.p2sm import P2SMState, PrecomputeReport, QueueSnapshot
@@ -319,7 +319,7 @@ class TestStaleness:
         horse, tied = self.paused_on_one_queue(count=4)
         victim = tied[0]
         queue = horse.ull.queue(victim.assigned_ull_runqueue)
-        injector = FaultInjector(FaultPlan.single(kind, cycle=0))
+        injector = FaultInjector(FaultPlan(specs=(FaultSpec(kind, cycle=0),)))
         fired = injector.inject_before_resume(horse, victim, queue)
         assert [f.kind for f in fired] == [kind]
         assert victim.p2sm_state.verify_against_target() != []
@@ -371,7 +371,7 @@ class TestFaultPaths:
         queue = horse.ull.queue(victim.assigned_ull_runqueue)
         assert all(m.assigned_ull_runqueue == queue.runqueue_id for m in mates)
 
-        injector = FaultInjector(FaultPlan.single("stale_arrayb", cycle=0))
+        injector = FaultInjector(FaultPlan(specs=(FaultSpec("stale_arrayb", cycle=0),)))
         fired = injector.inject_before_resume(horse, victim, queue)
         assert [f.kind for f in fired] == ["stale_arrayb"]
         assert victim.p2sm_state.verify_against_target() != []
@@ -397,14 +397,6 @@ class TestChainNodeLifetime:
         assert state.pos_a == {}
         assert state.last_report.chain_nodes == 0
         assert target.to_list() == [5, 10, 15, 20]
-
-    def test_a_side_change_rebuilds_the_nodes(self):
-        state = P2SMState([5, 15], make_target([10]))
-        state.add_to_a(12)
-        assert state.pos_a[1].values() == [12, 15]
-        assert state.remove_from_a(5)
-        assert {k: c.values() for k, c in state.pos_a.items()} == {1: [12, 15]}
-        assert state.verify_against_target() == []
 
 
 class TestOneWalkPerQueue:

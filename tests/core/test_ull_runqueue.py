@@ -14,8 +14,6 @@ def make_host(reserved=2, cores=8):
         name="test",
         sockets=1,
         cores_per_socket=cores,
-        base_khz=2_000_000,
-        max_khz=3_000_000,
         memory_mb=64 * 1024,
     )
     return Host(
@@ -122,13 +120,3 @@ class TestPrecomputeFreshness:
         assert manager.on_queue_updated(queue.runqueue_id) is None
         assert manager.refresh_operations == 0
         assert manager.refresh_entries_touched == 0
-
-    def test_total_precompute_bytes(self):
-        host = make_host(reserved=1)
-        manager = UllRunqueueManager(host)
-        queue = manager.queue(manager.queue_ids[0])
-        sandbox = Sandbox(vcpus=4, memory_mb=128)
-        manager.assign(sandbox)
-        assert manager.total_precompute_bytes() == 0
-        sandbox.p2sm_state = P2SMState(list(sandbox.vcpus), queue.entities)
-        assert manager.total_precompute_bytes() > 0

@@ -54,11 +54,6 @@ class TestHitRates:
         inits = [o.mean_init_us for o in by_colds]
         assert inits == sorted(inits)
 
-    def test_best_hit_rate_helper(self, study):
-        best = study.best_hit_rate()
-        assert study.outcome(best).hit_rate == max(
-            study.outcome(n).hit_rate for n in study.policy_names()
-        )
 
 
 class TestCustomPolicies:

@@ -49,14 +49,14 @@ class TestRateTracking:
         scaler = make_autoscaler(faas)
         for _ in range(20):
             scaler.observe_trigger()
-        assert scaler.observed_rate_per_second() == pytest.approx(2.0)
+        assert scaler.tracker.rate_per_second(faas.engine.now) == pytest.approx(2.0)
 
     def test_old_arrivals_expire(self):
         faas = make_platform()
         scaler = make_autoscaler(faas)
         scaler.observe_trigger()
         faas.engine.run(until=seconds(20))
-        assert scaler.observed_rate_per_second() == 0.0
+        assert scaler.tracker.rate_per_second(faas.engine.now) == 0.0
 
     def test_desired_size_follows_littles_law(self):
         faas = make_platform()

@@ -35,7 +35,7 @@ class TestConstruction:
     def test_provision_per_host(self):
         cluster = make_cluster()
         cluster.provision_warm("fw", per_host=2)
-        assert cluster.total_pooled("fw") == 6
+        assert sum(host.pool.size("fw") for host in cluster.hosts) == 6
 
 
 class TestRoundRobin:

@@ -54,9 +54,3 @@ class TestRegistry:
         registry.register(FunctionSpec("zeta", FirewallWorkload()))
         registry.register(FunctionSpec("alpha", ThumbnailWorkload()))
         assert registry.names() == ["alpha", "zeta"]
-
-    def test_ull_functions_filter(self):
-        registry = FunctionRegistry()
-        registry.register(FunctionSpec("fw", FirewallWorkload()))
-        registry.register(FunctionSpec("thumb", ThumbnailWorkload()))
-        assert [f.name for f in registry.ull_functions()] == ["fw"]

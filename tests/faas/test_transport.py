@@ -6,13 +6,11 @@ import pytest
 
 from repro.faas.transport import (
     ALL_TRANSPORTS,
-    KERNEL_BYPASS,
     LOCAL,
     NANO_FABRIC,
     TCP,
     TransportKind,
     TransportModel,
-    transport_by_name,
 )
 
 
@@ -48,14 +46,6 @@ class TestModels:
     def test_negative_base_rejected(self):
         with pytest.raises(ValueError):
             TransportModel(TransportKind.TCP, base_ns=-1)
-
-    def test_lookup_by_name(self):
-        assert transport_by_name("tcp") is TCP
-        assert transport_by_name("Kernel-Bypass") is KERNEL_BYPASS
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError):
-            transport_by_name("carrier-pigeon")
 
 
 class TestSensitivityStudy:

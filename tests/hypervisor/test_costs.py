@@ -12,15 +12,6 @@ from repro.sim.units import microseconds, seconds
 
 
 class TestDerivedCosts:
-    def test_resume_fixed_sum(self):
-        costs = FIRECRACKER_COSTS
-        assert costs.resume_fixed_ns == (
-            costs.resume_parse_ns
-            + costs.resume_lock_ns
-            + costs.resume_sanity_ns
-            + costs.resume_finalize_ns
-        )
-
     def test_cold_start_is_about_1_5s(self):
         assert FIRECRACKER_COSTS.cold_start_ns == pytest.approx(
             seconds(1.5), rel=0.05
@@ -34,7 +25,10 @@ class TestDerivedCosts:
     def test_vanilla_1vcpu_resume_is_about_1_1us(self):
         costs = FIRECRACKER_COSTS
         total = (
-            costs.resume_fixed_ns
+            costs.resume_parse_ns
+            + costs.resume_lock_ns
+            + costs.resume_sanity_ns
+            + costs.resume_finalize_ns
             + costs.merge_cost_ns(1, 0)
             + costs.load_update_cost_ns(1)
         )

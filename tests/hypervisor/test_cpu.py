@@ -11,8 +11,6 @@ def make_host(reserved=1, **overrides):
         name="t",
         sockets=2,
         cores_per_socket=4,
-        base_khz=2_000_000,
-        max_khz=3_000_000,
         memory_mb=16 * 1024,
     )
     spec_kwargs.update(overrides)
@@ -34,16 +32,16 @@ class TestHostSpec:
         assert not CLOUDLAB_R650.hyperthreading
 
     def test_hyperthreading_doubles_cores(self):
-        spec = HostSpec("t", 1, 4, 1_000_000, 2_000_000, 1024, hyperthreading=True)
+        spec = HostSpec("t", 1, 4, 1024, hyperthreading=True)
         assert spec.total_cores == 8
 
     def test_bad_topology_rejected(self):
         with pytest.raises(ValueError):
-            HostSpec("t", 0, 4, 1_000_000, 2_000_000, 1024)
+            HostSpec("t", 0, 4, 1024)
 
     def test_bad_memory_rejected(self):
         with pytest.raises(ValueError):
-            HostSpec("t", 1, 4, 1_000_000, 2_000_000, 0)
+            HostSpec("t", 1, 4, 0)
 
 
 class TestTopology:
@@ -89,16 +87,6 @@ class TestTopology:
         with pytest.raises(ValueError):
             make_host(reserved=-1)
 
-    def test_socket_assignment(self):
-        spec = make_host().spec
-        assert [spec.socket_of(c) for c in range(8)] == [0] * 4 + [1] * 4
-        with pytest.raises(ValueError):
-            spec.socket_of(8)
-
-    def test_socket_assignment_with_hyperthreads(self):
-        spec = HostSpec("t", 2, 2, 1_000_000, 2_000_000, 1024, hyperthreading=True)
-        assert [spec.socket_of(c) for c in range(8)] == [0] * 4 + [1] * 4
-
 
 class TestPlacement:
     def test_least_loaded_prefers_lower_load(self):
@@ -112,12 +100,6 @@ class TestPlacement:
     def test_least_loaded_ties_break_by_id(self):
         host = make_host()
         assert host.least_loaded_general().runqueue_id == 0
-
-    def test_refresh_frequencies_queries_governor(self):
-        host = make_host()
-        host.refresh_frequencies()
-        assert host.governor.decisions == host.spec.total_cores
-        assert len(host.core_khz) == host.spec.total_cores
 
 
 class TestMemory:

@@ -20,7 +20,10 @@ def make_setup(reserved_core=False):
     dispatcher = CoreDispatcher(engine, runqueue, virt.policy, virt.costs)
     # Every quantum ends in an engine event: assert queue integrity
     # (sortedness, size counter, link structure) after each one.
-    engine.add_watcher(lambda _event: runqueue.check_invariants())
+    def check(_event):
+        assert not runqueue.invariant_violations()
+
+    engine.add_watcher(check)
     return engine, virt, dispatcher
 
 
@@ -31,7 +34,7 @@ def make_host_setup():
 
     def check_all(_event):
         for runqueue in virt.host.runqueues.values():
-            runqueue.check_invariants()
+            assert not runqueue.invariant_violations()
 
     engine.add_watcher(check_all)
     return engine, virt, host_dispatcher
@@ -196,7 +199,7 @@ class TestHostDispatcher:
                 make_item(milliseconds(3), index=index)
             )
         engine.run()
-        assert host_dispatcher.total_completed() == 4
+        assert sum(len(d.completed) for d in host_dispatcher.cores.values()) == 4
         assert engine.now == milliseconds(3)  # ran in parallel
 
     def test_unknown_core_raises(self):

@@ -4,12 +4,7 @@ import pytest
 
 from repro.experiments.ablations_energy import ablate_skip_vs_coalesce
 from repro.hypervisor.dvfs import DvfsGovernor, FrequencyRange, GovernorMode
-from repro.hypervisor.energy import (
-    CorePowerModel,
-    EnergyAccount,
-    frequency_error_ratio,
-)
-from repro.sim.units import seconds
+from repro.hypervisor.energy import CorePowerModel, frequency_error_ratio
 
 
 class TestPowerModel:
@@ -35,10 +30,6 @@ class TestPowerModel:
         model = CorePowerModel(max_khz=1000)
         assert model.power_watts(5000) == model.power_watts(1000)
 
-    def test_energy_joules(self):
-        model = CorePowerModel(peak_watts=6.0, static_watts=1.8, max_khz=1000)
-        assert model.energy_joules(1000, seconds(2)) == pytest.approx(12.0)
-
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
             CorePowerModel(peak_watts=0.0)
@@ -49,8 +40,6 @@ class TestPowerModel:
         model = CorePowerModel()
         with pytest.raises(ValueError):
             model.power_watts(-1)
-        with pytest.raises(ValueError):
-            model.energy_joules(1000, -1)
 
 
 class TestFrequencyError:
@@ -68,15 +57,6 @@ class TestFrequencyError:
     def test_performance_governor_immune_to_staleness(self):
         governor = DvfsGovernor(mode=GovernorMode.PERFORMANCE)
         assert frequency_error_ratio(governor, 800.0, 0.0) == 0.0
-
-
-class TestEnergyAccount:
-    def test_accumulates(self):
-        account = EnergyAccount()
-        account.charge_interval(1_000_000, seconds(1))
-        account.charge_interval(2_000_000, seconds(1))
-        assert account.intervals == 2
-        assert account.total_joules > 0.0
 
 
 class TestSkipVsCoalesceAblation:

@@ -140,18 +140,18 @@ class TestPolicyDrivenQueueIntegrity:
             vcpu.weight = 512.0 * (1 + index % 3)
             policy.on_enqueue(vcpu)
             queue.enqueue_sorted(vcpu, 0)
-        queue.check_invariants()
+        assert not queue.invariant_violations()
 
         now = 0
         for quantum in range(40):
             now += policy.default_timeslice_ns()
-            head = queue.peek_next()
+            head = queue.entities.first()
             assert head is not None
             queue.dequeue_all([head], now)
             policy.charge(head, policy.default_timeslice_ns())
             policy.on_enqueue(head)
             queue.enqueue_sorted(head, now)
-            queue.check_invariants()
+            assert not queue.invariant_violations()
         assert len(queue) == 6
 
     def test_mixed_wakeups_and_departures_stay_sound(self):
@@ -165,7 +165,7 @@ class TestPolicyDrivenQueueIntegrity:
             vcpu = Vcpu(index=index, sandbox_id=f"sb-{index}")
             policy.on_enqueue(vcpu)
             queue.enqueue_sorted(vcpu, 0)
-        queue.check_invariants()
+        assert not queue.invariant_violations()
         now = 0
         for step in range(60):
             now += policy.default_timeslice_ns()
@@ -174,7 +174,7 @@ class TestPolicyDrivenQueueIntegrity:
                 policy.on_enqueue(returning)
                 queue.enqueue_sorted(returning, now)
             else:
-                head = queue.peek_next()
+                head = queue.entities.first()
                 if head is None:
                     continue
                 queue.dequeue_all([head], now)
@@ -184,5 +184,5 @@ class TestPolicyDrivenQueueIntegrity:
                 else:
                     policy.on_enqueue(head)
                     queue.enqueue_sorted(head, now)
-            queue.check_invariants()
+            assert not queue.invariant_violations()
         assert len(queue) + len(parked) == 8

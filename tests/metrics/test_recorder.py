@@ -29,13 +29,6 @@ class TestBreakdown:
         assert breakdown.share("a") == pytest.approx(0.875)
         assert breakdown.share("missing") == 0.0
 
-    def test_combined_share(self):
-        breakdown = Breakdown()
-        breakdown.add("a", 500)
-        breakdown.add("b", 300)
-        breakdown.add("c", 200)
-        assert breakdown.combined_share(["a", "b"]) == pytest.approx(0.8)
-
     def test_empty_breakdown_shares_zero(self):
         assert Breakdown().share("x") == 0.0
 

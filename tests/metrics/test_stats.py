@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.metrics.stats import (
-    ConfidenceInterval,
     Summary,
     confidence_interval_95,
     mean,
@@ -121,10 +120,6 @@ class TestConfidenceInterval:
         assert ci.low == ci.mean - ci.half_width
         assert ci.high == ci.mean + ci.half_width
 
-    def test_relative_half_width(self):
-        ci = confidence_interval_95([10.0, 10.0, 10.0])
-        assert ci.relative_half_width == 0.0
-
     def test_t_critical_table_values(self):
         assert t_critical_95(9) == pytest.approx(2.262)
         assert t_critical_95(1) == pytest.approx(12.706)
@@ -137,10 +132,6 @@ class TestConfidenceInterval:
         # The table jumps from df=20 to df=25; df=22 sits 2/5 along.
         expected = 2.086 + (22 - 20) / (25 - 20) * (2.060 - 2.086)
         assert t_critical_95(22) == pytest.approx(expected)
-
-    def test_relative_half_width_zero_mean(self):
-        ci = ConfidenceInterval(mean=0.0, half_width=1.5, n=10)
-        assert ci.relative_half_width == 0.0
 
     def test_t_critical_large_df_is_z(self):
         assert t_critical_95(10_000) == pytest.approx(1.96)

@@ -86,7 +86,7 @@ class TestCpuWorkTracker:
         tracker.charge("a", 1.0)
         tracker.charge("b", 2.0)
         assert tracker.total("a") == 1.0
-        assert tracker.grand_total() == 3.0
+        assert tracker.total("b") == 2.0
 
     def test_negative_work_rejected(self):
         with pytest.raises(ValueError):

@@ -2,9 +2,9 @@
 
 The pluggable dispatch layer (DESIGN.md §15) routes every gateway
 placement decision through a :class:`DispatchPolicy`.  These tests pin
-the registry convention (specs, env var, ``register`` /
-``set_default``), the accelerator eligibility filter, and the
-per-policy behaviour the zoo study relies on.
+the registry convention (specs, env var, ``register``), the
+accelerator eligibility filter, and the per-policy behaviour the zoo
+study relies on.
 """
 
 import pytest
@@ -22,10 +22,8 @@ from repro.resilience import (
     ResilienceConfig,
     ResilientGateway,
     default_dispatch_policy,
-    dispatch_policy_kinds,
     eligible_candidates,
     make_dispatch_policy,
-    set_default_dispatch_policy,
 )
 from repro.resilience.policies import DISPATCH_POLICIES
 from repro.sim.units import milliseconds, seconds
@@ -52,7 +50,7 @@ class TestRegistry:
         ]
 
     def test_kinds_show_parameter_syntax(self):
-        kinds = dispatch_policy_kinds()
+        kinds = DISPATCH_POLICIES.kinds()
         assert "pull[-<slots>]" in kinds
         assert "deadline[-<slack_ms>]" in kinds
         assert "push-least-loaded" in kinds
@@ -84,17 +82,6 @@ class TestRegistry:
         monkeypatch.setenv("REPRO_DISPATCH_POLICY", "garbage")
         with pytest.raises(ValueError, match="^REPRO_DISPATCH_POLICY: .*'garbage'"):
             default_dispatch_policy()
-
-    def test_set_default_validates_and_returns_previous(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DISPATCH_POLICY", raising=False)
-        previous = set_default_dispatch_policy("mqfq-sticky")
-        try:
-            assert previous == "push-least-loaded"
-            assert default_dispatch_policy() == "mqfq-sticky"
-            with pytest.raises(ValueError):
-                set_default_dispatch_policy("nope")
-        finally:
-            set_default_dispatch_policy(previous)
 
     def test_duplicate_family_rejected(self):
         registry = PolicyRegistry(axis="x", env_var="X", builtin="a")

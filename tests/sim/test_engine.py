@@ -83,13 +83,6 @@ class TestCancellation:
         engine.run()
         assert fired == ["b"]
 
-    def test_peek_skips_cancelled(self):
-        engine = Engine()
-        event = engine.schedule_at(10, lambda: None)
-        engine.schedule_at(20, lambda: None)
-        event.cancel()
-        assert engine.peek_next_time() == 20
-
 
 class TestRunSemantics:
     def test_run_until_stops_before_later_events(self):

@@ -12,8 +12,6 @@ from repro.sim.units import (
     nanoseconds,
     seconds,
     to_microseconds,
-    to_milliseconds,
-    to_seconds,
 )
 
 
@@ -50,12 +48,6 @@ class TestConversions:
 
     def test_roundtrip_microseconds(self):
         assert to_microseconds(microseconds(17)) == pytest.approx(17.0)
-
-    def test_roundtrip_milliseconds(self):
-        assert to_milliseconds(milliseconds(2.5)) == pytest.approx(2.5)
-
-    def test_roundtrip_seconds(self):
-        assert to_seconds(seconds(1.5)) == pytest.approx(1.5)
 
 
 class TestFormatDuration:

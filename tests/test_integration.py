@@ -82,7 +82,7 @@ class TestMultiFunctionPlatform:
             faas.trigger("nat", StartType.HORSE)
             faas.engine.run(until=faas.engine.now + seconds(1))
         for runqueue in faas.virt.host.runqueues.values():
-            runqueue.check_invariants()
+            assert not runqueue.invariant_violations()
 
 
 class TestDeterminism:

@@ -5,63 +5,28 @@ import random
 import pytest
 
 from repro.sim.units import SECOND, milliseconds
-from repro.traces.arrival import (
-    DeterministicArrivals,
-    PoissonArrivals,
-    TraceDrivenArrivals,
-)
-
-
-class TestDeterministic:
-    def test_fixed_period(self):
-        arrivals = DeterministicArrivals(period_ns=100).arrival_list(0, 350)
-        assert arrivals == [0, 100, 200, 300]
-
-    def test_offset(self):
-        arrivals = DeterministicArrivals(period_ns=100, offset_ns=30).arrival_list(0, 250)
-        assert arrivals == [30, 130, 230]
-
-    def test_window_clipping(self):
-        arrivals = DeterministicArrivals(period_ns=100).arrival_list(150, 350)
-        assert arrivals == [150, 250]
-
-    def test_empty_window(self):
-        assert DeterministicArrivals(100).arrival_list(10, 10) == []
-
-    def test_ten_per_second(self):
-        """The paper's '10 uLL workloads per second' cadence."""
-        period = SECOND // 10
-        arrivals = DeterministicArrivals(period).arrival_list(0, SECOND)
-        assert len(arrivals) == 10
-
-    def test_bad_period_rejected(self):
-        with pytest.raises(ValueError):
-            DeterministicArrivals(0)
-
-    def test_negative_offset_rejected(self):
-        with pytest.raises(ValueError):
-            DeterministicArrivals(100, offset_ns=-1)
+from repro.traces.arrival import PoissonArrivals
 
 
 class TestPoisson:
     def test_rate_approximately_respected(self):
         process = PoissonArrivals(rate_per_second=100.0, rng=random.Random(0))
-        arrivals = process.arrival_list(0, 10 * SECOND)
+        arrivals = list(process.arrivals(0, 10 * SECOND))
         assert len(arrivals) == pytest.approx(1000, rel=0.15)
 
     def test_strictly_increasing(self):
         process = PoissonArrivals(50.0, random.Random(1))
-        arrivals = process.arrival_list(0, SECOND)
+        arrivals = list(process.arrivals(0, SECOND))
         assert all(a < b for a, b in zip(arrivals, arrivals[1:]))
 
     def test_window_respected(self):
         process = PoissonArrivals(1000.0, random.Random(2))
-        arrivals = process.arrival_list(milliseconds(100), milliseconds(200))
+        arrivals = list(process.arrivals(milliseconds(100), milliseconds(200)))
         assert all(milliseconds(100) <= t < milliseconds(200) for t in arrivals)
 
     def test_deterministic_given_seed(self):
-        a = PoissonArrivals(10.0, random.Random(7)).arrival_list(0, SECOND)
-        b = PoissonArrivals(10.0, random.Random(7)).arrival_list(0, SECOND)
+        a = list(PoissonArrivals(10.0, random.Random(7)).arrivals(0, SECOND))
+        b = list(PoissonArrivals(10.0, random.Random(7)).arrivals(0, SECOND))
         assert a == b
 
     def test_negative_rate_rejected(self):
@@ -72,21 +37,5 @@ class TestPoisson:
         # A dead function (Azure's long idle tail) is a valid process
         # that simply never fires — not a configuration error.
         process = PoissonArrivals(0.0, random.Random(0))
-        assert process.arrival_list(0, 10**12) == []
+        assert list(process.arrivals(0, 10**12)) == []
 
-
-class TestTraceDriven:
-    def test_replays_sorted(self):
-        process = TraceDrivenArrivals([300, 100, 200])
-        assert process.arrival_list(0, 1000) == [100, 200, 300]
-
-    def test_window_filter(self):
-        process = TraceDrivenArrivals([100, 200, 300])
-        assert process.arrival_list(150, 300) == [200]
-
-    def test_len(self):
-        assert len(TraceDrivenArrivals([1, 2, 3])) == 3
-
-    def test_negative_timestamps_rejected(self):
-        with pytest.raises(ValueError):
-            TraceDrivenArrivals([-1, 5])

@@ -116,7 +116,7 @@ class TestStructure:
         trace = make_trace()
         merged = trace.merged_timestamps()
         assert merged == sorted(merged)
-        assert len(merged) == trace.total_invocations
+        assert len(merged) == sum(map(len, trace.invocations.values()))
 
     def test_deterministic_given_seed(self):
         assert make_trace(seed=5).invocations == make_trace(seed=5).invocations
@@ -124,21 +124,12 @@ class TestStructure:
     def test_different_seeds_differ(self):
         assert make_trace(seed=1).invocations != make_trace(seed=2).invocations
 
-    def test_timestamps_for_returns_arrival_process(self):
-        trace = make_trace()
-        name = trace.function_names()[0]
-        process = trace.timestamps_for(name)
-        assert len(process) == len(trace.invocations[name])
-
-    def test_unknown_function_raises(self):
-        with pytest.raises(KeyError):
-            make_trace().timestamps_for("ghost")
 
 
 class TestStatistics:
     def test_total_rate_near_configured_mean(self):
         trace = make_trace(seed=3, functions=40, duration_s=60.0)
-        total_rate = trace.total_invocations / 60.0
+        total_rate = len(trace.merged_timestamps()) / 60.0
         # 40 functions at ~1/s mean
         assert total_rate == pytest.approx(40.0, rel=0.5)
 
