@@ -15,7 +15,7 @@ paper-vs-measured table and doubles as a one-call regression gate::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.experiments.registry import ExperimentConfig, get
 from repro.faas.invocation import StartType

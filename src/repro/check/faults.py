@@ -28,7 +28,7 @@ the mutation-style proof that every kind is actually caught.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 from repro.core.coalesce import CoalescedUpdate

@@ -32,7 +32,7 @@ from repro.controlplane.intentlog import (
     IntentRecord,
 )
 from repro.controlplane.plane import ControlPlane, ParkedSubmit
-from repro.controlplane.shard import GatewayShard, RecoveryConfig
+from repro.controlplane.shard import GatewayShard
 
 __all__ = [
     "ADMIT",
@@ -44,7 +44,6 @@ __all__ = [
     "IntentLog",
     "IntentRecord",
     "ParkedSubmit",
-    "RecoveryConfig",
     "exactly_once_checker",
     "fencing_checker",
     "intent_log_violations",

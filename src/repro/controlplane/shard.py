@@ -26,7 +26,6 @@ verify.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.controlplane.intentlog import IntentLog
@@ -41,15 +40,6 @@ from repro.resilience.gateway import (
 from repro.sim.rng import RngRegistry
 
 
-@dataclass(frozen=True, slots=True)
-class RecoveryConfig:
-    """How a replacement incarnation rebuilds soft state."""
-
-    #: re-open every breaker on recovery (conservative: assume hosts
-    #: suspect until a half-open probe succeeds)
-    reopen_breakers: bool = True
-
-
 class GatewayShard:
     """The control plane's unit of failure and recovery."""
 
@@ -59,13 +49,11 @@ class GatewayShard:
         cluster: FaaSCluster,
         resilience: ResilienceConfig = ResilienceConfig(),
         seed: int = 0,
-        recovery: RecoveryConfig = RecoveryConfig(),
     ) -> None:
         self.shard_id = shard_id
         self.cluster = cluster
         self.resilience = resilience
         self.seed = seed
-        self.recovery = recovery
         self.log = IntentLog(shard_id)
         #: incremented on every recovery; stamped into log records
         self.epoch = 0
@@ -168,9 +156,10 @@ class GatewayShard:
         self.gateway = self._build_gateway()
         if self.host_injector is not None:
             self.gateway.attach(self.host_injector)
-        if self.recovery.reopen_breakers:
-            for breaker in self.gateway.breakers.values():
-                breaker.force_open(now, reason="conservative post-recovery re-open")
+        # Conservative: every host is suspect until a half-open probe
+        # succeeds.
+        for breaker in self.gateway.breakers.values():
+            breaker.force_open(now, reason="conservative post-recovery re-open")
         orphans = list(self.log.open_admits())
         for record in orphans:
             self.redispatched += 1

@@ -29,8 +29,8 @@ thread, threads run concurrently), and a single fused load update.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 from repro.core.p2sm import (
     MergeReport,
@@ -62,6 +62,15 @@ from repro.hypervisor.scheduler.base import SchedulerPolicy
 from repro.metrics.recorder import Breakdown
 from repro.obs.context import Observability, current as current_obs
 from repro.obs.phases import observe_resume
+
+
+def _pause_handles(metrics):
+    """Registry-cached instrument bundle shared by every HORSE pause path."""
+    return (
+        metrics.counter("pause.count"),
+        metrics.counter("p2sm.precompute_entries"),
+        metrics.histogram("pause.precompute_ns"),
+    )
 
 
 @dataclass(frozen=True)
@@ -135,8 +144,8 @@ class HorsePauseResume:
         #: domains) — the fast path fails under the same injector as the
         #: vanilla path.
         self.fault_hook: Optional[ResumeFaultHook] = None
-        #: (registry, pause ctr, precompute ctr, precompute histo) —
-        #: bound once per attached registry in _emit_pause_obs.
+        #: (pause ctr, precompute ctr, precompute histo) — bound on the
+        #: first observed pause in _emit_pause_obs; see _pause_handles.
         self._pause_instruments = None
 
     # ------------------------------------------------------------------
@@ -272,16 +281,13 @@ class HorsePauseResume:
         metrics = self.obs.metrics
         if metrics.enabled:
             handles = self._pause_instruments
-            if handles is None or handles[0] is not metrics:
-                handles = self._pause_instruments = (
-                    metrics,
-                    metrics.counter("pause.count"),
-                    metrics.counter("p2sm.precompute_entries"),
-                    metrics.histogram("pause.precompute_ns"),
+            if handles is None:
+                handles = self._pause_instruments = metrics.bound(
+                    "horse.pause", _pause_handles
                 )
-            handles[1].inc()
-            handles[2].inc(precompute_entries)
-            handles[3].observe(round(sort_ns + p2sm_ns + coalesce_ns))
+            handles[0].inc()
+            handles[1].inc(precompute_entries)
+            handles[2].observe(round(sort_ns + p2sm_ns + coalesce_ns))
 
     # ------------------------------------------------------------------
     # Resume: the fast path

@@ -18,7 +18,7 @@ distribution shows the same mean-intact / tail-only signature.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List
 
 from repro.core.hot_resume import HorsePauseResume
 from repro.experiments.runner import fresh_platform

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 from repro.core.hot_resume import HorseConfig, HorsePauseResume
-from repro.experiments.runner import fresh_platform
 from repro.faas.function import FunctionSpec
 from repro.faas.invocation import Invocation, StartType
 from repro.faas.platform import FaaSPlatform

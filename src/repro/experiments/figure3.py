@@ -18,7 +18,7 @@ internally inconsistent anchors.)
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Sequence
+from typing import Dict, List, Sequence
 
 from repro.core.hot_resume import HorseConfig, HorsePauseResume
 from repro.experiments.runner import (

@@ -29,7 +29,7 @@ from repro.hypervisor.sandbox import Sandbox
 from repro.metrics.usage import CpuWorkTracker, UsageSampler
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
-from repro.sim.units import MICROSECOND, MILLISECOND, SECOND, milliseconds, seconds
+from repro.sim.units import milliseconds, seconds
 from repro.workloads import SysbenchCpuWorkload, ull_workloads
 
 #: §5.2 constants from the paper.

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Deque, Dict, Optional
+from typing import TYPE_CHECKING, Deque, Optional
 
 from repro.sim.event import Event, EventPriority
 from repro.sim.units import SECOND, seconds

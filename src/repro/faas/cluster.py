@@ -25,9 +25,8 @@ transition in :class:`ClusterStats` and traceable per trigger.
 from __future__ import annotations
 
 import abc
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.hot_resume import HorseConfig
 from repro.faas.function import FunctionSpec
@@ -39,7 +38,7 @@ from repro.sim.rng import RngRegistry
 
 
 class NoHealthyHostError(Exception):
-    """Every host is down, excluded, or gated — nothing can serve."""
+    """Every host is down or gated — nothing can serve."""
 
 
 @dataclass
@@ -53,20 +52,20 @@ class NodeHealth:
 
 
 def plan_start(
-    host: FaaSPlatform, function_name: str, requested: StartType
+    pool_size: int, requested: StartType
 ) -> Tuple[StartType, Optional[str]]:
-    """The degradation decision for one trigger on one host.
+    """The degradation decision for one trigger, given how many pooled
+    sandboxes of the function the chosen host holds.
 
     Warm-path requests (HORSE hot resume, vanilla warm resume) need a
     pooled sandbox; when the host's pool is empty the trigger falls
     through to a cold start.  Returns ``(effective, reason)`` where
     *reason* is None for an undegraded start and a ``"<from>->cold"``
-    tag otherwise — callers must surface it, never swallow it.
+    tag otherwise — callers must surface it, never swallow it.  The
+    cluster decides this per trigger and the resilient gateway per
+    attempt, before it touches the host.
     """
-    if (
-        requested in (StartType.WARM, StartType.HORSE)
-        and host.pool.size(function_name) == 0
-    ):
+    if requested in (StartType.WARM, StartType.HORSE) and pool_size == 0:
         return StartType.COLD, f"{requested.value}->cold"
     return requested, None
 
@@ -79,9 +78,8 @@ class PlacementPolicy(abc.ABC):
     def choose(self, cluster: "FaaSCluster", function_name: str) -> int:
         """Return the index of the host to route to.
 
-        Only routable hosts (healthy, not excluded, not vetoed by the
-        host gate) are returned; raises :class:`NoHealthyHostError`
-        when there are none.
+        Only routable hosts (healthy, not vetoed by the host gate) are
+        returned; raises :class:`NoHealthyHostError` when there are none.
         """
         return self.choose_from(
             cluster, function_name, cluster.routable_hosts()
@@ -198,7 +196,6 @@ class FaaSCluster:
         #: Optional routing veto consulted per host (the resilience
         #: layer points this at its per-node circuit breakers).
         self.host_gate: Optional[Callable[[int], bool]] = None
-        self._excluded: Set[int] = set()
         #: host index -> accelerator tags ("gpu", ...).  Empty dict =
         #: homogeneous cluster; dispatch policies skip the eligibility
         #: filter entirely then, keeping the common path allocation-free.
@@ -207,21 +204,20 @@ class FaaSCluster:
     # ------------------------------------------------------------------
     # Health & routability
     # ------------------------------------------------------------------
-    def routable_or_empty(self) -> List[int]:
+    def routable_or_empty(self, exclude: Optional[int] = None) -> List[int]:
         """Hosts a trigger may be routed to right now — empty when none.
 
         The resilient gateway checks routability on every attempt and
         capacity wake; returning an empty list lets it branch instead
-        of paying exception machinery when nothing is routable.
+        of paying exception machinery when nothing is routable.  A
+        hedge passes its primary's host as *exclude*: it must land on
+        a different node.  The host gate is never asked about it.
         """
         gate = self.host_gate
-        excluded = self._excluded
         return [
             i
             for i, health in enumerate(self.health)
-            if health.up
-            and i not in excluded
-            and (gate is None or gate(i))
+            if health.up and i != exclude and (gate is None or gate(i))
         ]
 
     def routable_hosts(self) -> List[int]:
@@ -236,17 +232,6 @@ class FaaSCluster:
                 f"no routable host ({len(self.hosts)} total)"
             )
         return candidates
-
-    @contextmanager
-    def excluding(self, *indices: int) -> Iterator[None]:
-        """Temporarily hide hosts from routing (hedged requests must
-        land on a different node than their primary)."""
-        previous = self._excluded
-        self._excluded = previous | set(indices)
-        try:
-            yield
-        finally:
-            self._excluded = previous
 
     def mark_down(self, index: int, now_ns: Optional[int] = None) -> None:
         """Take a host out of routing (crash detected)."""
@@ -339,7 +324,9 @@ class FaaSCluster:
         self.stats.per_host_triggers[index] = (
             self.stats.per_host_triggers.get(index, 0) + 1
         )
-        effective, degraded = plan_start(host, function_name, start_type)
+        effective, degraded = plan_start(
+            host.pool.size(function_name), start_type
+        )
         if degraded is not None:
             self.stats.degraded[degraded] = self.stats.degraded.get(degraded, 0) + 1
             self.stats.cold_fallbacks += 1

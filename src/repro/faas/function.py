@@ -7,7 +7,7 @@ The registry is the platform's catalog, keyed by function name.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.workloads.base import Workload

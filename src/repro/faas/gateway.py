@@ -59,14 +59,8 @@ class FaaSGateway:
         self.invocations: List[Invocation] = []
         #: hooks fired when an invocation completes (experiments attach)
         self.completion_hooks: List[Callable[[Invocation], None]] = []
-        # Instrument handles are bound once (and rebound if the bundle's
-        # tracer/registry is swapped) instead of looked up per trigger.
-        self._ctr_start: Dict[str, object] = {}
-        self._bind_instruments(obs)
-        if obs is not NULL_OBS:
-            obs.on_rebind(self._bind_instruments)
-
-    def _bind_instruments(self, obs: Observability) -> None:
+        # Instrument handles are bound once here instead of looked up
+        # per trigger (the bundle never changes).
         metrics = obs.metrics
         self._ctr_trigger = metrics.counter(
             "gateway.trigger", "invocations triggered"
@@ -80,15 +74,6 @@ class FaaSGateway:
         self._hist_total = metrics.histogram(
             "invocation.total_ns", help="trigger -> function-end latency"
         )
-        self._ctr_start.clear()
-
-    def _start_counter(self, start: str):
-        counter = self._ctr_start.get(start)
-        if counter is None:
-            counter = self._ctr_start[start] = self.obs.metrics.counter(
-                f"gateway.start.{start}", f"invocations started via {start}"
-            )
-        return counter
 
     # ------------------------------------------------------------------
     def trigger(
@@ -198,9 +183,12 @@ class FaaSGateway:
     def _finish_invocation_metrics(
         self, invocation: Invocation, outcome: StartOutcome
     ) -> None:
-        """Metric half of invocation finish — bound handles only."""
+        """Metric half of invocation finish."""
         self._ctr_trigger.inc()
-        self._start_counter(outcome.start_type.value).inc()
+        start = outcome.start_type.value
+        self.obs.metrics.counter(
+            f"gateway.start.{start}", f"invocations started via {start}"
+        ).inc()
         self._hist_init.observe(invocation.initialization_ns)
 
     # ------------------------------------------------------------------

@@ -47,7 +47,7 @@ import math
 from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
 from math import ceil
-from typing import Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
 from repro.faas.autoscaler import PoolTargetTracker
 from repro.hypervisor.costs import CostModel, cost_model_for

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.core.hot_resume import HorsePauseResume
 from repro.faas.function import FunctionSpec

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.sim.units import microseconds, milliseconds, seconds
+from repro.sim.units import microseconds, milliseconds
 
 
 @dataclass(frozen=True)

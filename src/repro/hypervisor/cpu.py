@@ -127,6 +127,7 @@ class Host:
         self._obs = obs
         for runqueue in self.runqueues.values():
             runqueue.obs = obs
+            runqueue._instruments = None  # rebound lazily in *obs*
         if obs.metrics.enabled:
             iterated = obs.metrics.counter(
                 "load.fold.iterated", "vanilla per-entity load folds"

@@ -22,7 +22,7 @@ sort order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.hypervisor.costs import CostModel

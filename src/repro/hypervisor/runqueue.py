@@ -25,7 +25,6 @@ from repro.obs.context import NULL_OBS, Observability
 def _runqueue_handles(metrics):
     """Registry-cached instrument bundle shared by every run queue."""
     return (
-        metrics,
         metrics.counter("runqueue.enqueue"),
         metrics.counter("runqueue.scan_steps"),
         metrics.gauge("runqueue.last_len"),
@@ -69,8 +68,8 @@ class RunQueue:
         self.load = RunqueueLoad()
         self.enqueue_count = 0
         self.dequeue_count = 0
-        #: (registry, enqueue ctr, scan ctr, len gauge, dequeue ctr) —
-        #: bound once per attached registry; see _bound_instruments.
+        #: (enqueue ctr, scan ctr, len gauge, dequeue ctr) — bound on
+        #: first use; see _bound_instruments.
         self._instruments = None
 
     # ------------------------------------------------------------------
@@ -110,29 +109,26 @@ class RunQueue:
         return steps
 
     def _bound_instruments(self):
-        """Handles bound to the currently attached registry.
+        """Handles in the attached registry; steady state is one
+        attribute read.
 
-        Re-binding is keyed on registry identity, so swapping the obs
-        bundle (or its metrics) invalidates the cache without any
-        notification plumbing; steady state is one attribute read.
         The binding itself lives on the registry (``metrics.bound``):
         run-queue metrics are global names, and studies churn through
         hundreds of short-lived queues that would otherwise each pay
         the four registry lookups on their first enqueue.
         """
-        metrics = self.obs.metrics
         handles = self._instruments
-        if handles is None or handles[0] is not metrics:
-            handles = self._instruments = metrics.bound(
+        if handles is None:
+            handles = self._instruments = self.obs.metrics.bound(
                 "runqueue", _runqueue_handles
             )
         return handles
 
     def _observe_enqueue(self, scan_steps: int) -> None:
         handles = self._bound_instruments()
-        handles[1].inc()
-        handles[2].inc(scan_steps)
-        handles[3].set(self.entities._size)
+        handles[0].inc()
+        handles[1].inc(scan_steps)
+        handles[2].set(self.entities._size)
 
     def dequeue_all(self, vcpus: Sequence[Vcpu], now_ns: int) -> int:
         """Unlink every one of *vcpus* that sits on this queue (pause path).
@@ -181,7 +177,7 @@ class RunQueue:
             self.load.dequeue_entities(now_ns, [vcpu.weight for vcpu in vcpus])
         self.dequeue_count += removed
         if self.obs.enabled:
-            self._bound_instruments()[4].inc(removed)
+            self._bound_instruments()[3].inc(removed)
         return removed
 
     def pop_next(self) -> Optional[Vcpu]:

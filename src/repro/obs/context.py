@@ -6,14 +6,12 @@ component holds a reference to exactly one bundle.  ``NULL_OBS`` is the
 default everywhere — a single ``obs.enabled`` check is all an untraced
 hot path pays.
 
-Zero-cost rebinding: ``enabled`` is a plain slot recomputed by the
-``tracer``/``metrics`` property setters, so attaching a real exporter
-mid-run flips every instrumented component's fast-path guard at once
-(the old design computed it once in ``__init__`` and went stale).
-Components that cache bound instrument handles for speed register an
-:meth:`on_rebind` hook to drop their caches when the bundle is rebound;
-``NULL_OBS`` itself refuses hooks — it is shared process-wide and must
-never accumulate references.
+The bundle is immutable: its tracer, registry and ``enabled`` flag
+are fixed at construction.  A component may therefore bind instrument
+handles once — at construction, or through the registry's
+:meth:`~repro.obs.metrics.MetricRegistry.bound` cache — and never has
+to re-check them.  To observe with a different tracer or registry,
+build a new bundle.
 
 The module also keeps a small *active context* stack so code that
 builds platforms internally (experiment drivers, the CLI) can be
@@ -28,78 +26,47 @@ observed without threading a parameter through every call site::
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Callable, Iterator, List, Optional
+from typing import Iterator, List, Optional
 
 from repro.obs.metrics import MetricRegistry, NULL_REGISTRY
 from repro.obs.span import NULL_TRACER, Tracer
 
 
 class Observability:
-    """One tracer + one metric registry, wired together.
+    """One tracer + one metric registry, wired together for good.
 
-    ``enabled`` is an ordinary slot (one attribute load on the hot
-    path); the property setters below keep it consistent whenever the
-    tracer or registry is swapped.
+    All three attributes are plain slots (one attribute load on the hot
+    path) that refuse assignment after construction.
     """
 
-    __slots__ = ("_tracer", "_metrics", "enabled", "_rebind_hooks")
+    __slots__ = ("tracer", "metrics", "enabled")
+
+    tracer: Tracer
+    metrics: MetricRegistry
+    #: Fast-path guard: False only when both halves are null.
+    enabled: bool
 
     def __init__(
         self,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricRegistry] = None,
     ) -> None:
-        self._rebind_hooks: List[Callable[["Observability"], None]] = []
-        self._tracer = Tracer() if tracer is None else tracer
-        self._metrics = MetricRegistry() if metrics is None else metrics
-        #: Fast-path guard: False only while both halves are null.
-        self.enabled = bool(self._tracer.enabled or self._metrics.enabled)
+        tracer = Tracer() if tracer is None else tracer
+        metrics = MetricRegistry() if metrics is None else metrics
+        setattr_ = object.__setattr__
+        setattr_(self, "tracer", tracer)
+        setattr_(self, "metrics", metrics)
+        setattr_(self, "enabled", bool(tracer.enabled or metrics.enabled))
 
-    # ------------------------------------------------------------------
-    @property
-    def tracer(self) -> Tracer:
-        return self._tracer
-
-    @tracer.setter
-    def tracer(self, tracer: Tracer) -> None:
-        self._tracer = tracer
-        self._rebound()
-
-    @property
-    def metrics(self) -> MetricRegistry:
-        return self._metrics
-
-    @metrics.setter
-    def metrics(self, metrics: MetricRegistry) -> None:
-        self._metrics = metrics
-        self._rebound()
-
-    def _rebound(self) -> None:
-        self.enabled = bool(self._tracer.enabled or self._metrics.enabled)
-        for hook in self._rebind_hooks:
-            hook(self)
-
-    # ------------------------------------------------------------------
-    def on_rebind(self, hook: Callable[["Observability"], None]) -> None:
-        """Run *hook(self)* now and after every tracer/metrics swap.
-
-        Instrumented components use this to (re)bind cached instrument
-        handles: the immediate replay wires them against the current
-        registry, and later swaps re-fire the hook so no stale handle
-        survives a rebind.  Refused on ``NULL_OBS``: the shared null
-        bundle never rebinds, and holding hooks would leak every
-        component ever built without observability.
-        """
-        if self is NULL_OBS:
-            raise ValueError(
-                "cannot register rebind hooks on the shared NULL_OBS bundle"
-            )
-        self._rebind_hooks.append(hook)
-        hook(self)
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(
+            f"Observability is immutable; build a new bundle instead of "
+            f"setting {name!r}"
+        )
 
     def __repr__(self) -> str:
         state = "on" if self.enabled else "off"
-        return f"Observability({state}, spans={len(self._tracer.spans)})"
+        return f"Observability({state}, spans={len(self.tracer.spans)})"
 
 
 #: Shared do-nothing bundle; the default for every component.

@@ -21,7 +21,7 @@ building behind ``registry.enabled`` / ``obs.enabled``.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 
 def _decades(lo_exp: int, hi_exp: int) -> Tuple[float, ...]:

@@ -44,7 +44,6 @@ from repro.resilience.degradation import (
     DegradationStats,
     degrade,
     ladder_level,
-    plan_with_ladder,
 )
 from repro.resilience.failures import (
     FAILURE_KINDS,
@@ -89,7 +88,6 @@ __all__ = [
     "DegradationStats",
     "degrade",
     "ladder_level",
-    "plan_with_ladder",
     "FAILURE_KINDS",
     "FailureConfig",
     "FailureInjector",

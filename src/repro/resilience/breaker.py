@@ -21,7 +21,7 @@ Every transition is timestamped and kept, so a chaos run can be audited
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.obs.context import NULL_OBS, Observability

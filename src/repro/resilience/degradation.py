@@ -17,7 +17,7 @@ collapsing tail latency when the fast path breaks:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.faas.invocation import StartType
 
@@ -105,17 +105,3 @@ class DegradationStats:
 
     def total(self) -> int:
         return sum(self.transitions.values())
-
-
-def plan_with_ladder(
-    pool_size: int, requested: StartType
-) -> tuple[StartType, Optional[str]]:
-    """Ladder-aware start planning against a known pool occupancy.
-
-    Mirrors :func:`repro.faas.cluster.plan_start` but works from a
-    pool size, letting the resilient gateway decide before touching the
-    host.
-    """
-    if requested in (StartType.HORSE, StartType.WARM) and pool_size == 0:
-        return StartType.COLD, f"{requested.value}->cold"
-    return requested, None

@@ -36,17 +36,16 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.faas.cluster import FaaSCluster, NoHealthyHostError
+from repro.faas.cluster import FaaSCluster, plan_start
 from repro.faas.invocation import Invocation, StartType
 from repro.hypervisor.pause_resume import HungResumeError, TransientResumeError
-from repro.obs.context import NULL_OBS, Observability, current as current_obs
+from repro.obs.context import Observability, current as current_obs
 from repro.resilience.breaker import BreakerConfig, BreakerState, CircuitBreaker
 from repro.resilience.degradation import (
     AdmissionConfig,
     AdmissionController,
     DegradationStats,
     degrade,
-    plan_with_ladder,
 )
 from repro.resilience.failures import FailureInjector
 from repro.resilience.policies import (
@@ -121,12 +120,8 @@ class Request:
     deferred_fail: str = ""
 
     @property
-    def primary_attempts(self) -> int:
-        return self.primary_count
-
-    @property
     def retries(self) -> int:
-        return max(0, self.primary_attempts - 1)
+        return max(0, self.primary_count - 1)
 
     @property
     def latency_ns(self) -> Optional[int]:
@@ -194,19 +189,6 @@ class ResilientGateway:
             config.dispatch or default_dispatch_policy()
         )
         self.dispatch.bind(self)
-        # Counter handles are cached per name; a tracer/registry swap on
-        # the bundle invalidates the cache (NULL_OBS never rebinds and
-        # must not hold hook references, so it is left unhooked).
-        self._counters: Dict[str, object] = {}
-        #: latency histogram handle, bound per registry (hot: one
-        #: observe per completed request).
-        self._hist_latency: Optional[object] = None
-        #: Registry the no-host-wait collector is installed on.  Every
-        #: request already counts its own waits — so instead of a
-        #: per-event inc, a collector folds the existing per-request
-        #: tallies into the counter at snapshot time (same batching
-        #: pattern as the PELT fold export in repro.hypervisor.cpu).
-        self._collector_registry: Optional[object] = None
         #: The capacity parking lot.  A request that finds no routable
         #: host parks here instead of polling with backoff (the old
         #: rewait ladder burned ~30 events per request under full
@@ -232,15 +214,12 @@ class ResilientGateway:
         #: pre-crash attempt can never mutate recovered state or
         #: double-complete a request the replacement re-dispatched.
         self.fenced = False
-        if self.obs is not NULL_OBS:
-            self.obs.on_rebind(self._rebind_instruments)
-
-    def _rebind_instruments(self, obs: Observability) -> None:
-        self._counters.clear()
-        self._hist_latency = None
-        metrics = obs.metrics
-        if metrics.enabled and self._collector_registry is not metrics:
-            self._collector_registry = metrics
+        metrics = self.obs.metrics
+        if metrics.enabled:
+            # Every request already counts its own waits — so instead of
+            # a per-event inc, a collector folds the per-request tallies
+            # into the counter at snapshot time (same batching pattern
+            # as the PELT fold export in repro.hypervisor.cpu).
             counter = metrics.counter(
                 "resilience.no_host_wait",
                 "attempt deferrals with no routable host",
@@ -264,14 +243,6 @@ class ResilientGateway:
     def _spec(self, function_name: str):
         return self.cluster.hosts[0].registry.get(function_name)
 
-    def _counter(self, name: str, help_text: str = ""):
-        counter = self._counters.get(name)
-        if counter is None:
-            counter = self._counters[name] = self.obs.metrics.counter(
-                name, help_text
-            )
-        return counter
-
     # ------------------------------------------------------------------
     # Submission
     # ------------------------------------------------------------------
@@ -294,18 +265,14 @@ class ResilientGateway:
         """
         now = self._clock._now
         arrived = now if submit_ns is None else submit_ns
-        spec = self._spec(function_name)
-        request = Request(
-            request_id=len(self.requests),
-            function=function_name,
-            priority=priority,
-            submit_ns=arrived,
-            deadline_ns=arrived + (deadline_ns or self.config.default_deadline_ns),
-            current_start=StartType.HORSE if spec.is_ull else StartType.WARM,
-            run_logic=run_logic,
-            origin=origin,
+        request = self._new_request(
+            function_name,
+            priority,
+            arrived,
+            arrived + (deadline_ns or self.config.default_deadline_ns),
+            run_logic,
+            origin,
         )
-        self.requests.append(request)
         journal = self.journal
         if journal is not None:
             journal.record_admit(request, now)
@@ -315,7 +282,7 @@ class ResilientGateway:
             if journal is not None:
                 journal.record_outcome(request, now, fence=0)
             if self.obs.enabled:
-                self._counter(
+                self.obs.metrics.counter(
                     "resilience.shed", "requests shed by admission control"
                 ).inc()
                 self.obs.tracer.record_instant(
@@ -323,10 +290,7 @@ class ResilientGateway:
                     function=function_name, priority=priority,
                 )
             return request
-        self.active += 1
-        self.dispatch.on_submit(request)
-        self._launch(request, hedge=False)
-        return request
+        return self._start(request)
 
     def restore(
         self,
@@ -348,18 +312,41 @@ class ResilientGateway:
         not burn budget the client never saw consumed.  The original
         absolute deadline still applies.
         """
-        spec = self._spec(function_name)
+        return self._start(
+            self._new_request(
+                function_name, priority, submit_ns, deadline_ns, run_logic, origin
+            )
+        )
+
+    def _new_request(
+        self,
+        function_name: str,
+        priority: int,
+        submit_ns: int,
+        deadline_ns: int,
+        run_logic: bool,
+        origin: int,
+    ) -> Request:
+        """Enter one request in the ledger, on its first ladder rung."""
         request = Request(
             request_id=len(self.requests),
             function=function_name,
             priority=priority,
             submit_ns=submit_ns,
             deadline_ns=deadline_ns,
-            current_start=StartType.HORSE if spec.is_ull else StartType.WARM,
+            current_start=(
+                StartType.HORSE
+                if self._spec(function_name).is_ull
+                else StartType.WARM
+            ),
             run_logic=run_logic,
             origin=origin,
         )
         self.requests.append(request)
+        return request
+
+    def _start(self, request: Request) -> Request:
+        """Count an admitted request in flight and launch its first attempt."""
         self.active += 1
         self.dispatch.on_submit(request)
         self._launch(request, hedge=False)
@@ -369,12 +356,11 @@ class ResilientGateway:
     # The attempt loop
     # ------------------------------------------------------------------
     def _launch(
-        self, request: Request, hedge: bool, exclude: Tuple[int, ...] = ()
+        self, request: Request, hedge: bool, exclude: Optional[int] = None
     ) -> None:
-        # `request.state.terminal` and `request.primary_attempts`
-        # inlined: this method runs once per attempt AND once per
-        # no-host rewait (~30x per request under full chaos), so every
-        # property hop here is paid tens of thousands of times.
+        # `request.state.terminal` inlined: this method runs once per
+        # attempt AND once per capacity drain, so every property hop
+        # here is paid tens of thousands of times.
         if self.fenced or request.state is not RequestState.IN_FLIGHT:
             return
         now = self._clock._now
@@ -389,44 +375,30 @@ class ResilientGateway:
             if request.primary_count >= config.retry.max_attempts:
                 self._maybe_fail(request, "retry-budget")
                 return
-        cluster = self.cluster
-        if exclude:
-            with cluster.excluding(*exclude):
-                candidates = cluster.routable_or_empty()
-                host_index = (
-                    self.dispatch.select_host(request, candidates)
-                    if candidates
-                    else None
-                )
-        else:
-            # No exclusions on the primary/retry path; skipping the
-            # context manager keeps the (frequent) no-host wait loop
-            # off the contextlib machinery, and the empty-candidates
-            # branch keeps it off exception machinery too.
-            candidates = cluster.routable_or_empty()
-            host_index = (
-                self.dispatch.select_host(request, candidates)
-                if candidates
-                else None
-            )
+        # A hedge excludes its primary's host.  An empty candidate list
+        # branches here instead of through exception machinery.
+        candidates = self.cluster.routable_or_empty(exclude)
+        host_index = (
+            self.dispatch.select_host(request, candidates) if candidates else None
+        )
         if host_index is None:
             if hedge:
                 return  # hedging is best-effort; the primary is still out
             # No metric traffic here: the snapshot-time collector
-            # installed in _rebind_instruments exports the sum of the
-            # per-request tallies.
+            # installed in __init__ exports the sum of the per-request
+            # tallies.
             request.no_host_waits += 1
             self._park(request, now)
             return
 
         host = self.cluster.hosts[host_index]
-        planned, miss = plan_with_ladder(
+        planned, miss = plan_start(
             host.pool.size(request.function), request.current_start
         )
         if miss is not None:
             self.degradations.record(request.current_start, StartType.COLD)
             if self.obs.enabled:
-                self._counter(
+                self.obs.metrics.counter(
                     f"resilience.degrade.{miss}", "pool-miss degradations"
                 ).inc()
         breaker = self.breakers.get(host_index)
@@ -450,9 +422,13 @@ class ResilientGateway:
         if hedge:
             request.hedges_used += 1
             if self.obs.enabled:
-                self._counter("resilience.hedge", "hedged attempts fired").inc()
+                self.obs.metrics.counter(
+                    "resilience.hedge", "hedged attempts fired"
+                ).inc()
         elif attempt.index > 0 and self.obs.enabled:
-            self._counter("resilience.retry", "retry attempts fired").inc()
+            self.obs.metrics.counter(
+                "resilience.retry", "retry attempts fired"
+            ).inc()
 
         try:
             invocation = self.cluster.trigger_on(
@@ -461,12 +437,13 @@ class ResilientGateway:
         except TransientResumeError as exc:
             # The sandbox is untouched (still PAUSED): give it back.
             host.pool.release(request.function, exc.sandbox)
-            self._attempt_failed(
-                request, attempt, "transient",
-                retry_delay_ns=self.config.retry.backoff_ns(
-                    max(1, request.primary_count), self._rng
-                ),
+            # The backoff is drawn before the verdict, hedges included:
+            # the order of draws on the backoff stream is seeded output.
+            delay = self.config.retry.backoff_ns(
+                max(1, request.primary_count), self._rng
             )
+            if self._attempt_failed(request, attempt, "transient", now):
+                self._retry_at(request, now + delay, "resilience-retry")
             return
         except HungResumeError as exc:
             # Stuck in RESUMING.  The client cannot see a hang — the
@@ -572,7 +549,7 @@ class ResilientGateway:
     def _maybe_hedge(self, request: Request, primary_host: int) -> None:
         if self.fenced or request.state.terminal or request.executing == 0:
             return
-        self._launch(request, hedge=True, exclude=(primary_host,))
+        self._launch(request, hedge=True, exclude=primary_host)
 
     def _begin_hang(
         self, request: Request, attempt: Attempt, sandbox, host_index: int
@@ -592,34 +569,15 @@ class ResilientGateway:
 
     def _on_hang_timeout(self, request: Request, attempt: Attempt, sandbox) -> None:
         """The hang timeout fired: write the attempt (and sandbox) off."""
-        now = self._clock._now
-        if self.fenced:
-            # The incarnation is dead but the node-local watchdog still
-            # reclaims the hung sandbox; gateway bookkeeping stays
-            # frozen (the replacement re-dispatched from the log).
-            self.cluster.hosts[attempt.host].destroy_sandbox(sandbox)
-            return
-        attempt.executing = False
-        attempt.status = "hung"
-        request.executing -= 1
+        # The node-local watchdog reclaims the hung sandbox even when
+        # this incarnation is dead; its bookkeeping then stays frozen
+        # (the replacement re-dispatched from the log).
         self.cluster.hosts[attempt.host].destroy_sandbox(sandbox)
-        breaker = self.breakers.get(attempt.host)
-        if breaker is not None:
-            breaker.record_failure(now)
-        if self.obs.enabled:
-            self._counter(
-                "resilience.attempt_fail.hung", "failed attempts by kind"
-            ).inc()
-        if attempt.hedge or request.state.terminal:
-            # A hedge (or the completed race winner) owns the rest —
-            # unless the primary path already gave up on this hedge.
-            self._settle_deferred(request)
+        if self.fenced:
             return
-        previous = request.current_start
-        request.current_start = degrade(previous)
-        self.degradations.record(previous, request.current_start)
         # The timeout itself was the wait; retry without further backoff.
-        self._launch(request, hedge=False)
+        if self._attempt_failed(request, attempt, "hung", self._clock._now):
+            self._launch(request, hedge=False)
 
     # ------------------------------------------------------------------
     # Outcomes
@@ -653,20 +611,16 @@ class ResilientGateway:
             if self.journal is not None:
                 self.journal.record_outcome(request, now, fence=attempt.fence)
             if self.obs.enabled:
-                self._counter(
-                    "resilience.complete", "requests completed"
-                ).inc()
-                histogram = self._hist_latency
-                if histogram is None:
-                    histogram = self._hist_latency = self.obs.metrics.histogram(
-                        "request.latency_ns",
-                        help="submit -> completion, retries/backoff included",
-                    )
-                histogram.observe(request.latency_ns or 0)
+                metrics = self.obs.metrics
+                metrics.counter("resilience.complete", "requests completed").inc()
+                metrics.histogram(
+                    "request.latency_ns",
+                    help="submit -> completion, retries/backoff included",
+                ).observe(request.latency_ns or 0)
         else:
             request.redundant_hedges += 1
             if self.obs.enabled:
-                self._counter(
+                self.obs.metrics.counter(
                     "resilience.hedge_redundant",
                     "hedged attempts that lost the race",
                 ).inc()
@@ -679,32 +633,42 @@ class ResilientGateway:
             self._drain_parked()
 
     def _attempt_failed(
-        self,
-        request: Request,
-        attempt: Attempt,
-        kind: str,
-        retry_delay_ns: int,
-    ) -> None:
-        now = self._clock._now
+        self, request: Request, attempt: Attempt, kind: str, now: int
+    ) -> bool:
+        """The one failure path: a transient error, a hang timeout or a
+        host crash ended *attempt* (*kind* names which).
+
+        Retires the attempt, records the failure (status, breaker,
+        counter) and decides what happens next.  A hedge is fire-once
+        and a resolved request needs nothing more: both only settle a
+        failure the primary path deferred to them.  Otherwise the
+        request steps one rung down the ladder and the caller, which
+        owns the timing, retries it (returns True).
+        """
+        if attempt.executing:
+            attempt.executing = False
+            request.executing -= 1
         attempt.status = kind
         breaker = self.breakers.get(attempt.host)
         if breaker is not None:
             breaker.record_failure(now)
         if self.obs.enabled:
-            self._counter(
+            self.obs.metrics.counter(
                 f"resilience.attempt_fail.{kind}", "failed attempts by kind"
             ).inc()
-        if attempt.hedge:
-            # Hedges are fire-once; the primary path owns retries.
+        if attempt.hedge or request.state is not RequestState.IN_FLIGHT:
             self._settle_deferred(request)
-            return
+            return False
         previous = request.current_start
         request.current_start = degrade(previous)
         self.degradations.record(previous, request.current_start)
+        return True
+
+    def _retry_at(self, request: Request, at_ns: int, label: str) -> None:
         self.engine.schedule_at(
-            now + retry_delay_ns,
+            at_ns,
             lambda: self._launch(request, hedge=False),
-            label=f"resilience-retry:{request.request_id}",
+            label=f"{label}:{request.request_id}",
             transient=True,
         )
 
@@ -723,7 +687,7 @@ class ResilientGateway:
         if self.journal is not None:
             self.journal.record_outcome(request, self._clock._now, fence=0)
         if self.obs.enabled:
-            self._counter(
+            self.obs.metrics.counter(
                 f"resilience.fail.{reason}", "requests explicitly failed"
             ).inc()
             self.obs.tracer.record_instant(
@@ -754,7 +718,6 @@ class ResilientGateway:
         victims = self._inflight[host_index]
         self._inflight[host_index] = []
         host = self.cluster.hosts[host_index]
-        breaker = self.breakers.get(host_index)
         for request, attempt in victims:
             invocation = attempt.invocation
             assert invocation is not None
@@ -765,34 +728,11 @@ class ResilientGateway:
                 attempt.completion_event.cancel()  # type: ignore[attr-defined]
             if invocation.sandbox is not None:
                 host.destroy_sandbox(invocation.sandbox)
-            attempt.executing = False
-            attempt.status = "crash"
-            request.executing -= 1
-            if breaker is not None:
-                breaker.record_failure(now_ns)
-            if self.obs.enabled:
-                self._counter(
-                    "resilience.attempt_fail.crash", "failed attempts by kind"
-                ).inc()
-            if request.state.terminal:
-                continue
-            if attempt.hedge:
-                # The primary is still out (or its retry is scheduled),
-                # unless it already deferred its failure to this hedge.
-                self._settle_deferred(request)
-                continue
-            previous = request.current_start
-            request.current_start = degrade(previous)
-            self.degradations.record(previous, request.current_start)
-            delay = self.config.retry.backoff_ns(
-                max(1, request.primary_attempts), self._rng
-            )
-            self.engine.schedule_at(
-                now_ns + delay,
-                lambda r=request: self._launch(r, hedge=False),
-                label=f"resilience-crash-retry:{request.request_id}",
-                transient=True,
-            )
+            if self._attempt_failed(request, attempt, "crash", now_ns):
+                delay = self.config.retry.backoff_ns(
+                    max(1, request.primary_count), self._rng
+                )
+                self._retry_at(request, now_ns + delay, "resilience-crash-retry")
 
     def _handle_recover(self, host_index: int, now_ns: int) -> None:
         """Re-warm a recovered host so warm affinity can return to it."""
@@ -809,7 +749,7 @@ class ResilientGateway:
                     use_horse=spec.is_ull,
                 )
             if self.obs.enabled:
-                self._counter(
+                self.obs.metrics.counter(
                     "resilience.rewarm", "host recoveries re-warmed"
                 ).inc()
         # The recovered host is routable again (modulo its breaker) —
@@ -836,9 +776,9 @@ class ResilientGateway:
                 and request.completed_ns is None
             ):
                 violations.append(f"{rid}: completed without a completion time")
-            if request.primary_attempts > self.config.retry.max_attempts:
+            if request.primary_count > self.config.retry.max_attempts:
                 violations.append(
-                    f"{rid}: {request.primary_attempts} primary attempts "
+                    f"{rid}: {request.primary_count} primary attempts "
                     f"exceed budget {self.config.retry.max_attempts}"
                 )
             if request.hedges_used > self.config.hedge.max_hedges:

@@ -13,7 +13,7 @@ from typing import Dict, Mapping, Tuple
 
 from repro.workloads.base import Workload, WorkloadCategory, truncated_normal_ns
 from repro.workloads.firewall import RequestHeader
-from repro.sim.units import microseconds, nanoseconds
+from repro.sim.units import nanoseconds
 
 
 @dataclass(frozen=True)

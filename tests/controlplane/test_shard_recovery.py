@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.controlplane import RecoveryConfig, intent_log_violations
+from repro.controlplane import intent_log_violations
 from repro.resilience import BreakerState, RequestState
 from repro.sim.units import milliseconds
 
@@ -111,14 +111,6 @@ class TestRecovery:
         shard.submit("firewall", origin=2)
         engine.run()
         assert shard.log.outcome_of(2).state == "completed"
-
-    def test_reopen_can_be_disabled(self, engine):
-        shard = build_shard(engine, 0)
-        shard.recovery = RecoveryConfig(reopen_breakers=False)
-        shard.crash(engine.now)
-        shard.recover(engine.now)
-        for breaker in shard.gateway.breakers.values():
-            assert breaker.state is BreakerState.CLOSED
 
     def test_recover_when_up_is_noop(self, engine):
         shard = build_shard(engine, 0)

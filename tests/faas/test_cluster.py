@@ -175,8 +175,8 @@ class TestRoutabilityUnderFailure:
     def test_excluding_is_scoped(self):
         cluster = make_cluster(hosts=2, placement=LeastLoadedPlacement())
         cluster.provision_warm("fw", per_host=2)
-        with cluster.excluding(0):
-            assert cluster.routable_hosts() == [1]
+        assert cluster.routable_or_empty(exclude=0) == [1]
+        assert cluster.routable_or_empty() == [0, 1]
         assert cluster.routable_hosts() == [0, 1]
 
 

@@ -1,7 +1,10 @@
 """The observability bundle and the active-context stack."""
 
+import pytest
+
+from repro.hypervisor.vcpu import Vcpu
 from repro.obs.context import NULL_OBS, Observability, activate, current
-from repro.obs.metrics import NULL_REGISTRY
+from repro.obs.metrics import NULL_REGISTRY, MetricRegistry
 from repro.obs.span import NULL_TRACER
 
 
@@ -16,6 +19,27 @@ class TestBundle:
         assert NULL_OBS.enabled is False
         assert NULL_OBS.tracer is NULL_TRACER
         assert NULL_OBS.metrics is NULL_REGISTRY
+
+    @pytest.mark.parametrize("name", ["tracer", "metrics", "enabled"])
+    def test_bundle_is_immutable(self, name):
+        obs = Observability()
+        before = getattr(obs, name)
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(obs, name, None)
+        assert getattr(obs, name) is before
+
+    def test_reattached_host_counts_into_the_new_registry(self):
+        from repro.hypervisor.platform import firecracker_platform
+
+        first, second = MetricRegistry(), MetricRegistry()
+        platform = firecracker_platform()
+        platform.attach_observability(Observability(NULL_TRACER, first))
+        queue = platform.host.runqueue(0)
+        queue.enqueue_sorted(Vcpu(0, "a"), 0)
+        platform.attach_observability(Observability(NULL_TRACER, second))
+        queue.enqueue_sorted(Vcpu(0, "b"), 0)
+        assert first.counter("runqueue.enqueue").value == 1
+        assert second.counter("runqueue.enqueue").value == 1
 
 
 class TestActiveContext:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.faas.cluster import plan_start
 from repro.faas.invocation import StartType
 from repro.resilience.degradation import (
     DEGRADATION_LADDER,
@@ -10,7 +11,6 @@ from repro.resilience.degradation import (
     DegradationStats,
     degrade,
     ladder_level,
-    plan_with_ladder,
 )
 
 
@@ -31,17 +31,17 @@ class TestLadder:
         assert ladder_level(StartType.RESTORE) == 2
         assert degrade(StartType.RESTORE) is StartType.COLD
 
-    def test_plan_with_ladder_miss(self):
-        assert plan_with_ladder(0, StartType.HORSE) == (
+    def test_plan_start_miss(self):
+        assert plan_start(0, StartType.HORSE) == (
             StartType.COLD, "horse->cold"
         )
-        assert plan_with_ladder(0, StartType.WARM) == (
+        assert plan_start(0, StartType.WARM) == (
             StartType.COLD, "warm->cold"
         )
 
-    def test_plan_with_ladder_hit(self):
-        assert plan_with_ladder(2, StartType.HORSE) == (StartType.HORSE, None)
-        assert plan_with_ladder(0, StartType.COLD) == (StartType.COLD, None)
+    def test_plan_start_hit(self):
+        assert plan_start(2, StartType.HORSE) == (StartType.HORSE, None)
+        assert plan_start(0, StartType.COLD) == (StartType.COLD, None)
 
 
 class TestAdmission:

@@ -169,7 +169,7 @@ class TestRetries:
         cluster.engine.run(until=seconds(1))
         assert request.state is RequestState.FAILED
         assert request.resolution == "retry-budget"
-        assert request.primary_attempts == gateway.config.retry.max_attempts
+        assert request.primary_count == gateway.config.retry.max_attempts
         audit(gateway)
 
     def test_ladder_bottoms_out_at_cold(self):
@@ -199,7 +199,7 @@ class TestRetries:
         assert request.state is RequestState.FAILED
         assert request.resolution == "deadline"
         # The deadline bounded retrying well under the attempt budget.
-        assert request.primary_attempts < gateway.config.retry.max_attempts
+        assert request.primary_count < gateway.config.retry.max_attempts
         audit(gateway)
 
 
