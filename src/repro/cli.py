@@ -421,31 +421,9 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.perf.gate import main as perf_gate_main
+    from repro.perf.gate import run_gate
 
-    _apply_scheduler(args)
-    forwarded = []
-    if args.quick:
-        forwarded.append("--quick")
-    if args.benches:
-        forwarded.extend(["--benches", args.benches])
-    if args.write:
-        forwarded.extend(["--write", args.write])
-    if args.check:
-        forwarded.append("--check")
-    if args.baseline:
-        forwarded.extend(["--baseline", args.baseline])
-    if args.require_speedup is not None:
-        forwarded.extend(["--require-speedup", str(args.require_speedup)])
-    if args.max_obs_overhead is not None:
-        forwarded.extend(["--max-obs-overhead", str(args.max_obs_overhead)])
-    if args.require_shard_speedup is not None:
-        forwarded.extend(
-            ["--require-shard-speedup", str(args.require_shard_speedup)]
-        )
-    forwarded.extend(["--tolerance", str(args.tolerance)])
-    forwarded.extend(["--seed", str(args.seed)])
-    return perf_gate_main(forwarded)
+    return run_gate(args)
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
@@ -672,28 +650,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scheduler_flag(profile)
     profile.set_defaults(func=_cmd_profile)
 
+    from repro.perf.gate import build_parser as gate_parser
+
     bench = subparsers.add_parser(
         "bench",
+        parents=[gate_parser()],
+        add_help=False,
         help="run the sim-kernel performance gate (see benchmarks/perf_gate.py)",
     )
-    bench.add_argument("--quick", action="store_true")
-    bench.add_argument("--seed", type=int, default=7)
-    bench.add_argument("--benches", type=str, default=None, metavar="A,B,...")
-    bench.add_argument("--write", type=str, default=None, metavar="PATH")
-    bench.add_argument("--check", action="store_true")
-    bench.add_argument("--baseline", type=str, default=None, metavar="PATH")
-    bench.add_argument("--tolerance", type=float, default=0.15)
-    bench.add_argument("--require-speedup", type=float, default=None, metavar="X")
-    bench.add_argument(
-        "--max-obs-overhead", type=float, default=None, metavar="F",
-        help="fail if obs-enabled chaos is more than F slower than obs-off",
-    )
-    bench.add_argument(
-        "--require-shard-speedup", type=float, default=None, metavar="X",
-        help="fail unless the 4-worker sharded study is >= X times the "
-        "serial events/sec (skipped when the machine has too few cores)",
-    )
-    _add_scheduler_flag(bench)
     bench.set_defaults(func=_cmd_bench)
 
     lister = subparsers.add_parser(

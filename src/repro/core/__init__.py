@@ -25,7 +25,6 @@ _EXPORTS = {
     "SortedLinkedList": "repro.core.linked_list",
     "MergeReport": "repro.core.p2sm",
     "P2SMState": "repro.core.p2sm",
-    "PrecomputeReport": "repro.core.p2sm",
     "QueueSnapshot": "repro.core.p2sm",
     "SubChain": "repro.core.p2sm",
     "sorted_merge_reference": "repro.core.p2sm",
@@ -47,7 +46,6 @@ if TYPE_CHECKING:  # static analyzers see the real names
     from repro.core.p2sm import (
         MergeReport,
         P2SMState,
-        PrecomputeReport,
         QueueSnapshot,
         SubChain,
         sorted_merge_reference,

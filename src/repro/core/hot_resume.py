@@ -377,7 +377,6 @@ class HorsePauseResume:
         self.ull.unassign(sandbox)
         sandbox.clear_horse_artifacts()
         sandbox.transition(SandboxState.RUNNING)
-        sandbox.resume_count += 1
         if not self.config.fast_command_path:
             breakdown.add(STEP_FINALIZE, round(self.costs.resume_finalize_ns))
 

@@ -64,16 +64,6 @@ class MergeReport:
     merged_elements: int = 0
 
 
-@dataclass
-class PrecomputeReport:
-    """Operation counts from (re)building the precomputed structures."""
-
-    array_entries: int = 0
-    posa_keys: int = 0
-    scan_steps: int = 0
-    chain_nodes: int = 0
-
-
 class QueueSnapshot(NamedTuple):
     """One walk of a target list, shared by every refresh against it.
 
@@ -130,10 +120,9 @@ class P2SMState(Generic[T]):
 
     On the host the rebuild is deferred: a refresh only records the
     :class:`QueueSnapshot` of the target it was handed, and the first
-    read of :attr:`array_b`, :attr:`pos_a` or :attr:`last_report`
-    afterwards builds them from that snapshot — arrayB as a copy of
-    its nodes, A bucketed by binary search, A's chain nodes relinked
-    rather than reallocated.  Building from the notification-time
+    read of :attr:`array_b` or :attr:`pos_a` afterwards builds them
+    from that snapshot — arrayB as a copy of its nodes, A bucketed by
+    binary search, A's chain nodes relinked rather than reallocated.  Building from the notification-time
     snapshot, never from a fresh walk, makes the result identical to
     an eager rebuild at refresh time, and keeps a target that changed
     without a refresh detectably stale.
@@ -150,7 +139,6 @@ class P2SMState(Generic[T]):
         self.values_a: List[T] = sorted(values_a, key=self._key)
         self._array_b: List[ListNode[T]] = []
         self._pos_a: Dict[int, SubChain[T]] = {}
-        self._last_report = PrecomputeReport()
         #: one chain node per ``values_a`` entry, relinked by every
         #: rebuild; None until the first rebuild after construction or
         #: a merge (which hands the nodes to the target)
@@ -175,7 +163,7 @@ class P2SMState(Generic[T]):
         self._pending = snapshot
 
     def _materialize(self) -> None:
-        """Build arrayB, posA and the report from the pending snapshot."""
+        """Build arrayB and posA from the pending snapshot."""
         b_nodes, b_keys, ordered = self._pending
         self._pending = None
         # arrayB: position -> node, with index 0 the sentinel.  A private
@@ -208,17 +196,9 @@ class P2SMState(Generic[T]):
                 chain.tail = node
                 chain.length += 1
         self._pos_a = pos_a
-        # The forward scan takes one step per position it passes.
-        self._last_report = PrecomputeReport(
-            array_entries=len(b_nodes),
-            posa_keys=len(pos_a),
-            scan_steps=position,
-            chain_nodes=len(nodes),
-        )
 
     array_b = _built_on_read("array_b")
     pos_a = _built_on_read("pos_a")
-    last_report = _built_on_read("last_report")
 
     # ------------------------------------------------------------------
     # Freshness verification (repro.check)

@@ -36,7 +36,6 @@ from repro.resilience import (
     BreakerConfig,
     FailureConfig,
     FailureInjector,
-    HedgePolicy,
     RequestState,
     ResilienceConfig,
     ResilientGateway,
@@ -53,6 +52,9 @@ CHAOS_MODES: Tuple[str, ...] = ("breaker", "retries-only", "vanilla")
 
 #: Experiment ids `repro chaos` accepts (mirrors repro.check.CHECKABLE).
 CHAOSABLE: Tuple[str, ...] = ("cluster",)
+
+#: Fraction of requests hitting the uLL function.
+ULL_FRACTION = 0.5
 
 
 @dataclass(frozen=True)
@@ -72,8 +74,6 @@ class ChaosConfig:
     requests: int = 1200
     #: mean request inter-arrival (exponential draws)
     mean_interarrival_ms: float = 5.0
-    #: fraction of requests hitting the uLL function
-    ull_fraction: float = 0.5
     warm_per_host: int = 3
     #: engine drain horizon after the last submission
     drain_s: float = 60.0
@@ -94,7 +94,6 @@ class ChaosConfig:
             ("failure_rate", 0.0 <= self.failure_rate < 1.0, "in [0, 1)"),
             ("requests", self.requests >= 1, ">= 1"),
             ("mean_interarrival_ms", self.mean_interarrival_ms > 0, "> 0"),
-            ("ull_fraction", 0.0 <= self.ull_fraction <= 1.0, "in [0, 1]"),
             ("warm_per_host", self.warm_per_host >= 1, ">= 1"),
             ("drain_s", self.drain_s > 0, "> 0"),
             ("crash_mtbf_base_s", self.crash_mtbf_base_s > 0, "> 0"),
@@ -205,7 +204,7 @@ def _mode_resilience(mode: str, config: ChaosConfig) -> ResilienceConfig:
     return ResilienceConfig(
         breaker=None if mode == "retries-only" else _STUDY_BREAKER,
         # No uLL class in a vanilla deployment, hence no hedging either.
-        hedge=HedgePolicy.disabled() if mode == "vanilla" else HedgePolicy(),
+        hedge=mode != "vanilla",
         # Recoveries restock to the full provisioning level; a half-warmed
         # host would turn every breaker exclusion elsewhere into cold starts.
         rewarm_per_host=config.warm_per_host,
@@ -379,7 +378,7 @@ def _arrival_plan(
         config.requests,
         groups,
         config.mean_interarrival_ms,
-        config.ull_fraction,
+        ULL_FRACTION,
         config.seed,
     )
 

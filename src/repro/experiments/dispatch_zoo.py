@@ -54,10 +54,12 @@ _ULL_FRACTION = {"balanced": 0.5, "ull-heavy": 0.8, "accel": 0.5}
 #: Fraction of ``accel``-mix requests that hit the GPU-tagged function.
 _ACCEL_FRACTION = 0.25
 
+#: The contenders: every registered dispatch family, in sorted order.
+ZOO_POLICIES: Tuple[str, ...] = tuple(DISPATCH_POLICIES.families())
 
-def _zoo_policies() -> Tuple[str, ...]:
-    """Every registered dispatch family, in sorted order."""
-    return tuple(DISPATCH_POLICIES.families())
+#: Deadline handed to uLL submissions (the deadline policy's signal;
+#: identical for every policy so schedules stay comparable).
+ULL_DEADLINE_NS = milliseconds(200)
 
 
 @dataclass(frozen=True)
@@ -69,15 +71,10 @@ class DispatchZooConfig:
     requests: int = 600
     failure_rates: Tuple[float, ...] = (0.0, 0.2)
     mixes: Tuple[str, ...] = DISPATCH_MIXES
-    #: dispatch-policy specs; default = every registered family
-    policies: Tuple[str, ...] = field(default_factory=_zoo_policies)
     mean_interarrival_ms: float = 5.0
     warm_per_host: int = 3
     drain_s: float = 60.0
     crash_mtbf_base_s: float = 0.25
-    #: deadline handed to uLL submissions (the deadline policy's signal;
-    #: identical for every policy so schedules stay comparable)
-    ull_deadline_ns: int = milliseconds(200)
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -86,12 +83,11 @@ class DispatchZooConfig:
                 raise ValueError(
                     f"unknown mix {mix!r}; choose from {DISPATCH_MIXES}"
                 )
-        # The shared shape checks are ChaosConfig's: build every cell's
-        # config once (and one more, so an empty sweep is checked too).
-        self._cell_config(0.0, "push-least-loaded")
-        for failure_rate in self.failure_rates:
-            for policy in self.policies:
-                self._cell_config(failure_rate, policy)
+        # The shared shape checks are ChaosConfig's: build one cell
+        # config per failure rate (and one more, so an empty sweep is
+        # checked too).
+        for failure_rate in (0.0, *self.failure_rates):
+            self._cell_config(failure_rate, "push-least-loaded")
 
     def _cell_config(self, failure_rate: float, policy: str) -> ChaosConfig:
         """The chaos-stack shape of one (failure rate, policy) cell."""
@@ -178,9 +174,9 @@ def _schedule_arrivals(
         draw = arrivals.random()
         accel_cut = _ACCEL_FRACTION if mix == "accel" else 0.0
         if draw < accel_cut:
-            name, priority, deadline = "infer", 1, config.ull_deadline_ns
+            name, priority, deadline = "infer", 1, ULL_DEADLINE_NS
         elif draw < accel_cut + ull_fraction:
-            name, priority, deadline = "firewall", 1, config.ull_deadline_ns
+            name, priority, deadline = "firewall", 1, ULL_DEADLINE_NS
         else:
             name, priority, deadline = "background", 0, None
         cluster.engine.schedule_at(
@@ -265,7 +261,7 @@ def run_dispatch_zoo(
     result = DispatchZooResult(config=config)
     for mix in config.mixes:
         for failure_rate in config.failure_rates:
-            for policy in config.policies:
+            for policy in ZOO_POLICIES:
                 result.cells[(policy, failure_rate, mix)] = run_zoo_cell(
                     policy, failure_rate, mix, config
                 )
@@ -277,7 +273,7 @@ def render_dispatch_zoo(result: DispatchZooResult) -> str:
     config = result.config
     lines = [
         f"dispatch zoo: hosts={config.hosts} requests={config.requests} "
-        f"seed={config.seed} policies={','.join(config.policies)}",
+        f"seed={config.seed} policies={','.join(ZOO_POLICIES)}",
         "",
         f"{'mix':10s} {'frate':>5s} {'policy':18s} {'class':10s} "
         f"{'subm':>5s} {'done':>5s} {'shed':>5s} {'fail':>5s} "
@@ -285,7 +281,7 @@ def render_dispatch_zoo(result: DispatchZooResult) -> str:
     ]
     for mix in config.mixes:
         for failure_rate in config.failure_rates:
-            for policy in config.policies:
+            for policy in ZOO_POLICIES:
                 cell = result.cell(policy, failure_rate, mix)
                 for cls in sorted(cell.classes):
                     stats = cell.classes[cls]

@@ -48,7 +48,6 @@ class NodeHealth:
     up: bool = True
     crashes: int = 0
     recoveries: int = 0
-    last_change_ns: int = 0
 
 
 def plan_start(
@@ -233,27 +232,25 @@ class FaaSCluster:
             )
         return candidates
 
-    def mark_down(self, index: int, now_ns: Optional[int] = None) -> None:
+    def mark_down(self, index: int) -> None:
         """Take a host out of routing (crash detected)."""
         health = self.health[index]
         if not health.up:
             return
         health.up = False
         health.crashes += 1
-        health.last_change_ns = self.engine.now if now_ns is None else now_ns
         self.stats.crashes += 1
 
-    def mark_up(self, index: int, now_ns: Optional[int] = None) -> None:
+    def mark_up(self, index: int) -> None:
         """Return a recovered host to routing."""
         health = self.health[index]
         if health.up:
             return
         health.up = True
         health.recoveries += 1
-        health.last_change_ns = self.engine.now if now_ns is None else now_ns
         self.stats.recoveries += 1
 
-    def crash_host(self, index: int, now_ns: Optional[int] = None) -> int:
+    def crash_host(self, index: int) -> int:
         """Crash one host: mark it down and destroy its warm pool.
 
         Returns the number of pooled sandboxes lost.  In-flight
@@ -261,12 +258,12 @@ class FaaSCluster:
         tracks them and re-dispatches); the cluster only owns routing
         state and pooled capacity.
         """
-        self.mark_down(index, now_ns)
+        self.mark_down(index)
         return self.hosts[index].fail_all_pooled()
 
-    def recover_host(self, index: int, now_ns: Optional[int] = None) -> None:
+    def recover_host(self, index: int) -> None:
         """Bring a crashed host back (empty-pooled until re-warmed)."""
-        self.mark_up(index, now_ns)
+        self.mark_up(index)
 
     # ------------------------------------------------------------------
     def tag_accelerator(self, index: int, *tags: str) -> None:

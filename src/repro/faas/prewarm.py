@@ -445,6 +445,10 @@ def default_prewarm_policy() -> str:
 # ---------------------------------------------------------------------------
 
 
+#: Service time of every replayed invocation (1 ms).
+EXEC_NS = 1_000_000
+
+
 @dataclass(frozen=True)
 class PrewarmConfig:
     """One replay-under-policy run (picklable; workers rebuild policies)."""
@@ -455,7 +459,6 @@ class PrewarmConfig:
     policy: str = field(default_factory=default_prewarm_policy)
     memory_budget_mb: float = 4096.0
     sandbox_mb: float = 128.0
-    exec_ns: int = 1_000_000          # 1 ms service time
     groups: int = 1                   # model parameter: capacity cells
     platform: str = "firecracker"
     #: latency histogram starts here (steady state): first-touch cold
@@ -483,8 +486,6 @@ class PrewarmConfig:
             raise ValueError(
                 f"sandbox_mb must be positive and finite, got {self.sandbox_mb}"
             )
-        if self.exec_ns < 0:
-            raise ValueError(f"exec_ns must be >= 0, got {self.exec_ns}")
         if self.groups < 1:
             raise ValueError(f"groups must be >= 1, got {self.groups}")
         if not 0 <= self.warmup_s < self.replay.duration_s:
@@ -564,7 +565,6 @@ class _Cell:
         )
         self.restore_ns = costs.restore_ns
         self.cold_ns = costs.cold_start_ns
-        self.exec_ns = config.exec_ns
         self.sandbox_mb = config.sandbox_mb
         self.budget_mb = config.memory_budget_mb / config.groups
         self.warmup_ns = round(config.warmup_s * SECOND)
@@ -730,7 +730,7 @@ class _Cell:
             if tracker is None:
                 tracker = trackers[fn] = PoolTargetTracker(
                     window_ns=self.protect_window_ns,
-                    expected_busy_ns=max(1, self.exec_ns),
+                    expected_busy_ns=EXEC_NS,
                     headroom=self.config.protect_headroom,
                     min_pool=0,
                     max_pool=1,
@@ -769,7 +769,7 @@ class _Cell:
         else:
             stats.warmup_events += 1
 
-        end = now + init_ns + self.exec_ns
+        end = now + init_ns + EXEC_NS
         if busy_until > end:
             end = busy_until
         state.busy_until = state.last_end = end

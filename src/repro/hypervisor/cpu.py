@@ -13,11 +13,12 @@ from bisect import insort
 from dataclasses import dataclass
 from heapq import heapify, heappush, heapreplace
 from operator import attrgetter
-from typing import Callable, Dict, Iterator, List
+from typing import Callable, Dict, Iterator, List, Tuple
 
 from repro.hypervisor.runqueue import RunQueue
 from repro.hypervisor.vcpu import Vcpu
 from repro.obs.context import NULL_OBS, Observability
+from repro.obs.metrics import MetricRegistry
 
 
 @dataclass(frozen=True)
@@ -28,7 +29,6 @@ class HostSpec:
     sockets: int
     cores_per_socket: int
     memory_mb: int
-    hyperthreading: bool = False
 
     def __post_init__(self) -> None:
         if self.sockets <= 0 or self.cores_per_socket <= 0:
@@ -38,11 +38,11 @@ class HostSpec:
 
     @property
     def total_cores(self) -> int:
-        threads = 2 if self.hyperthreading else 1
-        return self.sockets * self.cores_per_socket * threads
+        return self.sockets * self.cores_per_socket
 
 
-#: The paper's testbed (hyperthreading disabled for the §2/§3 analysis).
+#: The paper's testbed (SMT off for the §2/§3 analysis: one core is one
+#: hardware thread).
 CLOUDLAB_R650 = HostSpec(
     name="cloudlab-r650",
     sockets=2,
@@ -101,6 +101,8 @@ class Host:
         self._default_timeslice_ns = default_timeslice_ns
         self._ull_timeslice_ns = ull_timeslice_ns
         self._obs: Observability = NULL_OBS
+        #: registries the fold export is installed in (at most once each)
+        self._fold_registries: Tuple[MetricRegistry, ...] = ()
         # The *last* reserved_ull_cores cores host the ull_runqueues,
         # keeping core 0 (where toolstacks pin housekeeping) general.
         self._first_ull = spec.total_cores - reserved_ull_cores
@@ -122,17 +124,22 @@ class Host:
         :class:`~repro.hypervisor.load_tracking.RunqueueLoad`; a
         registry collector sums them over the queues built by
         snapshot/render time, so the fold hot path never touches the
-        registry.
+        registry.  The collector exports deltas, so it is installed
+        once per registry however often the host is attached to it.
         """
         self._obs = obs
         for runqueue in self.runqueues.values():
             runqueue.obs = obs
             runqueue._instruments = None  # rebound lazily in *obs*
-        if obs.metrics.enabled:
-            iterated = obs.metrics.counter(
+        metrics = obs.metrics
+        if metrics.enabled and not any(
+            metrics is installed for installed in self._fold_registries
+        ):
+            self._fold_registries += (metrics,)
+            iterated = metrics.counter(
                 "load.fold.iterated", "vanilla per-entity load folds"
             )
-            coalesced = obs.metrics.counter(
+            coalesced = metrics.counter(
                 "load.fold.coalesced", "HORSE fused load folds"
             )
             runqueues = self.runqueues
@@ -145,7 +152,7 @@ class Host:
                 _exported[0] = total_iter
                 _exported[1] = total_coal
 
-            obs.metrics.add_collector(export_folds)
+            metrics.add_collector(export_folds)
 
     # ------------------------------------------------------------------
     # Run-queue views

@@ -70,7 +70,6 @@ class CoreDispatcher:
         self._slice_event: Optional[Event] = None
         self._slice_started_ns = 0
         self.completed: List[WorkItem] = []
-        self.context_switches = 0
         self.preemptions = 0
 
     # ------------------------------------------------------------------
@@ -135,7 +134,6 @@ class CoreDispatcher:
             # Rotate: back onto the queue at its new sort position.
             self._items[item.vcpu.vcpu_id] = item
             self.runqueue.enqueue_sorted_without_load(item.vcpu)
-            self.context_switches += 1
         self._dispatch_next()
 
     def _account(self, item: WorkItem, ran_ns: int) -> None:

@@ -60,11 +60,9 @@ class DvfsGovernor:
         self.mode = mode
         self.frequency = frequency
         self.capacity = capacity
-        self.decisions = 0
 
     def target_khz(self, load: float) -> int:
         """Frequency for a queue currently tracking *load*."""
-        self.decisions += 1
         if self.mode is GovernorMode.PERFORMANCE:
             khz = self.frequency.max_khz
         elif self.mode is GovernorMode.POWERSAVE:

@@ -54,7 +54,6 @@ class RunqueueLoad:
 
     value: float = 0.0
     last_update_ns: int = 0
-    updates_applied: int = 0
     #: Batched bookkeeping, exported via a registry collector.
     folds_iterated: int = 0
     folds_coalesced: int = 0
@@ -82,14 +81,12 @@ class RunqueueLoad:
         """
         self.decay_to(now_ns)
         self.value = DECAY_FACTOR * self.value + weight * (1.0 - DECAY_FACTOR)
-        self.updates_applied += 1
         self.folds_iterated += 1
 
     def apply_coalesced(self, now_ns: int, alpha_n: float, beta_sum: float) -> None:
         """Apply a precomputed n-fold fused update (HORSE path)."""
         self.decay_to(now_ns)
         self.value = alpha_n * self.value + beta_sum
-        self.updates_applied += 1
         self.folds_coalesced += 1
 
     def dequeue_entity(self, now_ns: int, weight: float = DEFAULT_ENTITY_WEIGHT) -> None:
@@ -100,7 +97,6 @@ class RunqueueLoad:
         """
         self.decay_to(now_ns)
         self.value = max(0.0, self.value - weight * (1.0 - DECAY_FACTOR))
-        self.updates_applied += 1
 
     def dequeue_entities(self, now_ns: int, weights: Sequence[float]) -> None:
         """Remove several entities at one instant, in the order given.
@@ -114,7 +110,6 @@ class RunqueueLoad:
         for weight in weights:
             value = max(0.0, value - weight * (1.0 - DECAY_FACTOR))
         self.value = value
-        self.updates_applied += len(weights)
 
 
 @functools.lru_cache(maxsize=128)

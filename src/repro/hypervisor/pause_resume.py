@@ -296,7 +296,6 @@ class VanillaPauseResume:
 
             # Step 6: release the lock, sandbox runs.
             sandbox.transition(SandboxState.RUNNING)
-            sandbox.resume_count += 1
             breakdown.add(STEP_FINALIZE, round(self.costs.resume_finalize_ns))
         finally:
             self._resume_lock_owner = None

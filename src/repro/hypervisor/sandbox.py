@@ -75,9 +75,6 @@ class Sandbox:
         self.coalesced_update: Optional[CoalescedUpdate] = None
         #: ull_runqueue this paused sandbox is tied to (HORSE §4.1.3).
         self.assigned_ull_runqueue: Optional[int] = None
-        # -- lifecycle bookkeeping ---------------------------------------
-        self.pause_count = 0
-        self.resume_count = 0
 
     # ------------------------------------------------------------------
     @property
@@ -92,8 +89,6 @@ class Sandbox:
                 f"{self.state.value} -> {target.value}"
             )
         self.state = target
-        if target is SandboxState.PAUSED:
-            self.pause_count += 1
 
     def require_state(self, *allowed: SandboxState) -> None:
         """Raise unless the sandbox is in one of *allowed* states."""

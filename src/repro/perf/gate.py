@@ -658,7 +658,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    return run_gate(build_parser().parse_args(argv))
+
+
+def run_gate(args: argparse.Namespace) -> int:
+    """Run the benches *args* (parsed by :func:`build_parser`) selects
+    and apply the gates it names; returns the exit code."""
     only = args.benches.split(",") if args.benches else None
     try:
         rows = run_benches(quick=args.quick, seed=args.seed, only=only, log=print)

@@ -9,7 +9,7 @@ load spikes.  This package adds both sides of that story:
   transient / slow / hung resume faults through the hypervisor fault
   hooks (flaky hosts concentrate faults, the asymmetry breakers exploit);
 * :mod:`repro.resilience.retry` — capped exponential backoff with full
-  jitter, plus hedged (tied) requests for uLL functions;
+  jitter, plus the hedged (tied) request constants for uLL functions;
 * :mod:`repro.resilience.breaker` — per-node circuit breakers
   (closed / open / half-open) steering placement away from sick hosts;
 * :mod:`repro.resilience.degradation` — the hot → warm → cold fallback
@@ -69,7 +69,6 @@ from repro.resilience.policies import (
     eligible_candidates,
     make_dispatch_policy,
 )
-from repro.resilience.retry import HedgePolicy, RetryPolicy
 
 __all__ = [
     "LEGAL_TRANSITIONS",
@@ -106,6 +105,4 @@ __all__ = [
     "default_dispatch_policy",
     "eligible_candidates",
     "make_dispatch_policy",
-    "HedgePolicy",
-    "RetryPolicy",
 ]

@@ -3,8 +3,8 @@
 A breaker guards one host.  Consecutive attempt failures trip it OPEN;
 while open, routing skips the host entirely (no request pays the cost
 of discovering the same sick node again).  After ``open_ns`` of
-simulated time the breaker admits a bounded number of HALF_OPEN probe
-attempts: one success re-closes it, one failure re-opens it.
+simulated time the breaker admits one HALF_OPEN probe attempt at a
+time: one success re-closes it, one failure re-opens it.
 
 State machine (the only legal edges — checked by
 ``invariant_violations`` and the ``repro.check`` breaker checker)::
@@ -42,6 +42,9 @@ LEGAL_TRANSITIONS = {
     (BreakerState.HALF_OPEN, BreakerState.OPEN),
 }
 
+#: concurrent probe attempts allowed while HALF_OPEN
+HALF_OPEN_PROBES = 1
+
 
 @dataclass(frozen=True, slots=True)
 class BreakerConfig:
@@ -51,8 +54,6 @@ class BreakerConfig:
     failure_threshold: int = 3
     #: how long an OPEN breaker rejects before probing (simulated ns)
     open_ns: int = milliseconds(500)
-    #: concurrent probe attempts allowed while HALF_OPEN
-    half_open_probes: int = 1
 
     def __post_init__(self) -> None:
         if self.failure_threshold < 1:
@@ -61,10 +62,6 @@ class BreakerConfig:
             )
         if self.open_ns < 0:
             raise ValueError(f"open_ns must be >= 0, got {self.open_ns}")
-        if self.half_open_probes < 1:
-            raise ValueError(
-                f"half_open_probes must be >= 1, got {self.half_open_probes}"
-            )
 
 
 @dataclass(frozen=True, slots=True)
@@ -141,7 +138,7 @@ class CircuitBreaker:
                 self.probes_in_flight = 0
                 return True
             return False
-        return self.probes_in_flight < self.config.half_open_probes
+        return self.probes_in_flight < HALF_OPEN_PROBES
 
     def force_open(self, now_ns: int, reason: str = "forced open") -> None:
         """Trip the breaker administratively (CLOSED -> OPEN).

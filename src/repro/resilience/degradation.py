@@ -9,7 +9,7 @@ collapsing tail latency when the fast path breaks:
   exists anywhere).  Every step down is explicit and counted;
 * the **admission controller** — under overload the platform sheds the
   lowest-priority work at the door.  Capacity above the low-priority
-  watermark is reserved headroom only priority >= ``reserved_priority``
+  watermark is reserved headroom only priority >= ``RESERVED_PRIORITY``
   requests may use, so load shedding rejects cheap work first and uLL
   traffic last.
 """
@@ -26,6 +26,9 @@ from repro.faas.invocation import StartType
 #: cannot assume, so the chain steps straight to the always-possible
 #: cold boot.
 DEGRADATION_LADDER = (StartType.HORSE, StartType.WARM, StartType.COLD)
+
+#: minimum priority allowed to use the reserved admission headroom
+RESERVED_PRIORITY = 1
 
 
 def ladder_level(start_type: StartType) -> int:
@@ -50,8 +53,6 @@ class AdmissionConfig:
     capacity: int = 64
     #: slots above ``capacity - reserved_slots`` need high priority
     reserved_slots: int = 8
-    #: minimum priority allowed to use the reserved headroom
-    reserved_priority: int = 1
 
     def __post_init__(self) -> None:
         if self.capacity < 1:
@@ -74,7 +75,7 @@ class AdmissionController:
 
     def limit_for(self, priority: int) -> int:
         """Concurrency watermark applying to *priority* requests."""
-        if priority >= self.config.reserved_priority:
+        if priority >= RESERVED_PRIORITY:
             return self.config.capacity
         return self.config.capacity - self.config.reserved_slots
 

@@ -11,7 +11,7 @@ The injector models two independent failure domains over a
 * **resume faults** — individual pause/resume operations fail via the
   hypervisor fault hooks: transient command errors (retryable), slow
   resumes (latency spike), and hung resumes (permanent stall the
-  caller must time out).  Fault probability is per-host: a configurable
+  caller must time out).  Fault probability is per-host: a fixed
   fraction of hosts are *flaky* and concentrate most of the faults,
   which is exactly the asymmetry a circuit breaker exists to exploit.
 
@@ -44,6 +44,19 @@ FAILURE_KINDS: Tuple[str, ...] = (
     RESUME_FAULT_HUNG,
 )
 
+#: fraction of hosts that are flaky (at least one when rate > 0)
+FLAKY_FRACTION = 0.25
+#: fault-probability multiplier on flaky hosts
+FLAKY_BIAS = 6.0
+#: relative weights of the three resume-fault kinds
+TRANSIENT_WEIGHT = 0.5
+SLOW_WEIGHT = 0.3
+HUNG_WEIGHT = 0.2
+#: stall added by a slow resume, in µs (jittered 0.5x - 1.5x)
+SLOW_STALL_US = 200.0
+#: mean down-time after a host crash, in ms (jittered +/- 50 %)
+HOST_RECOVERY_MS = 400.0
+
 
 @dataclass(frozen=True)
 class FailureConfig:
@@ -51,38 +64,24 @@ class FailureConfig:
 
     ``failure_rate`` in [0, 1) scales both domains: per-resume fault
     probability on flaky hosts is ``min(0.9, failure_rate *
-    flaky_bias)`` (and ``failure_rate * calm_factor`` elsewhere), and
+    FLAKY_BIAS)`` (and ``failure_rate * calm_factor`` elsewhere), and
     mean host up-time is ``crash_mtbf_base_s / failure_rate``.
     """
 
     failure_rate: float = 0.1
-    #: fraction of hosts that are flaky (at least one when rate > 0)
-    flaky_fraction: float = 0.25
-    #: fault-probability multiplier on flaky hosts
-    flaky_bias: float = 6.0
     #: fault-probability multiplier on calm hosts
     calm_factor: float = 0.2
-    #: relative weights of the three resume-fault kinds
-    transient_weight: float = 0.5
-    slow_weight: float = 0.3
-    hung_weight: float = 0.2
     #: mean up-time = crash_mtbf_base_s / failure_rate
     crash_mtbf_base_s: float = 1.0
-    #: mean down-time after a crash (jittered +/- 50 %)
-    recovery_ms: float = 400.0
-    #: stall added by a slow resume (jittered 0.5x - 1.5x)
-    slow_stall_us: float = 200.0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.failure_rate < 1.0:
             raise ValueError(
                 f"failure_rate must be in [0, 1), got {self.failure_rate}"
             )
-        if self.transient_weight + self.slow_weight + self.hung_weight <= 0:
-            raise ValueError("resume-fault weights must sum > 0")
 
     def resume_fault_probability(self, flaky: bool) -> float:
-        scale = self.flaky_bias if flaky else self.calm_factor
+        scale = FLAKY_BIAS if flaky else self.calm_factor
         return min(0.9, self.failure_rate * scale)
 
     def mean_uptime_ns(self) -> Optional[int]:
@@ -132,7 +131,7 @@ class FailureInjector:
         if self.config.failure_rate == 0.0:
             return ()
         count = len(self.cluster.hosts)
-        flaky_count = max(1, round(count * self.config.flaky_fraction))
+        flaky_count = max(1, round(count * FLAKY_FRACTION))
         rng = self._rngs.stream("flaky-pick")
         return tuple(sorted(rng.sample(range(count), flaky_count)))
 
@@ -148,9 +147,9 @@ class FailureInjector:
         )
         rng = self._rngs.stream(f"resume:{index}")
         weights = (
-            (RESUME_FAULT_TRANSIENT, self.config.transient_weight),
-            (RESUME_FAULT_SLOW, self.config.slow_weight),
-            (RESUME_FAULT_HUNG, self.config.hung_weight),
+            (RESUME_FAULT_TRANSIENT, TRANSIENT_WEIGHT),
+            (RESUME_FAULT_SLOW, SLOW_WEIGHT),
+            (RESUME_FAULT_HUNG, HUNG_WEIGHT),
         )
         total_weight = sum(weight for _, weight in weights)
 
@@ -167,9 +166,7 @@ class FailureInjector:
                     break
             self.fired[kind] += 1
             if kind == RESUME_FAULT_SLOW:
-                stall = round(
-                    self.config.slow_stall_us * 1000 * (0.5 + rng.random())
-                )
+                stall = round(SLOW_STALL_US * 1000 * (0.5 + rng.random()))
                 return ResumeFault(kind, stall_ns=stall)
             return ResumeFault(kind)
 
@@ -187,7 +184,7 @@ class FailureInjector:
         if mean_up_ns is None:
             return 0
         engine = self.cluster.engine
-        recovery_ns = milliseconds(self.config.recovery_ms)
+        recovery_ns = milliseconds(HOST_RECOVERY_MS)
         planned = 0
         for index in range(len(self.cluster.hosts)):
             rng = self._rngs.stream(f"crash:{index}")
@@ -216,7 +213,7 @@ class FailureInjector:
         now = self.cluster.engine.now
         if not self.cluster.health[index].up:
             return  # already down (overlapping draw); recovery pending
-        lost = self.cluster.crash_host(index, now)
+        lost = self.cluster.crash_host(index)
         self.fired["node_crash"] += 1
         host = self.cluster.hosts[index]
         if host.obs.enabled:
@@ -234,7 +231,7 @@ class FailureInjector:
         now = self.cluster.engine.now
         if self.cluster.health[index].up:
             return
-        self.cluster.recover_host(index, now)
+        self.cluster.recover_host(index)
         host = self.cluster.hosts[index]
         if host.obs.enabled:
             host.obs.tracer.record_instant(
@@ -252,23 +249,26 @@ class FailureInjector:
         )
 
 
+#: mean gateway-shard up-time = this / gateway_failure_rate (0.25 s at
+#: rate 0.2 gives a 1.25 s MTBF per shard)
+GATEWAY_MTBF_BASE_S = 0.25
+#: mean control-plane recovery window, in ms (jittered +/- 50 %)
+GATEWAY_RECOVERY_MS = 400.0
+
+
 @dataclass(frozen=True)
 class GatewayFailureConfig:
     """Crash/recovery schedule for *gateway shards* (control plane).
 
-    Mirrors the host-level knob decomposition: mean shard up-time is
-    ``mtbf_base_s / gateway_failure_rate`` and recovery (the window the
-    replacement takes to come up and replay its log) is jittered around
-    ``recovery_ms``.  Rate 0 disables the domain entirely — the
-    zero-failure oracle twin runs with the exact same arrival stream
-    and host schedule, just no gateway crashes.
+    Mirrors the host-level decomposition: mean shard up-time is
+    ``GATEWAY_MTBF_BASE_S / gateway_failure_rate`` and recovery (the
+    window the replacement takes to come up and replay its log) is
+    jittered around ``GATEWAY_RECOVERY_MS``.  Rate 0 disables the domain
+    entirely — the zero-failure oracle twin runs with the exact same
+    arrival stream and host schedule, just no gateway crashes.
     """
 
     gateway_failure_rate: float = 0.1
-    #: mean up-time = mtbf_base_s / gateway_failure_rate
-    mtbf_base_s: float = 1.0
-    #: mean control-plane recovery window (jittered +/- 50 %)
-    recovery_ms: float = 400.0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.gateway_failure_rate < 1.0:
@@ -280,7 +280,7 @@ class GatewayFailureConfig:
     def mean_uptime_ns(self) -> Optional[int]:
         if self.gateway_failure_rate == 0.0:
             return None
-        return seconds(self.mtbf_base_s / self.gateway_failure_rate)
+        return seconds(GATEWAY_MTBF_BASE_S / self.gateway_failure_rate)
 
 
 class GatewayFailureInjector:
@@ -328,7 +328,7 @@ class GatewayFailureInjector:
         if mean_up_ns is None:
             return 0
         engine = self.plane.engine
-        recovery_ns = milliseconds(self.config.recovery_ms)
+        recovery_ns = milliseconds(GATEWAY_RECOVERY_MS)
         planned = 0
         for index in range(len(self.plane.shards)):
             rng = self._rngs.stream(f"crash:{index}")

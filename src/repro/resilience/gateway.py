@@ -53,7 +53,13 @@ from repro.resilience.policies import (
     default_dispatch_policy,
     make_dispatch_policy,
 )
-from repro.resilience.retry import HedgePolicy, RetryPolicy
+from repro.resilience.retry import (
+    HANG_TIMEOUT_NS,
+    HEDGE_DELAY_NS,
+    MAX_ATTEMPTS,
+    MAX_HEDGES,
+    backoff_ns,
+)
 from repro.sim.rng import RngRegistry
 from repro.sim.units import seconds
 
@@ -134,8 +140,8 @@ class Request:
 class ResilienceConfig:
     """Everything the resilient gateway composes, in one bundle."""
 
-    retry: RetryPolicy = RetryPolicy()
-    hedge: HedgePolicy = HedgePolicy()
+    #: hedged (tied) attempts for uLL-class requests
+    hedge: bool = True
     #: None disables per-node circuit breakers (retries-only mode)
     breaker: Optional[BreakerConfig] = BreakerConfig()
     admission: AdmissionConfig = AdmissionConfig()
@@ -214,22 +220,16 @@ class ResilientGateway:
         #: pre-crash attempt can never mutate recovered state or
         #: double-complete a request the replacement re-dispatched.
         self.fenced = False
-        metrics = self.obs.metrics
-        if metrics.enabled:
-            # Every request already counts its own waits — so instead of
-            # a per-event inc, a collector folds the per-request tallies
-            # into the counter at snapshot time (same batching pattern
-            # as the PELT fold export in repro.hypervisor.cpu).
-            counter = metrics.counter(
+        #: Attempt deferrals with no routable host, counted at the park
+        #: site (a rare path); None when metrics are off.
+        self._no_host_wait = (
+            self.obs.metrics.counter(
                 "resilience.no_host_wait",
                 "attempt deferrals with no routable host",
             )
-            requests = self.requests
-
-            def export_no_host_waits() -> None:
-                counter.value = sum(r.no_host_waits for r in requests)
-
-            metrics.add_collector(export_no_host_waits)
+            if self.obs.metrics.enabled
+            else None
+        )
 
     # ------------------------------------------------------------------
     def _breaker_gate(self, index: int) -> bool:
@@ -364,15 +364,14 @@ class ResilientGateway:
         if self.fenced or request.state is not RequestState.IN_FLIGHT:
             return
         now = self._clock._now
-        config = self.config
         if hedge:
-            if request.hedges_used >= config.hedge.max_hedges:
+            if request.hedges_used >= MAX_HEDGES:
                 return
         else:
             if now >= request.deadline_ns:
                 self._maybe_fail(request, "deadline")
                 return
-            if request.primary_count >= config.retry.max_attempts:
+            if request.primary_count >= MAX_ATTEMPTS:
                 self._maybe_fail(request, "retry-budget")
                 return
         # A hedge excludes its primary's host.  An empty candidate list
@@ -384,10 +383,9 @@ class ResilientGateway:
         if host_index is None:
             if hedge:
                 return  # hedging is best-effort; the primary is still out
-            # No metric traffic here: the snapshot-time collector
-            # installed in __init__ exports the sum of the per-request
-            # tallies.
             request.no_host_waits += 1
+            if self._no_host_wait is not None:
+                self._no_host_wait.inc()
             self._park(request, now)
             return
 
@@ -439,9 +437,7 @@ class ResilientGateway:
             host.pool.release(request.function, exc.sandbox)
             # The backoff is drawn before the verdict, hedges included:
             # the order of draws on the backoff stream is seeded output.
-            delay = self.config.retry.backoff_ns(
-                max(1, request.primary_count), self._rng
-            )
+            delay = backoff_ns(max(1, request.primary_count), self._rng)
             if self._attempt_failed(request, attempt, "transient", now):
                 self._retry_at(request, now + delay, "resilience-retry")
             return
@@ -534,13 +530,13 @@ class ResilientGateway:
     ) -> None:
         spec = self._spec(request.function)
         if (
-            self.config.hedge.enabled
+            self.config.hedge
             and spec.is_ull
-            and request.hedges_used < self.config.hedge.max_hedges
+            and request.hedges_used < MAX_HEDGES
             and len(self.cluster.hosts) > 1
         ):
             self.engine.schedule_at(
-                now + self.config.hedge.delay_ns,
+                now + HEDGE_DELAY_NS,
                 lambda: self._maybe_hedge(request, primary_host),
                 label=f"resilience-hedge:{request.request_id}",
                 transient=True,
@@ -559,7 +555,7 @@ class ResilientGateway:
         attempt.executing = True
         request.executing += 1
         self.engine.schedule_at(
-            now + self.config.retry.hang_timeout_ns,
+            now + HANG_TIMEOUT_NS,
             lambda: self._on_hang_timeout(request, attempt, sandbox),
             label=f"resilience-hang:{request.request_id}.{attempt.index}",
             transient=True,
@@ -729,9 +725,7 @@ class ResilientGateway:
             if invocation.sandbox is not None:
                 host.destroy_sandbox(invocation.sandbox)
             if self._attempt_failed(request, attempt, "crash", now_ns):
-                delay = self.config.retry.backoff_ns(
-                    max(1, request.primary_count), self._rng
-                )
+                delay = backoff_ns(max(1, request.primary_count), self._rng)
                 self._retry_at(request, now_ns + delay, "resilience-crash-retry")
 
     def _handle_recover(self, host_index: int, now_ns: int) -> None:
@@ -776,15 +770,15 @@ class ResilientGateway:
                 and request.completed_ns is None
             ):
                 violations.append(f"{rid}: completed without a completion time")
-            if request.primary_count > self.config.retry.max_attempts:
+            if request.primary_count > MAX_ATTEMPTS:
                 violations.append(
                     f"{rid}: {request.primary_count} primary attempts "
-                    f"exceed budget {self.config.retry.max_attempts}"
+                    f"exceed budget {MAX_ATTEMPTS}"
                 )
-            if request.hedges_used > self.config.hedge.max_hedges:
+            if request.hedges_used > MAX_HEDGES:
                 violations.append(
                     f"{rid}: {request.hedges_used} hedges exceed budget "
-                    f"{self.config.hedge.max_hedges}"
+                    f"{MAX_HEDGES}"
                 )
             if request.executing < 0:
                 violations.append(

@@ -1,91 +1,57 @@
-"""Retry, backoff, and hedging policies (all times simulated ns).
+"""Retry, backoff, and hedging constants (all times simulated ns).
 
 Backoff is capped exponential with *full jitter* drawn from a seeded
 stream (AWS Architecture Blog's recommendation for thundering-herd
 avoidance): ``delay = U(base/2, base) * multiplier^attempt``, clamped to
-``max_backoff_ns``.  Jitter comes from a :class:`random.Random` the
+:data:`MAX_BACKOFF_NS`.  Jitter comes from a :class:`random.Random` the
 caller owns, so two same-seed runs back off identically — the
 determinism contract of the whole simulator.
 
 Hedged (tied) requests are the tail-taming trick of "The Tail at
 Scale": for uLL-class functions, if the primary attempt has not
-completed after ``delay_ns``, a secondary attempt is launched on a
-*different* node and the first completion wins.
+completed after :data:`HEDGE_DELAY_NS`, a secondary attempt is launched
+on a *different* node and the first completion wins.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import Dict
 
 from repro.sim.units import microseconds, milliseconds
 
+#: total attempt budget per request, primary included (hedges are
+#: budgeted separately by :data:`MAX_HEDGES`)
+MAX_ATTEMPTS = 4
+BASE_BACKOFF_NS = microseconds(50)
+BACKOFF_MULTIPLIER = 2.0
+MAX_BACKOFF_NS = milliseconds(5)
+#: how long to wait before declaring an attempt hung (no completion)
+HANG_TIMEOUT_NS = milliseconds(10)
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Attempt budget and backoff shape for one request class."""
+#: primary-attempt age at which the hedge fires
+HEDGE_DELAY_NS = milliseconds(1)
+#: hedge attempts per request (on top of the retry budget)
+MAX_HEDGES = 1
 
-    #: total attempt budget per request, primary included (hedges are
-    #: budgeted separately by :class:`HedgePolicy`)
-    max_attempts: int = 4
-    base_backoff_ns: int = microseconds(50)
-    multiplier: float = 2.0
-    max_backoff_ns: int = milliseconds(5)
-    #: how long to wait before declaring an attempt hung (no completion)
-    hang_timeout_ns: int = milliseconds(10)
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.base_backoff_ns < 0:
-            raise ValueError(f"negative base backoff {self.base_backoff_ns}")
-        if self.multiplier < 1.0:
-            raise ValueError(f"multiplier must be >= 1, got {self.multiplier}")
-        if self.max_backoff_ns < self.base_backoff_ns:
-            raise ValueError("max_backoff_ns must be >= base_backoff_ns")
-        if self.hang_timeout_ns <= 0:
-            raise ValueError(f"hang_timeout_ns must be > 0, got {self.hang_timeout_ns}")
-        # Ceiling memo (not a dataclass field: excluded from eq/repr).
-        # The policy is frozen, so the ceiling for a given attempt
-        # number never changes — but the no-host rewait loop asks for
-        # it tens of thousands of times per chaos run, and float pow
-        # per call adds up.
-        object.__setattr__(self, "_ceilings", {})
-
-    def backoff_ns(self, attempt: int, rng: random.Random) -> int:
-        """Jittered delay before retry number *attempt* (1-based: the
-        delay taken after the first failed attempt is ``attempt=1``)."""
-        ceiling = self._ceilings.get(attempt)
-        if ceiling is None:
-            if attempt < 1:
-                raise ValueError(f"attempt must be >= 1, got {attempt}")
-            ceiling = min(
-                float(self.max_backoff_ns),
-                self.base_backoff_ns * self.multiplier ** (attempt - 1),
-            )
-            self._ceilings[attempt] = ceiling
-        # Full jitter over the upper half keeps delays spread but never
-        # degenerate-small (a zero backoff would retry the same instant
-        # the failure happened).
-        return max(1, round(ceiling * (0.5 + 0.5 * rng.random())))
+#: Ceiling per attempt number.  The no-host rewait loop asks for it tens
+#: of thousands of times per chaos run, and float pow per call adds up.
+_CEILINGS: Dict[int, float] = {}
 
 
-@dataclass(frozen=True)
-class HedgePolicy:
-    """Tied-request policy for uLL-class functions."""
-
-    enabled: bool = True
-    #: primary-attempt age at which the hedge fires
-    delay_ns: int = milliseconds(1)
-    #: hedge attempts per request (on top of the retry budget)
-    max_hedges: int = 1
-
-    def __post_init__(self) -> None:
-        if self.delay_ns <= 0:
-            raise ValueError(f"delay_ns must be > 0, got {self.delay_ns}")
-        if self.max_hedges < 0:
-            raise ValueError(f"max_hedges must be >= 0, got {self.max_hedges}")
-
-    @classmethod
-    def disabled(cls) -> "HedgePolicy":
-        return cls(enabled=False)
+def backoff_ns(attempt: int, rng: random.Random) -> int:
+    """Jittered delay before retry number *attempt* (1-based: the delay
+    taken after the first failed attempt is ``attempt=1``)."""
+    ceiling = _CEILINGS.get(attempt)
+    if ceiling is None:
+        if attempt < 1:
+            raise ValueError(f"attempt must be >= 1, got {attempt}")
+        ceiling = min(
+            float(MAX_BACKOFF_NS),
+            BASE_BACKOFF_NS * BACKOFF_MULTIPLIER ** (attempt - 1),
+        )
+        _CEILINGS[attempt] = ceiling
+    # Full jitter over the upper half keeps delays spread but never
+    # degenerate-small (a zero backoff would retry the same instant
+    # the failure happened).
+    return round(ceiling * (0.5 + 0.5 * rng.random()))

@@ -7,11 +7,7 @@ streams and the sharded cell runner.  See DESIGN.md §3.
 
 from repro.sim.clock import SimClock
 from repro.sim.engine import Engine
-from repro.sim.errors import (
-    EngineStoppedError,
-    SchedulingInPastError,
-    SimError,
-)
+from repro.sim.errors import SchedulingInPastError, SimError
 from repro.sim.event import Event, EventPriority
 from repro.sim.rng import RngRegistry
 from repro.sim.sharding import (
@@ -38,7 +34,6 @@ __all__ = [
     "Engine",
     "SimError",
     "SchedulingInPastError",
-    "EngineStoppedError",
     "Event",
     "EventPriority",
     "RngRegistry",

@@ -35,7 +35,7 @@ import os
 from typing import Callable, List, Optional
 
 from repro.sim.clock import SimClock
-from repro.sim.errors import EngineStoppedError, SchedulingInPastError
+from repro.sim.errors import SchedulingInPastError
 from repro.sim.event import Event, EventPriority
 from repro.sim.schedulers import make_scheduler, scheduler_kinds
 
@@ -101,8 +101,6 @@ class Engine:
         # construction and every schedule_* call pushes exactly once.
         self._push = self._sched.push
         self._sequence = 0
-        self._running = False
-        self._stopped = False
         self._events_executed = 0
         self._pool: List[Event] = []
         self._pool_cap = _POOL_CAP
@@ -150,8 +148,6 @@ class Engine:
         through its free-list after the event fires or is skipped.
         Never retain (or cancel) a transient event past its instant.
         """
-        if self._stopped:
-            raise EngineStoppedError("cannot schedule on a stopped engine")
         if when < self.clock._now:
             raise SchedulingInPastError(
                 f"cannot schedule at {when}, now is {self.clock._now}"
@@ -208,13 +204,10 @@ class Engine:
         Equivalent to ``schedule_after(..., transient=True)`` with the
         handle discarded, minus the per-call overhead that path pays:
         no Event returned, no enum coercion (*priority* must already be
-        a plain int), one combined bounds check.  The engine bench
-        behind the calendar/heap gate (:mod:`repro.perf.gate`) drives
-        its event stream through here.
+        a plain int).  The engine bench behind the calendar/heap gate
+        (:mod:`repro.perf.gate`) drives its event stream through here.
         """
-        if delay < 0 or self._stopped:
-            if self._stopped:
-                raise EngineStoppedError("cannot schedule on a stopped engine")
+        if delay < 0:
             raise SchedulingInPastError(f"negative delay {delay}")
         when = self.clock._now + delay
         sequence = self._sequence
@@ -243,47 +236,38 @@ class Engine:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
-        """Run events until the queue drains, *until* is reached, or
-        *max_events* have fired.  Returns the number of events executed
-        by this call.
+    def run(self, until: Optional[int] = None) -> int:
+        """Run events until the queue drains or *until* is reached.
+        Returns the number of events executed by this call.
 
         When *until* is given, the clock is left exactly at *until* even
         if the queue drains earlier, so back-to-back ``run(until=...)``
         calls tile time contiguously.
         """
-        if self._stopped:
-            raise EngineStoppedError("engine has been stopped")
-        executed = 0
-        self._running = True
         clock = self.clock
-        pop_due = self._sched.pop_due
-        try:
-            if self._profiler is not None and max_events is None:
-                executed = self._run_profiled(until, self._profiler)
-            elif max_events is None and not self._watchers:
-                # Fast path: no step budget, no observers.  Each
-                # scheduler ships its own inlined dispatch loop.
-                executed = self._sched.drain(self, until)
-            else:
-                while True:
-                    if max_events is not None and executed >= max_events:
-                        break
-                    event = pop_due(until)
-                    if event is None:
-                        break
-                    if event.cancelled:
-                        self._recycle(event)
-                        continue
-                    clock.advance_to(event.time)
-                    event.callback()
-                    executed += 1
-                    self._events_executed += 1
-                    for watcher in self._watchers:
-                        watcher(event)
+        if self._profiler is not None:
+            executed = self._run_profiled(until, self._profiler)
+        elif not self._watchers:
+            # Fast path: no observers.  Each scheduler ships its own
+            # inlined dispatch loop.
+            executed = self._sched.drain(self, until)
+        else:
+            executed = 0
+            pop_due = self._sched.pop_due
+            while True:
+                event = pop_due(until)
+                if event is None:
+                    break
+                if event.cancelled:
                     self._recycle(event)
-        finally:
-            self._running = False
+                    continue
+                clock.advance_to(event.time)
+                event.callback()
+                executed += 1
+                self._events_executed += 1
+                for watcher in self._watchers:
+                    watcher(event)
+                self._recycle(event)
         if until is not None and clock._now < until:
             clock.advance_to(until)
         return executed
@@ -340,10 +324,6 @@ class Engine:
             event.callback = None
             self._pool.append(event)
 
-    def step(self) -> bool:
-        """Fire exactly one pending event.  Returns False if none left."""
-        return self.run(max_events=1) == 1
-
     def pending_events(self) -> List[Event]:
         """Sorted snapshot of non-cancelled pending events.
 
@@ -374,12 +354,6 @@ class Engine:
         the no-watcher dispatch branch never consults it.
         """
         self._watchers.append(watcher)
-
-    def stop(self) -> None:
-        """Permanently stop the engine; further scheduling raises."""
-        self._stopped = True
-        self._sched.clear()
-        self._pool.clear()
 
     def __repr__(self) -> str:
         return (

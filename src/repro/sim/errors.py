@@ -14,7 +14,3 @@ class SimError(Exception):
 
 class SchedulingInPastError(SimError):
     """An event was scheduled before the current simulated time."""
-
-
-class EngineStoppedError(SimError):
-    """An operation required a running engine but it has been stopped."""

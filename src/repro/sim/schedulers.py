@@ -106,9 +106,6 @@ class HeapScheduler:
         """All queued events, cancelled included, in no defined order."""
         return iter(self._heap)
 
-    def clear(self) -> None:
-        self._heap.clear()
-
 
 class CalendarScheduler:
     """Calendar-queue scheduler: bucketed timing wheel, amortized O(1).
@@ -321,11 +318,6 @@ class CalendarScheduler:
         for bucket in self._buckets:
             for entry in bucket:
                 yield entry[3]
-
-    def clear(self) -> None:
-        for bucket in self._buckets:
-            bucket.clear()
-        self._size = 0
 
     # ------------------------------------------------------------------
     # Resizing — deterministic: depends only on queue content.

@@ -12,9 +12,7 @@ with its published structure:
   ATC'20 suggests);
 * within a function, arrivals are **bursty**: a Markov-modulated
   Poisson process alternates idle and active periods, matching the
-  dataset's high inter-arrival CV;
-* a minute-level **diurnal modulation** is optional (irrelevant for a
-  30 s chunk but kept for longer studies).
+  dataset's high inter-arrival CV.
 
 :func:`synthesize_trace` returns a :class:`SyntheticTrace`; experiments
 replay its ``merged_timestamps``.
@@ -22,7 +20,6 @@ replay its ``merged_timestamps``.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List
@@ -40,7 +37,6 @@ class AzureTraceConfig:
     pareto_shape: float = 1.1             # heavy tail over function rates
     burst_on_fraction: float = 0.35       # fraction of time a function is active
     burst_mean_length_s: float = 2.0      # mean active-period length
-    diurnal: bool = False
 
     def __post_init__(self) -> None:
         if self.functions <= 0:
@@ -150,11 +146,6 @@ def _burst_arrivals(
     return sorted(burst_arrival_stream(rate, duration_s, config, rng))
 
 
-def _diurnal_factor(t_s: float) -> float:
-    """Minute-scale sinusoidal modulation in [0.5, 1.5]."""
-    return 1.0 + 0.5 * math.sin(2.0 * math.pi * t_s / 60.0)
-
-
 def synthesize_trace(
     config: AzureTraceConfig, rng: random.Random
 ) -> SyntheticTrace:
@@ -162,13 +153,7 @@ def synthesize_trace(
     rates = _draw_function_rates(config, rng)
     trace = SyntheticTrace(config=config)
     for index, rate in enumerate(rates):
-        name = f"func-{index:03d}"
-        arrivals = _burst_arrivals(rate, config.duration_s, config, rng)
-        if config.diurnal:
-            arrivals = [
-                t
-                for t in arrivals
-                if rng.random() < _diurnal_factor(t / SECOND) / 1.5
-            ]
-        trace.invocations[name] = arrivals
+        trace.invocations[f"func-{index:03d}"] = _burst_arrivals(
+            rate, config.duration_s, config, rng
+        )
     return trace

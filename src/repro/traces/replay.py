@@ -37,7 +37,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import log
 from typing import Iterator, List, Optional, Tuple
 
@@ -303,7 +303,6 @@ class ReplayStats:
     events: int = 0
     peak_buffered: int = 0
     exhausted_streams: int = 0
-    per_kind: dict = field(default_factory=dict)
 
 
 def merged_stream(

@@ -10,6 +10,8 @@ cross-epoch completion) must hold on every run.  ≥200 generated cases
 across the two properties below.
 """
 
+from unittest import mock
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +20,7 @@ from repro.experiments.cluster_recovery import (
     ClusterRecoveryConfig,
     run_recovery,
 )
+from repro.resilience import failures
 
 
 def _small(seed, rate, gateways, hosts, requests=25):
@@ -29,7 +32,6 @@ def _small(seed, rate, gateways, hosts, requests=25):
         failure_rate=0.0,
         requests=requests,
         drain_s=10.0,
-        deadline_s=5.0,
         seed=seed,
     )
 
@@ -71,12 +73,11 @@ class TestExactlyOnceOracle:
             failure_rate=0.0,
             requests=40,
             drain_s=10.0,
-            deadline_s=5.0,
-            gw_mtbf_base_s=0.1,
-            gw_recovery_ms=200.0,
             seed=seed,
         )
-        result = run_recovery(config, shards=1)
+        with mock.patch.object(failures, "GATEWAY_MTBF_BASE_S", 0.1), \
+                mock.patch.object(failures, "GATEWAY_RECOVERY_MS", 200.0):
+            result = run_recovery(config, shards=1)
         assert result.ok
         assert result.oracle_mismatches == []
 
@@ -103,7 +104,6 @@ class TestOracleDiagnostics:
             failure_rate=0.2,
             requests=30,
             drain_s=10.0,
-            deadline_s=5.0,
             seed=7,
         )
         result = run_recovery(config, shards=1)

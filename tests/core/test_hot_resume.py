@@ -118,9 +118,9 @@ class TestResume:
         _, horse, sandbox = make_fixture(vcpus=8)
         horse.pause(sandbox, 0)
         queue = horse.ull.queue(sandbox.assigned_ull_runqueue)
-        before = queue.load.updates_applied
+        before = queue.load.folds_coalesced
         horse.resume(sandbox, 0)
-        assert queue.load.updates_applied == before + 1
+        assert queue.load.folds_coalesced == before + 1
 
     def test_resume_per_vcpu_loads_without_coalescing(self):
         _, horse, sandbox = make_fixture(
@@ -128,9 +128,9 @@ class TestResume:
         )
         horse.pause(sandbox, 0)
         queue = horse.ull.queue(sandbox.assigned_ull_runqueue)
-        before = queue.load.updates_applied
+        before = queue.load.folds_iterated
         horse.resume(sandbox, 0)
-        assert queue.load.updates_applied == before + 8
+        assert queue.load.folds_iterated == before + 8
 
     def test_coalesced_load_equals_iterated_load(self):
         """The fused update must leave the same load value the vanilla

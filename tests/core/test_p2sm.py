@@ -49,10 +49,9 @@ class TestPrecompute:
     def test_report_counts(self):
         target = make_target([10, 20])
         state = P2SMState([5, 15], target)
-        report = state.last_report
-        assert report.array_entries == 3
-        assert report.posa_keys == 2
-        assert report.chain_nodes == 2
+        assert len(state.array_b) == 3
+        assert len(state.pos_a) == 2
+        assert sum(chain.length for chain in state.pos_a.values()) == 2
 
 
 class TestMerge:

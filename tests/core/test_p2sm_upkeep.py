@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from repro.check import FaultInjector, FaultPlan, FaultSpec
 from repro.core.hot_resume import HorsePauseResume
 from repro.core.linked_list import SortedLinkedList
-from repro.core.p2sm import P2SMState, PrecomputeReport, QueueSnapshot
+from repro.core.p2sm import P2SMState, QueueSnapshot
 from repro.hypervisor.platform import firecracker_platform
 from repro.hypervisor.sandbox import Sandbox, SandboxState
 from repro.hypervisor.vcpu import Vcpu
@@ -92,14 +92,11 @@ def assert_matches_fresh(horse, sandbox, snapshot=None):
         assert cached.length == chain.length
         assert [id(v) for v in cached.values()] == [id(v) for v in chain.values()]
         assert cached.tail.next is None
-    assert state.last_report == fresh.last_report
-    # A full rebuild's work, derived independently of refresh: the scan
-    # ends at the last bucket's position.
-    assert state.last_report == PrecomputeReport(
-        array_entries=len(snapshot.nodes),
-        posa_keys=len(state.pos_a),
-        scan_steps=max(state.pos_a, default=0),
-        chain_nodes=len(sandbox.merge_vcpus),
+    # A full rebuild, derived independently of refresh: arrayB holds the
+    # whole snapshot and posA chains every sandbox vCPU.
+    assert len(state.array_b) == len(snapshot.nodes)
+    assert sum(chain.length for chain in state.pos_a.values()) == len(
+        sandbox.merge_vcpus
     )
 
 
@@ -352,7 +349,6 @@ class TestFaultPaths:
             0: [5, 15, 25],
             3: [35],
         }
-        assert state.last_report.scan_steps == 3
         assert state.verify_against_target() == []
 
     def test_stale_arrayb_in_one_sandbox_spares_its_queue_mates(self):
@@ -395,7 +391,6 @@ class TestChainNodeLifetime:
         state.merge()
         state.refresh()
         assert state.pos_a == {}
-        assert state.last_report.chain_nodes == 0
         assert target.to_list() == [5, 10, 15, 20]
 
 

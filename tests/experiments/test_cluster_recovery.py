@@ -31,7 +31,6 @@ FAST = ClusterRecoveryConfig(
     gateway_failure_rate=0.3,
     requests=120,
     drain_s=10.0,
-    deadline_s=5.0,
     seed=5,
 )
 
@@ -59,8 +58,6 @@ class TestConfig:
             ({"gateway_failure_rate": 1.0}, "gateway_failure_rate"),
             ({"failure_rate": -0.1}, "failure_rate"),
             ({"requests": 0}, "requests"),
-            ({"deadline_s": 60.0}, "deadline_s"),  # == drain_s
-            ({"deadline_s": 0.0}, "deadline_s"),
         ],
     )
     def test_invalid_arguments_rejected(self, kwargs, match):

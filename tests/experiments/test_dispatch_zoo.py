@@ -6,6 +6,7 @@ import pytest
 
 from repro.experiments.dispatch_zoo import (
     DISPATCH_MIXES,
+    ZOO_POLICIES,
     DispatchZooConfig,
     dispatch_zoo_rows,
     render_dispatch_zoo,
@@ -28,9 +29,7 @@ class TestConfig:
     def test_default_policies_are_all_registered_families(self):
         from repro.resilience.policies import DISPATCH_POLICIES
 
-        assert DispatchZooConfig().policies == tuple(
-            DISPATCH_POLICIES.families()
-        )
+        assert ZOO_POLICIES == tuple(DISPATCH_POLICIES.families())
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -39,8 +38,6 @@ class TestConfig:
             DispatchZooConfig(failure_rates=(1.5,))
         with pytest.raises(ValueError):
             DispatchZooConfig(mixes=("nope",))
-        with pytest.raises(ValueError):
-            DispatchZooConfig(policies=("nope",))
 
 
 class TestCrossProduct:
@@ -49,7 +46,7 @@ class TestCrossProduct:
             (policy, rate, mix)
             for mix in FAST.mixes
             for rate in FAST.failure_rates
-            for policy in FAST.policies
+            for policy in ZOO_POLICIES
         }
         assert set(result.cells) == expected
 
@@ -68,12 +65,12 @@ class TestCrossProduct:
                         cls: stats.submitted
                         for cls, stats in result.cell(p, rate, mix).classes.items()
                     }
-                    for p in FAST.policies
+                    for p in ZOO_POLICIES
                 ]
                 assert all(counts == per_policy[0] for counts in per_policy)
 
     def test_accel_mix_adds_the_gpu_class(self, result):
-        policy = FAST.policies[0]
+        policy = ZOO_POLICIES[0]
         rate = FAST.failure_rates[0]
         assert "infer" in result.cell(policy, rate, "accel").classes
         assert "infer" not in result.cell(policy, rate, "balanced").classes
@@ -99,7 +96,7 @@ class TestDeterminismAndRender:
 
     def test_render_has_a_row_per_policy_class(self, result):
         rendered = render_dispatch_zoo(result)
-        for policy in FAST.policies:
+        for policy in ZOO_POLICIES:
             assert policy in rendered
         assert "p99 us" in rendered
         assert "UNSOUND" not in rendered
@@ -127,7 +124,7 @@ class TestRegistry:
         assert rows
         assert run.summary().startswith("dispatch zoo:")
         policies = {row["policy"] for row in rows}
-        assert policies == set(DispatchZooConfig().policies)
+        assert policies == set(ZOO_POLICIES)
 
     def test_mixes_constant_is_the_full_set(self):
         assert DISPATCH_MIXES == ("balanced", "ull-heavy", "accel")

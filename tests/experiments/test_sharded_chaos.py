@@ -12,6 +12,7 @@ import pytest
 
 from repro.experiments.chaos import (
     CHAOS_MODES,
+    ULL_FRACTION,
     CellOutcome,
     ChaosConfig,
     _aggregate_mode,
@@ -99,7 +100,7 @@ class TestCells:
         plan = plan_arrivals(
             requests=FAST.requests, groups=FAST.groups,
             mean_interarrival_ms=FAST.mean_interarrival_ms,
-            ull_fraction=FAST.ull_fraction, seed=FAST.seed,
+            ull_fraction=ULL_FRACTION, seed=FAST.seed,
         )
         first = run_cell("breaker", FAST, 1, plan[1])
         second = run_cell("breaker", FAST, 1, plan[1])
@@ -109,7 +110,7 @@ class TestCells:
         plan = plan_arrivals(
             requests=FAST.requests, groups=FAST.groups,
             mean_interarrival_ms=FAST.mean_interarrival_ms,
-            ull_fraction=FAST.ull_fraction, seed=FAST.seed,
+            ull_fraction=ULL_FRACTION, seed=FAST.seed,
         )
         cell = run_cell("breaker", FAST, 2, plan[2])
         assert cell.submitted == len(plan[2])

@@ -400,7 +400,7 @@ class TestPrewarmConfig:
     @pytest.mark.parametrize("kwargs", [
         {"memory_budget_mb": 0.0},
         {"sandbox_mb": 0.0},
-        {"exec_ns": -1},
+        {"memory_budget_mb": float("inf")},
         {"groups": 0},
         {"warmup_s": 600.0},              # == duration
         {"policy": "lru"},                # bad spelling caught up front
@@ -439,9 +439,9 @@ class TestCellTiering:
         assert stats.violations == []
 
     def test_concurrent_arrival_piggybacks(self):
-        cell = self.make_cell(exec_ns=10 * SECOND)
+        cell = self.make_cell()
         cell.on_arrival(0, 0)
-        cell.on_arrival(2 * SECOND, 0)              # still executing
+        cell.on_arrival(cell.cold_ns, 0)            # still executing
         stats = cell.finish()
         assert stats.concurrent_hits == 1
         assert stats.latency_counts[0] == 1         # zero init latency

@@ -29,11 +29,6 @@ class TestHostSpec:
         assert CLOUDLAB_R650.cores_per_socket == 36
         assert CLOUDLAB_R650.total_cores == 72
         assert CLOUDLAB_R650.memory_mb == 128 * 1024
-        assert not CLOUDLAB_R650.hyperthreading
-
-    def test_hyperthreading_doubles_cores(self):
-        spec = HostSpec("t", 1, 4, 1024, hyperthreading=True)
-        assert spec.total_cores == 8
 
     def test_bad_topology_rejected(self):
         with pytest.raises(ValueError):

@@ -34,7 +34,6 @@ def oracle_dequeue(queue, vcpus, now_ns):
             load = queue.load
             load.decay_to(now_ns)
             load.value = max(0.0, load.value - vcpu.weight * (1.0 - DECAY_FACTOR))
-            load.updates_applied += 1
             queue.dequeue_count += 1
             removed += 1
     return removed
@@ -100,7 +99,6 @@ def observe(runqueues, vcpus):
     return (
         [[vcpu.index for vcpu in queue.entities] for queue in runqueues],
         [queue.entities._size for queue in runqueues],
-        [queue.load.updates_applied for queue in runqueues],
         [queue.dequeue_count for queue in runqueues],
         [queue.load.last_update_ns for queue in runqueues],
         [(vcpu.state, vcpu.runqueue_id) for vcpu in vcpus],
@@ -149,7 +147,6 @@ def test_equal_keys_remove_only_the_named_vcpus(policy):
     assert queue.dequeue_all([twins[3], twins[1]], PELT_PERIOD_NS) == 2
     assert queue.members() == [twins[0], twins[2], twins[4]]
     assert queue.dequeue_count == 2
-    assert queue.load.updates_applied == 5 + 2
 
 
 def test_nothing_removed_leaves_the_load_untouched():
@@ -162,4 +159,3 @@ def test_nothing_removed_leaves_the_load_untouched():
     assert queue.dequeue_all(strangers[:1], 5 * PELT_PERIOD_NS) == 0
     assert queue.dequeue_all(strangers, 5 * PELT_PERIOD_NS) == 0
     assert (queue.load.value, queue.load.last_update_ns) == before
-    assert queue.load.updates_applied == 1

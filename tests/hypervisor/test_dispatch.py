@@ -61,10 +61,10 @@ class TestSingleItem:
 
     def test_work_longer_than_slice_rotates(self):
         engine, _, dispatcher = make_setup()
-        # 12 ms of work on a 5 ms quantum: 2 rotations.
+        # 12 ms of work on a 5 ms quantum: 3 slices, 2 rotations.
         dispatcher.submit(make_item(milliseconds(12)))
         engine.run()
-        assert dispatcher.context_switches == 2
+        assert engine.events_executed == 3
         assert len(dispatcher.completed) == 1
         assert dispatcher.completed[0].completed_at == milliseconds(12)
 
@@ -111,10 +111,11 @@ class TestInterleaving:
 
     def test_ull_core_uses_1us_timeslice(self):
         engine, _, dispatcher = make_setup(reserved_core=True)
-        # 10 us of work -> at least 9 rotations at a 1 us quantum.
+        # 10 us of work -> at least 10 slices (9 rotations) at a 1 us
+        # quantum.
         dispatcher.submit(make_item(microseconds(10)))
         engine.run()
-        assert dispatcher.context_switches >= 9
+        assert engine.events_executed >= 10
 
     def test_pending_counts(self):
         engine, _, dispatcher = make_setup()

@@ -63,9 +63,3 @@ class TestGovernor:
     def test_nonpositive_capacity_rejected(self):
         with pytest.raises(ValueError):
             DvfsGovernor(capacity=0.0)
-
-    def test_decisions_counted(self):
-        governor = DvfsGovernor()
-        governor.target_khz(1.0)
-        governor.target_khz(2.0)
-        assert governor.decisions == 2

@@ -63,12 +63,6 @@ class TestTransitions:
             with pytest.raises(SandboxError):
                 sandbox.transition(state)
 
-    def test_pause_count_increments(self):
-        sandbox = Sandbox(vcpus=1, memory_mb=128)
-        sandbox.transition(SandboxState.RUNNING)
-        sandbox.transition(SandboxState.PAUSED)
-        assert sandbox.pause_count == 1
-
     def test_require_state_passes(self):
         sandbox = Sandbox(vcpus=1, memory_mb=128)
         sandbox.require_state(SandboxState.CREATING, SandboxState.RUNNING)

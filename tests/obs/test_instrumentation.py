@@ -131,6 +131,25 @@ class TestMetricReconciliation:
         assert counters["gateway.start.horse"].value == 1
         assert counters["gateway.start.warm"].value == 1
 
+    def test_load_folds_counted_once(self):
+        """A platform built under ``activate`` attaches its host to the
+        registry twice (hypervisor build, then FaaS platform); each fold
+        still counts once."""
+        obs = Observability()
+        with activate(obs):
+            faas = FaaSPlatform.build("firecracker", seed=7)
+            faas.register(FunctionSpec("fw", FirewallWorkload(), vcpus=2))
+            faas.provision_warm("fw", count=2, use_horse=True)
+            faas.trigger("fw", StartType.HORSE)
+            faas.engine.run(until=faas.engine.now + seconds(1))
+        loads = [rq.load for rq in faas.virt.host.runqueues.values()]
+        iterated = sum(load.folds_iterated for load in loads)
+        coalesced = sum(load.folds_coalesced for load in loads)
+        assert iterated + coalesced > 0
+        snapshot = obs.metrics.snapshot()
+        assert snapshot["load.fold.iterated"]["value"] == iterated
+        assert snapshot["load.fold.coalesced"]["value"] == coalesced
+
 
 class TestZeroOverheadDefault:
     def test_untraced_platform_records_nothing(self):

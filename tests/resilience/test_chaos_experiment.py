@@ -87,9 +87,6 @@ _HOSTILE = (
     ("mean_interarrival_ms", 0.0),
     ("mean_interarrival_ms", float("nan")),
     ("crash_mtbf_base_s", 0.0),
-    ("ull_fraction", 1.5),
-    ("ull_fraction", -0.1),
-    ("gw_mtbf_base_s", 0.0),
 )
 
 

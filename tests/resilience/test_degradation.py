@@ -53,7 +53,7 @@ class TestAdmission:
 
     def test_low_priority_hits_watermark_first(self):
         controller = AdmissionController(
-            AdmissionConfig(capacity=10, reserved_slots=2, reserved_priority=1)
+            AdmissionConfig(capacity=10, reserved_slots=2)
         )
         assert controller.limit_for(0) == 8
         assert controller.limit_for(1) == 10
@@ -68,7 +68,7 @@ class TestAdmission:
 
     def test_shed_accounting_by_priority(self):
         controller = AdmissionController(
-            AdmissionConfig(capacity=4, reserved_slots=2, reserved_priority=1)
+            AdmissionConfig(capacity=4, reserved_slots=2)
         )
         controller.admit(0, in_flight=0)
         controller.admit(0, in_flight=3)

@@ -300,10 +300,8 @@ class TestConfigWiring:
         with pytest.raises(ValueError):
             ChaosConfig(dispatch="nope")
 
-    def test_zoo_config_validates_policies_and_mixes(self):
+    def test_zoo_config_validates_mixes(self):
         from repro.experiments.dispatch_zoo import DispatchZooConfig
 
-        with pytest.raises(ValueError):
-            DispatchZooConfig(policies=("nope",))
         with pytest.raises(ValueError):
             DispatchZooConfig(mixes=("weird",))

@@ -18,6 +18,7 @@ from repro.hypervisor.pause_resume import (
     TransientResumeError,
 )
 from repro.hypervisor.sandbox import SandboxState
+from repro.resilience import failures
 from repro.resilience.failures import (
     FAILURE_KINDS,
     FailureConfig,
@@ -34,24 +35,22 @@ def make_cluster(hosts=2, seed=3):
     return cluster
 
 
-def isolating_config(kind, failure_rate=0.5):
-    """A config under which only *kind* can fire (non-vacuity per kind)."""
-    weights = {
-        "transient_weight": 1.0 if kind == RESUME_FAULT_TRANSIENT else 0.0,
-        "slow_weight": 1.0 if kind == RESUME_FAULT_SLOW else 0.0,
-        "hung_weight": 1.0 if kind == RESUME_FAULT_HUNG else 0.0,
-    }
+def isolating_config(monkeypatch, kind, failure_rate=0.5):
+    """A config under which only *kind* can fire (non-vacuity per kind):
+    the fault-mix constants are patched where the injector reads them."""
     if kind == "node_crash":
-        weights = {
-            "transient_weight": 1.0, "slow_weight": 0.0, "hung_weight": 0.0
-        }
-    return FailureConfig(
-        failure_rate=failure_rate,
-        flaky_fraction=1.0,   # every host faults: kinds must fire fast
-        flaky_bias=1.8,       # 0.5 * 1.8 = 0.9, the probability cap
-        crash_mtbf_base_s=0.05,
-        **weights,
-    )
+        kind = RESUME_FAULT_TRANSIENT
+    for name, weighted in (
+        ("TRANSIENT_WEIGHT", RESUME_FAULT_TRANSIENT),
+        ("SLOW_WEIGHT", RESUME_FAULT_SLOW),
+        ("HUNG_WEIGHT", RESUME_FAULT_HUNG),
+    ):
+        monkeypatch.setattr(failures, name, 1.0 if kind == weighted else 0.0)
+    # Every host faults (kinds must fire fast), at 0.5 * 1.8 = 0.9, the
+    # probability cap.
+    monkeypatch.setattr(failures, "FLAKY_FRACTION", 1.0)
+    monkeypatch.setattr(failures, "FLAKY_BIAS", 1.8)
+    return FailureConfig(failure_rate=failure_rate, crash_mtbf_base_s=0.05)
 
 
 class TestConfig:
@@ -61,17 +60,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             FailureConfig(failure_rate=-0.1)
 
-    def test_zero_weights_rejected(self):
-        with pytest.raises(ValueError):
-            FailureConfig(transient_weight=0, slow_weight=0, hung_weight=0)
-
     def test_probability_scales_with_flakiness(self):
         config = FailureConfig(failure_rate=0.1)
         assert config.resume_fault_probability(True) == pytest.approx(0.6)
         assert config.resume_fault_probability(False) == pytest.approx(0.02)
 
     def test_probability_capped(self):
-        config = FailureConfig(failure_rate=0.5, flaky_bias=10.0)
+        config = FailureConfig(failure_rate=0.5)
         assert config.resume_fault_probability(True) == 0.9
 
     def test_zero_rate_means_no_crashes(self):
@@ -80,10 +75,10 @@ class TestConfig:
 
 class TestFlakySelection:
     def test_at_least_one_flaky_host(self):
-        cluster = make_cluster(hosts=4)
+        # A quarter of one host rounds to none; the floor keeps one.
+        cluster = make_cluster(hosts=1)
         injector = FailureInjector(
-            cluster, FailureConfig(failure_rate=0.1, flaky_fraction=0.01),
-            seed=0,
+            cluster, FailureConfig(failure_rate=0.1), seed=0
         )
         assert len(injector.flaky_hosts) == 1
 
@@ -99,7 +94,7 @@ class TestFlakySelection:
         for _ in range(2):
             injector = FailureInjector(
                 make_cluster(hosts=6),
-                FailureConfig(failure_rate=0.2, flaky_fraction=0.5),
+                FailureConfig(failure_rate=0.2),
                 seed=9,
             )
             picks.append(injector.flaky_hosts)
@@ -110,9 +105,11 @@ class TestNonVacuity:
     """Each failure kind must fire under a config selecting it."""
 
     @pytest.mark.parametrize("kind", FAILURE_KINDS)
-    def test_kind_fires(self, kind):
+    def test_kind_fires(self, kind, monkeypatch):
         cluster = make_cluster(hosts=2, seed=11)
-        injector = FailureInjector(cluster, isolating_config(kind), seed=11)
+        injector = FailureInjector(
+            cluster, isolating_config(monkeypatch, kind), seed=11
+        )
         injector.schedule_crashes(until_ns=seconds(2))
 
         fired_errors = 0

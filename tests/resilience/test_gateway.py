@@ -25,9 +25,15 @@ from repro.resilience import (
     RequestState,
     ResilienceConfig,
     ResilientGateway,
-    RetryPolicy,
     breaker_checker,
     request_ledger_checker,
+)
+from repro.obs import NULL_TRACER, MetricRegistry, Observability, activate
+from repro.resilience import gateway as gateway_module
+from repro.resilience.retry import (
+    HANG_TIMEOUT_NS,
+    HEDGE_DELAY_NS,
+    MAX_ATTEMPTS,
 )
 from repro.sim.units import microseconds, milliseconds, seconds
 from repro.workloads import FirewallWorkload
@@ -102,7 +108,6 @@ class TestAdmission:
         return ResilienceConfig(
             admission=AdmissionConfig(
                 capacity=capacity, reserved_slots=reserved,
-                reserved_priority=1,
             )
         )
 
@@ -158,18 +163,18 @@ class TestRetries:
         # was handed straight back.  Nothing leaked.
         assert cluster.hosts[0].pool.size("fw") == 2
 
-    def test_budget_exhaustion_fails_explicitly(self):
+    def test_budget_exhaustion_fails_explicitly(self, monkeypatch):
         # Budget of 2 keeps every attempt on the resume path (attempt 3
         # would ride the ladder down to COLD, which cannot fault).
-        config = ResilienceConfig(retry=RetryPolicy(max_attempts=2))
-        cluster, gateway = make_stack(config=config)
+        monkeypatch.setattr(gateway_module, "MAX_ATTEMPTS", 2)
+        cluster, gateway = make_stack()
         for host in cluster.hosts:
             fault_all_resumes(host, transient_fault)  # never heals
         request = gateway.submit("fw")
         cluster.engine.run(until=seconds(1))
         assert request.state is RequestState.FAILED
         assert request.resolution == "retry-budget"
-        assert request.primary_count == gateway.config.retry.max_attempts
+        assert request.primary_count == 2
         audit(gateway)
 
     def test_ladder_bottoms_out_at_cold(self):
@@ -185,21 +190,17 @@ class TestRetries:
         audit(gateway)
 
     def test_deadline_gates_new_attempts(self):
-        config = ResilienceConfig(
-            retry=RetryPolicy(
-                base_backoff_ns=milliseconds(1),
-                max_backoff_ns=milliseconds(5),
-            )
-        )
-        cluster, gateway = make_stack(config=config)
+        cluster, gateway = make_stack()
         for host in cluster.hosts:
             fault_all_resumes(host, transient_fault)
-        request = gateway.submit("fw", deadline_ns=microseconds(100))
+        # The first backoff (at least half the 50 us base) outlasts the
+        # deadline, so the retry finds it passed.
+        request = gateway.submit("fw", deadline_ns=microseconds(20))
         cluster.engine.run(until=seconds(1))
         assert request.state is RequestState.FAILED
         assert request.resolution == "deadline"
         # The deadline bounded retrying well under the attempt budget.
-        assert request.primary_count < gateway.config.retry.max_attempts
+        assert request.primary_count < MAX_ATTEMPTS
         audit(gateway)
 
 
@@ -216,8 +217,8 @@ class TestHedging:
         assert hedge.hedge and hedge.host == 1
         # The hedge capped the hang at roughly the hedge delay, far
         # below the 10 ms hang-detection timeout.
-        assert request.latency_ns < gateway.config.retry.hang_timeout_ns
-        assert request.latency_ns >= gateway.config.hedge.delay_ns
+        assert request.latency_ns < HANG_TIMEOUT_NS
+        assert request.latency_ns >= HEDGE_DELAY_NS
         audit(gateway)
 
     def test_hung_sandbox_destroyed_at_timeout(self):
@@ -315,6 +316,23 @@ class TestBreakerSteering:
         assert request.no_host_waits >= 1
         assert gateway.breakers[0].state is BreakerState.CLOSED
         audit(gateway)
+
+    def test_no_host_waits_of_gateways_sharing_a_registry_add_up(self):
+        registry = MetricRegistry()
+        config = ResilienceConfig(
+            breaker=BreakerConfig(failure_threshold=1, open_ns=milliseconds(1))
+        )
+        requests = []
+        with activate(Observability(NULL_TRACER, registry)):
+            for seed in (4, 5):
+                cluster, gateway = make_stack(hosts=1, seed=seed, config=config)
+                cluster.hosts[0].horse.fault_hook = fail_first(1)
+                requests.append(gateway.submit("fw"))
+                cluster.engine.run(until=seconds(1))
+        waits = [request.no_host_waits for request in requests]
+        assert min(waits) >= 1
+        snapshot = registry.snapshot()
+        assert snapshot["resilience.no_host_wait"]["value"] == sum(waits)
 
 
 class TestCheckers:

@@ -1,59 +1,42 @@
-"""Backoff and hedging policies."""
+"""The retry policy: capped, jittered exponential backoff."""
 
 import random
 
 import pytest
 
-from repro.resilience.retry import HedgePolicy, RetryPolicy
+from repro.resilience.retry import (
+    BACKOFF_MULTIPLIER,
+    BASE_BACKOFF_NS,
+    MAX_BACKOFF_NS,
+    backoff_ns,
+)
 
 
 class TestRetryPolicy:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(multiplier=0.5)
-        with pytest.raises(ValueError):
-            RetryPolicy(base_backoff_ns=100, max_backoff_ns=50)
-        with pytest.raises(ValueError):
-            RetryPolicy(hang_timeout_ns=0)
-
     def test_backoff_within_jitter_band(self):
-        policy = RetryPolicy(base_backoff_ns=1000, multiplier=2.0,
-                             max_backoff_ns=100_000)
         rng = random.Random(0)
-        for attempt, ceiling in ((1, 1000), (2, 2000), (3, 4000)):
+        for attempt in (1, 2, 3):
+            ceiling = BASE_BACKOFF_NS * BACKOFF_MULTIPLIER ** (attempt - 1)
             for _ in range(50):
-                delay = policy.backoff_ns(attempt, rng)
+                delay = backoff_ns(attempt, rng)
                 assert ceiling / 2 <= delay <= ceiling
 
     def test_backoff_capped(self):
-        policy = RetryPolicy(base_backoff_ns=1000, multiplier=10.0,
-                             max_backoff_ns=5000)
         rng = random.Random(1)
-        assert all(policy.backoff_ns(9, rng) <= 5000 for _ in range(50))
+        assert all(backoff_ns(20, rng) <= MAX_BACKOFF_NS for _ in range(50))
+        assert max(backoff_ns(20, rng) for _ in range(50)) > MAX_BACKOFF_NS / 2
 
     def test_backoff_never_zero(self):
-        policy = RetryPolicy(base_backoff_ns=0, max_backoff_ns=0)
-        assert policy.backoff_ns(1, random.Random(2)) >= 1
+        # Full jitter spans only the upper half of the ceiling, so a
+        # retry never lands on the instant of the failure.
+        rng = random.Random(2)
+        assert min(backoff_ns(1, rng) for _ in range(200)) >= BASE_BACKOFF_NS / 2
 
     def test_backoff_deterministic_per_seed(self):
-        policy = RetryPolicy()
-        a = [policy.backoff_ns(i, random.Random(7)) for i in range(1, 5)]
-        b = [policy.backoff_ns(i, random.Random(7)) for i in range(1, 5)]
+        a = [backoff_ns(i, random.Random(7)) for i in range(1, 5)]
+        b = [backoff_ns(i, random.Random(7)) for i in range(1, 5)]
         assert a == b
 
     def test_attempt_must_be_positive(self):
         with pytest.raises(ValueError):
-            RetryPolicy().backoff_ns(0, random.Random(0))
-
-
-class TestHedgePolicy:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            HedgePolicy(delay_ns=0)
-        with pytest.raises(ValueError):
-            HedgePolicy(max_hedges=-1)
-
-    def test_disabled_constructor(self):
-        assert not HedgePolicy.disabled().enabled
+            backoff_ns(0, random.Random(0))

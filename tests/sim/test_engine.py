@@ -9,7 +9,7 @@ import pytest
 
 import repro
 from repro.sim.engine import Engine
-from repro.sim.errors import EngineStoppedError, SchedulingInPastError
+from repro.sim.errors import SchedulingInPastError
 from repro.sim.event import EventPriority
 
 
@@ -115,26 +115,6 @@ class TestRunSemantics:
         engine.run(until=30)
         assert fired == [30]
 
-    def test_max_events_limits_execution(self):
-        engine = Engine()
-        fired = []
-        for when in (1, 2, 3):
-            engine.schedule_at(when, lambda when=when: fired.append(when))
-        executed = engine.run(max_events=2)
-        assert executed == 2
-        assert fired == [1, 2]
-
-    def test_step_fires_one_event(self):
-        engine = Engine()
-        fired = []
-        engine.schedule_at(1, lambda: fired.append(1))
-        engine.schedule_at(2, lambda: fired.append(2))
-        assert engine.step() is True
-        assert fired == [1]
-
-    def test_step_on_empty_heap_returns_false(self):
-        assert Engine().step() is False
-
     def test_run_returns_executed_count(self):
         engine = Engine()
         for when in range(5):
@@ -150,14 +130,6 @@ class TestRunSemantics:
         )
         engine.run()
         assert fired == [2]
-
-    def test_stopped_engine_rejects_everything(self):
-        engine = Engine()
-        engine.stop()
-        with pytest.raises(EngineStoppedError):
-            engine.schedule_at(1, lambda: None)
-        with pytest.raises(EngineStoppedError):
-            engine.run()
 
     def test_pending_events_snapshot(self):
         engine = Engine()

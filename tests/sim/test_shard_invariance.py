@@ -153,7 +153,7 @@ class TestObsDoesNotPerturb:
     def test_recovery_trace_and_render(self):
         config = ClusterRecoveryConfig(
             groups=2, gateways=3, hosts=2, gateway_failure_rate=0.3,
-            requests=120, drain_s=10.0, deadline_s=5.0, seed=5,
+            requests=120, drain_s=10.0, seed=5,
         )
 
         def run():
