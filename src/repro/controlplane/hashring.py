@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import Iterable, List, Optional, Tuple
+from functools import lru_cache
+from typing import Iterable, Optional, Tuple
 
 
 def _h(key: str) -> int:
@@ -26,13 +27,36 @@ def _h(key: str) -> int:
     )
 
 
+@lru_cache(maxsize=64)
+def _shape(
+    nodes: int, vnodes: int, salt: str
+) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """Sorted ring points and their owners for one ring shape.
+
+    A pure function of ``(nodes, vnodes, salt)``, hashed once per
+    process and shared (as tuples, so no ring can mutate it) by every
+    ring of that shape: each recovery cell builds a ring per control
+    plane, always of the same few shapes.
+    """
+    points = sorted(
+        (_h(f"{salt}:{node}:{replica}"), node)
+        for node in range(nodes)
+        for replica in range(vnodes)
+    )
+    return (
+        tuple(point for point, _node in points),
+        tuple(node for _point, node in points),
+    )
+
+
 class HashRing:
     """A fixed population of shard ids 0..n-1 on a consistent-hash ring.
 
-    The ring is built once — shards never join or leave the population;
-    they only go down and come back.  Routing walks clockwise from the
-    key's point to the first *alive* shard, so a down shard's keys all
-    land on ring-successor shards and snap back the instant it recovers.
+    The ring is fixed — shards never join or leave the population;
+    they only go down and come back — so its points are built once per
+    shape and shared.  Routing walks clockwise from the key's point to
+    the first *alive* shard, so a down shard's keys all land on
+    ring-successor shards and snap back the instant it recovers.
     """
 
     __slots__ = ("nodes", "vnodes", "_points", "_owners")
@@ -44,13 +68,7 @@ class HashRing:
             raise ValueError(f"vnodes must be >= 1, got {vnodes}")
         self.nodes = nodes
         self.vnodes = vnodes
-        points: List[Tuple[int, int]] = []
-        for node in range(nodes):
-            for replica in range(vnodes):
-                points.append((_h(f"{salt}:{node}:{replica}"), node))
-        points.sort()
-        self._points = [point for point, _node in points]
-        self._owners = [node for _point, node in points]
+        self._points, self._owners = _shape(nodes, vnodes, salt)
 
     def owner(self, key: str, alive: Iterable[int]) -> Optional[int]:
         """First alive shard clockwise from *key* — None when all down."""

@@ -27,17 +27,21 @@ account of what happened across crashes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, NamedTuple, Optional
 
 ADMIT = "admit"
 LAUNCH = "launch"
 OUTCOME = "outcome"
 
 
-@dataclass(frozen=True, slots=True)
-class IntentRecord:
-    """One journaled intent (plain data; crosses the worker pool)."""
+class IntentRecord(NamedTuple):
+    """One journaled intent (plain data; crosses the worker pool).
+
+    Immutable like the log it lives in.  A ``NamedTuple`` rather than a
+    frozen dataclass: every request journals about three of these, and
+    a frozen dataclass pays an ``object.__setattr__`` per field at
+    construction (about 3.4 µs against 1.3 µs on CPython 3.11).
+    """
 
     kind: str
     #: journaling instant (sim ns)

@@ -130,8 +130,6 @@ class HorsePauseResume:
         # construct the fast path directly trace without plumbing.
         self.obs = obs if obs is not None else current_obs()
         self.ull = ull_manager or UllRunqueueManager(host)
-        self.resumes = 0
-        self.pauses = 0
         #: Optional callable fired between step 4 (merge) and step 5
         #: (load update) as ``f(sandbox, queue, now_ns)``.  This is the
         #: window the paper's global resume lock protects in vanilla;
@@ -213,7 +211,6 @@ class HorsePauseResume:
             coalesce_ns = self.costs.horse_pause_coalesce_ns
             duration += coalesce_ns
 
-        self.pauses += 1
         if self.obs.enabled:
             self._emit_pause_obs(
                 sandbox, now_ns, queue.core_id,
@@ -384,7 +381,6 @@ class HorsePauseResume:
         # precomputation (the queue just changed under them).
         self.ull.on_queue_updated(queue.runqueue_id)
 
-        self.resumes += 1
         if self.obs.enabled:
             self._emit_resume_obs(
                 sandbox, now_ns, breakdown, queue.core_id,

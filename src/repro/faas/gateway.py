@@ -200,6 +200,7 @@ class FaaSGateway:
         return_to_pool: bool,
     ) -> None:
         """Function body finished: pause the sandbox back into the pool."""
+        invocation.completion_event = None  # fired: nothing left to cancel
         if invocation.cancelled:
             return  # host crashed mid-execution; nothing to pause back
         now = self.engine.now

@@ -52,7 +52,8 @@ class Invocation:
     #: failure handling above the start-strategy layer reclaim it.
     sandbox: Any = field(default=None, repr=False, compare=False)
     #: The gateway's scheduled completion event, cancellable by the
-    #: resilience layer when the serving host crashes mid-execution.
+    #: resilience layer when the serving host crashes mid-execution;
+    #: None once it has fired.
     completion_event: Any = field(default=None, repr=False, compare=False)
 
     # ------------------------------------------------------------------

@@ -212,8 +212,6 @@ class VanillaPauseResume:
         # construct the resume path directly trace without plumbing.
         self.obs = obs if obs is not None else current_obs()
         self._resume_lock_owner: Optional[str] = None
-        self.resumes = 0
-        self.pauses = 0
         #: Optional per-resume fault decision (repro.resilience failure
         #: domains): transient errors, latency stalls, permanent hangs.
         self.fault_hook: Optional[ResumeFaultHook] = None
@@ -244,7 +242,6 @@ class VanillaPauseResume:
             self.costs.pause_fixed_ns + self.costs.pause_dequeue_vcpu_ns * dequeued
         )
         sandbox.transition(SandboxState.PAUSED)
-        self.pauses += 1
         if self.obs.enabled:
             metrics = self.obs.metrics
             if metrics.enabled:
@@ -300,7 +297,6 @@ class VanillaPauseResume:
         finally:
             self._resume_lock_owner = None
 
-        self.resumes += 1
         if self.obs.enabled:
             self._emit_resume_obs(
                 sandbox, now_ns, breakdown, runqueue_ids, scan_steps, "vanilla"

@@ -40,6 +40,15 @@ _TRANSITIONS = {
     SandboxState.STOPPED: set(),
 }
 
+# Each state carries its legal successors as a tuple derived from the
+# table above, so ``transition`` tests membership by identity in C and
+# never calls the Python-level ``Enum.__hash__`` a set lookup costs.
+for _state in SandboxState:
+    _state._successors = tuple(
+        target for target in SandboxState if target in _TRANSITIONS[_state]
+    )
+del _state
+
 
 class SandboxError(Exception):
     """Illegal sandbox operation (bad transition, wrong state, ...)."""
@@ -83,7 +92,7 @@ class Sandbox:
 
     def transition(self, target: SandboxState) -> None:
         """Move to *target*, enforcing the lifecycle state machine."""
-        if target not in _TRANSITIONS[self.state]:
+        if target not in self.state._successors:
             raise SandboxError(
                 f"{self.sandbox_id}: illegal transition "
                 f"{self.state.value} -> {target.value}"

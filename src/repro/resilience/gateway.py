@@ -90,7 +90,8 @@ class Attempt:
     fence: int = 0
     invocation: Optional[Invocation] = None
     executing: bool = False
-    #: the gateway's own completion callback event (cancellable)
+    #: the gateway's own completion callback event (cancellable); None
+    #: once it has fired
     completion_event: object = field(default=None, repr=False)
 
 
@@ -106,7 +107,6 @@ class Request:
     state: RequestState = RequestState.IN_FLIGHT
     attempts: List[Attempt] = field(default_factory=list)
     hedges_used: int = 0
-    no_host_waits: int = 0
     executing: int = 0
     completed_ns: Optional[int] = None
     resolution: str = ""
@@ -383,7 +383,6 @@ class ResilientGateway:
         if host_index is None:
             if hedge:
                 return  # hedging is best-effort; the primary is still out
-            request.no_host_waits += 1
             if self._no_host_wait is not None:
                 self._no_host_wait.inc()
             self._park(request, now)
@@ -580,6 +579,7 @@ class ResilientGateway:
     # ------------------------------------------------------------------
     def _on_complete(self, request: Request, attempt: Attempt) -> None:
         now = self._clock._now
+        attempt.completion_event = None  # fired: nothing left to cancel
         if self.fenced:
             # A pre-crash attempt finished after the shard was replaced.
             # The fencing token is stale — the completion is dropped

@@ -16,12 +16,13 @@ profile >2x faster than the heap (``BENCH_sim_kernel.json``) and the
 cross-scheduler identity is CI-enforced, so the heap survives as the
 reference implementation the calendar is diffed against.
 
-Hot-path design (see DESIGN.md §10): events are ``__slots__`` objects;
-events whose handles the call site discards (process sleeps, wake-ups)
-are marked *transient* and recycled through a free-list instead of
-being reallocated; and :meth:`Engine.run` keeps a no-watcher dispatch
-branch whose per-event work is one scheduler pop, one clock store, and
-the callback itself.
+Hot-path design (see DESIGN.md §10): events are ``__slots__`` objects
+that drop their callback once fired or skipped, so a held handle never
+keeps a closure alive; events whose handles the call site discards
+(process sleeps, wake-ups) are marked *transient* and recycled through
+a free-list instead of being reallocated; and :meth:`Engine.run` keeps
+a no-watcher dispatch branch whose per-event work is one scheduler
+pop, one clock store, and the callback itself.
 
 Determinism contract: given the same schedule calls in the same order
 and the same seeded RNG streams, a run is bit-for-bit reproducible —
@@ -262,7 +263,9 @@ class Engine:
                     self._recycle(event)
                     continue
                 clock.advance_to(event.time)
-                event.callback()
+                callback = event.callback
+                event.callback = None
+                callback()
                 executed += 1
                 self._events_executed += 1
                 for watcher in self._watchers:
@@ -303,8 +306,10 @@ class Engine:
             when = event.time
             clock.advance_to(when)
             label = event.label
+            callback = event.callback
+            event.callback = None
             t0 = perf()
-            event.callback()
+            callback()
             wall = perf() - t0
             executed += 1
             self._events_executed += 1
@@ -319,9 +324,9 @@ class Engine:
         return executed
 
     def _recycle(self, event: Event) -> None:
-        """Return a fired/skipped transient event to the free-list."""
+        """Drop a fired/skipped event's callback; pool it if transient."""
+        event.callback = None
         if event.transient and len(self._pool) < _POOL_CAP:
-            event.callback = None
             self._pool.append(event)
 
     def pending_events(self) -> List[Event]:

@@ -55,6 +55,11 @@ class Event:
     always safe.  ``generation`` counts reuses of one object — the
     pooling property tests pin that a recycled event never carries its
     previous occupant's callback.
+
+    Every event drops its ``callback`` (sets it to None) once it has
+    fired or been skipped, and :meth:`cancel` drops it at once, so a
+    handle held after its instant keeps only this slotted object alive,
+    never the closure and whatever the closure captured.
     """
 
     __slots__ = (
@@ -128,9 +133,12 @@ class Event:
         """Mark the event so the engine skips it when popped.
 
         Cancellation is lazy — the event stays in the scheduler but
-        becomes a no-op.  This is O(1) and avoids queue surgery.
+        becomes a no-op.  This is O(1) and avoids queue surgery.  The
+        callback is dropped at once: a cancelled event never fires, so
+        its closure need not outlive the call.
         """
         self.cancelled = True
+        self.callback = None
 
     def __repr__(self) -> str:
         state = "cancelled" if self.cancelled else "pending"

@@ -24,9 +24,11 @@ is bit-for-bit identical whichever is selected.  The differential tests
 in ``tests/sim/test_schedulers.py`` pin this, including a byte-identical
 ``repro chaos`` comparison.
 
-Neither scheduler interprets ``Event.cancelled``; lazily-cancelled
-events are popped and skipped by the engine, which owns the free-list
-they are recycled into.
+Outside the inlined drain loops, neither scheduler interprets
+``Event.cancelled``; lazily-cancelled events are popped and skipped by
+the engine, which owns the free-list they are recycled into.  Every
+event a drain pops, fired or skipped, drops its callback on the way
+out, so a handle held past its instant keeps no closure alive.
 """
 
 from __future__ import annotations
@@ -71,8 +73,9 @@ class HeapScheduler:
 
     def drain(self, engine, until: Optional[int]) -> int:
         """The engine's no-watcher dispatch loop, specialized for the
-        heap: pop due events, advance the clock, fire callbacks, and
-        recycle transient events into the engine's free-list.  Pop
+        heap: pop due events, advance the clock, fire callbacks (each
+        event drops its callback as it leaves the heap), and recycle
+        transient events into the engine's free-list.  Pop
         order is monotone, so the clock store needs no backwards
         check.  Returns the number executed; the engine's lifetime
         counter is updated even when a callback raises.
@@ -80,6 +83,7 @@ class HeapScheduler:
         heap = self._heap
         clock = engine.clock
         pool = engine._pool
+        pool_cap = engine._pool_cap
         pop = heappop
         executed = 0
         try:
@@ -87,16 +91,16 @@ class HeapScheduler:
                 if until is not None and heap[0].time > until:
                     break
                 event = pop(heap)
+                callback = event.callback
+                event.callback = None
                 if event.cancelled:
-                    if event.transient and len(pool) < engine._pool_cap:
-                        event.callback = None
+                    if event.transient and len(pool) < pool_cap:
                         pool.append(event)
                     continue
                 clock._now = event.time
-                event.callback()
+                callback()
                 executed += 1
-                if event.transient and len(pool) < engine._pool_cap:
-                    event.callback = None
+                if event.transient and len(pool) < pool_cap:
                     pool.append(event)
         finally:
             engine._events_executed += executed
@@ -267,16 +271,16 @@ class CalendarScheduler:
                             break
                         self._size -= 1
                         event = bucket.pop()[3]
+                        callback = event.callback
+                        event.callback = None
                         if event.cancelled:
                             if event.transient and len(pool) < pool_cap:
-                                event.callback = None
                                 pool.append(event)
                             continue
                         clock._now = time
-                        event.callback()
+                        callback()
                         executed += 1
                         if event.transient and len(pool) < pool_cap:
-                            event.callback = None
                             pool.append(event)
                         if self._epoch != epoch:
                             epoch = self._epoch

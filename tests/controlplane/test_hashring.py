@@ -1,8 +1,12 @@
 """Consistent-hash ring: stable routing, minimal movement, failover."""
 
+import bisect
+import hashlib
+
 import pytest
 
 from repro.controlplane import HashRing
+from repro.controlplane import hashring
 from repro.controlplane.hashring import _h
 
 
@@ -71,3 +75,56 @@ class TestValidation:
         ring = HashRing(4, vnodes=64)
         owners = {ring.owner(f"fn-{i}", range(ring.nodes)) for i in range(400)}
         assert owners == set(range(4))
+
+
+def _sha64(text):
+    return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
+
+
+def _scratch_owner(nodes, vnodes, salt, key, alive):
+    """First alive node clockwise on a ring rebuilt from sha256 alone."""
+    points = sorted(
+        (_sha64(f"{salt}:{node}:{replica}"), node)
+        for node in range(nodes)
+        for replica in range(vnodes)
+    )
+    start = bisect.bisect_right([point for point, _ in points], _sha64(key))
+    for step in range(len(points)):
+        node = points[(start + step) % len(points)][1]
+        if node in alive:
+            return node
+    return None
+
+
+class TestSharedShape:
+    @pytest.mark.parametrize(
+        "nodes,vnodes,salt", [(1, 1, ""), (2, 3, "a"), (3, 64, ""), (5, 16, "z")]
+    )
+    def test_owners_match_a_from_scratch_sha256_ring(self, nodes, vnodes, salt):
+        ring = HashRing(nodes, vnodes=vnodes, salt=salt)
+        populations = [set(range(nodes)), {nodes - 1}, set(range(0, nodes, 2))]
+        for alive in populations:
+            for index in range(60):
+                key = f"fn-{index}"
+                assert ring.owner(key, alive) == _scratch_owner(
+                    nodes, vnodes, salt, key, alive
+                )
+
+    def test_second_ring_of_one_shape_hashes_nothing(self, monkeypatch):
+        calls = []
+
+        def spy(key):
+            calls.append(key)
+            return _h(key)
+
+        monkeypatch.setattr(hashring, "_h", spy)
+        hashring._shape.cache_clear()
+        first = HashRing(4, vnodes=8, salt="spy")
+        assert len(calls) == 4 * 8
+        del calls[:]
+        second = HashRing(4, vnodes=8, salt="spy")
+        assert calls == []
+        assert second._points is first._points
+        assert second._owners is first._owners
+        other = HashRing(4, vnodes=8, salt="other")
+        assert len(calls) == 4 * 8 and other._points != first._points

@@ -63,6 +63,19 @@ class TestTransitions:
             with pytest.raises(SandboxError):
                 sandbox.transition(state)
 
+    @pytest.mark.parametrize("source", list(SandboxState))
+    def test_transition_accepts_exactly_the_table_edges(self, source):
+        for target in SandboxState:
+            sandbox = Sandbox(vcpus=1, memory_mb=128)
+            sandbox.state = source
+            if target in _TRANSITIONS[source]:
+                sandbox.transition(target)
+                assert sandbox.state is target
+            else:
+                with pytest.raises(SandboxError, match="illegal transition"):
+                    sandbox.transition(target)
+                assert sandbox.state is source
+
     def test_require_state_passes(self):
         sandbox = Sandbox(vcpus=1, memory_mb=128)
         sandbox.require_state(SandboxState.CREATING, SandboxState.RUNNING)

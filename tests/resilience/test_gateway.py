@@ -301,38 +301,43 @@ class TestBreakerSteering:
         audit(gateway)
 
     def test_gated_cluster_waits_then_probes_through(self):
-        config = ResilienceConfig(
-            breaker=BreakerConfig(
-                failure_threshold=1, open_ns=milliseconds(1)
-            )
-        )
-        cluster, gateway = make_stack(hosts=1, config=config)
-        cluster.hosts[0].horse.fault_hook = fail_first(1)
-        request = gateway.submit("fw")
-        cluster.engine.run(until=seconds(1))
+        registry = MetricRegistry()
+        with activate(Observability(NULL_TRACER, registry)):
+            gateway, request = _gated_lone_host(seed=4)
         # The lone host's breaker opened; with nowhere to route, the
         # gateway waited, then the half-open probe let the retry through.
         assert request.state is RequestState.COMPLETED
-        assert request.no_host_waits >= 1
+        assert registry.snapshot()["resilience.no_host_wait"]["value"] >= 1
         assert gateway.breakers[0].state is BreakerState.CLOSED
         audit(gateway)
 
     def test_no_host_waits_of_gateways_sharing_a_registry_add_up(self):
-        registry = MetricRegistry()
-        config = ResilienceConfig(
-            breaker=BreakerConfig(failure_threshold=1, open_ns=milliseconds(1))
-        )
-        requests = []
-        with activate(Observability(NULL_TRACER, registry)):
+        alone = []
+        for seed in (4, 5):
+            registry = MetricRegistry()
+            with activate(Observability(NULL_TRACER, registry)):
+                _gated_lone_host(seed)
+            alone.append(registry.snapshot()["resilience.no_host_wait"]["value"])
+        assert min(alone) >= 1
+        shared = MetricRegistry()
+        with activate(Observability(NULL_TRACER, shared)):
             for seed in (4, 5):
-                cluster, gateway = make_stack(hosts=1, seed=seed, config=config)
-                cluster.hosts[0].horse.fault_hook = fail_first(1)
-                requests.append(gateway.submit("fw"))
-                cluster.engine.run(until=seconds(1))
-        waits = [request.no_host_waits for request in requests]
-        assert min(waits) >= 1
-        snapshot = registry.snapshot()
-        assert snapshot["resilience.no_host_wait"]["value"] == sum(waits)
+                _gated_lone_host(seed)
+        assert shared.snapshot()["resilience.no_host_wait"]["value"] == sum(alone)
+
+
+def _gated_lone_host(seed):
+    """One request on a one-host cluster whose breaker opens on the
+    first resume fault, so the retry must wait for the half-open probe.
+    Returns ``(gateway, request)`` after one simulated second."""
+    config = ResilienceConfig(
+        breaker=BreakerConfig(failure_threshold=1, open_ns=milliseconds(1))
+    )
+    cluster, gateway = make_stack(hosts=1, seed=seed, config=config)
+    cluster.hosts[0].horse.fault_hook = fail_first(1)
+    request = gateway.submit("fw")
+    cluster.engine.run(until=seconds(1))
+    return gateway, request
 
 
 class TestCheckers:
