@@ -30,6 +30,35 @@ Quick start::
     print(inv.initialization_ns, "ns to a ready sandbox")
 """
 
+import sys
+from typing import Any, Callable, Dict
+
 __version__ = "1.0.0"
 
-__all__ = ["__version__"]
+__all__ = ["__version__", "lazy_exports"]
+
+
+def lazy_exports(package: str, exports: Dict[str, str]) -> Callable[[str], Any]:
+    """The module ``__getattr__`` (PEP 562) of every ``repro`` package.
+
+    *exports* maps each public name to the submodule that defines it.
+    The first access imports that submodule and caches the value in the
+    package, so importing a package loads none of its submodules and
+    importing one submodule loads none of its siblings.
+    """
+
+    def __getattr__(name: str) -> Any:
+        try:
+            module = exports[name]
+        except KeyError:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}"
+            ) from None
+        # ``__import__``, not ``importlib.import_module``: only the
+        # former shows up in ``python -X importtime``.
+        __import__(module)
+        value = getattr(sys.modules[module], name)
+        setattr(sys.modules[package], name, value)
+        return value
+
+    return __getattr__

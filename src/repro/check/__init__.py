@@ -15,59 +15,36 @@ and :mod:`repro.check.runner` drives whole checked experiments
 (``python -m repro check figure3``).
 """
 
-from repro.check.faults import (
-    FAULT_KINDS,
-    FaultInjector,
-    FaultPlan,
-    FaultSpec,
-    InjectedFault,
-)
-from repro.check.harness import CheckHarness
-from repro.check.invariants import (
-    Checker,
-    InvariantRegistry,
-    Trigger,
-    Violation,
-    default_registry,
-    dvfs_sample_checker,
-    event_heap_checker,
-    lifecycle_checker,
-    p2sm_freshness_checker,
-    pool_checker,
-    runqueue_checker,
-)
-from repro.check.oracles import (
-    DEFAULT_MAX_ULPS,
-    ResumeSnapshot,
-    snapshot_before_resume,
-    verify_resume,
-)
-from repro.check.runner import CHECKABLE, CheckReport, check_figure3, run_check
+from repro import lazy_exports
 
-__all__ = [
-    "FAULT_KINDS",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultSpec",
-    "InjectedFault",
-    "CheckHarness",
-    "Checker",
-    "InvariantRegistry",
-    "Trigger",
-    "Violation",
-    "default_registry",
-    "dvfs_sample_checker",
-    "event_heap_checker",
-    "lifecycle_checker",
-    "p2sm_freshness_checker",
-    "pool_checker",
-    "runqueue_checker",
-    "DEFAULT_MAX_ULPS",
-    "ResumeSnapshot",
-    "snapshot_before_resume",
-    "verify_resume",
-    "CHECKABLE",
-    "CheckReport",
-    "check_figure3",
-    "run_check",
-]
+_EXPORTS = {
+    "FAULT_KINDS": "repro.check.faults",
+    "FaultInjector": "repro.check.faults",
+    "FaultPlan": "repro.check.faults",
+    "FaultSpec": "repro.check.faults",
+    "InjectedFault": "repro.check.faults",
+    "CheckHarness": "repro.check.harness",
+    "Checker": "repro.check.invariants",
+    "InvariantRegistry": "repro.check.invariants",
+    "Trigger": "repro.check.invariants",
+    "Violation": "repro.check.invariants",
+    "default_registry": "repro.check.invariants",
+    "dvfs_sample_checker": "repro.check.invariants",
+    "event_heap_checker": "repro.check.invariants",
+    "lifecycle_checker": "repro.check.invariants",
+    "p2sm_freshness_checker": "repro.check.invariants",
+    "pool_checker": "repro.check.invariants",
+    "runqueue_checker": "repro.check.invariants",
+    "DEFAULT_MAX_ULPS": "repro.check.oracles",
+    "ResumeSnapshot": "repro.check.oracles",
+    "snapshot_before_resume": "repro.check.oracles",
+    "verify_resume": "repro.check.oracles",
+    "CHECKABLE": "repro.check.runner",
+    "CheckReport": "repro.check.runner",
+    "check_figure3": "repro.check.runner",
+    "run_check": "repro.check.runner",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -147,7 +147,7 @@ def _checked_pool_phase(
     firing on every event via the engine watcher.
     """
     from repro.faas import FaaSPlatform, FunctionSpec, StartType
-    from repro.faas.prewarm import FixedWindow
+    from repro.faas.keepalive import FixedWindow
     from repro.sim.units import seconds
     from repro.workloads import FirewallWorkload
 

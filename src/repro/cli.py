@@ -286,12 +286,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     byte-identical stdout for ANY ``--shards`` (the CI replay job diffs
     same-seed runs and worker counts).
     """
-    from repro.faas.prewarm import (
-        PrewarmConfig,
-        default_prewarm_policy,
-        render_replay,
-        run_replay,
-    )
+    from repro.faas.keepalive import default_prewarm_policy
+    from repro.faas.prewarm import PrewarmConfig, render_replay, run_replay
     from repro.traces.replay import ReplayConfig
 
     try:
@@ -384,7 +380,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 def _cmd_list(args: argparse.Namespace) -> int:
     if getattr(args, "policies", False):
-        from repro.faas.prewarm import PREWARM_POLICIES
+        from repro.faas.keepalive import PREWARM_POLICIES
         from repro.resilience.policies import DISPATCH_POLICIES
         from repro.sim.engine import _ENV_SCHEDULER, default_scheduler
         from repro.sim.schedulers import scheduler_kinds
@@ -695,7 +691,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _policy_env_error() -> Optional[str]:
     """Why a ``REPRO_*`` policy variable is invalid, or None if none is."""
-    from repro.faas.prewarm import PREWARM_POLICIES
+    from repro.faas.keepalive import PREWARM_POLICIES
     from repro.resilience.policies import DISPATCH_POLICIES
     from repro.sim.engine import _ENV_SCHEDULER
     from repro.sim.schedulers import scheduler_kinds

@@ -16,37 +16,25 @@ cross-epoch completions) plus the differential oracle in
 failures — lock exactly-once terminal outcomes.
 """
 
-from repro.controlplane.checks import (
-    exactly_once_checker,
-    fencing_checker,
-    intent_log_violations,
-    no_duplicate_routing_checker,
-    terminal_outcomes,
-)
-from repro.controlplane.hashring import HashRing
-from repro.controlplane.intentlog import (
-    ADMIT,
-    LAUNCH,
-    OUTCOME,
-    IntentLog,
-    IntentRecord,
-)
-from repro.controlplane.plane import ControlPlane, ParkedSubmit
-from repro.controlplane.shard import GatewayShard
+from repro import lazy_exports
 
-__all__ = [
-    "ADMIT",
-    "LAUNCH",
-    "OUTCOME",
-    "ControlPlane",
-    "GatewayShard",
-    "HashRing",
-    "IntentLog",
-    "IntentRecord",
-    "ParkedSubmit",
-    "exactly_once_checker",
-    "fencing_checker",
-    "intent_log_violations",
-    "no_duplicate_routing_checker",
-    "terminal_outcomes",
-]
+_EXPORTS = {
+    "exactly_once_checker": "repro.controlplane.checks",
+    "fencing_checker": "repro.controlplane.checks",
+    "intent_log_violations": "repro.controlplane.checks",
+    "no_duplicate_routing_checker": "repro.controlplane.checks",
+    "terminal_outcomes": "repro.controlplane.checks",
+    "HashRing": "repro.controlplane.hashring",
+    "ADMIT": "repro.controlplane.intentlog",
+    "LAUNCH": "repro.controlplane.intentlog",
+    "OUTCOME": "repro.controlplane.intentlog",
+    "IntentLog": "repro.controlplane.intentlog",
+    "IntentRecord": "repro.controlplane.intentlog",
+    "ControlPlane": "repro.controlplane.plane",
+    "ParkedSubmit": "repro.controlplane.plane",
+    "GatewayShard": "repro.controlplane.shard",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

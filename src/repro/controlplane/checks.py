@@ -27,11 +27,14 @@ exactly-once differential oracle compares across runs.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import TYPE_CHECKING, Dict, List
 
-from repro.check.invariants import Checker
 from repro.controlplane.intentlog import ADMIT, LAUNCH, OUTCOME, IntentLog
 from repro.controlplane.plane import ControlPlane
+
+if TYPE_CHECKING:
+    # Annotation only: the control plane must not load the check harness.
+    from repro.check.invariants import Checker
 
 
 def _log_of(shard_or_log) -> IntentLog:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import bisect
 import hashlib
 from functools import lru_cache
-from typing import Iterable, Optional, Tuple
+from typing import Collection, Dict, Optional, Tuple
 
 
 def _h(key: str) -> int:
@@ -30,13 +30,17 @@ def _h(key: str) -> int:
 @lru_cache(maxsize=64)
 def _shape(
     nodes: int, vnodes: int, salt: str
-) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """Sorted ring points and their owners for one ring shape.
+) -> Tuple[Tuple[int, ...], Tuple[int, ...], Dict[str, int]]:
+    """Sorted ring points, their owners and a key -> start memo for one
+    ring shape.
 
     A pure function of ``(nodes, vnodes, salt)``, hashed once per
-    process and shared (as tuples, so no ring can mutate it) by every
-    ring of that shape: each recovery cell builds a ring per control
-    plane, always of the same few shapes.
+    process and shared by every ring of that shape: each recovery cell
+    builds a ring per control plane, always of the same few shapes.
+    Points and owners are tuples, so no ring can mutate them.  The memo
+    maps each routed key to its ring start, a pure function of the key
+    and the shape: a cell routes only a few function names, so each is
+    hashed once per shape instead of once per submit.
     """
     points = sorted(
         (_h(f"{salt}:{node}:{replica}"), node)
@@ -46,6 +50,7 @@ def _shape(
     return (
         tuple(point for point, _node in points),
         tuple(node for _point, node in points),
+        {},
     )
 
 
@@ -59,7 +64,7 @@ class HashRing:
     ring-successor shards and snap back the instant it recovers.
     """
 
-    __slots__ = ("nodes", "vnodes", "_points", "_owners")
+    __slots__ = ("nodes", "vnodes", "_points", "_owners", "_starts")
 
     def __init__(self, nodes: int, vnodes: int = 64, salt: str = "") -> None:
         if nodes < 1:
@@ -68,21 +73,26 @@ class HashRing:
             raise ValueError(f"vnodes must be >= 1, got {vnodes}")
         self.nodes = nodes
         self.vnodes = vnodes
-        self._points, self._owners = _shape(nodes, vnodes, salt)
+        self._points, self._owners, self._starts = _shape(nodes, vnodes, salt)
 
-    def owner(self, key: str, alive: Iterable[int]) -> Optional[int]:
-        """First alive shard clockwise from *key* — None when all down."""
-        up = frozenset(alive)
-        if not up:
+    def owner(self, key: str, alive: Collection[int]) -> Optional[int]:
+        """First alive shard clockwise from *key* — None when all down.
+
+        *alive* is scanned as given (a list of a few shard ids, a range
+        or a set), not copied.
+        """
+        if not alive:
             return None
+        start = self._starts.get(key)
+        if start is None:
+            start = self._starts[key] = bisect.bisect_right(self._points, _h(key))
         owners = self._owners
         count = len(owners)
-        start = bisect.bisect_right(self._points, _h(key))
         for step in range(count):
             node = owners[(start + step) % count]
-            if node in up:
+            if node in alive:
                 return node
-        return None  # pragma: no cover — up is non-empty and a subset
+        return None  # pragma: no cover — alive is non-empty and a subset
 
     def __repr__(self) -> str:
         return f"HashRing(nodes={self.nodes}, vnodes={self.vnodes})"

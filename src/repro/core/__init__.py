@@ -4,14 +4,16 @@ P2SM (parallel precomputed sorted merge), load-update coalescing, the
 reserved uLL run queues, and the hot-resume fast path that composes
 them.
 
-Attribute access is lazy (PEP 562): the hypervisor substrate imports
-the *leaf* modules here (``linked_list``, ``coalesce``) while the
-high-level modules (``hot_resume``, ``ull_runqueue``) import the
-hypervisor back.  Lazy loading keeps that layering cycle-free no matter
-which package a user imports first.
+Attribute access is lazy (PEP 562), as in every ``repro`` package: the
+package holds only its ``_EXPORTS`` table and :func:`repro.lazy_exports`
+imports a name's submodule on first access.  Here that also keeps the
+layering cycle-free: the hypervisor substrate imports the *leaf*
+modules (``linked_list``, ``coalesce``) while the high-level modules
+(``hot_resume``, ``ull_runqueue``) import the hypervisor back, whichever
+package a user imports first.
 """
 
-from typing import TYPE_CHECKING
+from repro import lazy_exports
 
 _EXPORTS = {
     "AffineUpdate": "repro.core.coalesce",
@@ -34,33 +36,4 @@ _EXPORTS = {
 
 __all__ = sorted(_EXPORTS)
 
-if TYPE_CHECKING:  # static analyzers see the real names
-    from repro.core.coalesce import AffineUpdate, CoalescedUpdate, apply_n_times
-    from repro.core.hot_resume import (
-        HorseConfig,
-        HorsePauseResult,
-        HorsePauseResume,
-        HorseResumeResult,
-    )
-    from repro.core.linked_list import ListNode, SortedLinkedList
-    from repro.core.p2sm import (
-        MergeReport,
-        P2SMState,
-        QueueSnapshot,
-        SubChain,
-        sorted_merge_reference,
-    )
-    from repro.core.ull_runqueue import UllAssignmentError, UllRunqueueManager
-
-
-def __getattr__(name: str):
-    try:
-        module_name = _EXPORTS[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    import importlib
-
-    module = importlib.import_module(module_name)
-    value = getattr(module, name)
-    globals()[name] = value  # cache for subsequent lookups
-    return value
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -12,8 +12,8 @@ reports, per policy:
 * evictions and peak pooled sandbox count (the memory cost of warmth).
 
 Policies compared: fixed windows of several lengths
-(:class:`repro.faas.prewarm.FixedWindow`), and the adaptive ATC'20
-hybrid histogram policy (:class:`repro.faas.prewarm.HybridHistogram`),
+(:class:`repro.faas.keepalive.FixedWindow`), and the adaptive ATC'20
+hybrid histogram policy (:class:`repro.faas.keepalive.HybridHistogram`),
 mirroring the fixed vs "Serverless in the Wild" trade-off.
 """
 
@@ -26,7 +26,7 @@ from typing import Dict, List, Optional
 from repro.experiments.runner import fresh_platform
 from repro.faas.function import FunctionSpec
 from repro.faas.invocation import StartType
-from repro.faas.prewarm import FixedWindow, HybridHistogram, PrewarmPolicy
+from repro.faas.keepalive import FixedWindow, HybridHistogram, PrewarmPolicy
 from repro.faas.platform import FaaSPlatform
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry

@@ -25,7 +25,8 @@ from repro.sim.event import Event, EventPriority
 from repro.sim.units import SECOND, seconds
 
 if TYPE_CHECKING:
-    # Annotation only: platform -> pool -> prewarm imports this module.
+    # Annotation only: the replay (prewarm) imports this module and
+    # must not load the platform.
     from repro.faas.platform import FaaSPlatform
 
 

@@ -48,7 +48,9 @@ class FunctionSpec:
 
     @property
     def is_ull(self) -> bool:
-        return self.workload.is_ull
+        # Read from the category on every call: a workload may be
+        # re-categorised after its spec is built (chaos's vanilla mode).
+        return self.workload.category.is_ull
 
 
 class FunctionRegistry:

@@ -22,7 +22,7 @@ from repro.faas.function import FunctionRegistry, FunctionSpec
 from repro.faas.gateway import FaaSGateway
 from repro.faas.invocation import Invocation, StartType
 from repro.faas.pool import SandboxPool
-from repro.faas.prewarm import FixedWindow, PrewarmPolicy
+from repro.faas.keepalive import FixedWindow, PrewarmPolicy
 from repro.faas.startup import (
     ColdStart,
     HorseStart,

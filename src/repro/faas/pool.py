@@ -2,7 +2,7 @@
 
 Holds paused, initialized sandboxes per function.  A warm start is a
 pool hit; provisioned concurrency keeps the pool from ever emptying for
-subscribed functions; a :class:`repro.faas.prewarm.PrewarmPolicy`
+subscribed functions; a :class:`repro.faas.keepalive.PrewarmPolicy`
 decides how long an idle non-provisioned sandbox stays before eviction.
 The pool has no unload/reload phase, so a decision's prewarm window
 collapses onto the keep-alive axis: the sandbox is simply retained
@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from typing import Callable, Deque, Dict, List, Optional
 
-from repro.faas.prewarm import PrewarmPolicy
+from repro.faas.keepalive import PrewarmPolicy
 from repro.hypervisor.sandbox import Sandbox, SandboxState
 from repro.obs.context import NULL_OBS, Observability
 from repro.sim.engine import Engine

@@ -4,106 +4,62 @@ Real run queues, schedulers, load tracking, DVFS and sandbox lifecycle
 with simulated-time costs calibrated against the paper's measurements.
 """
 
-from repro.hypervisor.costs import (
-    CostModel,
-    FIRECRACKER_COSTS,
-    XEN_COSTS,
-    cost_model_for,
-)
-from repro.hypervisor.cpu import CLOUDLAB_R650, EDGE_NODE, Host, HostSpec
-from repro.hypervisor.dispatch import CoreDispatcher, HostDispatcher, WorkItem
-from repro.hypervisor.energy import (
-    CorePowerModel,
-    frequency_error_ratio,
-)
-from repro.hypervisor.memory import (
-    DEFAULT_WORKING_SET,
-    GuestMemory,
-    LazyRestoreModel,
-    WorkingSet,
-)
-from repro.hypervisor.dvfs import DvfsGovernor, FrequencyRange, GovernorMode
-from repro.hypervisor.load_tracking import (
-    DECAY_FACTOR,
-    DEFAULT_ENTITY_WEIGHT,
-    PELT_PERIOD_NS,
-    RunqueueLoad,
-)
-from repro.hypervisor.pause_resume import (
-    HOT_STEPS,
-    STEP_FINALIZE,
-    STEP_LOAD,
-    STEP_LOCK,
-    STEP_MERGE,
-    STEP_PARSE,
-    STEP_SANITY,
-    PauseResult,
-    ResumeLockBusyError,
-    ResumeResult,
-    VanillaPauseResume,
-)
-from repro.hypervisor.platform import (
-    VirtualizationPlatform,
-    firecracker_platform,
-    platform_by_name,
-    xen_platform,
-)
-from repro.hypervisor.runqueue import RunQueue
-from repro.hypervisor.sandbox import Sandbox, SandboxError, SandboxState
-from repro.hypervisor.scheduler import CfsPolicy, Credit2Policy, SchedulerPolicy
-from repro.hypervisor.snapshot import SandboxSnapshot, SnapshotStore, VcpuSnapshot
-from repro.hypervisor.vcpu import Vcpu, VcpuState
+from repro import lazy_exports
 
-__all__ = [
-    "CostModel",
-    "FIRECRACKER_COSTS",
-    "XEN_COSTS",
-    "cost_model_for",
-    "CLOUDLAB_R650",
-    "EDGE_NODE",
-    "Host",
-    "HostSpec",
-    "CoreDispatcher",
-    "HostDispatcher",
-    "WorkItem",
-    "CorePowerModel",
-    "frequency_error_ratio",
-    "DEFAULT_WORKING_SET",
-    "GuestMemory",
-    "LazyRestoreModel",
-    "WorkingSet",
-    "DvfsGovernor",
-    "FrequencyRange",
-    "GovernorMode",
-    "DECAY_FACTOR",
-    "DEFAULT_ENTITY_WEIGHT",
-    "PELT_PERIOD_NS",
-    "RunqueueLoad",
-    "HOT_STEPS",
-    "STEP_PARSE",
-    "STEP_LOCK",
-    "STEP_SANITY",
-    "STEP_MERGE",
-    "STEP_LOAD",
-    "STEP_FINALIZE",
-    "PauseResult",
-    "ResumeResult",
-    "ResumeLockBusyError",
-    "VanillaPauseResume",
-    "VirtualizationPlatform",
-    "firecracker_platform",
-    "xen_platform",
-    "platform_by_name",
-    "RunQueue",
-    "Sandbox",
-    "SandboxError",
-    "SandboxState",
-    "CfsPolicy",
-    "Credit2Policy",
-    "SchedulerPolicy",
-    "SandboxSnapshot",
-    "SnapshotStore",
-    "VcpuSnapshot",
-    "Vcpu",
-    "VcpuState",
-]
+_EXPORTS = {
+    "CostModel": "repro.hypervisor.costs",
+    "FIRECRACKER_COSTS": "repro.hypervisor.costs",
+    "XEN_COSTS": "repro.hypervisor.costs",
+    "cost_model_for": "repro.hypervisor.costs",
+    "CLOUDLAB_R650": "repro.hypervisor.cpu",
+    "EDGE_NODE": "repro.hypervisor.cpu",
+    "Host": "repro.hypervisor.cpu",
+    "HostSpec": "repro.hypervisor.cpu",
+    "CoreDispatcher": "repro.hypervisor.dispatch",
+    "HostDispatcher": "repro.hypervisor.dispatch",
+    "WorkItem": "repro.hypervisor.dispatch",
+    "CorePowerModel": "repro.hypervisor.energy",
+    "frequency_error_ratio": "repro.hypervisor.energy",
+    "DEFAULT_WORKING_SET": "repro.hypervisor.memory",
+    "GuestMemory": "repro.hypervisor.memory",
+    "LazyRestoreModel": "repro.hypervisor.memory",
+    "WorkingSet": "repro.hypervisor.memory",
+    "DvfsGovernor": "repro.hypervisor.dvfs",
+    "FrequencyRange": "repro.hypervisor.dvfs",
+    "GovernorMode": "repro.hypervisor.dvfs",
+    "DECAY_FACTOR": "repro.hypervisor.load_tracking",
+    "DEFAULT_ENTITY_WEIGHT": "repro.hypervisor.load_tracking",
+    "PELT_PERIOD_NS": "repro.hypervisor.load_tracking",
+    "RunqueueLoad": "repro.hypervisor.load_tracking",
+    "HOT_STEPS": "repro.hypervisor.pause_resume",
+    "STEP_FINALIZE": "repro.hypervisor.pause_resume",
+    "STEP_LOAD": "repro.hypervisor.pause_resume",
+    "STEP_LOCK": "repro.hypervisor.pause_resume",
+    "STEP_MERGE": "repro.hypervisor.pause_resume",
+    "STEP_PARSE": "repro.hypervisor.pause_resume",
+    "STEP_SANITY": "repro.hypervisor.pause_resume",
+    "PauseResult": "repro.hypervisor.pause_resume",
+    "ResumeLockBusyError": "repro.hypervisor.pause_resume",
+    "ResumeResult": "repro.hypervisor.pause_resume",
+    "VanillaPauseResume": "repro.hypervisor.pause_resume",
+    "VirtualizationPlatform": "repro.hypervisor.platform",
+    "firecracker_platform": "repro.hypervisor.platform",
+    "platform_by_name": "repro.hypervisor.platform",
+    "xen_platform": "repro.hypervisor.platform",
+    "RunQueue": "repro.hypervisor.runqueue",
+    "Sandbox": "repro.hypervisor.sandbox",
+    "SandboxError": "repro.hypervisor.sandbox",
+    "SandboxState": "repro.hypervisor.sandbox",
+    "CfsPolicy": "repro.hypervisor.scheduler",
+    "Credit2Policy": "repro.hypervisor.scheduler",
+    "SchedulerPolicy": "repro.hypervisor.scheduler",
+    "SandboxSnapshot": "repro.hypervisor.snapshot",
+    "SnapshotStore": "repro.hypervisor.snapshot",
+    "VcpuSnapshot": "repro.hypervisor.snapshot",
+    "Vcpu": "repro.hypervisor.vcpu",
+    "VcpuState": "repro.hypervisor.vcpu",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -1,7 +1,13 @@
 """Scheduler policies for the simulated hypervisor."""
 
-from repro.hypervisor.scheduler.base import SchedulerPolicy
-from repro.hypervisor.scheduler.cfs import CfsPolicy
-from repro.hypervisor.scheduler.credit2 import Credit2Policy
+from repro import lazy_exports
 
-__all__ = ["SchedulerPolicy", "CfsPolicy", "Credit2Policy"]
+_EXPORTS = {
+    "SchedulerPolicy": "repro.hypervisor.scheduler.base",
+    "CfsPolicy": "repro.hypervisor.scheduler.cfs",
+    "Credit2Policy": "repro.hypervisor.scheduler.credit2",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -22,67 +22,41 @@ Everything is opt-in: components default to ``NULL_OBS`` and pay one
 ``enabled`` attribute check per instrumented operation.
 """
 
-from repro.obs.context import NULL_OBS, Observability, activate, current
-from repro.obs.export import (
-    iter_jsonl,
-    read_jsonl,
-    to_chrome_trace,
-    write_chrome_trace,
-    write_jsonl,
-)
-from repro.obs.metrics import (
-    DEFAULT_LATENCY_BUCKETS_NS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricRegistry,
-    NULL_REGISTRY,
-)
-from repro.obs.phases import (
-    RESUME_DISPATCH_NS,
-    RESUME_LOAD_UPDATE_NS,
-    RESUME_MERGE_NS,
-    RESUME_PHASE_METRICS,
-    RESUME_TOTAL_NS,
-    dispatch_ns,
-    observe_resume,
-)
-from repro.obs.profile import (
-    SubsystemProfiler,
-    current_profiler,
-    profiling,
-)
-from repro.obs.span import NULL_TRACER, OpenSpan, Span, Timeline, Tracer
+from repro import lazy_exports
 
-__all__ = [
-    "NULL_OBS",
-    "NULL_REGISTRY",
-    "NULL_TRACER",
-    "Counter",
-    "DEFAULT_LATENCY_BUCKETS_NS",
-    "Gauge",
-    "Histogram",
-    "MetricRegistry",
-    "Observability",
-    "OpenSpan",
-    "RESUME_DISPATCH_NS",
-    "RESUME_LOAD_UPDATE_NS",
-    "RESUME_MERGE_NS",
-    "RESUME_PHASE_METRICS",
-    "RESUME_TOTAL_NS",
-    "Span",
-    "SubsystemProfiler",
-    "Timeline",
-    "Tracer",
-    "activate",
-    "current",
-    "current_profiler",
-    "dispatch_ns",
-    "iter_jsonl",
-    "observe_resume",
-    "profiling",
-    "read_jsonl",
-    "to_chrome_trace",
-    "write_chrome_trace",
-    "write_jsonl",
-]
+_EXPORTS = {
+    "NULL_OBS": "repro.obs.context",
+    "Observability": "repro.obs.context",
+    "activate": "repro.obs.context",
+    "current": "repro.obs.context",
+    "iter_jsonl": "repro.obs.export",
+    "read_jsonl": "repro.obs.export",
+    "to_chrome_trace": "repro.obs.export",
+    "write_chrome_trace": "repro.obs.export",
+    "write_jsonl": "repro.obs.export",
+    "DEFAULT_LATENCY_BUCKETS_NS": "repro.obs.metrics",
+    "Counter": "repro.obs.metrics",
+    "Gauge": "repro.obs.metrics",
+    "Histogram": "repro.obs.metrics",
+    "MetricRegistry": "repro.obs.metrics",
+    "NULL_REGISTRY": "repro.obs.metrics",
+    "RESUME_DISPATCH_NS": "repro.obs.phases",
+    "RESUME_LOAD_UPDATE_NS": "repro.obs.phases",
+    "RESUME_MERGE_NS": "repro.obs.phases",
+    "RESUME_PHASE_METRICS": "repro.obs.phases",
+    "RESUME_TOTAL_NS": "repro.obs.phases",
+    "dispatch_ns": "repro.obs.phases",
+    "observe_resume": "repro.obs.phases",
+    "SubsystemProfiler": "repro.obs.profile",
+    "current_profiler": "repro.obs.profile",
+    "profiling": "repro.obs.profile",
+    "NULL_TRACER": "repro.obs.span",
+    "OpenSpan": "repro.obs.span",
+    "Span": "repro.obs.span",
+    "Timeline": "repro.obs.span",
+    "Tracer": "repro.obs.span",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -5,11 +5,15 @@ See :mod:`repro.perf.gate` for the benchmark definitions and the
 standalone entry point, and ``repro bench`` for the CLI front end.
 """
 
-from repro.perf.gate import (
-    BENCH_BASELINE,
-    run_benches,
-    check_against_baseline,
-    main,
-)
+from repro import lazy_exports
 
-__all__ = ["BENCH_BASELINE", "run_benches", "check_against_baseline", "main"]
+_EXPORTS = {
+    "BENCH_BASELINE": "repro.perf.gate",
+    "run_benches": "repro.perf.gate",
+    "check_against_baseline": "repro.perf.gate",
+    "main": "repro.perf.gate",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

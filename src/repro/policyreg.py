@@ -2,7 +2,7 @@
 
 The repo grew three pluggable axes — event schedulers
 (:mod:`repro.sim.schedulers`), prewarm/keep-alive policies
-(:mod:`repro.faas.prewarm`) and dispatch policies
+(:mod:`repro.faas.keepalive`) and dispatch policies
 (:mod:`repro.resilience.policies`) — and, historically, three slightly
 different selection shapes.  :class:`PolicyRegistry` is the shared
 mechanism behind all of them:

@@ -23,86 +23,45 @@ load spikes.  This package adds both sides of that story:
   completed, no lost invocations).
 """
 
-from repro.resilience.breaker import (
-    LEGAL_TRANSITIONS,
-    BreakerConfig,
-    BreakerState,
-    BreakerTransition,
-    CircuitBreaker,
-)
-from repro.resilience.checks import (
-    all_resolved_checker,
-    breaker_checker,
-    cluster_accounting_checker,
-    request_ledger_checker,
-    resilience_registry,
-)
-from repro.resilience.degradation import (
-    DEGRADATION_LADDER,
-    AdmissionConfig,
-    AdmissionController,
-    DegradationStats,
-    degrade,
-    ladder_level,
-)
-from repro.resilience.failures import (
-    FAILURE_KINDS,
-    FailureConfig,
-    FailureInjector,
-    GatewayFailureConfig,
-    GatewayFailureInjector,
-)
-from repro.resilience.gateway import (
-    Attempt,
-    Request,
-    RequestState,
-    ResilienceConfig,
-    ResilientGateway,
-)
-from repro.resilience.policies import (
-    DeadlineAwarePolicy,
-    DispatchPolicy,
-    MqfqStickyPolicy,
-    PullQueuePolicy,
-    PushPlacementPolicy,
-    default_dispatch_policy,
-    eligible_candidates,
-    make_dispatch_policy,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "LEGAL_TRANSITIONS",
-    "BreakerConfig",
-    "BreakerState",
-    "BreakerTransition",
-    "CircuitBreaker",
-    "all_resolved_checker",
-    "breaker_checker",
-    "cluster_accounting_checker",
-    "request_ledger_checker",
-    "resilience_registry",
-    "DEGRADATION_LADDER",
-    "AdmissionConfig",
-    "AdmissionController",
-    "DegradationStats",
-    "degrade",
-    "ladder_level",
-    "FAILURE_KINDS",
-    "FailureConfig",
-    "FailureInjector",
-    "GatewayFailureConfig",
-    "GatewayFailureInjector",
-    "Attempt",
-    "Request",
-    "RequestState",
-    "ResilienceConfig",
-    "ResilientGateway",
-    "DeadlineAwarePolicy",
-    "DispatchPolicy",
-    "MqfqStickyPolicy",
-    "PullQueuePolicy",
-    "PushPlacementPolicy",
-    "default_dispatch_policy",
-    "eligible_candidates",
-    "make_dispatch_policy",
-]
+_EXPORTS = {
+    "LEGAL_TRANSITIONS": "repro.resilience.breaker",
+    "BreakerConfig": "repro.resilience.breaker",
+    "BreakerState": "repro.resilience.breaker",
+    "BreakerTransition": "repro.resilience.breaker",
+    "CircuitBreaker": "repro.resilience.breaker",
+    "all_resolved_checker": "repro.resilience.checks",
+    "breaker_checker": "repro.resilience.checks",
+    "cluster_accounting_checker": "repro.resilience.checks",
+    "request_ledger_checker": "repro.resilience.checks",
+    "resilience_registry": "repro.resilience.checks",
+    "DEGRADATION_LADDER": "repro.resilience.degradation",
+    "AdmissionConfig": "repro.resilience.degradation",
+    "AdmissionController": "repro.resilience.degradation",
+    "DegradationStats": "repro.resilience.degradation",
+    "degrade": "repro.resilience.degradation",
+    "ladder_level": "repro.resilience.degradation",
+    "FAILURE_KINDS": "repro.resilience.failures",
+    "FailureConfig": "repro.resilience.failures",
+    "FailureInjector": "repro.resilience.failures",
+    "GatewayFailureConfig": "repro.resilience.failures",
+    "GatewayFailureInjector": "repro.resilience.failures",
+    "Attempt": "repro.resilience.gateway",
+    "Request": "repro.resilience.gateway",
+    "RequestState": "repro.resilience.gateway",
+    "ResilienceConfig": "repro.resilience.gateway",
+    "ResilientGateway": "repro.resilience.gateway",
+    "DeadlineAwarePolicy": "repro.resilience.policies",
+    "DispatchPolicy": "repro.resilience.policies",
+    "MqfqStickyPolicy": "repro.resilience.policies",
+    "PullQueuePolicy": "repro.resilience.policies",
+    "PushPlacementPolicy": "repro.resilience.policies",
+    "default_dispatch_policy": "repro.resilience.policies",
+    "eligible_candidates": "repro.resilience.policies",
+    "make_dispatch_policy": "repro.resilience.policies",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

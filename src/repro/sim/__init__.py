@@ -5,50 +5,32 @@ nanosecond clock, the event engine (heap or calendar queue), seeded RNG
 streams and the sharded cell runner.  See DESIGN.md §3.
 """
 
-from repro.sim.clock import SimClock
-from repro.sim.engine import Engine
-from repro.sim.errors import SchedulingInPastError, SimError
-from repro.sim.event import Event, EventPriority
-from repro.sim.rng import RngRegistry
-from repro.sim.sharding import (
-    assign_cells,
-    merge_records,
-    merged_pending,
-    windowed_run,
-)
-from repro.sim.units import (
-    MICROSECOND,
-    MILLISECOND,
-    NANOSECOND,
-    SECOND,
-    format_duration,
-    microseconds,
-    milliseconds,
-    nanoseconds,
-    seconds,
-    to_microseconds,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "SimClock",
-    "Engine",
-    "SimError",
-    "SchedulingInPastError",
-    "Event",
-    "EventPriority",
-    "RngRegistry",
-    "assign_cells",
-    "merge_records",
-    "merged_pending",
-    "windowed_run",
-    "NANOSECOND",
-    "MICROSECOND",
-    "MILLISECOND",
-    "SECOND",
-    "nanoseconds",
-    "microseconds",
-    "milliseconds",
-    "seconds",
-    "to_microseconds",
-    "format_duration",
-]
+_EXPORTS = {
+    "SimClock": "repro.sim.clock",
+    "Engine": "repro.sim.engine",
+    "SchedulingInPastError": "repro.sim.errors",
+    "SimError": "repro.sim.errors",
+    "Event": "repro.sim.event",
+    "EventPriority": "repro.sim.event",
+    "RngRegistry": "repro.sim.rng",
+    "assign_cells": "repro.sim.sharding",
+    "merge_records": "repro.sim.sharding",
+    "merged_pending": "repro.sim.sharding",
+    "windowed_run": "repro.sim.sharding",
+    "MICROSECOND": "repro.sim.units",
+    "MILLISECOND": "repro.sim.units",
+    "NANOSECOND": "repro.sim.units",
+    "SECOND": "repro.sim.units",
+    "format_duration": "repro.sim.units",
+    "microseconds": "repro.sim.units",
+    "milliseconds": "repro.sim.units",
+    "nanoseconds": "repro.sim.units",
+    "seconds": "repro.sim.units",
+    "to_microseconds": "repro.sim.units",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -35,6 +35,7 @@ from __future__ import annotations
 import os
 from typing import Callable, List, Optional
 
+from repro.obs.profile import current_profiler
 from repro.sim.clock import SimClock
 from repro.sim.errors import SchedulingInPastError
 from repro.sim.event import Event, EventPriority
@@ -110,10 +111,7 @@ class Engine:
         self._watchers: list[Callable[[Event], None]] = []
         # Engines built inside a repro.obs.profile.profiling() block
         # route dispatch through the profiled drain; everyone else pays
-        # one None check per run() call.  Imported lazily to keep the
-        # sim kernel import-independent of the obs package.
-        from repro.obs.profile import current_profiler
-
+        # one None check per run() call.
         self._profiler = current_profiler()
 
     # ------------------------------------------------------------------

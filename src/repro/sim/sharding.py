@@ -43,11 +43,15 @@ enforces exactly that.
 from __future__ import annotations
 
 import json
-from typing import Callable, Iterable, List, Sequence, Tuple, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, List, Sequence, Tuple, TypeVar
 
-from repro.sim.engine import Engine
-from repro.sim.event import Event
 from repro.sim.rng import RngRegistry
+
+if TYPE_CHECKING:
+    # Annotations only: ``run_cells`` builds no engine, so the replay,
+    # which uses only that, loads no event kernel.
+    from repro.sim.engine import Engine
+    from repro.sim.event import Event
 
 T = TypeVar("T")
 

@@ -1,69 +1,40 @@
 """Function bodies used by the evaluation: the three uLL categories,
 the long-running thumbnail generator, and the sysbench CPU hog."""
 
-from repro.workloads.array_filter import ARRAY_SIZE, ArrayFilterWorkload, FilterRequest
-from repro.workloads.base import Workload, WorkloadCategory, truncated_normal_ns
-from repro.workloads.firewall import FirewallDecision, FirewallWorkload, RequestHeader
-from repro.workloads.ml_inference import (
-    InferenceRequest,
-    InferenceResult,
-    MlInferenceWorkload,
-)
-from repro.workloads.nat import NatError, NatRule, NatWorkload
-from repro.workloads.orderbook import (
-    MarketState,
-    Order,
-    OrderRiskWorkload,
-    RiskDecision,
-    RiskVerdict,
-    Side,
-)
-from repro.workloads.sysbench import (
-    PrimeRequest,
-    SysbenchCpuWorkload,
-    primes_up_to,
-)
-from repro.workloads.thumbnail import (
-    Image,
-    ObjectStore,
-    ThumbnailRequest,
-    ThumbnailWorkload,
-)
+from repro import lazy_exports
 
+_EXPORTS = {
+    "ARRAY_SIZE": "repro.workloads.array_filter",
+    "ArrayFilterWorkload": "repro.workloads.array_filter",
+    "FilterRequest": "repro.workloads.array_filter",
+    "Workload": "repro.workloads.base",
+    "WorkloadCategory": "repro.workloads.base",
+    "truncated_normal_ns": "repro.workloads.base",
+    "FirewallDecision": "repro.workloads.firewall",
+    "FirewallWorkload": "repro.workloads.firewall",
+    "RequestHeader": "repro.workloads.firewall",
+    "InferenceRequest": "repro.workloads.ml_inference",
+    "InferenceResult": "repro.workloads.ml_inference",
+    "MlInferenceWorkload": "repro.workloads.ml_inference",
+    "NatError": "repro.workloads.nat",
+    "NatRule": "repro.workloads.nat",
+    "NatWorkload": "repro.workloads.nat",
+    "MarketState": "repro.workloads.orderbook",
+    "Order": "repro.workloads.orderbook",
+    "OrderRiskWorkload": "repro.workloads.orderbook",
+    "RiskDecision": "repro.workloads.orderbook",
+    "RiskVerdict": "repro.workloads.orderbook",
+    "Side": "repro.workloads.orderbook",
+    "PrimeRequest": "repro.workloads.sysbench",
+    "SysbenchCpuWorkload": "repro.workloads.sysbench",
+    "primes_up_to": "repro.workloads.sysbench",
+    "Image": "repro.workloads.thumbnail",
+    "ObjectStore": "repro.workloads.thumbnail",
+    "ThumbnailRequest": "repro.workloads.thumbnail",
+    "ThumbnailWorkload": "repro.workloads.thumbnail",
+    "ull_workloads": "repro.workloads.ull",
+}
 
-def ull_workloads() -> list[Workload]:
-    """The paper's three uLL categories, in order (§2)."""
-    return [FirewallWorkload(), NatWorkload(), ArrayFilterWorkload()]
+__all__ = sorted(_EXPORTS)
 
-
-__all__ = [
-    "ARRAY_SIZE",
-    "ArrayFilterWorkload",
-    "FilterRequest",
-    "Workload",
-    "WorkloadCategory",
-    "truncated_normal_ns",
-    "FirewallDecision",
-    "FirewallWorkload",
-    "RequestHeader",
-    "InferenceRequest",
-    "InferenceResult",
-    "MlInferenceWorkload",
-    "NatError",
-    "NatRule",
-    "NatWorkload",
-    "MarketState",
-    "Order",
-    "OrderRiskWorkload",
-    "RiskDecision",
-    "RiskVerdict",
-    "Side",
-    "PrimeRequest",
-    "SysbenchCpuWorkload",
-    "primes_up_to",
-    "Image",
-    "ObjectStore",
-    "ThumbnailRequest",
-    "ThumbnailWorkload",
-    "ull_workloads",
-]
+__getattr__ = lazy_exports(__name__, _EXPORTS)

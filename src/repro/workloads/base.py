@@ -31,13 +31,19 @@ class WorkloadCategory(enum.Enum):
     LONG_RUNNING = "long-running" # > 1 s (thumbnail generator)
     BACKGROUND = "background"     # continuous CPU hog (sysbench)
 
-    @property
-    def is_ull(self) -> bool:
-        return self in (
-            WorkloadCategory.CATEGORY_1,
-            WorkloadCategory.CATEGORY_2,
-            WorkloadCategory.CATEGORY_3,
-        )
+    #: True for the three uLL categories, set on each member below
+    is_ull: bool
+
+
+# Every submit reads the flag, so each member carries it as a plain
+# attribute: no property call, no tuple built per read.
+for _category in WorkloadCategory:
+    _category.is_ull = _category in (
+        WorkloadCategory.CATEGORY_1,
+        WorkloadCategory.CATEGORY_2,
+        WorkloadCategory.CATEGORY_3,
+    )
+del _category
 
 
 class Workload(abc.ABC):

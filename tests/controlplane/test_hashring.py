@@ -128,3 +128,27 @@ class TestSharedShape:
         assert second._owners is first._owners
         other = HashRing(4, vnodes=8, salt="other")
         assert len(calls) == 4 * 8 and other._points != first._points
+
+    def test_repeated_key_hashes_nothing(self, monkeypatch):
+        calls = []
+
+        def spy(key):
+            calls.append(key)
+            return _h(key)
+
+        monkeypatch.setattr(hashring, "_h", spy)
+        hashring._shape.cache_clear()
+        first = HashRing(3, vnodes=4, salt="memo")
+        del calls[:]
+        home = first.owner("firewall", [0, 1, 2])
+        assert calls == ["firewall"]
+        del calls[:]
+        # The same key: again, under another population, and on a
+        # second ring of the same shape.
+        assert first.owner("firewall", [0, 1, 2]) == home
+        spill = first.owner("firewall", [n for n in range(3) if n != home])
+        assert spill != home
+        assert HashRing(3, vnodes=4, salt="memo").owner("firewall", range(3)) == home
+        assert calls == []
+        assert first.owner("background", range(3)) in range(3)
+        assert calls == ["background"]

@@ -7,7 +7,7 @@ import pytest
 from repro.experiments import registry
 from repro.experiments.pool_study import run_pool_study
 from repro.experiments.registry import ExperimentConfig
-from repro.faas.prewarm import FixedWindow
+from repro.faas.keepalive import FixedWindow
 from repro.sim.units import seconds
 
 

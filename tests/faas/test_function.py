@@ -4,6 +4,7 @@ import pytest
 
 from repro.faas.function import FunctionRegistry, FunctionSpec
 from repro.workloads import FirewallWorkload, ThumbnailWorkload
+from repro.workloads.base import WorkloadCategory
 
 
 class TestFunctionSpec:
@@ -16,6 +17,15 @@ class TestFunctionSpec:
     def test_ull_follows_workload(self):
         assert FunctionSpec("fw", FirewallWorkload()).is_ull
         assert not FunctionSpec("thumb", ThumbnailWorkload()).is_ull
+
+    def test_ull_is_read_from_the_category_when_asked(self):
+        # Chaos's vanilla mode re-categorises the firewall in place.
+        workload = FirewallWorkload()
+        spec = FunctionSpec("fw", workload)
+        workload.category = WorkloadCategory.BACKGROUND
+        assert not spec.is_ull
+        workload.category = WorkloadCategory.CATEGORY_3
+        assert spec.is_ull
 
     def test_zero_vcpus_rejected(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,11 @@
 """Each FaaS lifecycle module imports cleanly as the *first* import.
 
-``platform -> pool -> prewarm -> autoscaler`` is an import chain; the
-autoscaler refers to ``FaaSPlatform`` only in an annotation, so it must
-not import the platform at run time or the chain becomes a cycle.
-Only a fresh interpreter per module shows such a cycle: inside one
-test process every module is already cached.
+``platform -> pool -> keepalive`` and ``prewarm -> autoscaler`` are
+import chains; the autoscaler refers to ``FaaSPlatform`` only in an
+annotation, so importing it (and so the replay) loads no platform, and
+no chain closes into a cycle.  Only a fresh interpreter per module
+shows such a cycle: inside one test process every module is already
+cached.
 """
 
 import os
@@ -18,6 +19,7 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 
 MODULES = (
     "repro.faas.autoscaler",
+    "repro.faas.keepalive",
     "repro.faas.platform",
     "repro.faas.pool",
     "repro.faas.prewarm",

@@ -5,7 +5,7 @@ import pytest
 
 from repro.faas.platform import FaaSPlatform
 from repro.faas.pool import SandboxPool
-from repro.faas.prewarm import FixedWindow, HybridHistogram, NoKeepAlive
+from repro.faas.keepalive import FixedWindow, HybridHistogram, NoKeepAlive
 from repro.hypervisor.platform import firecracker_platform
 from repro.hypervisor.sandbox import Sandbox, SandboxState
 from repro.sim.engine import Engine
@@ -140,7 +140,7 @@ def eviction_deadline(engine, sandbox):
 
 
 class TestLifecyclePolicies:
-    """The pool's eviction window comes from a prewarm.PrewarmPolicy:
+    """The pool's eviction window comes from a keepalive.PrewarmPolicy:
     ``prewarm + keep_alive`` of the function's current decision."""
 
     @staticmethod

@@ -13,15 +13,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.faas.prewarm import (
+from repro.faas.keepalive import (
     FixedWindow,
     HybridHistogram,
     IdleHistogram,
     NoKeepAlive,
     PolicyDecision,
+    make_policy,
+)
+from repro.faas.prewarm import (
     PrewarmConfig,
     counter_percentile_ns,
-    make_policy,
     render_replay,
     run_cell,
     run_replay,

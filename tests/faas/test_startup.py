@@ -6,7 +6,7 @@ from repro.core.hot_resume import HorsePauseResume
 from repro.faas.function import FunctionSpec
 from repro.faas.invocation import StartType
 from repro.faas.pool import SandboxPool
-from repro.faas.prewarm import FixedWindow
+from repro.faas.keepalive import FixedWindow
 from repro.faas.startup import (
     ColdStart,
     HorseStart,

@@ -5,9 +5,9 @@ Modules: the walk starts from the entry points a user can execute:
 ``repro.cli``, ``repro.__main__``, the ``"module:function"`` strings the
 experiment registry resolves lazily, and ``examples/*.py``.  It follows
 the static import graph (imports inside functions count, since lazy
-imports are the CLI's idiom).  Package ``__init__`` re-exports alone do
-not count as use: ``from repro.pkg import Name`` reaches the submodule
-that defines ``Name``, not every module the package re-exports.
+imports are the CLI's idiom).  A package's ``_EXPORTS`` table alone
+does not count as use: ``from repro.pkg import Name`` reaches the
+submodule the table names for ``Name``, not every module in the table.
 
 Symbols: a public (no leading underscore) function, class or method
 defined in ``src/repro`` is reached when its name appears outside its
@@ -15,9 +15,9 @@ own definition, in ``src/repro``, ``examples/``, ``benchmarks/`` or
 ``perfbench/``, as a name, an attribute, an import outside a package
 ``__init__``, a keyword argument, or a word of a string constant that is
 not a docstring (perfbench's patch targets are strings).  ``__all__``
-entries, package re-exports, docstrings and comments do not count, and
-a use in ``tests/`` does not either.  Any two symbols with one name
-reach each other: the rule is conservative on purpose.
+and ``_EXPORTS`` entries, package imports, docstrings and comments do
+not count, and a use in ``tests/`` does not either.  Any two symbols
+with one name reach each other: the rule is conservative on purpose.
 
 Whatever nothing reaches is dead weight: delete it, or wire it in.
 """
@@ -79,10 +79,15 @@ ALLOWLIST = {
     "repro.faas.pool:SandboxPool.idle_sandboxes": (
         "read-only accessor tests assert pool contents through"
     ),
-    "repro.faas.prewarm:IdleHistogram.percentile_bin": (
+    "repro.faas.keepalive:IdleHistogram.percentile_bin": (
         "read-only accessor tests assert the nearest-rank cursors "
         "through, against the nearest_rank_bin oracle in "
         "tests/faas/test_prewarm.py"
+    ),
+    "repro.core.coalesce:apply_n_times": (
+        "reference: the step-by-step iteration the coalesced update must "
+        "match (tests/core/test_coalesce.py, "
+        "tests/hypervisor/test_load_tracking.py)"
     ),
 }
 
@@ -123,6 +128,17 @@ def _absolute(node: ast.ImportFrom, importer: str) -> str:
     return f"{package}.{node.module}" if node.module else package
 
 
+def exports_table(tree: ast.Module) -> Dict[str, str]:
+    """A package's ``_EXPORTS`` table: name -> defining submodule."""
+    for node in tree.body:
+        if (
+            isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "_EXPORTS" for t in node.targets)
+        ):
+            return ast.literal_eval(node.value)
+    return {}
+
+
 def _resolve(package_or_module: str, name: str) -> Optional[str]:
     """The module that defines *name* as seen through ``from X import name``."""
     submodule = f"{package_or_module}.{name}"
@@ -132,49 +148,29 @@ def _resolve(package_or_module: str, name: str) -> Optional[str]:
         return None  # not a repro module (stdlib, third party)
     if not MODULES[package_or_module][1]:
         return package_or_module
-    # A package: follow its own import of *name* (a re-export) to the
-    # defining module, or stop here if the package body defines it.
-    for node in ast.walk(_tree(package_or_module)):
-        if isinstance(node, ast.ImportFrom):
-            for alias in node.names:
-                if (alias.asname or alias.name) == name:
-                    return _resolve(_absolute(node, package_or_module), alias.name)
-    return package_or_module
-
-
-def _package_own_names(name: str) -> Set[str]:
-    """Names a package's own functions and classes use (not re-exports)."""
-    used = set()
-    for node in _tree(name).body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            for inner in ast.walk(node):
-                if isinstance(inner, ast.Name):
-                    used.add(inner.id)
-    return used
+    # A package: its _EXPORTS table names the defining submodule, or
+    # the package body defines *name* itself.
+    table = exports_table(_tree(package_or_module))
+    return table[name] if name in table else package_or_module
 
 
 def _edges(name: str, tree: ast.Module) -> Iterator[str]:
-    """Modules *name* (or a script with AST *tree*) uses."""
-    is_package = MODULES.get(name, (None, False))[1]
-    own = _package_own_names(name) if is_package else None
+    """Modules *name* (or a script with AST *tree*) uses.  A package
+    uses none: it holds only its ``_EXPORTS`` table, which is no use."""
+    if MODULES.get(name, (None, False))[1]:
+        return
     for node in ast.walk(tree):
-        if isinstance(node, ast.Import) and own is None:
+        if isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.name in MODULES:
                     yield alias.name
         elif isinstance(node, ast.ImportFrom):
             source = _absolute(node, name)
             for alias in node.names:
-                if own is not None and (alias.asname or alias.name) not in own:
-                    continue
                 target = _resolve(source, alias.name)
                 if target is not None:
                     yield target
-        elif (
-            isinstance(node, ast.Constant)
-            and isinstance(node.value, str)
-            and own is None
-        ):
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             match = _TARGET.match(node.value)
             if match and match.group(1) in MODULES:
                 yield match.group(1)
@@ -229,8 +225,12 @@ def public_definitions(module: str, tree: ast.Module) -> Iterator[Tuple[str, ast
     yield from visit(tree.body, "")
 
 
+_NOT_USES = ("__all__", "_EXPORTS")
+
+
 def _docstrings_and_all(tree: ast.Module) -> Set[int]:
-    """ids of the nodes whose strings do not count as uses."""
+    """ids of the nodes whose strings do not count as uses: docstrings,
+    and the ``__all__`` and ``_EXPORTS`` tables."""
     skipped: Set[int] = set()
     for node in ast.walk(tree):
         if isinstance(
@@ -239,7 +239,7 @@ def _docstrings_and_all(tree: ast.Module) -> Set[int]:
             skipped.add(id(node.body[0].value))
         elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+            if any(isinstance(t, ast.Name) and t.id in _NOT_USES for t in targets):
                 skipped.update(id(inner) for inner in ast.walk(node.value))
     return skipped
 
@@ -347,11 +347,29 @@ def test_allowlist_names_only_existing_unreached_modules():
             assert name not in reached, f"{name} is reached now; drop it"
 
 
-def test_reexport_alone_does_not_reach_a_module():
+def test_reexport_alone_does_not_reach_a_module(monkeypatch):
     """``from repro.hypervisor import Host`` reaches ``cpu``, not the
-    package's other re-exports."""
+    other modules the package's ``_EXPORTS`` table names."""
     tree = ast.parse("from repro.hypervisor import Host\n")
     assert set(_edges("__example__", tree)) == {"repro.hypervisor.cpu"}
+    # The same rule on a synthetic package: its table is no import.
+    package = (
+        "from repro import lazy_exports\n"
+        "_EXPORTS = {'A': 'pkg.a', 'B': 'pkg.b'}\n"
+        "__all__ = sorted(_EXPORTS)\n"
+        "__getattr__ = lazy_exports(__name__, _EXPORTS)\n"
+    )
+    for name, text, is_package in (
+        ("pkg", package, True),
+        ("pkg.a", "class A: ...\n", False),
+        ("pkg.b", "class B: ...\n", False),
+    ):
+        monkeypatch.setitem(MODULES, name, (Path(name), is_package))
+        monkeypatch.setitem(_TREES, name, ast.parse(text))
+    assert set(_edges("pkg", _tree("pkg"))) == set()
+    assert set(_edges("__example__", ast.parse("from pkg import A\n"))) == {"pkg.a"}
+    # A name the table does not list stays with the package.
+    assert set(_edges("__example__", ast.parse("from pkg import C\n"))) == {"pkg"}
 
 
 def _unreached(
@@ -381,6 +399,14 @@ def test_docstrings_all_and_reexports_do_not_reach_a_symbol():
             "    return helper()  # helper\n"
         ),
     }
+    assert _unreached(sources) == {"pkg.mod:helper"}
+    sources["pkg/__init__"] = (
+        '"""Exports ``helper`` lazily."""\n'
+        "from repro import lazy_exports\n"
+        "_EXPORTS = {'helper': 'pkg.mod'}\n"
+        "__all__ = sorted(_EXPORTS)\n"
+        "__getattr__ = lazy_exports(__name__, _EXPORTS)\n"
+    )
     assert _unreached(sources) == {"pkg.mod:helper"}
 
 

@@ -16,6 +16,11 @@ class TestCategories:
         assert not WorkloadCategory.LONG_RUNNING.is_ull
         assert not WorkloadCategory.BACKGROUND.is_ull
 
+    def test_flag_is_a_plain_member_attribute(self):
+        # Set once at import, not a property computed on every read.
+        for category in WorkloadCategory:
+            assert type(vars(category)["is_ull"]) is bool
+
 
 class TestTruncatedNormal:
     def test_floor_enforced(self):
