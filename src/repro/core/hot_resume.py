@@ -55,13 +55,13 @@ from repro.hypervisor.pause_resume import (
     ResumeResult,
     apply_resume_fault,
     dequeue_sandbox,
+    emit_resume_obs,
 )
 from repro.hypervisor.runqueue import RunQueue
 from repro.hypervisor.sandbox import Sandbox, SandboxState
 from repro.hypervisor.scheduler.base import SchedulerPolicy
 from repro.metrics.recorder import Breakdown
 from repro.obs.context import Observability, current as current_obs
-from repro.obs.phases import observe_resume
 
 
 def _pause_handles(metrics):
@@ -382,9 +382,15 @@ class HorsePauseResume:
         self.ull.on_queue_updated(queue.runqueue_id)
 
         if self.obs.enabled:
-            self._emit_resume_obs(
-                sandbox, now_ns, breakdown, queue.core_id,
-                merge_threads=merge_threads, pointer_writes=pointer_writes,
+            config = self.config
+            emit_resume_obs(
+                self.obs, sandbox, now_ns, breakdown, "horse", queue.core_id,
+                root={"fast_path": config.fast_command_path},
+                merge={
+                    "p2sm": config.enable_p2sm, "threads": merge_threads,
+                    "pointer_writes": pointer_writes,
+                },
+                load_update={"coalesced": config.enable_coalescing},
             )
         return HorseResumeResult(
             sandbox_id=sandbox.sandbox_id,
@@ -393,48 +399,3 @@ class HorsePauseResume:
             merge_threads=merge_threads,
             pointer_writes=pointer_writes,
         )
-
-    def _emit_resume_obs(
-        self,
-        sandbox: Sandbox,
-        now_ns: int,
-        breakdown: Breakdown,
-        core_id: int,
-        merge_threads: int,
-        pointer_writes: int,
-    ) -> None:
-        """Nested spans for the fast resume, one child per step, tiling
-        the root exactly; also feeds the per-phase ns histograms.
-
-        Tracer and metrics gate independently (see _emit_pause_obs).
-        """
-        tracer = self.obs.tracer
-        if tracer.enabled:
-            tracer.name_process(core_id, f"cpu{core_id}")
-            tid = tracer.tid_for(sandbox.sandbox_id, pid=core_id)
-            timeline = tracer.timeline(
-                "resume", now_ns, category="resume", pid=core_id, tid=tid,
-                sandbox=sandbox.sandbox_id, path="horse",
-                vcpus=sandbox.vcpu_count,
-                fast_path=self.config.fast_command_path,
-            )
-            phases = breakdown.phases
-            if phases.get(STEP_STALL):
-                timeline.phase("stall", phases[STEP_STALL], injected=True)
-            timeline.phase("parse", phases.get(STEP_PARSE, 0))
-            timeline.phase("lock", phases.get(STEP_LOCK, 0))
-            timeline.phase("sanity", phases.get(STEP_SANITY, 0))
-            timeline.phase(
-                "merge", phases.get(STEP_MERGE, 0),
-                p2sm=self.config.enable_p2sm, threads=merge_threads,
-                pointer_writes=pointer_writes,
-            )
-            timeline.phase(
-                "load_update", phases.get(STEP_LOAD, 0),
-                coalesced=self.config.enable_coalescing,
-            )
-            timeline.phase("dispatch", phases.get(STEP_FINALIZE, 0))
-            timeline.finish(total_ns=breakdown.total_ns)
-        metrics = self.obs.metrics
-        if metrics.enabled:
-            observe_resume(metrics, breakdown)

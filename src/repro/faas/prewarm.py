@@ -35,14 +35,16 @@ import heapq
 import math
 from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.faas.autoscaler import PoolTargetTracker
 from repro.faas.keepalive import default_prewarm_policy, make_policy
 from repro.hypervisor.costs import CostModel, cost_model_for
 from repro.sim.sharding import run_cells
 from repro.sim.units import SECOND, to_microseconds
 from repro.traces.replay import ReplayConfig, ReplayStats, merged_stream
+
+if TYPE_CHECKING:
+    from repro.faas.autoscaler import PoolTargetTracker
 
 __all__ = [
     "PrewarmConfig",
@@ -343,6 +345,10 @@ class _Cell:
         if trackers is not None:
             tracker = trackers.get(fn)
             if tracker is None:
+                # Imported here: only autoscale_protect builds trackers,
+                # and a replay without it never loads the autoscaler.
+                from repro.faas.autoscaler import PoolTargetTracker
+
                 tracker = trackers[fn] = PoolTargetTracker(
                     window_ns=self.protect_window_ns,
                     expected_busy_ns=EXEC_NS,

@@ -13,12 +13,11 @@ from bisect import insort
 from dataclasses import dataclass
 from heapq import heapify, heappush, heapreplace
 from operator import attrgetter
-from typing import Callable, Dict, Iterator, List, Tuple
+from typing import Callable, Dict, Iterator, List, Optional
 
 from repro.hypervisor.runqueue import RunQueue
 from repro.hypervisor.vcpu import Vcpu
-from repro.obs.context import NULL_OBS, Observability
-from repro.obs.metrics import MetricRegistry
+from repro.obs.context import Observability
 
 
 @dataclass(frozen=True)
@@ -76,7 +75,7 @@ class Host:
     built by :meth:`runqueue` the first time anything uses it.
     :attr:`runqueues` maps core id to the queues built so far.  An
     unbuilt queue is empty at zero load, so readers of per-queue state
-    (placement, the ``repro.check`` checkers, the fold export) lose
+    (placement, the ``repro.check`` checkers, the count export) lose
     nothing by skipping it.
     """
 
@@ -100,9 +99,8 @@ class Host:
         self._sort_key = sort_key
         self._default_timeslice_ns = default_timeslice_ns
         self._ull_timeslice_ns = ull_timeslice_ns
-        self._obs: Observability = NULL_OBS
-        #: registries the fold export is installed in (at most once each)
-        self._fold_registries: Tuple[MetricRegistry, ...] = ()
+        #: the cell every queue's sorted inserts write their length to
+        self.last_len: List[Optional[int]] = [None]
         # The *last* reserved_ull_cores cores host the ull_runqueues,
         # keeping core 0 (where toolstacks pin housekeeping) general.
         self._first_ull = spec.total_cores - reserved_ull_cores
@@ -117,42 +115,23 @@ class Host:
 
     # ------------------------------------------------------------------
     def attach_observability(self, obs: Observability) -> None:
-        """Wire one obs bundle into every run queue, including the ones
-        built later.
+        """Point every run queue, including the ones built later, at
+        *obs*'s ``runqueue.last_len`` cell.
 
-        Load-fold counts are batched as plain ints on each
-        :class:`~repro.hypervisor.load_tracking.RunqueueLoad`; a
-        registry collector sums them over the queues built by
-        snapshot/render time, so the fold hot path never touches the
-        registry.  The collector exports deltas, so it is installed
-        once per registry however often the host is attached to it.
+        The cell is one per registry, so the exported gauge is the
+        length after the last sorted insert on any queue it observes.
+        The queues' counts need no wiring: the platform's collector
+        (:class:`repro.hypervisor.platform.CountExport`) reads them.
         """
-        self._obs = obs
-        for runqueue in self.runqueues.values():
-            runqueue.obs = obs
-            runqueue._instruments = None  # rebound lazily in *obs*
         metrics = obs.metrics
-        if metrics.enabled and not any(
-            metrics is installed for installed in self._fold_registries
-        ):
-            self._fold_registries += (metrics,)
-            iterated = metrics.counter(
-                "load.fold.iterated", "vanilla per-entity load folds"
-            )
-            coalesced = metrics.counter(
-                "load.fold.coalesced", "HORSE fused load folds"
-            )
-            runqueues = self.runqueues
-
-            def export_folds(_exported: List[int] = [0, 0]) -> None:
-                total_iter = sum(rq.load.folds_iterated for rq in runqueues.values())
-                total_coal = sum(rq.load.folds_coalesced for rq in runqueues.values())
-                iterated.inc(total_iter - _exported[0])
-                coalesced.inc(total_coal - _exported[1])
-                _exported[0] = total_iter
-                _exported[1] = total_coal
-
-            metrics.add_collector(export_folds)
+        cell = (
+            metrics.bound("runqueue.last_len", lambda _metrics: [None])
+            if metrics.enabled
+            else [None]
+        )
+        self.last_len = cell
+        for runqueue in self.runqueues.values():
+            runqueue.last_len = cell
 
     # ------------------------------------------------------------------
     # Run-queue views
@@ -175,7 +154,7 @@ class Host:
             core_id=core_id,
             timeslice_ns=self._ull_timeslice_ns if is_ull else self._default_timeslice_ns,
             reserved_for_ull=is_ull,
-            obs=self._obs,
+            last_len=self.last_len,
         )
         self.runqueues[core_id] = runqueue
         if not is_ull:

@@ -47,9 +47,9 @@ class RunqueueLoad:
     hold everywhere.
 
     Fold counts are batched as plain ints instead of per-event metric
-    increments; :meth:`repro.hypervisor.cpu.Host.attach_observability`
-    registers a registry collector that exports the deltas at snapshot
-    time, so the fold hot path carries no observability cost at all.
+    increments; :class:`repro.hypervisor.platform.CountExport` exports
+    the deltas at snapshot time, so the fold hot path carries no
+    observability cost at all.
     """
 
     value: float = 0.0

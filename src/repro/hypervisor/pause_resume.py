@@ -191,6 +191,52 @@ def dequeue_sandbox(
     return dequeued, by_queue
 
 
+def emit_resume_obs(
+    obs: Observability,
+    sandbox: Sandbox,
+    now_ns: int,
+    breakdown: Breakdown,
+    path: str,
+    pid: int,
+    merge: Dict[str, object],
+    load_update: Dict[str, object],
+    root: Optional[Dict[str, object]] = None,
+) -> None:
+    """Lay a resume's steps out as nested spans and feed the phase
+    histograms; shared by the vanilla and the HORSE resume.
+
+    The children tile the root exactly, so the span total always
+    reconciles with the breakdown.  *pid* is the core the resume ran
+    on; *root*, *merge* and *load_update* are each path's own span
+    attributes.  Span building and the histogram updates gate
+    independently on ``tracer.enabled`` / ``metrics.enabled``: a
+    metrics-only bundle never builds a span, a tracer-only bundle
+    never touches the registry.
+    """
+    tracer = obs.tracer
+    if tracer.enabled:
+        tracer.name_process(pid, f"cpu{pid}")
+        tid = tracer.tid_for(sandbox.sandbox_id, pid=pid)
+        timeline = tracer.timeline(
+            "resume", now_ns, category="resume", pid=pid, tid=tid,
+            sandbox=sandbox.sandbox_id, path=path,
+            vcpus=sandbox.vcpu_count, **(root or {}),
+        )
+        phases = breakdown.phases
+        if phases.get(STEP_STALL):
+            timeline.phase("stall", phases[STEP_STALL], injected=True)
+        timeline.phase("parse", phases.get(STEP_PARSE, 0))
+        timeline.phase("lock", phases.get(STEP_LOCK, 0))
+        timeline.phase("sanity", phases.get(STEP_SANITY, 0))
+        timeline.phase("merge", phases.get(STEP_MERGE, 0), **merge)
+        timeline.phase("load_update", phases.get(STEP_LOAD, 0), **load_update)
+        timeline.phase("dispatch", phases.get(STEP_FINALIZE, 0))
+        timeline.finish(total_ns=breakdown.total_ns)
+    metrics = obs.metrics
+    if metrics.enabled:
+        observe_resume(metrics, breakdown)
+
+
 def _pause_counter(metrics):
     return metrics.counter("pause.count")
 
@@ -298,65 +344,18 @@ class VanillaPauseResume:
             self._resume_lock_owner = None
 
         if self.obs.enabled:
-            self._emit_resume_obs(
-                sandbox, now_ns, breakdown, runqueue_ids, scan_steps, "vanilla"
+            emit_resume_obs(
+                self.obs, sandbox, now_ns, breakdown, "vanilla",
+                # a host's run-queue ids are its core ids
+                runqueue_ids[0] if runqueue_ids else 0,
+                merge={"scan_steps": scan_steps},
+                load_update={"coalesced": False, "folds": sandbox.vcpu_count},
             )
         return ResumeResult(
             sandbox_id=sandbox.sandbox_id,
             breakdown=breakdown,
             runqueue_ids=runqueue_ids,
         )
-
-    def _emit_resume_obs(
-        self,
-        sandbox: Sandbox,
-        now_ns: int,
-        breakdown: Breakdown,
-        runqueue_ids: List[int],
-        scan_steps: int,
-        path: str,
-    ) -> None:
-        """Lay the six steps out as nested spans and feed the phase
-        histograms.  The children tile the root exactly, so the span
-        total always reconciles with the breakdown.
-
-        Span building and the histogram updates gate independently on
-        ``tracer.enabled`` / ``metrics.enabled``: a metrics-only bundle
-        never pays span kwarg construction, a tracer-only bundle never
-        touches the registry.
-        """
-        tracer = self.obs.tracer
-        if tracer.enabled:
-            pid = (
-                self.host.runqueues[runqueue_ids[0]].core_id
-                if runqueue_ids
-                else 0
-            )
-            tracer.name_process(pid, f"cpu{pid}")
-            tid = tracer.tid_for(sandbox.sandbox_id, pid=pid)
-            timeline = tracer.timeline(
-                "resume", now_ns, category="resume", pid=pid, tid=tid,
-                sandbox=sandbox.sandbox_id, path=path,
-                vcpus=sandbox.vcpu_count,
-            )
-            phases = breakdown.phases
-            if phases.get(STEP_STALL):
-                timeline.phase("stall", phases[STEP_STALL], injected=True)
-            timeline.phase("parse", phases.get(STEP_PARSE, 0))
-            timeline.phase("lock", phases.get(STEP_LOCK, 0))
-            timeline.phase("sanity", phases.get(STEP_SANITY, 0))
-            timeline.phase(
-                "merge", phases.get(STEP_MERGE, 0), scan_steps=scan_steps
-            )
-            timeline.phase(
-                "load_update", phases.get(STEP_LOAD, 0),
-                coalesced=False, folds=sandbox.vcpu_count,
-            )
-            timeline.phase("dispatch", phases.get(STEP_FINALIZE, 0))
-            timeline.finish(total_ns=breakdown.total_ns)
-        metrics = self.obs.metrics
-        if metrics.enabled:
-            observe_resume(metrics, breakdown)
 
     def _enqueue_all(
         self, sandbox: Sandbox, now_ns: int, breakdown: Breakdown

@@ -9,7 +9,10 @@ A run queue is the object both of the paper's hot operations touch:
 
 ``RunQueue`` executes both operations for real and exposes the raw
 operation counts (linked-list scan steps, load folds) that the cost
-model converts into simulated nanoseconds.
+model converts into simulated nanoseconds.  The same plain-int counts
+are what the metric registry exports: a collector reads them at
+snapshot time (:class:`repro.hypervisor.platform.VirtualizationPlatform`),
+so an insert pays no metric call.
 """
 
 from __future__ import annotations
@@ -19,17 +22,6 @@ from typing import Callable, List, Optional, Sequence
 from repro.core.linked_list import SortedLinkedList
 from repro.hypervisor.load_tracking import RunqueueLoad
 from repro.hypervisor.vcpu import Vcpu
-from repro.obs.context import NULL_OBS, Observability
-
-
-def _runqueue_handles(metrics):
-    """Registry-cached instrument bundle shared by every run queue."""
-    return (
-        metrics.counter("runqueue.enqueue"),
-        metrics.counter("runqueue.scan_steps"),
-        metrics.gauge("runqueue.last_len"),
-        metrics.counter("runqueue.dequeue"),
-    )
 
 
 class RunQueue:
@@ -40,12 +32,13 @@ class RunQueue:
         "core_id",
         "timeslice_ns",
         "reserved_for_ull",
-        "obs",
         "entities",
         "load",
         "enqueue_count",
         "dequeue_count",
-        "_instruments",
+        "sorted_inserts",
+        "insert_scan_steps",
+        "last_len",
     )
 
     def __init__(
@@ -55,7 +48,7 @@ class RunQueue:
         core_id: int,
         timeslice_ns: int,
         reserved_for_ull: bool = False,
-        obs: Observability = NULL_OBS,
+        last_len: Optional[List[Optional[int]]] = None,
     ) -> None:
         if timeslice_ns <= 0:
             raise ValueError(f"timeslice must be positive, got {timeslice_ns}")
@@ -63,14 +56,18 @@ class RunQueue:
         self.core_id = core_id
         self.timeslice_ns = timeslice_ns
         self.reserved_for_ull = reserved_for_ull
-        self.obs = obs
         self.entities: SortedLinkedList[Vcpu] = SortedLinkedList(sort_key)
         self.load = RunqueueLoad()
+        #: vCPUs put on the queue by any path, HORSE merges included
         self.enqueue_count = 0
         self.dequeue_count = 0
-        #: (enqueue ctr, scan ctr, len gauge, dequeue ctr) — bound on
-        #: first use; see _bound_instruments.
-        self._instruments = None
+        #: one-at-a-time sorted inserts (the vanilla step 4) and the
+        #: list hops they took; HORSE merges count in neither
+        self.sorted_inserts = 0
+        self.insert_scan_steps = 0
+        #: one-slot cell that every sorted insert overwrites with the
+        #: queue length; queues observed by one registry share a cell
+        self.last_len = [None] if last_len is None else last_len
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -87,48 +84,22 @@ class RunQueue:
         Returns the scan steps the insert consumed so the caller can
         charge simulated time.
         """
-        before = self.entities.scan_steps
-        self.entities.insert_sorted(vcpu)
-        vcpu.mark_runnable(self.runqueue_id)
+        steps = self.enqueue_sorted_without_load(vcpu)
         self.load.enqueue_entity(now_ns, vcpu.weight)
-        self.enqueue_count += 1
-        steps = self.entities.scan_steps - before
-        if self.obs.enabled:
-            self._observe_enqueue(steps)
         return steps
 
     def enqueue_sorted_without_load(self, vcpu: Vcpu) -> int:
         """Sorted insert only — used when load updates are coalesced."""
-        before = self.entities.scan_steps
-        self.entities.insert_sorted(vcpu)
+        entities = self.entities
+        before = entities.scan_steps
+        entities.insert_sorted(vcpu)
         vcpu.mark_runnable(self.runqueue_id)
         self.enqueue_count += 1
-        steps = self.entities.scan_steps - before
-        if self.obs.enabled:
-            self._observe_enqueue(steps)
+        self.sorted_inserts += 1
+        steps = entities.scan_steps - before
+        self.insert_scan_steps += steps
+        self.last_len[0] = entities._size
         return steps
-
-    def _bound_instruments(self):
-        """Handles in the attached registry; steady state is one
-        attribute read.
-
-        The binding itself lives on the registry (``metrics.bound``):
-        run-queue metrics are global names, and studies churn through
-        hundreds of short-lived queues that would otherwise each pay
-        the four registry lookups on their first enqueue.
-        """
-        handles = self._instruments
-        if handles is None:
-            handles = self._instruments = self.obs.metrics.bound(
-                "runqueue", _runqueue_handles
-            )
-        return handles
-
-    def _observe_enqueue(self, scan_steps: int) -> None:
-        handles = self._bound_instruments()
-        handles[0].inc()
-        handles[1].inc(scan_steps)
-        handles[2].set(self.entities._size)
 
     def dequeue_all(self, vcpus: Sequence[Vcpu], now_ns: int) -> int:
         """Unlink every one of *vcpus* that sits on this queue (pause path).
@@ -176,8 +147,6 @@ class RunQueue:
             entities._size -= removed
             self.load.dequeue_entities(now_ns, [vcpu.weight for vcpu in vcpus])
         self.dequeue_count += removed
-        if self.obs.enabled:
-            self._bound_instruments()[3].inc(removed)
         return removed
 
     def pop_next(self) -> Optional[Vcpu]:

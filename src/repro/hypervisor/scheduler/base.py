@@ -13,7 +13,6 @@ from __future__ import annotations
 import abc
 
 from repro.hypervisor.vcpu import Vcpu
-from repro.obs.context import NULL_OBS, Observability
 
 
 class SchedulerPolicy(abc.ABC):
@@ -22,24 +21,10 @@ class SchedulerPolicy(abc.ABC):
     #: Human-readable policy name ("credit2", "cfs").
     name: str = "abstract"
 
-    #: Observability wiring; platforms swap in a live bundle.
-    obs: Observability = NULL_OBS
-
-    #: (registry, counter) bound at first enabled enqueue; re-bound on
-    #: registry identity change so bundle swaps can't leak increments
-    #: into a detached registry.
-    _bound_enqueue = (None, None)
-
-    def observe_enqueue(self, vcpu: Vcpu) -> None:
-        """Metric hook concrete policies call from ``on_enqueue``."""
-        obs = self.obs
-        if obs.enabled:
-            metrics = obs.metrics
-            registry, counter = self._bound_enqueue
-            if registry is not metrics:
-                counter = metrics.counter(f"scheduler.{self.name}.enqueue")
-                self._bound_enqueue = (metrics, counter)
-            counter.inc()
+    def __init__(self) -> None:
+        #: ``on_enqueue`` calls so far; the platform's collector exports
+        #: them as ``scheduler.<name>.enqueue``.
+        self.enqueues = 0
 
     @abc.abstractmethod
     def sort_key(self, vcpu: Vcpu) -> float:
@@ -47,7 +32,8 @@ class SchedulerPolicy(abc.ABC):
 
     @abc.abstractmethod
     def on_enqueue(self, vcpu: Vcpu) -> None:
-        """Normalize per-vCPU accounting when it becomes runnable."""
+        """Normalize per-vCPU accounting when it becomes runnable, and
+        add one to :attr:`enqueues`."""
 
     @abc.abstractmethod
     def charge(self, vcpu: Vcpu, ran_ns: int) -> None:

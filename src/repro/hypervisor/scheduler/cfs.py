@@ -26,6 +26,7 @@ class CfsPolicy(SchedulerPolicy):
     def __init__(self, timeslice_ns: int = milliseconds(5)) -> None:
         if timeslice_ns <= 0:
             raise ValueError(f"timeslice must be positive, got {timeslice_ns}")
+        super().__init__()
         self._timeslice_ns = timeslice_ns
         self._min_vruntime = 0.0
 
@@ -34,7 +35,7 @@ class CfsPolicy(SchedulerPolicy):
     sort_key = staticmethod(attrgetter("vruntime"))
 
     def on_enqueue(self, vcpu: Vcpu) -> None:
-        self.observe_enqueue(vcpu)
+        self.enqueues += 1
         # A woken entity is placed at the queue's min vruntime so it
         # neither starves others nor is starved (CFS's sleeper logic,
         # reduced to its placement effect).

@@ -33,6 +33,7 @@ class Credit2Policy(SchedulerPolicy):
     def __init__(self, timeslice_ns: int = milliseconds(5)) -> None:
         if timeslice_ns <= 0:
             raise ValueError(f"timeslice must be positive, got {timeslice_ns}")
+        super().__init__()
         self._timeslice_ns = timeslice_ns
 
     def sort_key(self, vcpu: Vcpu) -> float:
@@ -41,7 +42,7 @@ class Credit2Policy(SchedulerPolicy):
         return -vcpu.credit
 
     def on_enqueue(self, vcpu: Vcpu) -> None:
-        self.observe_enqueue(vcpu)
+        self.enqueues += 1
         if vcpu.credit <= CREDIT_RESET_THRESHOLD:
             vcpu.credit = CREDIT_INITIAL
 

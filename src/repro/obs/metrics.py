@@ -148,11 +148,12 @@ class Histogram:
 class MetricRegistry:
     """Named get-or-create store for counters, gauges, and histograms.
 
-    Components that batch their bookkeeping in plain attributes (the
-    PELT load tracker keeps fold counts as ints instead of bumping a
-    counter per event) register a *collector* — a callable invoked
-    before every snapshot/render so exported numbers are current
-    without any per-event metric traffic.
+    Components that keep a count anyway as a plain int (run-queue
+    inserts and dequeues, scheduler enqueues, PELT load folds) register
+    a *collector* — a callable invoked before every read of the
+    instruments (``counters``, ``histograms``, ``snapshot``, ``render``)
+    so exported numbers are current without any per-event metric
+    traffic.
     """
 
     enabled = True
@@ -168,14 +169,14 @@ class MetricRegistry:
     def bound(self, key: str, factory: Any) -> Any:
         """Get-or-create a cached bundle of instrument handles.
 
-        Hot instrument sites (run-queue enqueue, pool acquire, the
-        vanilla pause path) resolve their handles once per registry
-        through this cache instead of re-looking names up per event;
-        because metric names are global, short-lived components — the
-        chaos study churns through hundreds of per-host run queues —
-        share one binding rather than each paying the registry lookups
-        again.  *factory* receives the registry and returns the handle
-        bundle; ``clear()`` drops the cache with the instruments.
+        Per-event instrument sites (pool acquire, the pause and resume
+        paths) resolve their handles once per registry through this
+        cache instead of re-looking names up per event; because metric
+        names are global, short-lived components — the chaos study
+        churns through hundreds of per-host pools — share one binding
+        rather than each paying the registry lookups again.  *factory*
+        receives the registry and returns the handle bundle; ``clear()``
+        drops the cache with the instruments.
         """
         handles = self._bound_handles.get(key)
         if handles is None:
@@ -239,9 +240,11 @@ class MetricRegistry:
         )
 
     def counters(self) -> Dict[str, Counter]:
+        self.collect()
         return dict(self._counters)
 
     def histograms(self) -> Dict[str, Histogram]:
+        self.collect()
         return dict(self._histograms)
 
     def snapshot(self) -> Dict[str, Dict[str, Any]]:

@@ -92,9 +92,9 @@ class SubsystemProfiler:
         self._phase = "main"
         #: (phase, subsystem, site) -> [samples, sim_ns, wall_ns]
         self._sites: Dict[Tuple[str, str, str], List[int]] = {}
-        #: label -> (subsystem, site); labels repeat heavily (cached
-        #: rewait labels, per-core slice labels), so this keeps the
-        #: per-event classification to one dict hit.
+        #: label stem -> (subsystem, site).  Keyed by the stem, not the
+        #: label: per-invocation labels (``complete:<id>``) would each
+        #: miss and add an entry, while stems are a handful per run.
         self._classify_cache: Dict[str, Tuple[str, str]] = {}
         self.scheduler_wall_ns = 0
         self.watcher_wall_ns = 0
@@ -105,17 +105,16 @@ class SubsystemProfiler:
     def phase(self, name: str) -> None:
         """Start a new attribution phase (e.g. one chaos mode)."""
         self._phase = name
-        self._classify_cache.clear()
 
     def _classify(self, label: str) -> Tuple[str, str]:
-        cached = self._classify_cache.get(label)
+        stem = label.partition(":")[0]
+        cached = self._classify_cache.get(stem)
         if cached is None:
-            stem = label.partition(":")[0]
             subsystem = STEM_SUBSYSTEMS.get(stem)
             if subsystem is None:
                 subsystem = f"other.{stem}"
             site = stem if stem else "unlabeled"
-            cached = self._classify_cache[label] = (subsystem, site)
+            cached = self._classify_cache[stem] = (subsystem, site)
         return cached
 
     def record(self, label: str, sim_delta_ns: int, wall_ns: int) -> None:

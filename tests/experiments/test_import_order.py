@@ -27,7 +27,8 @@ PROBES = {
     "replay-prewarm": (
         "repro.faas.prewarm",
         ("repro.hypervisor.pause_resume", "repro.core", "repro.resilience",
-         "repro.check", "repro.obs", "repro.sim.engine"),
+         "repro.check", "repro.obs", "repro.sim.engine",
+         "repro.faas.autoscaler"),
     ),
     "resume-sweep": (
         "repro.hypervisor.platform, repro.core.hot_resume, repro.check",

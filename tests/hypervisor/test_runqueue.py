@@ -59,6 +59,14 @@ class TestEnqueue:
         queue.enqueue_sorted_without_load(make_vcpu(index=1))
         assert queue.enqueue_count == 2
 
+    def test_sorted_inserts_count_hops_and_record_the_length(self):
+        queue = make_queue()
+        for vruntime in (1.0, 2.0, 3.0):
+            queue.enqueue_sorted(make_vcpu(vruntime), 0)
+        assert queue.sorted_inserts == 3
+        assert queue.insert_scan_steps == 0 + 1 + 2
+        assert queue.last_len == [3]
+
 
 class TestDequeue:
     def test_dequeue_all_unlinks_and_leaves_vcpu_state(self):

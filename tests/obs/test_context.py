@@ -38,8 +38,37 @@ class TestBundle:
         queue.enqueue_sorted(Vcpu(0, "a"), 0)
         platform.attach_observability(Observability(NULL_TRACER, second))
         queue.enqueue_sorted(Vcpu(0, "b"), 0)
-        assert first.counter("runqueue.enqueue").value == 1
-        assert second.counter("runqueue.enqueue").value == 1
+        assert first.snapshot()["runqueue.enqueue"]["value"] == 1
+        assert second.snapshot()["runqueue.enqueue"]["value"] == 1
+
+    def test_reattach_exports_no_count_made_before_it(self):
+        from repro.hypervisor.platform import firecracker_platform
+        from repro.hypervisor.sandbox import Sandbox
+
+        first, second = MetricRegistry(), MetricRegistry()
+        platform = firecracker_platform()
+        platform.attach_observability(Observability(NULL_TRACER, first))
+        sandbox = Sandbox(vcpus=4, memory_mb=128, sandbox_id="sb")
+        platform.vanilla.place_initial(sandbox, 0)
+        platform.vanilla.pause(sandbox, 1_000)
+        platform.vanilla.resume(sandbox, 2_000)
+        platform.attach_observability(Observability(NULL_TRACER, second))
+        before = first.snapshot()
+        assert before["load.fold.iterated"]["value"] == 8
+        assert before["runqueue.enqueue"]["value"] == 8
+        assert before["scheduler.cfs.enqueue"]["value"] == 8
+        derived = (
+            "load.fold.iterated", "load.fold.coalesced", "runqueue.enqueue",
+            "runqueue.scan_steps", "runqueue.dequeue", "runqueue.last_len",
+            "scheduler.cfs.enqueue",
+        )
+        after = second.snapshot()
+        assert {name: after[name]["value"] for name in derived if name in after} \
+            == {"load.fold.iterated": 0, "load.fold.coalesced": 0}
+        # The first registry was flushed at re-attach and hears no more.
+        platform.vanilla.pause(sandbox, 3_000)
+        assert first.snapshot() == before
+        assert second.snapshot()["runqueue.dequeue"]["value"] == 4
 
 
 class TestActiveContext:

@@ -162,3 +162,48 @@ class TestZeroOverheadDefault:
         faas.trigger("fw", StartType.HORSE)
         faas.engine.run(until=faas.engine.now + seconds(1))
         assert len(NULL_OBS.tracer.spans) == 0
+
+
+class TestNoRegistryCallPerVcpu:
+    """Per-vCPU counts are the model's own ints, exported at snapshot
+    time: after construction, a resume/pause cycle under live metrics
+    makes the same registry calls whatever the sandbox's vCPU count."""
+
+    @staticmethod
+    def _registry_calls(path, vcpus, monkeypatch):
+        from repro.core.hot_resume import HorsePauseResume
+        from repro.hypervisor.platform import firecracker_platform
+        from repro.hypervisor.sandbox import Sandbox
+        from repro.obs import NULL_TRACER, MetricRegistry
+
+        horse = path == "horse"
+        with activate(Observability(NULL_TRACER, MetricRegistry())):
+            virt = firecracker_platform()
+            engine = (
+                HorsePauseResume(virt.host, virt.policy, virt.costs)
+                if horse else virt.vanilla
+            )
+        sandbox = Sandbox(vcpus=vcpus, memory_mb=512,
+                          sandbox_id=f"{path}-{vcpus}", is_ull=horse)
+        calls = []
+        for name in ("counter", "gauge", "bound"):
+            def spy(self, *args, _original=getattr(MetricRegistry, name),
+                    _name=name, **kwargs):
+                calls.append(_name)
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(MetricRegistry, name, spy)
+        try:
+            virt.vanilla.place_initial(sandbox, 0)
+            engine.pause(sandbox, 1_000)
+            engine.resume(sandbox, 2_000)
+            engine.pause(sandbox, 3_000)
+        finally:
+            monkeypatch.undo()
+        return calls
+
+    @pytest.mark.parametrize("path", ["vanilla", "horse"])
+    def test_registry_calls_do_not_grow_with_vcpus(self, path, monkeypatch):
+        one = self._registry_calls(path, 1, monkeypatch)
+        many = self._registry_calls(path, 8, monkeypatch)
+        assert many == one

@@ -73,6 +73,18 @@ class TestClassification:
         cell = profiler._sites[("main", "sim.engine", "cancelled")]
         assert cell == [2, 0, 0]
 
+    def test_classify_cache_holds_one_entry_per_label_stem(self):
+        from repro.experiments.chaos import ChaosConfig, run_chaos
+
+        profiler = SubsystemProfiler()
+        with profiling(profiler):
+            run_chaos(ChaosConfig(hosts=2, requests=200, seed=0))
+        # Per-invocation labels (complete:<id>, ...) share their stem's entry.
+        stems = {site for _, _, site in profiler._sites} - {"cancelled"}
+        assert set(profiler._classify_cache) == {
+            "" if site == "unlabeled" else site for site in stems
+        }
+
 
 class TestArtifacts:
     def _loaded(self):

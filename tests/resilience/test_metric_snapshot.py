@@ -3,8 +3,8 @@
 The goldens in ``golden/`` pin what the chaos and recovery studies
 *render*; this one pins what they *count* with a metric registry
 attached: every ``resilience.*``, ``gateway.*``, ``cluster.degrade.*``,
-run-queue and pause instrument, with its value.  Comparison is by
-value, not by registration order.
+run-queue, scheduler and pause instrument, with its value.  Comparison
+is by value, not by registration order.
 
 Regenerate (only when a change is meant to move a metric) with::
 
@@ -16,16 +16,26 @@ from pathlib import Path
 
 from repro.experiments.chaos import ChaosConfig, run_chaos
 from repro.experiments.cluster_recovery import ClusterRecoveryConfig, run_recovery
+from repro.experiments.figure3 import run_figure3
 from repro.obs import NULL_TRACER, MetricRegistry, Observability, activate
 
 GOLDEN = Path(__file__).parent / "golden" / "metrics_snapshot_seed0.json"
 
 #: The runs pinned: the fast chaos shape (all three modes into one
-#: registry) and the fast ``cluster_recovery`` registry shape.
+#: registry), the fast ``cluster_recovery`` registry shape, and the
+#: Figure 3 sweep on each platform, which pins the per-policy
+#: ``scheduler.<name>.enqueue`` and run-queue counts outside the FaaS
+#: stack.
 RUNS = {
     "chaos": lambda: run_chaos(ChaosConfig(hosts=2, requests=200, seed=0)),
     "cluster_recovery": lambda: run_recovery(
         ClusterRecoveryConfig(groups=2, requests=200, seed=0), shards=1
+    ),
+    "figure3_firecracker": lambda: run_figure3(
+        vcpu_counts=(1, 8, 36), repetitions=2, platform="firecracker"
+    ),
+    "figure3_xen": lambda: run_figure3(
+        vcpu_counts=(1, 8, 36), repetitions=2, platform="xen"
     ),
 }
 
