@@ -22,6 +22,11 @@ Fencing tokens are drawn from a shard-level counter that is never
 reset, so token order is a total order over every launch the shard ever
 made, across all epochs — the monotonicity invariant the checkers
 verify.
+
+The log, the epoch and the fence counter live in a
+:class:`ShardJournal` the shard owns and hands to every incarnation.
+The journal points at nothing above it: an incarnation (live or fenced)
+never reaches back to the shard that built it.
 """
 
 from __future__ import annotations
@@ -40,58 +45,26 @@ from repro.resilience.gateway import (
 from repro.sim.rng import RngRegistry
 
 
-class GatewayShard:
-    """The control plane's unit of failure and recovery."""
+class ShardJournal:
+    """A shard's durable state: its intent log, epoch and fence counter.
 
-    def __init__(
-        self,
-        shard_id: int,
-        cluster: FaaSCluster,
-        resilience: ResilienceConfig = ResilienceConfig(),
-        seed: int = 0,
-    ) -> None:
-        self.shard_id = shard_id
-        self.cluster = cluster
-        self.resilience = resilience
-        self.seed = seed
+    This is the journal protocol the gateway calls, write-ahead:
+    ``record_admit`` / ``record_launch`` / ``record_outcome`` /
+    ``record_fenced``.  Each incarnation holds the journal, and the
+    shard holds it too; the journal holds neither of them.
+    """
+
+    __slots__ = ("log", "epoch", "_next_fence", "fenced")
+
+    def __init__(self, shard_id: int) -> None:
         self.log = IntentLog(shard_id)
         #: incremented on every recovery; stamped into log records
         self.epoch = 0
         #: never reset — fencing tokens are monotone across epochs
         self._next_fence = 1
-        self.down = False
-        self.crashes = 0
-        self.recoveries = 0
-        #: orphaned requests re-dispatched from the log, cumulative
-        self.redispatched = 0
         #: stale pre-crash completions dropped by the fence, cumulative
-        self.fenced_completions = 0
-        #: the per-host failure injector to re-attach on rebuild
-        self.host_injector: Optional[FailureInjector] = None
-        self.gateway = self._build_gateway()
+        self.fenced = 0
 
-    # ------------------------------------------------------------------
-    def _build_gateway(self) -> ResilientGateway:
-        # Each incarnation gets its own derived seed: backoff draws must
-        # not depend on how much entropy the dead incarnation consumed.
-        seed = (
-            RngRegistry(self.seed)
-            .fork(f"gateway-epoch-{self.epoch}")
-            .root_seed
-        )
-        gateway = ResilientGateway(self.cluster, self.resilience, seed=seed)
-        gateway.journal = self
-        return gateway
-
-    def attach(self, injector: FailureInjector) -> None:
-        """Subscribe the current (and every future) incarnation to the
-        shard's host-level failure injector."""
-        self.host_injector = injector
-        self.gateway.attach(injector)
-
-    # ------------------------------------------------------------------
-    # Journal protocol (called by the gateway incarnation, write-ahead)
-    # ------------------------------------------------------------------
     def record_admit(self, request: Request, now: int) -> None:
         self.log.admit(
             t=now,
@@ -127,7 +100,62 @@ class GatewayShard:
         )
 
     def record_fenced(self, request: Request, attempt: Attempt, now: int) -> None:
-        self.fenced_completions += 1
+        self.fenced += 1
+
+
+class GatewayShard:
+    """The control plane's unit of failure and recovery."""
+
+    def __init__(
+        self,
+        shard_id: int,
+        cluster: FaaSCluster,
+        resilience: ResilienceConfig = ResilienceConfig(),
+        seed: int = 0,
+    ) -> None:
+        self.shard_id = shard_id
+        self.cluster = cluster
+        self.resilience = resilience
+        self.seed = seed
+        self.journal = ShardJournal(shard_id)
+        self.log = self.journal.log
+        self.down = False
+        self.crashes = 0
+        self.recoveries = 0
+        #: orphaned requests re-dispatched from the log, cumulative
+        self.redispatched = 0
+        #: the per-host failure injector to re-attach on rebuild
+        self.host_injector: Optional[FailureInjector] = None
+        self.gateway = self._build_gateway()
+
+    # ------------------------------------------------------------------
+    def _build_gateway(self) -> ResilientGateway:
+        # Each incarnation gets its own derived seed: backoff draws must
+        # not depend on how much entropy the dead incarnation consumed.
+        seed = (
+            RngRegistry(self.seed)
+            .fork(f"gateway-epoch-{self.epoch}")
+            .root_seed
+        )
+        gateway = ResilientGateway(self.cluster, self.resilience, seed=seed)
+        gateway.journal = self.journal
+        return gateway
+
+    @property
+    def epoch(self) -> int:
+        """Incremented on every recovery; stamped into log records."""
+        return self.journal.epoch
+
+    @property
+    def fenced_completions(self) -> int:
+        """Stale pre-crash completions dropped by the fence, cumulative."""
+        return self.journal.fenced
+
+    def attach(self, injector: FailureInjector) -> None:
+        """Subscribe the current (and every future) incarnation to the
+        shard's host-level failure injector."""
+        self.host_injector = injector
+        self.gateway.attach(injector)
 
     # ------------------------------------------------------------------
     # Failure domain
@@ -152,7 +180,7 @@ class GatewayShard:
             return 0
         self.down = False
         self.recoveries += 1
-        self.epoch += 1
+        self.journal.epoch += 1
         self.gateway = self._build_gateway()
         if self.host_injector is not None:
             self.gateway.attach(self.host_injector)

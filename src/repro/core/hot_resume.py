@@ -333,7 +333,6 @@ class HorsePauseResume:
             pointer_writes = report.pointer_writes
             for vcpu in sandbox.vcpus:
                 vcpu.mark_runnable(queue.runqueue_id)
-            queue.enqueue_count += report.merged_elements
             breakdown.add(
                 STEP_MERGE, round(self.costs.p2sm_merge_cost_ns(report.threads))
             )
@@ -344,7 +343,6 @@ class HorsePauseResume:
             scan_steps = sorted_merge_reference(queue.entities, sandbox.merge_vcpus)
             for vcpu in sandbox.vcpus:
                 vcpu.mark_runnable(queue.runqueue_id)
-            queue.enqueue_count += sandbox.vcpu_count
             breakdown.add(
                 STEP_MERGE,
                 round(self.costs.merge_cost_ns(sandbox.vcpu_count, scan_steps)),

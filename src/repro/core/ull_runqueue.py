@@ -110,6 +110,15 @@ class UllRunqueueManager:
             ) from None
         sandbox.assigned_ull_runqueue = None
 
+    def reclaim(self, sandbox: Sandbox) -> None:
+        """Free a stopped sandbox's host resources: detach it from its
+        ull_runqueue (it may still carry live P2SM state), drop its
+        HORSE artifacts and return its memory to the host.  The warm
+        pool calls this on every keep-alive eviction."""
+        self.unassign(sandbox)
+        sandbox.clear_horse_artifacts()
+        self.host.release_memory(sandbox.memory_mb)
+
     def assigned_to(self, runqueue_id: int) -> List[Sandbox]:
         return list(self._assignments.get(runqueue_id, []))
 

@@ -285,6 +285,23 @@ def _build_stack(
     return cluster, gateway, injector
 
 
+def _close_cell(engine: Engine, clusters: Sequence[FaaSCluster]) -> None:
+    """End a cell whose outcome has been read.
+
+    Closes its engine, which drops every pending callback, and freezes
+    each host's metric export, which flushes its counts and lets go of
+    the host.  Nothing then points into the cell from outside or back
+    up inside it, so reference counting frees all of it when the
+    cell's function returns, with no work left for the cyclic
+    collector.
+    """
+    engine.close()
+    for cluster in clusters:
+        for host in cluster.hosts:
+            if host.virt.export is not None:
+                host.virt.export.freeze()
+
+
 def _cell_outcome(
     mode: str, group: int, gateway: ResilientGateway, injector: FailureInjector
 ) -> CellOutcome:
@@ -400,7 +417,9 @@ def run_chaos_mode(mode: str, config: ChaosConfig) -> ModeOutcome:
     last = arrivals[-1].submit_ns
     injector.schedule_crashes(until_ns=last)
     cluster.engine.run(until=last + seconds(config.drain_s))
-    return _aggregate_mode(mode, [_cell_outcome(mode, 0, gateway, injector)])
+    outcome = _aggregate_mode(mode, [_cell_outcome(mode, 0, gateway, injector)])
+    _close_cell(cluster.engine, [cluster])
+    return outcome
 
 
 def run_chaos(

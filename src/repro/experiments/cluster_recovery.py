@@ -41,6 +41,7 @@ from repro.controlplane import (
 from repro.experiments.chaos import (
     _arrival_plan,
     _build_cluster,
+    _close_cell,
     _dispatch_suffix,
     _host_injector,
 )
@@ -266,7 +267,7 @@ def run_recovery_cell(
         )
     )
 
-    return RecoveryCellOutcome(
+    outcome = RecoveryCellOutcome(
         group=group,
         submitted=len(arrivals),
         completed=sum(1 for state in counted if state == "completed"),
@@ -289,6 +290,8 @@ def run_recovery_cell(
         windows=windows,
         records=records,
     )
+    _close_cell(engine, [shard.cluster for shard in shards])
+    return outcome
 
 
 @dataclass

@@ -34,7 +34,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.experiments.chaos import ChaosConfig, _build_stack, _cell_outcome
+from repro.experiments.chaos import (
+    ChaosConfig,
+    _build_stack,
+    _cell_outcome,
+    _close_cell,
+)
 from repro.faas.cluster import FaaSCluster
 from repro.faas.function import FunctionSpec
 from repro.metrics.stats import percentile
@@ -250,6 +255,7 @@ def run_zoo_cell(
         stats = cell.classes[cls]
         stats.p50_us = percentile(latencies, 50.0) if latencies else 0.0
         stats.p99_us = percentile(latencies, 99.0) if latencies else 0.0
+    _close_cell(cluster.engine, [cluster])
     return cell
 
 

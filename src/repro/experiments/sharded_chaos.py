@@ -44,6 +44,7 @@ from repro.experiments.chaos import (
     _arrival_plan,
     _build_stack,
     _cell_outcome,
+    _close_cell,
     _dispatch_suffix,
     _mode_lines,
 )
@@ -164,6 +165,7 @@ def run_cell(
     cell.violations = [f"g{group}: {message}" for message in cell.violations]
     cell.windows = windows
     cell.records = records
+    _close_cell(cluster.engine, [cluster])
     return cell
 
 

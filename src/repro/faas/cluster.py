@@ -15,11 +15,12 @@ Placement policies:
   function, falling back to least-loaded (avoids needless cold starts).
 
 Every policy chooses among the cluster's *routable* hosts only: nodes
-marked down (crashed) are skipped, as is any node vetoed by the
-cluster's ``host_gate`` (the resilience layer installs a per-node
-circuit breaker there).  Warm-path misses never silently cold-start:
-the degradation from the requested start type is explicit, counted per
-transition in :class:`ClusterStats` and traceable per trigger.
+marked down (crashed) are skipped, as is any node a routing gate
+vetoes (the resilience layer passes its per-node circuit breakers to
+:meth:`FaaSCluster.routable_or_empty`).  Warm-path misses never
+silently cold-start: the degradation from the requested start type is
+explicit, counted per transition in :class:`ClusterStats` and
+traceable per trigger.
 """
 
 from __future__ import annotations
@@ -77,8 +78,8 @@ class PlacementPolicy(abc.ABC):
     def choose(self, cluster: "FaaSCluster", function_name: str) -> int:
         """Return the index of the host to route to.
 
-        Only routable hosts (healthy, not vetoed by the host gate) are
-        returned; raises :class:`NoHealthyHostError` when there are none.
+        Only healthy hosts are returned; raises
+        :class:`NoHealthyHostError` when there are none.
         """
         return self.choose_from(
             cluster, function_name, cluster.routable_hosts()
@@ -192,9 +193,6 @@ class FaaSCluster:
         self.in_flight: Dict[int, int] = {i: 0 for i in range(hosts)}
         self.stats = ClusterStats()
         self.health: List[NodeHealth] = [NodeHealth() for _ in range(hosts)]
-        #: Optional routing veto consulted per host (the resilience
-        #: layer points this at its per-node circuit breakers).
-        self.host_gate: Optional[Callable[[int], bool]] = None
         #: host index -> accelerator tags ("gpu", ...).  Empty dict =
         #: homogeneous cluster; dispatch policies skip the eligibility
         #: filter entirely then, keeping the common path allocation-free.
@@ -203,16 +201,22 @@ class FaaSCluster:
     # ------------------------------------------------------------------
     # Health & routability
     # ------------------------------------------------------------------
-    def routable_or_empty(self, exclude: Optional[int] = None) -> List[int]:
+    def routable_or_empty(
+        self,
+        exclude: Optional[int] = None,
+        gate: Optional[Callable[[int], bool]] = None,
+    ) -> List[int]:
         """Hosts a trigger may be routed to right now — empty when none.
 
         The resilient gateway checks routability on every attempt and
         capacity wake; returning an empty list lets it branch instead
         of paying exception machinery when nothing is routable.  A
         hedge passes its primary's host as *exclude*: it must land on
-        a different node.  The host gate is never asked about it.
+        a different node.  *gate* is a routing veto asked about each
+        healthy, non-excluded host: the gateway passes its circuit
+        breakers per call rather than installing them on the cluster,
+        so the cluster never points back at the gateway.
         """
-        gate = self.host_gate
         return [
             i
             for i, health in enumerate(self.health)

@@ -58,13 +58,16 @@ class FaaSPlatform:
         self.obs = obs if obs is not None else current_obs()
         self.virt.attach_observability(self.obs)
         self.registry = FunctionRegistry()
+        self.ull_manager = UllRunqueueManager(virt.host)
+        # The eviction hook is the memory accounting itself, not a
+        # method of this platform: the pool must not point back at its
+        # owner (DESIGN.md §10).
         self.pool = SandboxPool(
             engine,
             policy or FixedWindow(600 * SECOND),
-            on_evict=self._release_sandbox_memory,
+            on_evict=self.ull_manager.reclaim,
             obs=self.obs,
         )
-        self.ull_manager = UllRunqueueManager(virt.host)
         self.horse = HorsePauseResume(
             host=virt.host,
             policy=virt.policy,
@@ -181,7 +184,7 @@ class FaaSPlatform:
         """
         if sandbox.state is not SandboxState.STOPPED:
             sandbox.transition(SandboxState.STOPPED)
-        self._release_sandbox_memory("", sandbox)
+        self.ull_manager.reclaim(sandbox)
 
     def fail_all_pooled(self) -> int:
         """Destroy every idle pooled sandbox (node crash); returns the
@@ -194,13 +197,6 @@ class FaaSPlatform:
         return destroyed
 
     # ------------------------------------------------------------------
-    def _release_sandbox_memory(self, _function: str, sandbox: Sandbox) -> None:
-        # Evicted sandboxes may still be tied to an ull_runqueue with
-        # live P2SM state; detach before dropping the memory.
-        self.ull_manager.unassign(sandbox)
-        sandbox.clear_horse_artifacts()
-        self.virt.host.release_memory(sandbox.memory_mb)
-
     def __repr__(self) -> str:
         return (
             f"FaaSPlatform({self.virt.name}, functions={len(self.registry)}, "

@@ -11,7 +11,10 @@ a higher memory cost.
 
 The pool only *stores* — pausing/resuming is the caller's job (the
 platform picks the vanilla or the HORSE path per sandbox), so the pool
-never depends on which resume machinery is in use.
+never depends on which resume machinery is in use.  Its ``on_evict``
+hook is bound to what an eviction frees (the platform passes its
+:meth:`~repro.core.ull_runqueue.UllRunqueueManager.reclaim`), never to
+the platform that owns the pool.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ class SandboxPool:
         self,
         engine: Engine,
         policy: PrewarmPolicy,
-        on_evict: Optional[Callable[[str, Sandbox], None]] = None,
+        on_evict: Optional[Callable[[Sandbox], None]] = None,
         obs: Observability = NULL_OBS,
     ) -> None:
         self._engine = engine
@@ -150,7 +153,7 @@ class SandboxPool:
                 sandbox=sandbox.sandbox_id,
             )
         if self._on_evict is not None:
-            self._on_evict(function_name, sandbox)
+            self._on_evict(sandbox)
 
     # ------------------------------------------------------------------
     # Invariants (repro.check)

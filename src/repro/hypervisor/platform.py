@@ -89,9 +89,15 @@ class CountExport:
             metrics.counter(f"scheduler.{self.policy.name}.enqueue").inc(enqueues)
 
     def freeze(self) -> None:
-        """Export what is left, then export nothing more."""
+        """Export what is left, then export nothing more.
+
+        The registry keeps its collectors for as long as it lives, so a
+        frozen export lets go of the host and the policy: the model it
+        counted is then freed with the rest of its cell.
+        """
         self()
         self.live = False
+        self.host = self.policy = None
 
 
 @dataclass

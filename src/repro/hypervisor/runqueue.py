@@ -34,7 +34,6 @@ class RunQueue:
         "reserved_for_ull",
         "entities",
         "load",
-        "enqueue_count",
         "dequeue_count",
         "sorted_inserts",
         "insert_scan_steps",
@@ -58,8 +57,6 @@ class RunQueue:
         self.reserved_for_ull = reserved_for_ull
         self.entities: SortedLinkedList[Vcpu] = SortedLinkedList(sort_key)
         self.load = RunqueueLoad()
-        #: vCPUs put on the queue by any path, HORSE merges included
-        self.enqueue_count = 0
         self.dequeue_count = 0
         #: one-at-a-time sorted inserts (the vanilla step 4) and the
         #: list hops they took; HORSE merges count in neither
@@ -94,7 +91,6 @@ class RunQueue:
         before = entities.scan_steps
         entities.insert_sorted(vcpu)
         vcpu.mark_runnable(self.runqueue_id)
-        self.enqueue_count += 1
         self.sorted_inserts += 1
         steps = entities.scan_steps - before
         self.insert_scan_steps += steps

@@ -18,6 +18,13 @@ participate).  Two attributions are kept per (phase, subsystem, site):
   deterministic artifacts; they are reported separately so a human can
   see where a run actually burned CPU.
 
+Cyclic-GC pauses are a layer of their own: while a :func:`profiling`
+block is active a ``gc.callbacks`` hook times every collection, and
+the time a collection spent inside an event callback or a scheduler
+pop is moved out of that bucket into ``gc`` (with the collection count
+per generation), so the wall report says how much of a run the
+collector took.
+
 Artifacts (written by ``repro profile``):
 
 * ``<name>.collapsed`` — folded stacks ``name;phase;subsystem;site N``
@@ -32,6 +39,7 @@ drain.
 
 from __future__ import annotations
 
+import gc
 import json
 import time
 from contextlib import contextmanager
@@ -71,6 +79,8 @@ STEM_SUBSYSTEMS: Dict[str, str] = {
 SCHEDULER_SITE = ("sim.scheduler", "pop")
 WATCHER_SITE = ("check.invariants", "watchers")
 CANCELLED_SITE = ("sim.engine", "cancelled")
+#: The wall-report bucket for cyclic-GC pauses.
+GC_SUBSYSTEM = "gc"
 
 
 class SubsystemProfiler:
@@ -85,6 +95,9 @@ class SubsystemProfiler:
         "watcher_wall_ns",
         "total_wall_ns",
         "started_wall_ns",
+        "gc_wall_ns",
+        "gc_collections",
+        "_gc_started_ns",
     )
 
     def __init__(self, name: str = "profile") -> None:
@@ -100,6 +113,11 @@ class SubsystemProfiler:
         self.watcher_wall_ns = 0
         self.total_wall_ns = 0
         self.started_wall_ns = time.perf_counter_ns()
+        #: wall time inside cyclic-GC collections, and their count per
+        #: generation (filled by the gc.callbacks hook of profiling())
+        self.gc_wall_ns = 0
+        self.gc_collections = [0, 0, 0]
+        self._gc_started_ns = 0
 
     # ------------------------------------------------------------------
     def phase(self, name: str) -> None:
@@ -135,6 +153,14 @@ class SubsystemProfiler:
         if cell is None:
             cell = self._sites[key] = [0, 0, 0]
         cell[0] += 1
+
+    def on_gc(self, phase: str, info: Dict[str, int]) -> None:
+        """The ``gc.callbacks`` hook: time one collection."""
+        if phase == "start":
+            self._gc_started_ns = time.perf_counter_ns()
+        else:
+            self.gc_wall_ns += time.perf_counter_ns() - self._gc_started_ns
+            self.gc_collections[info["generation"]] += 1
 
     def finish(self) -> None:
         """Freeze total wall time (call once, after the last phase)."""
@@ -222,6 +248,7 @@ class SubsystemProfiler:
             per_subsystem[WATCHER_SITE[0]] = (
                 per_subsystem.get(WATCHER_SITE[0], 0) + self.watcher_wall_ns
             )
+        per_subsystem[GC_SUBSYSTEM] = self.gc_wall_ns
         attributed = sum(per_subsystem.values())
         total = self.total_wall_ns or attributed
         lines = [f"wall-time attribution for {self.name!r}:"]
@@ -229,7 +256,13 @@ class SubsystemProfiler:
             per_subsystem.items(), key=lambda kv: (-kv[1], kv[0])
         ):
             share = 100.0 * wall / attributed if attributed else 0.0
-            lines.append(f"  {subsystem:<24s} {wall / 1e6:10.2f} ms {share:6.2f}%")
+            line = f"  {subsystem:<24s} {wall / 1e6:10.2f} ms {share:6.2f}%"
+            if subsystem == GC_SUBSYSTEM:
+                line += (
+                    "  collections gen0/1/2 "
+                    + "/".join(str(n) for n in self.gc_collections)
+                )
+            lines.append(line)
         coverage = 100.0 * self.named_coverage()
         loop_share = 100.0 * attributed / total if total else 0.0
         lines.append(
@@ -247,8 +280,9 @@ class SubsystemProfiler:
             attributed += cell[2]
             if not subsystem.startswith("other."):
                 named += cell[2]
-        attributed += self.scheduler_wall_ns + self.watcher_wall_ns
-        named += self.scheduler_wall_ns + self.watcher_wall_ns
+        synthetic = self.scheduler_wall_ns + self.watcher_wall_ns + self.gc_wall_ns
+        attributed += synthetic
+        named += synthetic
         return named / attributed if attributed else 1.0
 
     def __repr__(self) -> str:
@@ -271,9 +305,12 @@ def current_profiler() -> Optional[SubsystemProfiler]:
 
 @contextmanager
 def profiling(profiler: SubsystemProfiler) -> Iterator[SubsystemProfiler]:
-    """Engines built inside the block route dispatch through *profiler*."""
+    """Engines built inside the block route dispatch through *profiler*,
+    and every cyclic-GC collection in the block is timed into it."""
     _active.append(profiler)
+    gc.callbacks.append(profiler.on_gc)
     try:
         yield profiler
     finally:
+        gc.callbacks.remove(profiler.on_gc)
         _active.pop()

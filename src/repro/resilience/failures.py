@@ -142,6 +142,10 @@ class FailureInjector:
             host.horse.fault_hook = hook
 
     def _make_resume_hook(self, index: int):
+        # The hook is installed on the cluster's hosts, and this
+        # injector holds the cluster: it captures the tally it bumps,
+        # never the injector (DESIGN.md §10).
+        fired = self.fired
         probability = self.config.resume_fault_probability(
             index in self.flaky_hosts
         )
@@ -164,7 +168,7 @@ class FailureInjector:
                 if pick < cursor:
                     kind = candidate
                     break
-            self.fired[kind] += 1
+            fired[kind] += 1
             if kind == RESUME_FAULT_SLOW:
                 stall = round(SLOW_STALL_US * 1000 * (0.5 + rng.random()))
                 return ResumeFault(kind, stall_ns=stall)

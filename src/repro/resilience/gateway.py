@@ -6,9 +6,9 @@ and turns raw triggers into *requests* with failure semantics:
 * **admission control** — arrivals beyond the concurrency watermark are
   shed at the door, lowest priority first (reserved headroom only
   high-priority/uLL work may use);
-* **placement steering** — the cluster's placement policy only sees
-  healthy, breaker-admitted hosts (per-node circuit breakers are
-  installed as the cluster's ``host_gate``);
+* **placement steering** — the dispatch policy only sees healthy,
+  breaker-admitted hosts (per-node circuit breakers gate the cluster's
+  routable set on every attempt);
 * **retries** — transient resume errors, hung resumes (detected by an
   attempt timeout) and node crashes re-dispatch the request with capped
   exponential backoff and seeded full jitter, within a hard attempt
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.faas.cluster import FaaSCluster, plan_start
 from repro.faas.invocation import Invocation, StartType
@@ -181,12 +181,18 @@ class ResilientGateway:
             i: [] for i in range(len(cluster.hosts))
         }
         self.breakers: Dict[int, CircuitBreaker] = {}
+        #: Routing veto passed to ``cluster.routable_or_empty`` on every
+        #: attempt.  A closure over the breakers and the clock, never a
+        #: bound method: nothing the gateway hands out may point back
+        #: at it (DESIGN.md §10).
+        self._gate: Optional[Callable[[int], bool]] = None
         if config.breaker is not None:
-            self.breakers = {
+            breakers = self.breakers = {
                 i: CircuitBreaker(config.breaker, name=f"host-{i}", obs=self.obs)
                 for i in range(len(cluster.hosts))
             }
-            cluster.host_gate = self._breaker_gate
+            clock = self._clock
+            self._gate = lambda index: breakers[index].allow(clock._now)
         #: Every placement decision routes through here — push policies
         #: choose a host, pull policies may answer None (park and wait
         #: for a host to pull).  A fresh instance per gateway: policies
@@ -232,9 +238,6 @@ class ResilientGateway:
         )
 
     # ------------------------------------------------------------------
-    def _breaker_gate(self, index: int) -> bool:
-        return self.breakers[index].allow(self._clock._now)
-
     def attach(self, injector: FailureInjector) -> None:
         """Subscribe to the injector's crash/recovery notifications."""
         injector.on_crash.append(self._handle_crash)
@@ -376,7 +379,7 @@ class ResilientGateway:
                 return
         # A hedge excludes its primary's host.  An empty candidate list
         # branches here instead of through exception machinery.
-        candidates = self.cluster.routable_or_empty(exclude)
+        candidates = self.cluster.routable_or_empty(exclude, self._gate)
         host_index = (
             self.dispatch.select_host(request, candidates) if candidates else None
         )

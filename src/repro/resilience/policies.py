@@ -91,19 +91,31 @@ class DispatchPolicy:
     name: str = "abstract"
 
     def __init__(self) -> None:
-        self.gateway: Optional["ResilientGateway"] = None
         self.cluster: Optional[FaaSCluster] = None
+        #: the bound gateway's in-flight table (host -> [(request,
+        #: attempt)]), ledger and clock: all a policy reads of it
+        self._inflight: Optional[Dict[int, list]] = None
+        self._requests: Optional[List["Request"]] = None
+        self._clock = None
 
     def bind(self, gateway: "ResilientGateway") -> None:
         """Attach to one gateway (policies are single-owner: a fresh
-        instance per gateway, from the registry factory)."""
-        if self.gateway is not None and self.gateway is not gateway:
+        instance per gateway, from the registry factory).
+
+        The policy keeps the gateway's cluster, in-flight table, ledger
+        and clock, never the gateway itself: the gateway owns its
+        policy, and a back-pointer would make the pair a reference
+        cycle (DESIGN.md §10).
+        """
+        if self._inflight is not None and self._inflight is not gateway._inflight:
             raise ValueError(
                 f"dispatch policy {self.name!r} is already bound; "
                 "make() a fresh instance per gateway"
             )
-        self.gateway = gateway
         self.cluster = gateway.cluster
+        self._inflight = gateway._inflight
+        self._requests = gateway.requests
+        self._clock = gateway._clock
 
     # -- hooks ---------------------------------------------------------
     def on_submit(self, request: "Request") -> None:
@@ -188,7 +200,7 @@ class PullQueuePolicy(DispatchPolicy):
     ) -> Optional[int]:
         cluster = self.cluster
         candidates = eligible_candidates(cluster, request.function, candidates)
-        inflight = self.gateway._inflight
+        inflight = self._inflight
         slots = self.slots
         best = None
         best_depth = slots
@@ -209,7 +221,7 @@ class PullQueuePolicy(DispatchPolicy):
     def invariant_violations(self) -> List[str]:
         over = [
             i
-            for i, pairs in self.gateway._inflight.items()
+            for i, pairs in self._inflight.items()
             if len(pairs) > self.slots
         ]
         if over:
@@ -274,7 +286,7 @@ class MqfqStickyPolicy(DispatchPolicy):
         if (
             sticky is not None
             and sticky in candidates
-            and len(self.gateway._inflight[sticky]) < self.sticky_depth
+            and len(self._inflight[sticky]) < self.sticky_depth
         ):
             host = sticky
         else:
@@ -301,7 +313,7 @@ class MqfqStickyPolicy(DispatchPolicy):
 
     def invariant_violations(self) -> List[str]:
         violations: List[str] = []
-        requests = self.gateway.requests
+        requests = self._requests
         from repro.resilience.gateway import RequestState
 
         stale = [
@@ -346,7 +358,7 @@ class DeadlineAwarePolicy(DispatchPolicy):
         candidates = eligible_candidates(cluster, request.function, candidates)
         if not candidates:
             return None
-        slack = request.deadline_ns - self.gateway._clock._now
+        slack = request.deadline_ns - self._clock._now
         if slack <= self.tight_slack_ns:
             hosts = cluster.hosts
             warm = [

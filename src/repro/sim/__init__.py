@@ -10,6 +10,7 @@ from repro import lazy_exports
 _EXPORTS = {
     "SimClock": "repro.sim.clock",
     "Engine": "repro.sim.engine",
+    "EngineClosedError": "repro.sim.errors",
     "SchedulingInPastError": "repro.sim.errors",
     "SimError": "repro.sim.errors",
     "Event": "repro.sim.event",

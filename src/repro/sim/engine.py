@@ -37,7 +37,7 @@ from typing import Callable, List, Optional
 
 from repro.obs.profile import current_profiler
 from repro.sim.clock import SimClock
-from repro.sim.errors import SchedulingInPastError
+from repro.sim.errors import EngineClosedError, SchedulingInPastError
 from repro.sim.event import Event, EventPriority
 from repro.sim.schedulers import make_scheduler, scheduler_kinds
 
@@ -64,6 +64,12 @@ if _default_scheduler not in scheduler_kinds():
         f"choose from {scheduler_kinds()}"
     )
     _default_scheduler = "calendar"
+
+
+def _refuse(_event: Event) -> None:
+    """The push of a closed engine, and the mark of one (a plain
+    function: a bound method stored on the engine would be a cycle)."""
+    raise EngineClosedError("cannot schedule on a closed engine")
 
 
 def set_default_scheduler(kind: str) -> str:
@@ -243,6 +249,8 @@ class Engine:
         if the queue drains earlier, so back-to-back ``run(until=...)``
         calls tile time contiguously.
         """
+        if self._push is _refuse:
+            raise EngineClosedError("cannot run a closed engine")
         clock = self.clock
         if self._profiler is not None:
             executed = self._run_profiled(until, self._profiler)
@@ -291,10 +299,15 @@ class Engine:
         record = profiler.record
         perf = _time.perf_counter_ns
         last_sim = clock._now
+        # A collection that strikes inside a pop or a callback is the
+        # collector's time, not theirs: profiler.gc_wall_ns grows by it.
         while True:
+            gc_before = profiler.gc_wall_ns
             t0 = perf()
             event = pop_due(until)
-            profiler.scheduler_wall_ns += perf() - t0
+            profiler.scheduler_wall_ns += (
+                perf() - t0 - (profiler.gc_wall_ns - gc_before)
+            )
             if event is None:
                 break
             if event.cancelled:
@@ -306,9 +319,10 @@ class Engine:
             label = event.label
             callback = event.callback
             event.callback = None
+            gc_before = profiler.gc_wall_ns
             t0 = perf()
             callback()
-            wall = perf() - t0
+            wall = perf() - t0 - (profiler.gc_wall_ns - gc_before)
             executed += 1
             self._events_executed += 1
             record(label, when - last_sim, wall)
@@ -326,6 +340,25 @@ class Engine:
         event.callback = None
         if event.transient and len(self._pool) < _POOL_CAP:
             self._pool.append(event)
+
+    def close(self) -> None:
+        """End the engine's life: drop every pending callback, refuse
+        any later work.
+
+        Events still pending when a run stops (keep-alive evictions
+        armed far past the drain horizon, timers nobody cancelled) hold
+        callbacks that reach objects which hold this engine, and
+        handles to them sit in those objects too.  Dropping the
+        callbacks, the free-list and the watchers leaves the finished
+        object graph without cycles through the engine, so reference
+        counting frees it when the caller lets go.  Every later
+        ``schedule_*`` or :meth:`run` raises
+        :class:`~repro.sim.errors.EngineClosedError`.  Idempotent.
+        """
+        self._sched.close()
+        self._push = _refuse
+        self._pool.clear()
+        self._watchers.clear()
 
     def pending_events(self) -> List[Event]:
         """Sorted snapshot of non-cancelled pending events.

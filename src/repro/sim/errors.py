@@ -14,3 +14,7 @@ class SimError(Exception):
 
 class SchedulingInPastError(SimError):
     """An event was scheduled before the current simulated time."""
+
+
+class EngineClosedError(SimError):
+    """An engine was asked to schedule or run after :meth:`Engine.close`."""

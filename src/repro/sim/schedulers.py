@@ -28,7 +28,9 @@ Outside the inlined drain loops, neither scheduler interprets
 ``Event.cancelled``; lazily-cancelled events are popped and skipped by
 the engine, which owns the free-list they are recycled into.  Every
 event a drain pops, fired or skipped, drops its callback on the way
-out, so a handle held past its instant keeps no closure alive.
+out, so a handle held past its instant keeps no closure alive; and
+``close()`` does the same for every event still queued when the
+engine is closed.
 """
 
 from __future__ import annotations
@@ -109,6 +111,12 @@ class HeapScheduler:
     def iter_pending(self) -> Iterator[Event]:
         """All queued events, cancelled included, in no defined order."""
         return iter(self._heap)
+
+    def close(self) -> None:
+        """Drop every queued event's callback and empty the heap."""
+        for event in self._heap:
+            event.callback = None
+        self._heap.clear()
 
 
 class CalendarScheduler:
@@ -322,6 +330,14 @@ class CalendarScheduler:
         for bucket in self._buckets:
             for entry in bucket:
                 yield entry[3]
+
+    def close(self) -> None:
+        """Drop every queued event's callback and empty every bucket."""
+        for bucket in self._buckets:
+            for entry in bucket:
+                entry[3].callback = None
+            bucket.clear()
+        self._size = 0
 
     # ------------------------------------------------------------------
     # Resizing — deterministic: depends only on queue content.

@@ -1,5 +1,7 @@
 """Gateway-shard crash/recovery: fencing, replay, conservative rebuild."""
 
+import gc
+
 import pytest
 
 from repro.controlplane import intent_log_violations
@@ -32,6 +34,25 @@ class TestJournalling:
         fences = [r.fence for r in shard.log.records if r.kind == "launch"]
         assert len(fences) >= 8
         assert fences == sorted(fences) and len(set(fences)) == len(fences)
+
+
+class TestJournalOwnership:
+    def test_every_incarnation_shares_the_journal_not_the_shard(self, engine):
+        # The shard owns the journal and hands it to each incarnation;
+        # the journal points at neither, so a fenced incarnation never
+        # reaches back to the shard that replaced it.
+        shard = build_shard(engine, 0)
+        first = shard.gateway
+        shard.crash(engine.now)
+        shard.recover(engine.now)
+        assert first.journal is shard.journal is shard.gateway.journal
+        assert shard.log is shard.journal.log
+        assert shard.epoch == shard.journal.epoch == 1
+        referents = gc.get_referents(shard.journal)
+        assert not any(
+            ref is shard or ref is first or ref is shard.gateway
+            for ref in referents
+        )
 
 
 class TestCrash:

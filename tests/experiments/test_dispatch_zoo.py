@@ -11,9 +11,11 @@ from repro.experiments.dispatch_zoo import (
     dispatch_zoo_rows,
     render_dispatch_zoo,
     run_dispatch_zoo,
+    run_zoo_cell,
 )
 from repro.experiments import registry
 from repro.experiments.registry import ExperimentConfig
+from tests.retention import cell_leftovers
 
 FAST = DispatchZooConfig(
     hosts=2, requests=80, failure_rates=(0.1,), mixes=("balanced", "accel")
@@ -139,3 +141,17 @@ class TestGolden:
             ExperimentConfig(fast=True, seed=0)
         ).summary()
         assert summary + "\n" == golden.read_text()
+
+
+class TestRetention:
+    @pytest.mark.parametrize("mix", FAST.mixes)
+    def test_cell_leaves_nothing_for_the_cyclic_collector(self, mix):
+        # A zoo cell runs the chaos study's stack and closes it the same
+        # way: only the returned ZooCell (about 5 objects) stays tracked.
+        cell, left, unreachable = cell_leftovers(
+            lambda: run_zoo_cell("mqfq-sticky", 0.1, mix, FAST)
+        )
+        assert cell.submitted == FAST.requests
+        assert unreachable == 0
+        assert left <= 10, f"{left} tracked objects left"
+

@@ -123,19 +123,24 @@ class TestRoutabilityUnderFailure:
         assert 1 not in cluster.stats.per_host_triggers
 
     def test_host_gate_vetoes_routing(self):
-        # The resilience layer points host_gate at per-node circuit
-        # breakers; an open breaker must steer placement away.
+        # The resilience layer passes its per-node circuit breakers as
+        # the routing gate; an open breaker must steer placement away.
         cluster = make_cluster(placement=LeastLoadedPlacement())
         cluster.provision_warm("fw", per_host=2)
-        cluster.host_gate = lambda index: index != 0
+        gate = lambda index: index != 0
         for _ in range(4):
-            cluster.trigger("fw", StartType.HORSE)
+            candidates = cluster.routable_or_empty(gate=gate)
+            index = cluster.placement.choose_from(cluster, "fw", candidates)
+            cluster.trigger_on(index, "fw", StartType.HORSE)
         assert 0 not in cluster.stats.per_host_triggers
 
     def test_no_routable_host_raises(self):
         cluster = make_cluster(hosts=2)
         cluster.crash_host(0)
-        cluster.host_gate = lambda index: index != 1  # gate the survivor
+        # Gating the survivor leaves nothing routable ...
+        assert cluster.routable_or_empty(gate=lambda index: index != 1) == []
+        cluster.crash_host(1)
+        # ... and with every host down the cluster's own placement raises.
         with pytest.raises(NoHealthyHostError):
             cluster.trigger("fw", StartType.HORSE)
 

@@ -3,6 +3,7 @@ and the prewarm lifecycle policies that arm its eviction timers."""
 
 import pytest
 
+from repro.faas.function import FunctionSpec
 from repro.faas.platform import FaaSPlatform
 from repro.faas.pool import SandboxPool
 from repro.faas.keepalive import FixedWindow, HybridHistogram, NoKeepAlive
@@ -10,6 +11,7 @@ from repro.hypervisor.platform import firecracker_platform
 from repro.hypervisor.sandbox import Sandbox, SandboxState
 from repro.sim.engine import Engine
 from repro.sim.units import seconds
+from repro.workloads import FirewallWorkload
 
 
 def paused_box(virt, vcpus=1):
@@ -73,9 +75,11 @@ class TestAcquireRelease:
 
 class TestKeepAliveEviction:
     def test_idle_sandbox_evicted_after_window(self, setup):
-        engine, virt, pool = setup
+        engine, virt, _ = setup
         evicted = []
-        pool._on_evict = lambda name, sb: evicted.append(sb)
+        pool = SandboxPool(
+            engine, FixedWindow(seconds(10)), on_evict=evicted.append
+        )
         sandbox = paused_box(virt)
         pool.release("fw", sandbox)
         engine.run(until=seconds(11))
@@ -83,6 +87,25 @@ class TestKeepAliveEviction:
         assert sandbox.state is SandboxState.STOPPED
         assert evicted == [sandbox]
         assert pool.evictions == 1
+
+    def test_platform_eviction_frees_memory_at_the_window(self):
+        # The platform binds the pool's eviction hook to its uLL
+        # manager's reclaim, not to itself: the eviction still fires at
+        # the keep-alive instant and returns the sandbox's memory.
+        faas = FaaSPlatform.build("firecracker")
+        faas.register(FunctionSpec("fw", FirewallWorkload(), memory_mb=128))
+        faas.provision_warm("fw", count=1)
+        (sandbox,) = faas.pool.idle_sandboxes("fw")
+        used = faas.virt.host.memory_used_mb
+        assert sandbox.assigned_ull_runqueue is not None  # a HORSE pause
+        assert faas.pool._on_evict == faas.ull_manager.reclaim
+        assert eviction_deadline(faas.engine, sandbox) == seconds(600)
+        faas.engine.run(until=seconds(600) - 1)
+        assert faas.virt.host.memory_used_mb == used
+        faas.engine.run(until=seconds(600))
+        assert sandbox.state is SandboxState.STOPPED
+        assert faas.virt.host.memory_used_mb == used - 128
+        assert sandbox.assigned_ull_runqueue is None
 
     def test_acquire_before_window_cancels_eviction(self, setup):
         engine, virt, pool = setup

@@ -54,10 +54,11 @@ class TestEnqueue:
         assert queue.enqueue_sorted(make_vcpu(2.0), 0) == 1
 
     def test_enqueue_count(self):
+        # Both sorted-insert entry points count once each.
         queue = make_queue()
         queue.enqueue_sorted(make_vcpu(), 0)
         queue.enqueue_sorted_without_load(make_vcpu(index=1))
-        assert queue.enqueue_count == 2
+        assert queue.sorted_inserts == 2
 
     def test_sorted_inserts_count_hops_and_record_the_length(self):
         queue = make_queue()

@@ -71,6 +71,28 @@ class TestBundle:
         assert second.snapshot()["runqueue.dequeue"]["value"] == 4
 
 
+    def test_frozen_export_flushes_then_lets_go_of_the_host(self):
+        # A closed cell freezes its exports: the registry keeps its
+        # collectors, but a frozen one must not pin the model it counted.
+        import weakref
+
+        from repro.hypervisor.platform import firecracker_platform
+
+        registry = MetricRegistry()
+        platform = firecracker_platform()
+        platform.attach_observability(Observability(NULL_TRACER, registry))
+        platform.host.runqueue(0).enqueue_sorted(Vcpu(0, "a"), 0)
+        export = platform.export
+        host = weakref.ref(platform.host)
+        export.freeze()
+        assert export.host is None and export.policy is None
+        del platform
+        assert host() is None
+        snapshot = registry.snapshot()
+        assert snapshot["runqueue.enqueue"]["value"] == 1
+        assert snapshot["runqueue.last_len"]["value"] == 1
+
+
 class TestActiveContext:
     def test_default_is_null(self):
         assert current() is NULL_OBS

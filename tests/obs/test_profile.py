@@ -5,6 +5,7 @@ process-global counters, so only two fresh processes with the same seed
 can be compared byte-for-byte (same pattern as the chaos CLI test).
 """
 
+import gc
 import json
 import os
 import subprocess
@@ -141,6 +142,50 @@ class TestArtifacts:
         profiler.record("slice:0", 1, 3)
         profiler.record("mystery:0", 1, 1)
         assert profiler.named_coverage() == 0.75
+
+
+class TestGcAttribution:
+    def test_collections_are_timed_only_inside_the_block(self):
+        profiler = SubsystemProfiler("gc")
+        with profiling(profiler):
+            assert profiler.on_gc in gc.callbacks
+            gc.collect()
+        assert profiler.on_gc not in gc.callbacks
+        assert profiler.gc_collections[2] >= 1
+        assert profiler.gc_wall_ns > 0
+        counted = list(profiler.gc_collections)
+        gc.collect()
+        assert profiler.gc_collections == counted
+
+    def test_wall_report_has_a_gc_line(self):
+        profiler = SubsystemProfiler("gc")
+        profiler.gc_wall_ns = 2_000_000
+        profiler.gc_collections = [7, 2, 1]
+        (line,) = [
+            line for line in profiler.wall_report().splitlines()
+            if line.split()[0] == "gc"
+        ]
+        assert "2.00 ms" in line
+        assert line.endswith("collections gen0/1/2 7/2/1")
+
+    def test_collection_inside_a_callback_is_moved_to_gc(self):
+        profiler = SubsystemProfiler("gc")
+        with profiling(profiler):
+            engine = Engine()
+            engine.schedule_at(10, gc.collect, label="slice:0")
+            engine.run()
+        (cell,) = profiler._sites.values()
+        assert profiler.gc_wall_ns > 0
+        # The callback did nothing but collect: what is left of its
+        # wall time is the call itself, far below the collection.
+        assert cell[2] < profiler.gc_wall_ns
+
+    def test_gc_stays_out_of_deterministic_artifacts(self):
+        profiler = SubsystemProfiler("probe")
+        with profiling(profiler):
+            gc.collect()
+        assert "gc" not in profiler.collapsed_stacks()
+        assert '"gc' not in profiler.hotspot_json()
 
 
 class TestEngineHookup:

@@ -7,6 +7,8 @@ accelerator eligibility filter, and the per-policy behaviour the zoo
 study relies on.
 """
 
+import gc
+
 import pytest
 
 from repro.faas import FunctionSpec
@@ -148,6 +150,19 @@ class TestBinding:
             policy.bind(second)
         policy.bind(first)  # idempotent on the same gateway
 
+    def test_policy_keeps_the_gateway_tables_not_the_gateway(self):
+        # The gateway owns its policy; a back-pointer would make the
+        # pair a reference cycle.  The policy reads the live tables.
+        _, gateway = make_stack(dispatch="mqfq-sticky")
+        policy = gateway.dispatch
+        assert policy._inflight is gateway._inflight
+        assert policy._requests is gateway.requests
+        assert policy._clock is gateway._clock
+        assert not any(ref is gateway for ref in gc.get_referents(policy))
+        assert not any(
+            ref is gateway for ref in gc.get_referents(vars(policy))
+        )
+
     def test_base_hooks_are_push_shaped_noops(self):
         policy = DispatchPolicy()
         assert policy.on_host_idle(0) is False
@@ -185,6 +200,16 @@ class TestPullPolicy:
         assert gateway.invariant_violations() == []
         assert all(r.state.terminal for r in gateway.requests)
 
+    def test_pull_decisions_follow_the_live_inflight_table(self):
+        # Least-deep host first, lowest index on ties, park when every
+        # host is at its slot depth.
+        cluster, gateway = make_stack(hosts=3, seed=3, dispatch="pull-2")
+        requests = [gateway.submit("fw") for _ in range(7)]
+        assert [r.attempts[0].host if r.attempts else None
+                for r in requests] == [0, 1, 2, 0, 1, 2, None]
+        cluster.engine.run(until=seconds(30))
+        assert all(r.state is RequestState.COMPLETED for r in requests)
+
     def test_saturated_fleet_parks_then_drains_on_completion(self):
         cluster, gateway = make_stack(hosts=2, seed=3, dispatch="pull-1")
         requests = [gateway.submit("fw") for _ in range(6)]
@@ -216,6 +241,20 @@ class TestMqfqPolicy:
         cluster.engine.run(until=seconds(10))
         assert request.state is RequestState.COMPLETED
         assert request.request_id not in policy._tags
+        assert gateway.invariant_violations() == []
+
+    def test_flow_sticks_to_its_host_up_to_the_sticky_depth(self):
+        cluster, gateway = make_stack(
+            hosts=3, seed=5, dispatch="mqfq-sticky", warm=8
+        )
+        requests = [gateway.submit("fw") for _ in range(6)]
+        hosts = [r.attempts[0].host for r in requests]
+        # Four in flight on the first host, then least-loaded elsewhere
+        # (which becomes the flow's new sticky host).
+        assert hosts[:4] == [hosts[0]] * 4
+        assert hosts[4] != hosts[0]
+        assert hosts[5] == hosts[4]
+        cluster.engine.run(until=seconds(30))
         assert gateway.invariant_violations() == []
 
     def test_flow_finish_tags_advance_by_inverse_weight(self):

@@ -7,6 +7,8 @@ auditing the request ledger (``invariant_violations`` /
 resolved two ways.
 """
 
+import gc
+
 import pytest
 
 from repro.faas import FunctionSpec
@@ -299,6 +301,21 @@ class TestBreakerSteering:
         winner = next(a for a in request.attempts if a.status == "ok")
         assert winner.host == 1
         audit(gateway)
+
+    def test_breakers_gate_routing_without_a_hook_on_the_cluster(self):
+        # The gateway passes its breakers to each routability query
+        # instead of installing them on the cluster it owns: nothing on
+        # the cluster points back at the gateway.
+        cluster, gateway = make_stack(hosts=3)
+        assert not any(
+            ref is gateway for ref in gc.get_referents(vars(cluster))
+        )
+        gateway.breakers[1].force_open(0, reason="test")
+        assert cluster.routable_or_empty(None, gateway._gate) == [0, 2]
+        assert cluster.routable_or_empty(0, gateway._gate) == [2]
+        assert cluster.routable_or_empty() == [0, 1, 2]
+        request = gateway.submit("fw")
+        assert [a.host for a in request.attempts] == [0]
 
     def test_gated_cluster_waits_then_probes_through(self):
         registry = MetricRegistry()

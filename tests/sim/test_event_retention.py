@@ -1,18 +1,21 @@
-"""Fired, skipped and cancelled events keep no callback alive.
+"""Fired, skipped, cancelled and closed-over events keep no callback alive.
 
 A handle the caller holds after its event has fired (an invocation's
 completion event, a pool's eviction timer) must pin only the slotted
 ``Event``, never the closure and what the closure captured.  Every
 dispatch loop honours this: the heap and calendar drains, the watcher
-path and the profiled path.
+path and the profiled path.  :meth:`Engine.close` extends the rule to
+events still pending when a run ends, on both schedulers.
 """
 
+import gc
 import weakref
 
 import pytest
 
 from repro.obs.profile import SubsystemProfiler, profiling
 from repro.sim.engine import Engine
+from repro.sim.errors import EngineClosedError
 from repro.sim.schedulers import scheduler_kinds
 
 DISPATCH = ("drain", "watcher", "profiled")
@@ -79,3 +82,101 @@ class TestEventsDropCallbacks:
         engine.run()
         assert handle.callback is None
         assert alive() is None
+
+
+class _Owner:
+    """Holds the engine and arms a timer that captures itself: the
+    shape of a pool whose keep-alive event outlives the run."""
+
+    def __init__(self, engine):
+        self.engine = engine
+        self.timer = engine.schedule_at(10**12, lambda: self.fire())
+
+    def fire(self):
+        pass
+
+
+@pytest.mark.parametrize("kind", scheduler_kinds())
+class TestEngineClose:
+    def test_close_drops_every_pending_callback(self, kind):
+        engine = Engine(scheduler=kind)
+        payload = _Payload()
+        alive = weakref.ref(payload)
+        held = engine.schedule_at(10, _closure(payload))
+        transient = engine.schedule_at(20, _closure(payload), transient=True)
+        far = engine.schedule_at(10**15, _closure(payload))
+        engine.schedule_at(30, lambda: None).cancel()
+        del payload
+        engine.run(until=5)
+        assert alive() is not None  # the pending closures hold it
+        engine.close()
+        assert held.callback is None
+        assert transient.callback is None
+        assert far.callback is None
+        assert alive() is None
+        assert engine.pending_events() == []
+        assert engine.events_executed == 0
+
+    def test_close_after_a_run_leaves_the_clock(self, kind):
+        engine = Engine(scheduler=kind)
+        fired = []
+        engine.schedule_at(10, lambda: fired.append(engine.now))
+        engine.schedule_at(50, lambda: fired.append(engine.now))
+        engine.run(until=20)
+        engine.close()
+        assert fired == [10]
+        assert engine.now == 20 and engine.events_executed == 1
+
+    def test_schedule_and_run_raise_after_close(self, kind):
+        engine = Engine(scheduler=kind)
+        engine.close()
+        with pytest.raises(EngineClosedError):
+            engine.schedule_at(10, lambda: None)
+        with pytest.raises(EngineClosedError):
+            engine.schedule_after(10, lambda: None, transient=True)
+        with pytest.raises(EngineClosedError):
+            engine.schedule_transient_after(10, lambda: None)
+        with pytest.raises(EngineClosedError):
+            engine.run()
+        with pytest.raises(EngineClosedError):
+            engine.run(until=100)
+
+    def test_close_is_idempotent(self, kind):
+        engine = Engine(scheduler=kind)
+        engine.schedule_at(10, lambda: None)
+        engine.close()
+        engine.close()
+        assert engine.pending_events() == []
+
+    def test_closed_owner_is_freed_without_the_cyclic_collector(self, kind):
+        # Owner -> engine -> scheduler -> timer -> closure -> owner is a
+        # cycle while the timer is pending; close() cuts it, so
+        # reference counting alone frees the owner and its engine.
+        gc.collect()
+        gc.disable()
+        try:
+            owner = _Owner(Engine(scheduler=kind))
+            owner_alive = weakref.ref(owner)
+            engine_alive = weakref.ref(owner.engine)
+            owner.engine.close()
+            assert owner.timer.callback is None
+            del owner
+            assert owner_alive() is None
+            assert engine_alive() is None
+        finally:
+            gc.enable()
+
+    def test_unclosed_owner_needs_the_cyclic_collector(self, kind):
+        # The control: without close() the same graph survives
+        # reference counting.
+        gc.collect()
+        gc.disable()
+        try:
+            owner = _Owner(Engine(scheduler=kind))
+            owner_alive = weakref.ref(owner)
+            del owner
+            assert owner_alive() is not None
+            gc.collect()
+            assert owner_alive() is None
+        finally:
+            gc.enable()
