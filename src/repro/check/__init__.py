@@ -11,8 +11,8 @@ Three pillars, composable but useful alone:
   PELT load to the ULP.
 
 :mod:`repro.check.harness` wires them around one pause/resume cycle,
-and :mod:`repro.check.runner` drives whole checked experiments
-(``python -m repro check figure3``).
+and :mod:`repro.check.runner` reports whole checked experiments
+(``python -m repro check <experiment>``).
 """
 
 from repro import lazy_exports
@@ -39,10 +39,9 @@ _EXPORTS = {
     "ResumeSnapshot": "repro.check.oracles",
     "snapshot_before_resume": "repro.check.oracles",
     "verify_resume": "repro.check.oracles",
-    "CHECKABLE": "repro.check.runner",
     "CheckReport": "repro.check.runner",
     "check_figure3": "repro.check.runner",
-    "run_check": "repro.check.runner",
+    "report_run": "repro.check.runner",
 }
 
 __all__ = sorted(_EXPORTS)

@@ -56,7 +56,6 @@ class CheckHarness:
         #: Sandbox the mid-resume fault may pause inside another's
         #: resume window (set by the runner to its resident sandbox).
         self.resident: Optional[Sandbox] = None
-        self.cycles = 0
 
     # ------------------------------------------------------------------
     def checked_pause(
@@ -91,7 +90,6 @@ class CheckHarness:
         """Resume through *path* under the full battery (see module
         docstring for the cycle order)."""
         context = context or f"resume:{sandbox.sandbox_id}"
-        self.cycles += 1
         is_horse = isinstance(path, HorsePauseResume)
 
         snapshot = snapshot_before_resume(path, sandbox) if is_horse else None

@@ -69,7 +69,6 @@ class _Entry:
     checker: Checker
     trigger: Trigger
     every_n: int = 1
-    runs: int = 0
 
 
 class InvariantRegistry:
@@ -85,6 +84,10 @@ class InvariantRegistry:
         self._per_event: Optional[List[_Entry]] = None
         self._event_count = 0
         self.violations: List[Violation] = []
+        #: what a run context registered (see watch_engine)
+        self.engines = self.hosts = self.pools = 0
+        #: the per-event entries of the engine watched last
+        self._stack: Optional[List[_Entry]] = None
 
     # ------------------------------------------------------------------
     # Registration
@@ -102,9 +105,30 @@ class InvariantRegistry:
         self._entries.append(_Entry(name, checker, trigger, every_n))
         self._per_event = None
 
-    @property
-    def checker_names(self) -> List[str]:
-        return [entry.name for entry in self._entries]
+    # Components built under a run context (repro.obs.context.activate)
+    def watch_engine(self, engine: Engine) -> None:
+        """Check *engine*, and the hosts and pools watched after it (a
+        stack builds its engine first), after each of its events.
+        Every :meth:`run_boundary` sweep checks them all, which is all
+        a host built with no engine gets."""
+        self.engines += 1
+        self._stack = []
+        self._watch("invariant.event_heap", event_heap_checker(engine))
+        self.attach(engine, f"engine{self.engines}", self._stack)
+
+    def watch_host(self, host) -> None:
+        self.hosts += 1
+        self._watch("invariant.runqueue", runqueue_checker(host))
+
+    def watch_pool(self, pool) -> None:
+        self.pools += 1
+        self._watch("invariant.pool", pool_checker(pool))
+
+    def _watch(self, name: str, checker: Checker) -> None:
+        entry = _Entry(name, checker, Trigger.BOUNDARY)
+        self._entries.append(entry)
+        if self._stack is not None:
+            self._stack.append(entry)
 
     # ------------------------------------------------------------------
     # Execution
@@ -117,7 +141,9 @@ class InvariantRegistry:
         """
         found: List[Violation] = []
         for entry in self._entries:
-            found.extend(self._run_entry(entry, now_ns, context))
+            found.extend(
+                self.report(entry.name, entry.checker(now_ns), now_ns, context)
+            )
         return found
 
     def _per_event_entries(self) -> List[_Entry]:
@@ -130,11 +156,17 @@ class InvariantRegistry:
             ]
         return entries
 
-    def attach(self, engine: Engine, context: str = "") -> None:
-        """Install an engine watcher honoring the per-event triggers."""
+    def attach(
+        self, engine: Engine, context: str = "", stack: Sequence[_Entry] = ()
+    ) -> None:
+        """Install an engine watcher honoring the per-event triggers,
+        which also runs every entry of *stack* on every event."""
 
         def watch(_event) -> None:
             self._event_count += 1
+            now = engine.now
+            for entry in stack:
+                self.report(entry.name, entry.checker(now), now, context)
             entries = self._per_event
             if entries is None:
                 entries = self._per_event_entries()
@@ -143,15 +175,9 @@ class InvariantRegistry:
                     entry.trigger is Trigger.EVERY_EVENT
                     or self._event_count % entry.every_n == 0
                 ):
-                    self._run_entry(entry, engine.now, context)
+                    self.report(entry.name, entry.checker(now), now, context)
 
         engine.add_watcher(watch)
-
-    def _run_entry(
-        self, entry: _Entry, now_ns: int, context: str
-    ) -> List[Violation]:
-        entry.runs += 1
-        return self.report(entry.name, entry.checker(now_ns), now_ns, context)
 
     # ------------------------------------------------------------------
     # Reporting (shared with the oracles and the fault harness)
@@ -299,45 +325,31 @@ def event_heap_checker(engine: Engine) -> Checker:
 
 def pool_checker(pool) -> Checker:
     """Warm-pool accounting (paused-only storage, timer consistency)."""
-
-    def check(_now_ns: int) -> List[str]:
-        return pool.invariant_violations()
-
-    return check
+    return lambda _now_ns: pool.invariant_violations()
 
 
 def p2sm_freshness_checker(ull_manager) -> Checker:
     """arrayB/posA of every tied sandbox must match its queue's state."""
-
-    def check(_now_ns: int) -> List[str]:
-        return ull_manager.check_freshness()
-
-    return check
+    return lambda _now_ns: ull_manager.check_freshness()
 
 
 def dvfs_sample_checker(host) -> Checker:
     """No queue's load sample may come from a skewed (future) clock."""
-
-    def check(now_ns: int) -> List[str]:
-        return sample_violations(host.built_runqueues(), now_ns)
-
-    return check
+    return lambda now_ns: sample_violations(host.built_runqueues(), now_ns)
 
 
 def default_registry(
     host=None,
     sandboxes: Optional[Sequence] = None,
-    engine: Optional[Engine] = None,
-    pool=None,
     ull_manager=None,
     obs: Optional[Observability] = None,
 ) -> InvariantRegistry:
     """A registry with every applicable built-in checker registered.
 
     Pass whichever components exist; the registry only wires checkers
-    for what it is given.  All built-ins register at the BOUNDARY
-    trigger; callers wanting per-event coverage re-register or call
-    :meth:`InvariantRegistry.attach` after switching triggers.
+    for what it is given, all at the BOUNDARY trigger.  Engines and
+    sandbox pools register themselves when built under a run context
+    holding a registry (:meth:`InvariantRegistry.watch_engine`).
     """
     registry = InvariantRegistry(obs=obs)
     if host is not None:
@@ -347,10 +359,6 @@ def default_registry(
             registry.register(
                 "invariant.lifecycle", lifecycle_checker(host, sandboxes)
             )
-    if engine is not None:
-        registry.register("invariant.event_heap", event_heap_checker(engine))
-    if pool is not None:
-        registry.register("invariant.pool", pool_checker(pool))
     if ull_manager is not None:
         registry.register(
             "invariant.p2sm_freshness", p2sm_freshness_checker(ull_manager)

@@ -1,13 +1,17 @@
 """Checked experiment runs: ``python -m repro check <experiment>``.
 
-:func:`check_figure3` re-runs the Figure-3 pause/resume cycles under
-the full correctness battery (invariants + differential oracles +
-optional fault injection), then exercises the FaaS warm-pool path with
-per-event invariant checking attached to the simulation engine.  Each
-cycle gets a fresh platform — exactly like the real experiment — plus a
-*resident* uLL sandbox resumed onto the reserved queue first, so the
-checked resume always merges into a non-empty queue (the case where
-P2SM's precomputed anchors can actually be wrong).
+Any registry spec is checked by running it under a run context holding
+an :class:`~repro.check.invariants.InvariantRegistry`
+(:func:`repro.obs.context.activate`): every engine, host and sandbox
+pool it builds registers its checkers, and :func:`report_run` reports.
+
+Figure 3 also needs what only it has, in :func:`check_figure3`: its
+pause/resume cycles under the differential oracles and an optional
+fault plan, each on a fresh platform plus a *resident* uLL sandbox
+resumed onto the reserved queue first, so the checked resume always
+merges into a non-empty queue (the case where P2SM's precomputed
+anchors can actually be wrong); then a warm-pool phase built under the
+run context and checked on every event.
 
 The result is a :class:`CheckReport`: every violation with its span
 context, every fault actually injected, and any planned fault that
@@ -18,7 +22,7 @@ nothing — the report makes that state visible rather than vacuous).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.check.faults import FaultInjector, FaultPlan, InjectedFault
 from repro.check.harness import CheckHarness
@@ -27,19 +31,14 @@ from repro.check.invariants import (
     Trigger,
     Violation,
     default_registry,
-    event_heap_checker,
-    pool_checker,
-    runqueue_checker,
+    p2sm_freshness_checker,
 )
 from repro.check.oracles import DEFAULT_MAX_ULPS
 from repro.core.hot_resume import HorseConfig, HorsePauseResume
 from repro.experiments.figure3 import SETUPS
 from repro.experiments.runner import fresh_platform
 from repro.hypervisor.sandbox import Sandbox
-from repro.obs.context import Observability, current as current_obs
-
-#: Experiments the ``check`` command knows how to drive.
-CHECKABLE = ("figure3",)
+from repro.obs.context import Observability, activate, current as current_obs
 
 #: vCPUs of the resident sandbox pre-resumed onto the reserved queue.
 RESIDENT_VCPUS = 2
@@ -53,20 +52,31 @@ class CheckReport:
     platform: str
     cycles: int = 0
     events_checked: int = 0
-    checker_names: List[str] = field(default_factory=list)
     violations: List[Violation] = field(default_factory=list)
     injected: List[InjectedFault] = field(default_factory=list)
     #: Planned fault kinds that never found an eligible cycle.
     unfired: List[str] = field(default_factory=list)
+    #: engines, hosts and sandbox pools a registry run checked (None
+    #: for the Figure-3 cycles, which count cycles instead)
+    built: Optional[Tuple[int, int, int]] = None
 
     @property
     def ok(self) -> bool:
         return not self.violations and not self.unfired
 
     def render(self) -> str:
+        built = self.built
+        scope = (
+            f"{self.cycles} pause/resume cycles" if built is None
+            else "{} engine(s), {} host(s), {} pool(s)".format(*built)
+        )
+        clean = (
+            "all invariants held; all oracles agreed" if built is None
+            else "all invariants held" if any(built)
+            else "nothing to check: the run built no engine, host or pool"
+        )
         lines = [
-            f"repro check {self.experiment} ({self.platform}): "
-            f"{self.cycles} pause/resume cycles, "
+            f"repro check {self.experiment} ({self.platform}): {scope}, "
             f"{self.events_checked} engine events checked, "
             f"{len(self.violations)} violation(s)"
         ]
@@ -87,8 +97,23 @@ class CheckReport:
             for violation in self.violations:
                 lines.append(f"  ! {violation.render()}")
         else:
-            lines.append("all invariants held; all oracles agreed")
+            lines.append(clean)
         return "\n".join(lines)
+
+
+def report_run(
+    experiment: str, platform: str, registry: InvariantRegistry
+) -> CheckReport:
+    """Sweep every checker of a run's *registry* once more, then report
+    what it checked and found."""
+    registry.run_boundary(0, "end of run")
+    return CheckReport(
+        experiment=experiment,
+        platform=platform,
+        events_checked=registry.events_seen,
+        violations=list(registry.violations),
+        built=(registry.engines, registry.hosts, registry.pools),
+    )
 
 
 def _checked_cycle(
@@ -142,43 +167,30 @@ def _checked_pool_phase(
 ) -> InvariantRegistry:
     """Warm-pool + engine phase: per-event invariant checking.
 
-    Provisions HORSE-paused sandboxes, triggers a uLL invocation, and
-    runs the event loop with run-queue, event-heap, and pool checkers
-    firing on every event via the engine watcher.
+    The platform is built under a run context holding the phase's
+    registry, so its engine, host and pool register their checkers;
+    provisions HORSE-paused sandboxes, triggers a uLL invocation, and
+    runs the event loop with every checker firing on every event.
     """
     from repro.faas import FaaSPlatform, FunctionSpec, StartType
     from repro.faas.keepalive import FixedWindow
     from repro.sim.units import seconds
     from repro.workloads import FirewallWorkload
 
+    registry = InvariantRegistry(obs=obs)
     # A short keep-alive so eviction events actually fire inside the
     # checked window (eviction is where pool/timer accounting can rot).
-    faas = FaaSPlatform.build(
-        platform, seed=seed, policy=FixedWindow(seconds(1))
-    )
+    with activate(obs, invariants=registry):
+        faas = FaaSPlatform.build(
+            platform, seed=seed, policy=FixedWindow(seconds(1))
+        )
     faas.register(FunctionSpec("firewall", FirewallWorkload()))
-
-    registry = InvariantRegistry(obs=obs)
-    registry.register(
-        "invariant.runqueue",
-        runqueue_checker(faas.virt.host),
-        trigger=Trigger.EVERY_EVENT,
-    )
-    registry.register(
-        "invariant.event_heap",
-        event_heap_checker(faas.engine),
-        trigger=Trigger.EVERY_EVENT,
-    )
-    registry.register(
-        "invariant.pool", pool_checker(faas.pool), trigger=Trigger.EVERY_EVENT
-    )
     registry.register(
         "invariant.p2sm_freshness",
-        lambda _now: faas.ull_manager.check_freshness(),
+        p2sm_freshness_checker(faas.ull_manager),
         trigger=Trigger.EVERY_N_EVENTS,
         every_n=2,
     )
-    registry.attach(faas.engine, context="faas")
 
     faas.provision_warm("firewall", count=2, use_horse=True)
     faas.trigger("firewall", StartType.HORSE, run_logic=True)
@@ -199,9 +211,9 @@ def check_figure3(
     max_ulps: int = DEFAULT_MAX_ULPS,
     seed: int = 0,
     fast: bool = False,
-    obs: Optional[Observability] = None,
 ) -> CheckReport:
-    """Re-run the Figure-3 cycles checked; see the module docstring."""
+    """Re-run the Figure-3 cycles checked under the run context's
+    bundle; see the module docstring."""
     if max_ulps < 0:
         raise ValueError(f"max_ulps must be >= 0, got {max_ulps}")
     if vcpu_counts is None:
@@ -214,8 +226,7 @@ def check_figure3(
         if fault_plan is not None and fault_plan.specs
         else None
     )
-    obs = obs if obs is not None else current_obs()
-
+    obs = current_obs()
     report = CheckReport(experiment="figure3", platform=platform)
     for setup_name, config in active_setups.items():
         for vcpus in vcpu_counts:
@@ -240,9 +251,6 @@ def check_figure3(
                     )
                 report.cycles += 1
                 report.violations.extend(registry.violations)
-                for name in registry.checker_names:
-                    if name not in report.checker_names:
-                        report.checker_names.append(name)
 
     pool_span = obs.tracer.open_span("check.pool_phase", 0, category="check")
     try:
@@ -251,9 +259,6 @@ def check_figure3(
         pool_span.close(0)
     report.violations.extend(pool_registry.violations)
     report.events_checked = pool_registry.events_seen
-    for name in pool_registry.checker_names:
-        if name not in report.checker_names:
-            report.checker_names.append(name)
 
     if injector is not None:
         report.injected = list(injector.injected)
@@ -265,12 +270,3 @@ def check_figure3(
         ]
     return report
 
-
-def run_check(experiment: str, **kwargs) -> CheckReport:
-    """Dispatch by experiment id (the CLI entry point)."""
-    if experiment == "figure3":
-        return check_figure3(**kwargs)
-    raise ValueError(
-        f"experiment {experiment!r} has no checked runner; "
-        f"choose from {', '.join(CHECKABLE)}"
-    )

@@ -8,7 +8,8 @@ Commands:
 * ``trace``        — run one artifact under the observability layer and
   export Perfetto-loadable Chrome JSON + lossless JSONL traces;
 * ``check``        — run one artifact under the correctness harness
-  (invariants + differential oracles, optional fault injection);
+  (invariants on every engine, host and pool it builds; figure3 adds
+  differential oracles and optional fault injection);
 * ``chaos``        — run the cluster chaos study under seeded
   infrastructure failures (crashes, resume faults) and compare
   resilience modes;
@@ -18,8 +19,8 @@ Commands:
 * ``bench``        — run the sim-kernel performance gate;
 * ``demo``         — the quickstart comparison of the four start paths.
 
-The ``experiment``/``list``/``trace``/``profile``/``report``/``validate``
-commands drive off the experiment registry
+The ``experiment``/``list``/``trace``/``profile``/``check``/``report``/
+``validate`` commands drive off the experiment registry
 (:mod:`repro.experiments.registry`): registering a new
 :class:`~repro.experiments.registry.ExperimentSpec` makes it runnable
 and listable here with no CLI change.  Commands that run the simulation
@@ -56,13 +57,28 @@ def _add_scheduler_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _run_experiment(name: str, fast: bool, seed: int, platform: str) -> str:
-    """Run one registered experiment, return its rendered summary."""
-    return (
-        get_experiment(name)
-        .run(ExperimentConfig(fast=fast, seed=seed, platform=platform))
-        .summary()
+def _run_in_context(
+    args: argparse.Namespace, obs, **context
+) -> Optional[str]:
+    """Run registry spec ``args.name`` under one run context and return
+    its rendered summary (None, said on stderr, for an unknown id).
+
+    ``trace``, ``profile`` and ``check`` are three views of this one
+    run: each chooses only what the context holds (the obs bundle, a
+    profiler, an invariant registry) and which artifacts it writes.
+    """
+    from repro.obs.context import activate
+
+    try:
+        spec = get_experiment(args.name)
+    except KeyError as exc:
+        print(exc.args[0], file=sys.stderr)
+        return None
+    config = ExperimentConfig(
+        fast=args.fast, seed=args.seed, platform=args.platform
     )
+    with activate(obs, **context):
+        return spec.run(config).summary()
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -101,31 +117,13 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    """Run one experiment instrumented and export its traces.
+    """Run one experiment instrumented and export its traces."""
+    from repro.obs import Observability, write_chrome_trace, write_jsonl
 
-    The experiment drivers are untouched: platforms built inside the
-    ``activate`` block pick the bundle up from the active observability
-    context, so any experiment id traces without modification.
-    """
-    from repro.obs import (
-        MetricRegistry,
-        Observability,
-        Tracer,
-        activate,
-        write_chrome_trace,
-        write_jsonl,
-    )
-
-    try:
-        get_experiment(args.name)
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
+    obs = Observability()
+    rendered = _run_in_context(args, obs)
+    if rendered is None:
         return 2
-    obs = Observability(Tracer(), MetricRegistry())
-    with activate(obs):
-        rendered = _run_experiment(
-            args.name, fast=args.fast, seed=args.seed, platform=args.platform
-        )
     os.makedirs(args.out_dir, exist_ok=True)
     chrome_path = os.path.join(args.out_dir, f"{args.name}.trace.json")
     jsonl_path = os.path.join(args.out_dir, f"{args.name}.trace.jsonl")
@@ -144,44 +142,54 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     """Run one experiment under the correctness harness.
 
-    Exit status 0 means every invariant held and every differential
-    oracle agreed (and, with ``--fault``, that each planned fault found
-    an eligible cycle); 1 means violations were reported — which is the
-    *expected* outcome of a fault-injection run.
+    Every engine, host and sandbox pool the run builds is checked;
+    ``figure3`` checks its own pause/resume cycles under the oracles
+    and the ``--fault`` plan.  Exit status 0 means every invariant held
+    and every oracle agreed (and, with ``--fault``, that each planned
+    fault found an eligible cycle); 1 means violations were reported —
+    which is the *expected* outcome of a fault-injection run.
     """
-    from repro.check import CHECKABLE, FaultPlan, FaultSpec, run_check
-    from repro.obs import MetricRegistry, Observability, Tracer, activate
+    from repro.check import (
+        FaultPlan,
+        FaultSpec,
+        InvariantRegistry,
+        check_figure3,
+        report_run,
+    )
+    from repro.obs import Observability, activate
 
-    if args.name not in CHECKABLE:
+    if args.name not in experiment_ids():
         print(
             f"experiment {args.name!r} has no checked runner; "
-            f"choose from {', '.join(CHECKABLE)}",
+            f"choose from {', '.join(experiment_ids())}",
             file=sys.stderr,
         )
         return 2
-    obs = Observability(Tracer(), MetricRegistry())
-    try:
-        fault_plan = (
-            FaultPlan(
-                seed=args.seed,
-                specs=tuple(FaultSpec(kind) for kind in args.fault),
-            )
-            if args.fault
-            else None
+    if args.fault and args.name != "figure3":
+        print(
+            f"--fault: only figure3 takes faults, not {args.name!r}",
+            file=sys.stderr,
         )
-        with activate(obs):
-            report = run_check(
-                args.name,
-                fast=args.fast,
-                platform=args.platform,
-                seed=args.seed,
-                fault_plan=fault_plan,
-                max_ulps=args.max_ulps,
-                obs=obs,
-            )
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
         return 2
+    obs = Observability()
+    if args.name != "figure3":
+        invariants = InvariantRegistry(obs=obs)
+        _run_in_context(args, obs, invariants=invariants)
+        report = report_run(args.name, args.platform, invariants)
+    else:
+        try:
+            specs = tuple(FaultSpec(kind) for kind in args.fault)
+            with activate(obs):
+                report = check_figure3(
+                    fast=args.fast,
+                    platform=args.platform,
+                    seed=args.seed,
+                    fault_plan=FaultPlan(seed=args.seed, specs=specs),
+                    max_ulps=args.max_ulps,
+                )
+        except ValueError as exc:
+            print(str(exc), file=sys.stderr)
+            return 2
     print(report.render())
     return 0 if report.ok else 1
 
@@ -314,53 +322,23 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 def _cmd_profile(args: argparse.Namespace) -> int:
     """Profile one experiment with the deterministic subsystem profiler.
 
-    ``repro profile chaos`` runs the full chaos study (one attribution
-    phase per resilience mode); any registry experiment id profiles as a
-    single phase.  Engines built while the profiler is active route
-    dispatch through the profiled drain, so the drivers are untouched.
+    Any registry experiment id profiles as one phase named after it;
+    ``chaos`` names one phase per resilience mode.  Engines built while
+    the profiler is in the run context route dispatch through the
+    profiled drain, so the drivers are untouched.
 
     Writes ``<name>.collapsed`` (flamegraph.pl / speedscope folded
     stacks) and ``<name>.hotspots.json`` to ``--out-dir``.  Both
     artifacts and stdout are deterministic — same seed, byte-identical;
     the machine-dependent wall-time attribution goes to stderr only.
     """
-    from repro.obs.profile import SubsystemProfiler, profiling
+    from repro.obs import NULL_OBS
+    from repro.obs.profile import SubsystemProfiler
 
     _apply_scheduler(args)
     profiler = SubsystemProfiler(args.name)
-    if args.name == "chaos":
-        from repro.experiments.chaos import (
-            CHAOS_MODES,
-            ChaosConfig,
-            run_chaos_mode,
-        )
-
-        try:
-            config = ChaosConfig(
-                hosts=args.hosts,
-                failure_rate=args.failure_rate,
-                requests=args.requests,
-                seed=args.seed,
-            )
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        with profiling(profiler):
-            for mode in CHAOS_MODES:
-                profiler.phase(mode)
-                run_chaos_mode(mode, config)
-    elif args.name in experiment_ids():
-        with profiling(profiler):
-            profiler.phase(args.name)
-            _run_experiment(
-                args.name, fast=args.fast, seed=args.seed, platform=args.platform
-            )
-    else:
-        print(
-            f"unknown profile target {args.name!r}; choose 'chaos' or one of "
-            f"{', '.join(experiment_ids())}",
-            file=sys.stderr,
-        )
+    profiler.phase(args.name)
+    if _run_in_context(args, NULL_OBS, profiler=profiler) is None:
         return 2
     profiler.finish()
     os.makedirs(args.out_dir, exist_ok=True)
@@ -497,10 +475,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = subparsers.add_parser(
         "check",
-        help="run one artifact under the correctness harness "
-        "(invariants, differential oracles, fault injection)",
+        help="run one artifact with every engine, host and pool it "
+        "builds under invariant checking (figure3 adds the differential "
+        "oracles and fault injection)",
     )
-    check.add_argument("name", help="checkable experiment id (figure3)")
+    check.add_argument("name", help=", ".join(experiment_ids()))
     check.add_argument("--fast", action="store_true")
     check.add_argument("--seed", type=int, default=0)
     check.add_argument(
@@ -509,13 +488,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     check.add_argument(
         "--fault", action="append", default=[], metavar="KIND",
-        help="inject a fault (repeatable): stale_arrayb, stale_posa, "
-        "skip_merge_thread, drop_coalesced, clock_skew, "
+        help="figure3 only: inject a fault (repeatable): stale_arrayb, "
+        "stale_posa, skip_merge_thread, drop_coalesced, clock_skew, "
         "pause_during_resume",
     )
     check.add_argument(
         "--max-ulps", type=int, default=16,
-        help="ULP budget for the coalesced-vs-iterated load comparison",
+        help="figure3 only: ULP budget for the coalesced-vs-iterated "
+        "load comparison",
     )
     check.set_defaults(func=_cmd_check)
 
@@ -620,21 +600,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="run one experiment under the deterministic subsystem "
         "profiler; write folded stacks + hotspot table",
     )
-    profile.add_argument(
-        "name", help="'chaos' or one of " + ", ".join(experiment_ids())
-    )
+    profile.add_argument("name", help=", ".join(experiment_ids()))
     profile.add_argument("--seed", type=int, default=0)
     profile.add_argument("--fast", action="store_true")
     profile.add_argument(
         "--platform", choices=("firecracker", "xen"), default="firecracker",
-        help="hypervisor model (registry experiments only)",
+        help="hypervisor model (the paper evaluated both)",
     )
-    profile.add_argument(
-        "--failure-rate", type=float, default=0.1, metavar="R",
-        help="chaos failure intensity (chaos target only)",
-    )
-    profile.add_argument("--hosts", type=int, default=4)
-    profile.add_argument("--requests", type=int, default=1200)
     profile.add_argument(
         "--out-dir", type=str, default="profiles",
         help="directory for <name>.collapsed / <name>.hotspots.json",

@@ -32,6 +32,7 @@ from repro.faas.cluster import FaaSCluster
 from repro.faas.frontend import RoutedArrival, plan_arrivals
 from repro.faas.function import FunctionSpec
 from repro.metrics.stats import percentile
+from repro.obs.context import phase
 from repro.resilience import (
     BreakerConfig,
     FailureConfig,
@@ -50,7 +51,7 @@ from repro.workloads.base import WorkloadCategory
 #: Resilience modes the study compares, in rendering order.
 CHAOS_MODES: Tuple[str, ...] = ("breaker", "retries-only", "vanilla")
 
-#: Experiment ids `repro chaos` accepts (mirrors repro.check.CHECKABLE).
+#: Experiment ids `repro chaos` accepts.
 CHAOSABLE: Tuple[str, ...] = ("cluster",)
 
 #: Fraction of requests hitting the uLL function.
@@ -426,10 +427,12 @@ def run_chaos(
     config: Optional[ChaosConfig] = None,
     modes: Tuple[str, ...] = CHAOS_MODES,
 ) -> ChaosResult:
-    """The full study: every mode over the identical seeded schedule."""
+    """The full study: every mode over the identical seeded schedule,
+    each one a phase of the run context's profiler, if it holds one."""
     config = config or ChaosConfig()
     result = ChaosResult(config=config)
     for mode in modes:
+        phase(mode)
         result.outcomes[mode] = run_chaos_mode(mode, config)
     return result
 

@@ -18,6 +18,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.experiments.chaos import _close_cell
 from repro.faas.cluster import (
     FaaSCluster,
     LeastLoadedPlacement,
@@ -128,4 +129,5 @@ def run_cluster_study(
             balance_cv=balance_cv,
             mean_init_us=mean(init_us) if init_us else 0.0,
         )
+        _close_cell(cluster.engine, [cluster])
     return result

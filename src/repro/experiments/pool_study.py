@@ -150,7 +150,7 @@ def _run_policy(policy_name, policy, trace, seed) -> PolicyOutcome:
     engine.run(until=seconds(trace.config.duration_s) + seconds(10))
     stats["peak_pooled"] = max(stats["peak_pooled"], faas.pool.total_size())
 
-    return PolicyOutcome(
+    outcome = PolicyOutcome(
         policy_name=policy_name,
         triggers=stats["triggers"],
         warm_hits=stats["warm_hits"],
@@ -159,3 +159,5 @@ def _run_policy(policy_name, policy, trace, seed) -> PolicyOutcome:
         peak_pooled=stats["peak_pooled"],
         mean_init_us=sum(init_us) / len(init_us) if init_us else 0.0,
     )
+    engine.close()
+    return outcome

@@ -24,7 +24,7 @@ from typing import Callable, Deque, Dict, List, Optional
 
 from repro.faas.keepalive import PrewarmPolicy
 from repro.hypervisor.sandbox import Sandbox, SandboxState
-from repro.obs.context import NULL_OBS, Observability
+from repro.obs.context import NULL_OBS, Observability, current_run
 from repro.sim.engine import Engine
 from repro.sim.event import Event
 
@@ -60,6 +60,9 @@ class SandboxPool:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+        invariants = current_run().invariants
+        if invariants is not None:
+            invariants.watch_pool(self)
 
     # ------------------------------------------------------------------
     def mark_provisioned(self, function_name: str, count: int) -> None:

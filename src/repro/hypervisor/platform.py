@@ -19,7 +19,7 @@ from repro.hypervisor.scheduler.base import SchedulerPolicy
 from repro.hypervisor.scheduler.cfs import CfsPolicy
 from repro.hypervisor.scheduler.credit2 import Credit2Policy
 from repro.hypervisor.snapshot import SnapshotStore
-from repro.obs.context import Observability, current as current_obs
+from repro.obs.context import Observability, current_run
 from repro.obs.metrics import MetricRegistry
 
 
@@ -36,9 +36,7 @@ class CountExport:
     run-queue and scheduler ones appear with their first count.
     """
 
-    __slots__ = (
-        "metrics", "host", "policy", "live", "_last_len", "_seen", "_folds"
-    )
+    __slots__ = ("metrics", "host", "policy", "_last_len", "_seen", "_folds")
 
     def __init__(
         self, metrics: MetricRegistry, host: Host, policy: SchedulerPolicy
@@ -46,7 +44,6 @@ class CountExport:
         self.metrics = metrics
         self.host = host
         self.policy = policy
-        self.live = True
         #: the registry's ``runqueue.last_len`` cell (see Host.attach_observability)
         self._last_len = host.last_len
         self._folds = (
@@ -67,8 +64,6 @@ class CountExport:
         return (inserts, steps, dequeues, iterated, coalesced, self.policy.enqueues)
 
     def __call__(self) -> None:
-        if not self.live:
-            return
         totals = self._totals()
         inserts, steps, dequeues, iterated, coalesced, enqueues = (
             now - seen for now, seen in zip(totals, self._seen)
@@ -89,14 +84,10 @@ class CountExport:
             metrics.counter(f"scheduler.{self.policy.name}.enqueue").inc(enqueues)
 
     def freeze(self) -> None:
-        """Export what is left, then export nothing more.
-
-        The registry keeps its collectors for as long as it lives, so a
-        frozen export lets go of the host and the policy: the model it
-        counted is then freed with the rest of its cell.
-        """
+        """Export what is left, leave the registry, and let go of the
+        host and the policy so nothing keeps the counted model alive."""
         self()
-        self.live = False
+        self.metrics.remove_collector(self)
         self.host = self.policy = None
 
 
@@ -159,7 +150,10 @@ def _build(
     # Platforms built inside an ``obs.activate(...)`` block (the CLI's
     # ``trace`` command, tests) come up instrumented; the default is
     # the NULL bundle, i.e. a single enabled-check of overhead.
-    platform.attach_observability(current_obs())
+    run = current_run()
+    platform.attach_observability(run.obs)
+    if run.invariants is not None:
+        run.invariants.watch_host(host)
     return platform
 
 

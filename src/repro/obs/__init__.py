@@ -11,12 +11,12 @@ and metric sink, and answers *where do the nanoseconds go?*  It provides
 * Chrome trace-event JSON (Perfetto-loadable) and lossless JSONL
   exporters (:mod:`repro.obs.export`);
 * the :class:`Observability` bundle, ``NULL_OBS`` null object, and the
-  :func:`activate` context that lets the CLI trace any experiment
-  without threading parameters through every driver
-  (:mod:`repro.obs.context`);
-* the deterministic :class:`SubsystemProfiler` and :func:`profiling`
-  context — per-subsystem event attribution with byte-stable
-  collapsed-stack/hotspot artifacts (:mod:`repro.obs.profile`).
+  one run context, :func:`activate`, that lets the CLI trace, profile
+  or check any experiment without threading parameters through every
+  driver (:mod:`repro.obs.context`);
+* the deterministic :class:`SubsystemProfiler` — per-subsystem event
+  attribution with byte-stable collapsed-stack/hotspot artifacts
+  (:mod:`repro.obs.profile`).
 
 Everything is opt-in: components default to ``NULL_OBS`` and pay one
 ``enabled`` attribute check per instrumented operation.
@@ -48,8 +48,6 @@ _EXPORTS = {
     "dispatch_ns": "repro.obs.phases",
     "observe_resume": "repro.obs.phases",
     "SubsystemProfiler": "repro.obs.profile",
-    "current_profiler": "repro.obs.profile",
-    "profiling": "repro.obs.profile",
     "NULL_TRACER": "repro.obs.span",
     "OpenSpan": "repro.obs.span",
     "Span": "repro.obs.span",

@@ -13,9 +13,13 @@ handles once — at construction, or through the registry's
 to re-check them.  To observe with a different tracer or registry,
 build a new bundle.
 
-The module also keeps a small *active context* stack so code that
-builds platforms internally (experiment drivers, the CLI) can be
-observed without threading a parameter through every call site::
+The module also keeps the one *run context* stack: what is built
+inside an :func:`activate` block reads the innermost
+:class:`RunContext` at construction, so code that builds platforms
+internally (experiment drivers, the CLI) runs instrumented without a
+parameter threaded through every call site.  Platforms take the
+bundle; an ``Engine`` takes the profiler; engines, hosts and sandbox
+pools register their checkers with the invariant registry::
 
     obs = Observability()
     with activate(obs):
@@ -25,8 +29,9 @@ observed without threading a parameter through every call site::
 
 from __future__ import annotations
 
+import gc
 from contextlib import contextmanager
-from typing import Iterator, List, Optional
+from typing import Any, Iterator, List, NamedTuple, Optional
 
 from repro.obs.metrics import MetricRegistry, NULL_REGISTRY
 from repro.obs.span import NULL_TRACER, Tracer
@@ -72,19 +77,48 @@ class Observability:
 #: Shared do-nothing bundle; the default for every component.
 NULL_OBS = Observability(NULL_TRACER, NULL_REGISTRY)
 
-_active: List[Observability] = [NULL_OBS]
+
+class RunContext(NamedTuple):
+    """What is built inside an :func:`activate` block reads: the bundle,
+    a ``SubsystemProfiler`` or None, an ``InvariantRegistry`` or None."""
+
+    obs: Observability
+    profiler: Any = None
+    invariants: Any = None
+
+
+_active: List[RunContext] = [RunContext(NULL_OBS)]
 
 
 def current() -> Observability:
     """The innermost activated bundle (``NULL_OBS`` when none is)."""
+    return _active[-1].obs
+
+
+def current_run() -> RunContext:
+    """The innermost run context (a bare ``NULL_OBS`` one when none is)."""
     return _active[-1]
 
 
+def phase(name: str) -> None:
+    """Start attribution phase *name* in the active profiler, if any."""
+    profiler = _active[-1].profiler
+    if profiler is not None:
+        profiler.phase(name)
+
+
 @contextmanager
-def activate(obs: Observability) -> Iterator[Observability]:
-    """Make *obs* the default bundle for platforms built in the block."""
-    _active.append(obs)
+def activate(
+    obs: Observability = NULL_OBS, profiler: Any = None, invariants: Any = None
+) -> Iterator[Observability]:
+    """Run the block under a run context holding only what is given
+    (contexts do not inherit)."""
+    _active.append(RunContext(obs, profiler, invariants))
+    if profiler is not None:
+        gc.callbacks.append(profiler.on_gc)
     try:
         yield obs
     finally:
+        if profiler is not None:
+            gc.callbacks.remove(profiler.on_gc)
         _active.pop()

@@ -188,6 +188,10 @@ class MetricRegistry:
         """Register a zero-arg callable run before snapshot/render."""
         self._collectors.append(collector)
 
+    def remove_collector(self, collector: Any) -> None:
+        """Unregister a collector added by :meth:`add_collector`."""
+        self._collectors.remove(collector)
+
     def collect(self) -> None:
         """Flush batched component state into instruments."""
         for collector in self._collectors:

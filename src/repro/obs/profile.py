@@ -18,8 +18,9 @@ participate).  Two attributions are kept per (phase, subsystem, site):
   deterministic artifacts; they are reported separately so a human can
   see where a run actually burned CPU.
 
-Cyclic-GC pauses are a layer of their own: while a :func:`profiling`
-block is active a ``gc.callbacks`` hook times every collection, and
+Cyclic-GC pauses are a layer of their own: while a run context holds
+the profiler (:func:`repro.obs.context.activate`) a ``gc.callbacks``
+hook times every collection, and
 the time a collection spent inside an event callback or a scheduler
 pop is moved out of that bucket into ``gc`` (with the collection count
 per generation), so the wall report says how much of a run the
@@ -31,19 +32,17 @@ Artifacts (written by ``repro profile``):
   (N = samples), directly consumable by flamegraph.pl / speedscope;
 * ``<name>.hotspots.json`` — machine-readable table sorted by samples.
 
-The active profiler is a context (mirroring ``repro.obs.activate``):
-engines built inside a :func:`profiling` block hook themselves up in
+The profiler reaches the engines through the run context: engines
+built inside ``activate(obs, profiler=...)`` read it in
 ``Engine.__init__`` and route their dispatch through the profiled
 drain.
 """
 
 from __future__ import annotations
 
-import gc
 import json
 import time
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 #: Event-label stem -> subsystem.  Stems not listed here surface as
 #: ``other.<stem>`` so unclassified work is visible, never silently
@@ -61,10 +60,14 @@ STEM_SUBSYSTEMS: Dict[str, str] = {
     "autoscale": "faas.autoscaler",
     # workload drivers
     "chaos-submit": "workload.submit",
+    "recovery-submit": "workload.submit",
+    "zoo-submit": "workload.submit",
     "usage-sample": "obs.usage",
     # failure injection
     "node-crash": "resilience.failures",
     "node-recover": "resilience.failures",
+    "gateway-crash": "resilience.failures",
+    "gateway-recover": "resilience.failures",
     # the retry ladder
     "resilience-rewait": "resilience.rewait",
     "resilience-capacity-wake": "resilience.capacity",
@@ -114,7 +117,7 @@ class SubsystemProfiler:
         self.total_wall_ns = 0
         self.started_wall_ns = time.perf_counter_ns()
         #: wall time inside cyclic-GC collections, and their count per
-        #: generation (filled by the gc.callbacks hook of profiling())
+        #: generation (filled by the gc.callbacks hook the run context installs)
         self.gc_wall_ns = 0
         self.gc_collections = [0, 0, 0]
         self._gc_started_ns = 0
@@ -290,27 +293,3 @@ class SubsystemProfiler:
             f"SubsystemProfiler({self.name!r}, phase={self._phase!r}, "
             f"sites={len(self._sites)})"
         )
-
-
-# ----------------------------------------------------------------------
-# Active-profiler context (mirrors repro.obs.context)
-# ----------------------------------------------------------------------
-_active: List[SubsystemProfiler] = []
-
-
-def current_profiler() -> Optional[SubsystemProfiler]:
-    """The innermost active profiler, or None (the common case)."""
-    return _active[-1] if _active else None
-
-
-@contextmanager
-def profiling(profiler: SubsystemProfiler) -> Iterator[SubsystemProfiler]:
-    """Engines built inside the block route dispatch through *profiler*,
-    and every cyclic-GC collection in the block is timed into it."""
-    _active.append(profiler)
-    gc.callbacks.append(profiler.on_gc)
-    try:
-        yield profiler
-    finally:
-        gc.callbacks.remove(profiler.on_gc)
-        _active.pop()

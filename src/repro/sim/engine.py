@@ -35,7 +35,7 @@ from __future__ import annotations
 import os
 from typing import Callable, List, Optional
 
-from repro.obs.profile import current_profiler
+from repro.obs.context import current_run
 from repro.sim.clock import SimClock
 from repro.sim.errors import EngineClosedError, SchedulingInPastError
 from repro.sim.event import Event, EventPriority
@@ -115,10 +115,13 @@ class Engine:
         #: callbacks invoked as f(event) after each executed event —
         #: how the repro.check invariant registry observes every step.
         self._watchers: list[Callable[[Event], None]] = []
-        # Engines built inside a repro.obs.profile.profiling() block
-        # route dispatch through the profiled drain; everyone else pays
-        # one None check per run() call.
-        self._profiler = current_profiler()
+        # Under a run context holding a profiler, dispatch goes through
+        # the profiled drain (else one None check per run() call); one
+        # holding an invariant registry watches this engine's events.
+        run = current_run()
+        self._profiler = run.profiler
+        if run.invariants is not None:
+            run.invariants.watch_engine(self)
 
     # ------------------------------------------------------------------
     # Scheduling

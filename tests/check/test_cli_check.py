@@ -34,3 +34,34 @@ class TestCheckCommand:
         err = capsys.readouterr().err
         assert code == 2
         assert "unknown fault kind" in err
+
+    def test_unknown_experiment_id_exits_two_listing_the_ids(self, capsys):
+        assert main(["check", "figure99"]) == 2
+        err = capsys.readouterr().err
+        assert "figure99" in err and "prewarm_frontier" in err
+
+    def test_fault_on_another_experiment_exits_two_naming_figure3(self, capsys):
+        code = main(["check", "table1", "--fast", "--fault", "stale_arrayb"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "only figure3 takes faults" in captured.err
+
+    def test_any_experiment_reports_what_it_checked(self, capsys):
+        code = main(["check", "table1", "--fast"])
+        out = capsys.readouterr().out
+        assert code == 0
+        header, verdict = out.splitlines()
+        assert header.startswith("repro check table1 (firecracker): ")
+        engines, hosts, pools = (
+            int(part.split()[0]) for part in header.split(": ")[1].split(", ")[:3]
+        )
+        assert engines > 0 and hosts > 0 and pools > 0
+        assert verdict == "all invariants held"
+
+    def test_experiment_with_nothing_to_check_says_so(self, capsys):
+        code = main(["check", "prewarm_frontier", "--fast"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "0 engine(s), 0 host(s), 0 pool(s)" in out
+        assert "nothing to check" in out

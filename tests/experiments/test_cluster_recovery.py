@@ -282,3 +282,18 @@ class TestRetentionBudget:
     def test_cell_leaves_nothing_for_the_cyclic_collector(self):
         _, (_, _, unreachable) = self._cell()
         assert unreachable == 0
+
+
+def test_obs_on_cell_leaves_no_frozen_export_registered():
+    # Closing a cell freezes every host's count export, which flushes
+    # its counts and leaves the registry: nothing frozen stays behind
+    # to be called on every later snapshot.
+    from repro.obs import NULL_TRACER, MetricRegistry, Observability, activate
+
+    config = ClusterRecoveryConfig(requests=120, seed=0, dispatch="pull")
+    arrivals = _arrival_plan(config, config.groups)[0]
+    metrics = MetricRegistry()
+    with activate(Observability(NULL_TRACER, metrics)):
+        run_recovery_cell(config, 0, arrivals)
+    assert metrics._collectors == []
+    assert metrics.snapshot()["load.fold.coalesced"]["value"] > 0

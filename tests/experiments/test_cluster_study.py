@@ -3,6 +3,7 @@
 import pytest
 
 from repro.experiments.cluster_study import run_cluster_study
+from tests.retention import cell_leftovers
 
 
 @pytest.fixture(scope="module")
@@ -37,3 +38,15 @@ class TestPlacementTradeoffs:
 
     def test_hosts_recorded(self, study):
         assert study.hosts == 4
+
+
+class TestRetention:
+    def test_study_leaves_nothing_for_the_cyclic_collector(self):
+        # Each policy's cell is closed once its outcome is read.
+        result, _, unreachable = cell_leftovers(
+            lambda: run_cluster_study(hosts=2, functions=3, duration_s=5.0)
+        )
+        assert result.policies() == [
+            "least-loaded", "round-robin", "warm-affinity"
+        ]
+        assert unreachable == 0

@@ -37,7 +37,7 @@ PROBES = {
     "recovery-pull": (
         "repro.experiments.cluster_recovery",
         ("repro.check", "repro.experiments.figure3", "repro.faas.prewarm",
-         "repro.traces"),
+         "repro.obs.profile", "repro.traces"),
     ),
 }
 

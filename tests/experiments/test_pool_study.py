@@ -9,6 +9,7 @@ from repro.experiments.pool_study import run_pool_study
 from repro.experiments.registry import ExperimentConfig
 from repro.faas.keepalive import FixedWindow
 from repro.sim.units import seconds
+from tests.retention import cell_leftovers
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +69,16 @@ class TestCustomPolicies:
         outcome = result.outcome("only")
         assert outcome.triggers > 0
         assert 0.0 <= outcome.hit_rate <= 1.0
+
+
+class TestRetention:
+    def test_study_leaves_nothing_for_the_cyclic_collector(self):
+        # Each policy's engine is closed once its outcome is read.
+        result, _, unreachable = cell_leftovers(
+            lambda: run_pool_study(functions=3, duration_s=30.0, seed=1)
+        )
+        assert len(result.policy_names()) > 1
+        assert unreachable == 0
 
 
 class TestGolden:

@@ -183,13 +183,15 @@ class TestFullAblations:
 
 
 class TestInstrumentationDoesNotPerturb:
-    """Observability and the subsystem profiler only watch: every spec's
-    fast seed-0 summary and rows are the same with either switched on."""
+    """Observability, the subsystem profiler and the invariant checkers
+    only watch: every spec's fast seed-0 summary and rows are the same
+    with any of them in the run context."""
 
     @pytest.mark.parametrize("spec_id", sorted(EXPECTED_IDS))
     def test_obs_and_profiler_leave_results_unchanged(self, spec_id):
+        from repro.check import InvariantRegistry, report_run
         from repro.obs import MetricRegistry, Observability, Tracer, activate
-        from repro.obs.profile import SubsystemProfiler, profiling
+        from repro.obs.profile import SubsystemProfiler
 
         spec = get(spec_id)
         config = ExperimentConfig(fast=True, seed=0)
@@ -201,7 +203,28 @@ class TestInstrumentationDoesNotPerturb:
         plain = observed()
         with activate(Observability(Tracer(), MetricRegistry())):
             traced = observed()
-        with profiling(SubsystemProfiler(spec_id)):
+        with activate(profiler=SubsystemProfiler(spec_id)):
             profiled = observed()
+        invariants = InvariantRegistry()
+        with activate(invariants=invariants):
+            checked = observed()
         assert traced == plain
         assert profiled == plain
+        assert checked == plain
+        report = report_run(spec_id, "firecracker", invariants)
+        assert report.ok, report.render()
+
+    @pytest.mark.parametrize("spec_id", sorted(EXPECTED_IDS))
+    def test_profiler_names_every_site(self, spec_id):
+        from repro.obs import activate
+        from repro.obs.profile import SubsystemProfiler
+
+        profiler = SubsystemProfiler(spec_id)
+        with activate(profiler=profiler):
+            get(spec_id).run(ExperimentConfig(fast=True, seed=0))
+        unnamed = sorted(
+            f"{phase};{subsystem};{site}"
+            for phase, subsystem, site in profiler._sites
+            if subsystem.startswith("other.")
+        )
+        assert unnamed == []

@@ -129,3 +129,36 @@ class TestActiveContext:
 
         platform = firecracker_platform()
         assert platform.vanilla.obs is NULL_OBS
+
+    def test_bundle_alone_installs_nothing_else(self):
+        # What perfbench's obs rounds activate: no profiler, no checker,
+        # no gc hook, no engine watcher.
+        import gc
+
+        from repro.faas import FaaSPlatform
+        from repro.obs.context import current_run
+
+        callbacks = list(gc.callbacks)
+        obs = Observability(NULL_TRACER, MetricRegistry())
+        with activate(obs):
+            assert tuple(current_run()) == (obs, None, None)
+            assert gc.callbacks == callbacks
+            faas = FaaSPlatform.build()
+        assert faas.engine._profiler is None
+        assert faas.engine._watchers == []
+
+    def test_registry_in_context_watches_what_is_built_inside(self):
+        from repro.check import InvariantRegistry
+        from repro.faas import FaaSPlatform
+        from repro.hypervisor.platform import firecracker_platform
+
+        registry = InvariantRegistry()
+        with activate(invariants=registry):
+            faas = FaaSPlatform.build()
+            firecracker_platform()
+        assert current() is NULL_OBS
+        assert (registry.engines, registry.hosts, registry.pools) == (1, 2, 1)
+        faas.engine.schedule_at(10, lambda: None)
+        faas.engine.run()
+        assert registry.events_seen == 1
+        assert registry.run_boundary(faas.engine.now) == []

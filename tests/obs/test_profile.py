@@ -11,12 +11,8 @@ import os
 import subprocess
 import sys
 
-from repro.obs.profile import (
-    STEM_SUBSYSTEMS,
-    SubsystemProfiler,
-    current_profiler,
-    profiling,
-)
+from repro.obs.context import activate, current_run
+from repro.obs.profile import STEM_SUBSYSTEMS, SubsystemProfiler
 from repro.sim.engine import Engine
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
@@ -26,8 +22,7 @@ def cli_profile(out_dir, *extra):
     env = dict(os.environ, PYTHONPATH=SRC)
     return subprocess.run(
         [sys.executable, "-m", "repro", "profile", "chaos",
-         "--hosts", "2", "--requests", "150", "--seed", "3",
-         "--out-dir", str(out_dir), *extra],
+         "--fast", "--seed", "3", "--out-dir", str(out_dir), *extra],
         capture_output=True, env=env, text=True,
     )
 
@@ -78,7 +73,7 @@ class TestClassification:
         from repro.experiments.chaos import ChaosConfig, run_chaos
 
         profiler = SubsystemProfiler()
-        with profiling(profiler):
+        with activate(profiler=profiler):
             run_chaos(ChaosConfig(hosts=2, requests=200, seed=0))
         # Per-invocation labels (complete:<id>, ...) share their stem's entry.
         stems = {site for _, _, site in profiler._sites} - {"cancelled"}
@@ -147,7 +142,7 @@ class TestArtifacts:
 class TestGcAttribution:
     def test_collections_are_timed_only_inside_the_block(self):
         profiler = SubsystemProfiler("gc")
-        with profiling(profiler):
+        with activate(profiler=profiler):
             assert profiler.on_gc in gc.callbacks
             gc.collect()
         assert profiler.on_gc not in gc.callbacks
@@ -170,7 +165,7 @@ class TestGcAttribution:
 
     def test_collection_inside_a_callback_is_moved_to_gc(self):
         profiler = SubsystemProfiler("gc")
-        with profiling(profiler):
+        with activate(profiler=profiler):
             engine = Engine()
             engine.schedule_at(10, gc.collect, label="slice:0")
             engine.run()
@@ -182,7 +177,7 @@ class TestGcAttribution:
 
     def test_gc_stays_out_of_deterministic_artifacts(self):
         profiler = SubsystemProfiler("probe")
-        with profiling(profiler):
+        with activate(profiler=profiler):
             gc.collect()
         assert "gc" not in profiler.collapsed_stacks()
         assert '"gc' not in profiler.hotspot_json()
@@ -191,14 +186,14 @@ class TestGcAttribution:
 class TestEngineHookup:
     def test_engine_inside_block_records_events(self):
         profiler = SubsystemProfiler("hooked")
-        with profiling(profiler) as active:
-            assert current_profiler() is active
+        with activate(profiler=profiler):
+            assert current_run().profiler is profiler
             engine = Engine()
             engine.schedule_at(10, lambda: None, label="slice:0")
             doomed = engine.schedule_at(20, lambda: None, label="slice:1")
             doomed.cancelled = True
             engine.run()
-        assert current_profiler() is None
+        assert current_run().profiler is None
         table = profiler.hotspot_table()
         sites = {
             (row["subsystem"], row["site"]): row["samples"]

@@ -13,7 +13,8 @@ import weakref
 
 import pytest
 
-from repro.obs.profile import SubsystemProfiler, profiling
+from repro.obs.context import activate
+from repro.obs.profile import SubsystemProfiler
 from repro.sim.engine import Engine
 from repro.sim.errors import EngineClosedError
 from repro.sim.schedulers import scheduler_kinds
@@ -31,7 +32,7 @@ def _closure(payload):
 
 def _engine(kind, dispatch):
     if dispatch == "profiled":
-        with profiling(SubsystemProfiler()):
+        with activate(profiler=SubsystemProfiler()):
             return Engine(scheduler=kind)
     engine = Engine(scheduler=kind)
     if dispatch == "watcher":

@@ -99,6 +99,21 @@ class TestCommands:
         assert main(["trace", "figure99"]) == 2
         assert "unknown experiment" in capsys.readouterr().err
 
+    def test_profile_unknown_experiment_fails(self, capsys):
+        assert main(["profile", "figure99"]) == 2
+        assert "unknown experiment" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag", [["--hosts", "2"], ["--requests", "150"], ["--failure-rate", "0.2"]]
+    )
+    def test_profile_takes_no_chaos_shape_flags(self, capsys, flag):
+        # `repro profile chaos` runs the registry's chaos spec: --fast
+        # picks its shape, so the old chaos-only flags are usage errors.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["profile", "chaos", *flag])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_trace_exports_chrome_json_and_jsonl(self, tmp_path, capsys):
         import json
 
