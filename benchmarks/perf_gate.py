@@ -4,7 +4,7 @@
 Equivalent to ``repro bench``; kept under benchmarks/ so CI and local
 runs can invoke it without installing the package::
 
-    python benchmarks/perf_gate.py --quick --check --require-speedup 1.5
+    python benchmarks/perf_gate.py --quick --check
 
 See :mod:`repro.perf.gate` for the bench definitions, the
 ``BENCH_sim_kernel.json`` row schema, and the normalization the

@@ -23,9 +23,7 @@ The ``experiment``/``list``/``trace``/``profile``/``check``/``report``/
 ``validate`` commands drive off the experiment registry
 (:mod:`repro.experiments.registry`): registering a new
 :class:`~repro.experiments.registry.ExperimentSpec` makes it runnable
-and listable here with no CLI change.  Commands that run the simulation
-accept ``--scheduler heap|calendar`` to select the engine's pending-
-event structure (identical results either way; see DESIGN.md §10).
+and listable here with no CLI change.
 """
 
 from __future__ import annotations
@@ -38,23 +36,6 @@ from typing import Optional, Sequence
 
 from repro.experiments.registry import ExperimentConfig, all_specs, experiment_ids
 from repro.experiments.registry import get as get_experiment
-
-
-def _apply_scheduler(args: argparse.Namespace) -> None:
-    """Make ``--scheduler`` the process-wide default when given."""
-    scheduler = getattr(args, "scheduler", None)
-    if scheduler:
-        from repro.sim.engine import set_default_scheduler
-
-        set_default_scheduler(scheduler)
-
-
-def _add_scheduler_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--scheduler", choices=("heap", "calendar"), default=None,
-        help="engine pending-event structure (identical results; "
-        "calendar is faster at cluster scale)",
-    )
 
 
 def _run_in_context(
@@ -106,7 +87,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     except (KeyError, ValueError) as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
-    _apply_scheduler(args)
     result = spec.run(config)
     if args.json:
         print(result.to_json())
@@ -150,6 +130,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     which is the *expected* outcome of a fault-injection run.
     """
     from repro.check import (
+        DEFAULT_MAX_ULPS,
         FaultPlan,
         FaultSpec,
         InvariantRegistry,
@@ -171,6 +152,12 @@ def _cmd_check(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    if args.max_ulps is not None and args.name != "figure3":
+        print(
+            f"--max-ulps: only figure3 takes a ULP budget, not {args.name!r}",
+            file=sys.stderr,
+        )
+        return 2
     obs = Observability()
     if args.name != "figure3":
         invariants = InvariantRegistry(obs=obs)
@@ -185,7 +172,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
                     platform=args.platform,
                     seed=args.seed,
                     fault_plan=FaultPlan(seed=args.seed, specs=specs),
-                    max_ulps=args.max_ulps,
+                    max_ulps=(
+                        DEFAULT_MAX_ULPS if args.max_ulps is None
+                        else args.max_ulps
+                    ),
                 )
         except ValueError as exc:
             print(str(exc), file=sys.stderr)
@@ -234,7 +224,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    _apply_scheduler(args)
     from repro.resilience.policies import default_dispatch_policy
     from repro.sim.sharding import write_records_jsonl
 
@@ -335,7 +324,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.obs import NULL_OBS
     from repro.obs.profile import SubsystemProfiler
 
-    _apply_scheduler(args)
     profiler = SubsystemProfiler(args.name)
     profiler.phase(args.name)
     if _run_in_context(args, NULL_OBS, profiler=profiler) is None:
@@ -360,16 +348,8 @@ def _cmd_list(args: argparse.Namespace) -> int:
     if getattr(args, "policies", False):
         from repro.faas.keepalive import PREWARM_POLICIES
         from repro.resilience.policies import DISPATCH_POLICIES
-        from repro.sim.engine import _ENV_SCHEDULER, default_scheduler
-        from repro.sim.schedulers import scheduler_kinds
 
         axes = [
-            (
-                "scheduler",
-                _ENV_SCHEDULER,
-                default_scheduler(),
-                list(scheduler_kinds()),
-            ),
             (
                 "prewarm",
                 PREWARM_POLICIES.env_var,
@@ -454,7 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true",
         help="print the result rows as JSON instead of the rendered table",
     )
-    _add_scheduler_flag(experiment)
     experiment.set_defaults(func=_cmd_experiment)
 
     trace = subparsers.add_parser(
@@ -493,9 +472,9 @@ def build_parser() -> argparse.ArgumentParser:
         "pause_during_resume",
     )
     check.add_argument(
-        "--max-ulps", type=int, default=16,
+        "--max-ulps", type=int, default=None,
         help="figure3 only: ULP budget for the coalesced-vs-iterated "
-        "load comparison",
+        "load comparison (default 16)",
     )
     check.set_defaults(func=_cmd_check)
 
@@ -549,7 +528,6 @@ def build_parser() -> argparse.ArgumentParser:
         "REPRO_DISPATCH_POLICY or push-least-loaded; see "
         "'repro list --policies')",
     )
-    _add_scheduler_flag(chaos)
     chaos.set_defaults(func=_cmd_chaos)
 
     replay = subparsers.add_parser(
@@ -615,7 +593,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--top", type=int, default=None, metavar="N",
         help="only print the N hottest rows (artifacts are always full)",
     )
-    _add_scheduler_flag(profile)
     profile.set_defaults(func=_cmd_profile)
 
     from repro.perf.gate import build_parser as gate_parser
@@ -633,7 +610,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lister.add_argument(
         "--policies", action="store_true",
-        help="list every registered scheduler/prewarm/dispatch policy "
+        help="list every registered prewarm/dispatch policy "
         "with its env var and effective default",
     )
     lister.set_defaults(func=_cmd_list)
@@ -665,15 +642,6 @@ def _policy_env_error() -> Optional[str]:
     """Why a ``REPRO_*`` policy variable is invalid, or None if none is."""
     from repro.faas.keepalive import PREWARM_POLICIES
     from repro.resilience.policies import DISPATCH_POLICIES
-    from repro.sim.engine import _ENV_SCHEDULER
-    from repro.sim.schedulers import scheduler_kinds
-
-    scheduler = os.environ.get(_ENV_SCHEDULER, "").strip()
-    if scheduler and scheduler not in scheduler_kinds():
-        return (
-            f"{_ENV_SCHEDULER}: unknown scheduler {scheduler!r} "
-            f"(want {' | '.join(scheduler_kinds())})"
-        )
     for registry in (DISPATCH_POLICIES, PREWARM_POLICIES):
         try:
             registry.env_spec()

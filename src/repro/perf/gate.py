@@ -7,13 +7,13 @@ gates CI on regressions against a committed baseline:
   the *machine*, not the repo: the regression check normalizes every
   other bench by the calibration ratio between the baseline machine and
   the current one, so a slower CI runner does not read as a regression.
-* ``engine_heap_chaos`` / ``engine_calendar_chaos`` — event throughput
-  of the two schedulers on the chaos profile: a closed-loop driver
-  holding a cluster-scale outstanding set (tens of thousands of pending
-  events, the regime the ROADMAP's cluster studies run in) with the
-  chaos study's delay mix (same-instant wake-ups, µs-scale request
-  steps, ms-scale background timers).  The committed baseline pins the
-  calendar scheduler at ≥2× the heap on this profile.
+* ``engine_heap_chaos`` — event throughput of the engine's heap on
+  the chaos profile: a closed-loop driver holding a large outstanding
+  set (8,192 quick / 32,768 full pending events, well above the ~1,500
+  any registry experiment holds) with the chaos study's delay mix
+  (same-instant wake-ups, µs-scale request steps, ms-scale background
+  timers), scheduled through ``schedule_at`` / ``schedule_after`` as
+  production code schedules.
 * ``p2sm_merge`` — the P²SM precompute + merge pipeline on the real
   linked-list structures (elements merged per second).
 * ``coalesced_load`` — the fused load-update path: precompute the
@@ -37,25 +37,23 @@ gates CI on regressions against a committed baseline:
 Output rows follow the ``BENCH_sim_kernel.json`` schema::
 
     {"bench": str, "events_per_sec": float, "wall_s": float,
-     "seed": int, "py": "3.12", "scheduler": "calendar", "obs": "off"}
+     "seed": int, "py": "3.12", "scheduler": "heap", "obs": "off"}
 
-``scheduler`` records what the bench actually ran on: the engine
-benches pin their kind, benches that never touch the engine say
-``"none"``, and end-to-end benches inherit the process default.
-``obs`` is ``"on"`` only for the obs-enabled variants.
+``scheduler`` records whether the bench ran on the engine's heap
+(``"heap"``) or never touched the engine (``"none"``).  ``obs`` is
+``"on"`` only for the obs-enabled variants.
 
 Noise protocol: each micro-bench runs R rounds and reports the best
 (minimum wall time) — the standard estimator for the noise floor on a
-shared machine.  The two ratio-gated pairs (heap/calendar, obs
-off/on) interleave their rounds round-robin so a CPU-contention burst
-cannot land on one side of the ratio only; the obs pair additionally
-takes the smaller of two slowdown estimators (paired-ratio median,
+shared machine.  The two ratio-gated pairs (obs off/on, serial/sharded)
+interleave their rounds round-robin so a CPU-contention burst cannot
+land on one side of the ratio only; the obs pair additionally takes
+the smaller of two slowdown estimators (paired-ratio median,
 best-on/best-off) since noise can only inflate either one — see
-:func:`_chaos_pair`.  ``--check`` applies the
-calibration normalization and a relative tolerance (default 15 %);
-``--require-speedup`` additionally gates the calendar/heap ratio and
-``--max-obs-overhead`` the obs-on/obs-off ratio, both
-machine-independent.
+:func:`_chaos_pair`.  ``--check`` applies the calibration
+normalization and a relative tolerance (default 15 %);
+``--max-obs-overhead`` additionally gates the obs-on/obs-off ratio,
+which is machine-independent.
 """
 
 from __future__ import annotations
@@ -93,45 +91,42 @@ def _chaos_deltas(n: int, seed: int) -> List[int]:
 
 
 def _drive_engine(
-    kind: str, outstanding: int, deltas: List[int], spread: int, seed: int
+    outstanding: int, deltas: List[int], spread: int, seed: int
 ) -> float:
     """One closed-loop run; returns events/sec."""
     from repro.sim.engine import Engine
 
-    engine = Engine(scheduler=kind)
+    engine = Engine()
     pending = iter(deltas[outstanding:])
-    schedule = engine.schedule_transient_after
+    schedule = engine.schedule_after
 
     def tick() -> None:
         delay = next(pending, None)
         if delay is not None:
-            schedule(delay, tick)
+            schedule(delay, tick, transient=True)
 
     rng = random.Random(seed ^ 1)
     for _ in range(outstanding):
-        engine.schedule_transient_after(rng.randrange(spread), tick)
+        engine.schedule_at(rng.randrange(spread), tick, transient=True)
     start = time.perf_counter()
     engine.run()
     elapsed = time.perf_counter() - start
     return engine.events_executed / elapsed
 
 
-#: Interleaved-pair measurement cache, keyed on (quick, seed).  The
-#: speedup and obs-overhead gates are *ratios* of two wall-clock
-#: measurements; running the two sides as separate back-to-back benches
-#: lets a noise burst land on one side only and swing the ratio past
-#: the gate budget.  Round-robin interleaving gives both sides of each
-#: ratio the same quiet windows, so best-of-rounds converges on the
-#: code difference rather than the neighbours' CPU bursts.  Requesting
-#: either member of a pair measures both (the partner is cached).
+#: Interleaved-pair measurement cache, keyed on (pair, quick, seed).
+#: The obs-overhead and shard-speedup gates are *ratios* of two
+#: wall-clock measurements; running the two sides as separate
+#: back-to-back benches lets a noise burst land on one side only and
+#: swing the ratio past the gate budget.  Round-robin interleaving
+#: gives both sides of each ratio the same quiet windows, so
+#: best-of-rounds converges on the code difference rather than the
+#: neighbours' CPU bursts.  Requesting either member of a pair measures
+#: both (the partner is cached).
 _PAIR_CACHE: Dict[tuple, Dict[str, Dict[str, object]]] = {}
 
 
-def _engine_pair(quick: bool, seed: int) -> Dict[str, Dict[str, object]]:
-    key = ("engine", quick, seed)
-    cached = _PAIR_CACHE.get(key)
-    if cached is not None:
-        return cached
+def bench_engine_heap(quick: bool, seed: int) -> Dict[str, object]:
     outstanding = 8192 if quick else 32768
     n_events = 150_000 if quick else 500_000
     rounds = 3 if quick else 5
@@ -139,31 +134,10 @@ def _engine_pair(quick: bool, seed: int) -> Dict[str, Dict[str, object]]:
     # loop's own (~0.4 events/µs of simulated time).
     spread = outstanding * 2500
     deltas = _chaos_deltas(n_events, seed)
-    best = {"heap": 0.0, "calendar": 0.0}
-    for _ in range(rounds):
-        for kind in best:
-            best[kind] = max(
-                best[kind],
-                _drive_engine(kind, outstanding, deltas, spread, seed),
-            )
-    pair = {
-        kind: {
-            "events_per_sec": eps,
-            "wall_s": n_events / eps,
-            "scheduler": kind,
-        }
-        for kind, eps in best.items()
-    }
-    _PAIR_CACHE[key] = pair
-    return pair
-
-
-def bench_engine_heap(quick: bool, seed: int) -> Dict[str, object]:
-    return dict(_engine_pair(quick, seed)["heap"])
-
-
-def bench_engine_calendar(quick: bool, seed: int) -> Dict[str, object]:
-    return dict(_engine_pair(quick, seed)["calendar"])
+    best = max(
+        _drive_engine(outstanding, deltas, spread, seed) for _ in range(rounds)
+    )
+    return {"events_per_sec": best, "wall_s": n_events / best, "scheduler": "heap"}
 
 
 def bench_calibration(quick: bool, seed: int) -> Dict[str, object]:
@@ -445,7 +419,6 @@ def bench_replay_e2e(quick: bool, seed: int) -> Dict[str, object]:
 BENCHES: Dict[str, Callable[[bool, int], Dict[str, object]]] = {
     "calibration": bench_calibration,
     "engine_heap_chaos": bench_engine_heap,
-    "engine_calendar_chaos": bench_engine_calendar,
     "p2sm_merge": bench_p2sm_merge,
     "coalesced_load": bench_coalesced_load,
     "chaos_e2e": bench_chaos_e2e,
@@ -470,8 +443,6 @@ def run_benches(
             raise ValueError(
                 f"unknown bench {name!r}; choose from {', '.join(BENCHES)}"
             )
-    from repro.sim.engine import default_scheduler
-
     rows: List[Dict[str, object]] = []
     for name in names:
         log(f"running {name} ...")
@@ -482,10 +453,8 @@ def run_benches(
             "wall_s": round(float(measured["wall_s"]), 4),
             "seed": seed,
             "py": _PY,
-            # Benches that never touch the engine report "none";
-            # the engine benches pin their own kind; everything
-            # else runs on the process default.
-            "scheduler": measured.get("scheduler", default_scheduler()),
+            # Benches that never touch the engine report "none".
+            "scheduler": measured.get("scheduler", "heap"),
             "obs": measured.get("obs", "off"),
         }
         # The sharded pair additionally records its worker layout and
@@ -508,7 +477,6 @@ def check_against_baseline(
     rows: List[Dict[str, object]],
     baseline_rows: List[Dict[str, object]],
     tolerance: float = 0.15,
-    require_speedup: Optional[float] = None,
     max_obs_overhead: Optional[float] = None,
     require_shard_speedup: Optional[float] = None,
     log: Callable[[str], None] = print,
@@ -516,8 +484,8 @@ def check_against_baseline(
     """True when no bench regressed beyond *tolerance*.
 
     Scores are normalized by the calibration ratio between the two
-    machines before comparison; the optional calendar/heap speedup,
-    obs-overhead, and shard-speedup gates are pure same-machine ratios
+    machines before comparison; the optional obs-overhead and
+    shard-speedup gates are pure same-machine ratios
     and need no normalization.  The shard-speedup gate skips (with a
     log line, never a failure) when the machine has fewer cores than
     the parallel side's workers — on such machines the ratio measures
@@ -545,22 +513,6 @@ def check_against_baseline(
             f"{name:24s} {measured:14,.0f} ev/s vs normalized baseline "
             f"{expected:14,.0f} (floor {floor:14,.0f}) {verdict}"
         )
-    if require_speedup is not None:
-        heap = current.get("engine_heap_chaos")
-        calendar = current.get("engine_calendar_chaos")
-        if heap is None or calendar is None:
-            log("speedup gate skipped: engine benches not in this run")
-        else:
-            ratio = float(calendar["events_per_sec"]) / float(
-                heap["events_per_sec"]
-            )
-            verdict = "ok" if ratio >= require_speedup else "BELOW TARGET"
-            if ratio < require_speedup:
-                ok = False
-            log(
-                f"calendar/heap speedup {ratio:.2f}x "
-                f"(required {require_speedup:.2f}x) {verdict}"
-            )
     if max_obs_overhead is not None:
         obs_off = current.get("chaos_e2e")
         obs_on = current.get("chaos_e2e_obs_on")
@@ -641,10 +593,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="allowed relative regression after normalization (default 0.15)",
     )
     parser.add_argument(
-        "--require-speedup", type=float, default=None, metavar="X",
-        help="fail unless calendar/heap events/sec ratio is >= X",
-    )
-    parser.add_argument(
         "--max-obs-overhead", type=float, default=None, metavar="F",
         help="fail if the obs-enabled chaos run is more than F (fraction, "
         "e.g. 0.05) slower than the obs-off run",
@@ -687,19 +635,16 @@ def run_gate(args: argparse.Namespace) -> int:
             rows,
             baseline_rows,
             tolerance=args.tolerance,
-            require_speedup=args.require_speedup,
             max_obs_overhead=args.max_obs_overhead,
             require_shard_speedup=args.require_shard_speedup,
         )
         return 0 if ok else 1
     if (
-        args.require_speedup is not None
-        or args.max_obs_overhead is not None
+        args.max_obs_overhead is not None
         or args.require_shard_speedup is not None
     ):
         ok = check_against_baseline(
             rows, [], tolerance=args.tolerance,
-            require_speedup=args.require_speedup,
             max_obs_overhead=args.max_obs_overhead,
             require_shard_speedup=args.require_shard_speedup,
         )

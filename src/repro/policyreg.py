@@ -1,11 +1,9 @@
 """One convention for every policy axis: a string-spec registry.
 
-The repo grew three pluggable axes — event schedulers
-(:mod:`repro.sim.schedulers`), prewarm/keep-alive policies
+The repo has two pluggable axes — prewarm/keep-alive policies
 (:mod:`repro.faas.keepalive`) and dispatch policies
-(:mod:`repro.resilience.policies`) — and, historically, three slightly
-different selection shapes.  :class:`PolicyRegistry` is the shared
-mechanism behind all of them:
+(:mod:`repro.resilience.policies`).  :class:`PolicyRegistry` is the
+shared mechanism behind both:
 
 * **string specs** — a policy is named by a string, either an exact
   family name (``"hybrid"``, ``"pull"``) or a parameterized form the

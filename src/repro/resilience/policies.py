@@ -21,7 +21,7 @@ small hook protocol wide enough for push *and* pull shaped scheduling:
   the gateway's audit.
 
 Policies are registered on a shared :class:`~repro.policyreg.PolicyRegistry`
-under the same convention as sim schedulers and prewarm policies; the
+under the same convention as the prewarm policies; the
 ``REPRO_DISPATCH_POLICY`` env var picks the default, and there is no
 in-process override.
 

@@ -1,7 +1,7 @@
 """Discrete-event simulation kernel.
 
 This package is the substrate everything else runs on: an integer-
-nanosecond clock, the event engine (heap or calendar queue), seeded RNG
+nanosecond clock, the event engine (one binary heap), seeded RNG
 streams and the sharded cell runner.  See DESIGN.md §3.
 """
 

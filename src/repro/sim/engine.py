@@ -5,113 +5,70 @@ Callers schedule callbacks at future simulated instants;
 invokes them.  All higher layers (hypervisor, FaaS platform,
 experiments) are built on this single primitive.
 
-The pending-event set is pluggable (``Engine(scheduler="heap")`` or
-``"calendar"`` — see :mod:`repro.sim.schedulers`): a binary heap, or a
-calendar queue with amortized O(1) push/pop for throughput-bound runs.
-Both drain events in the identical total order, so the choice never
-changes results, only wall-clock.  The process-wide default comes from
-:func:`set_default_scheduler` or the ``REPRO_SIM_SCHEDULER``
-environment variable, and is the calendar queue: it drains the chaos
-profile >2x faster than the heap (``BENCH_sim_kernel.json``) and the
-cross-scheduler identity is CI-enforced, so the heap survives as the
-reference implementation the calendar is diffed against.
+The pending-event set is one binary heap of ``(time, priority,
+sequence, event)`` tuples.  Sequence numbers are unique per engine, so
+every sift decides on the three ints — compared in C — and never
+reaches the event object.  DESIGN.md §10 records why one heap: no
+registry experiment holds more than about 1,500 pending events, so a
+pop costs about ten C-level tuple comparisons.
 
 Hot-path design (see DESIGN.md §10): events are ``__slots__`` objects
 that drop their callback once fired or skipped, so a held handle never
 keeps a closure alive; events whose handles the call site discards
 (process sleeps, wake-ups) are marked *transient* and recycled through
 a free-list instead of being reallocated; and :meth:`Engine.run` keeps
-a no-watcher dispatch branch whose per-event work is one scheduler
-pop, one clock store, and the callback itself.
+a no-watcher dispatch loop whose per-event work is one heap pop, one
+clock store, and the callback itself.
 
 Determinism contract: given the same schedule calls in the same order
-and the same seeded RNG streams, a run is bit-for-bit reproducible —
-whichever scheduler is selected.  Nothing in the engine consults
-wall-clock time or unseeded randomness.
+and the same seeded RNG streams, a run is bit-for-bit reproducible.
+Nothing in the engine consults wall-clock time or unseeded randomness.
 """
 
 from __future__ import annotations
 
-import os
+from heapq import heappop, heappush
 from typing import Callable, List, Optional
 
 from repro.obs.context import current_run
 from repro.sim.clock import SimClock
 from repro.sim.errors import EngineClosedError, SchedulingInPastError
 from repro.sim.event import Event, EventPriority
-from repro.sim.schedulers import make_scheduler, scheduler_kinds
 
 #: Upper bound on pooled Event objects per engine.  Beyond this the
 #: free-list stops growing and surplus events fall to the allocator.
 _POOL_CAP = 4096
-
-_ENV_SCHEDULER = "REPRO_SIM_SCHEDULER"
 
 #: Plain-int default for schedule_* priorities.  EventPriority is an
 #: IntEnum; using the member itself as the default would make every
 #: default-priority call pay an ``int()`` conversion in schedule_at.
 _PRIORITY_NORMAL = int(EventPriority.NORMAL)
 
-_default_scheduler = os.environ.get(_ENV_SCHEDULER, "").strip() or "calendar"
-#: Why the environment's scheduler is unusable, or None.  The package
-#: still imports (the ``repro`` CLI rejects the value with exit 2), but
-#: the first Engine built without ``scheduler=`` raises this rather
-#: than run on a default nobody asked for.
-_env_problem: Optional[str] = None
-if _default_scheduler not in scheduler_kinds():
-    _env_problem = (
-        f"{_ENV_SCHEDULER}: unknown scheduler {_default_scheduler!r}; "
-        f"choose from {scheduler_kinds()}"
-    )
-    _default_scheduler = "calendar"
 
-
-def _refuse(_event: Event) -> None:
-    """The push of a closed engine, and the mark of one (a plain
-    function: a bound method stored on the engine would be a cycle)."""
+def _refuse(_heap: list, _entry: tuple) -> None:
+    """The push of a closed engine (a plain function: a bound method
+    stored on the engine would be a cycle)."""
     raise EngineClosedError("cannot schedule on a closed engine")
 
 
-def set_default_scheduler(kind: str) -> str:
-    """Set the scheduler new :class:`Engine` instances use by default.
-
-    Returns the previous default.  Engines built with an explicit
-    ``scheduler=`` argument are unaffected.  An explicit default
-    overrides a bad ``REPRO_SIM_SCHEDULER``.
-    """
-    global _default_scheduler, _env_problem
-    if kind not in scheduler_kinds():
-        raise ValueError(
-            f"unknown scheduler {kind!r}; choose from {scheduler_kinds()}"
-        )
-    previous = _default_scheduler
-    _default_scheduler = kind
-    _env_problem = None
-    return previous
-
-
 def default_scheduler() -> str:
-    """The scheduler kind new engines currently default to."""
-    return _default_scheduler
+    """The engine's pending-event structure: always the binary heap."""
+    return "heap"
 
 
 class Engine:
-    """Discrete-event simulation engine with pluggable schedulers."""
+    """Discrete-event simulation engine over one binary heap."""
 
-    def __init__(self, start_time: int = 0, scheduler: Optional[str] = None) -> None:
-        if not scheduler:
-            if _env_problem is not None:
-                raise ValueError(_env_problem)
-            scheduler = _default_scheduler
+    def __init__(self, start_time: int = 0) -> None:
         self.clock = SimClock(start_time)
-        self._sched = make_scheduler(scheduler)
-        # Bound method cached once: the scheduler never changes after
-        # construction and every schedule_* call pushes exactly once.
-        self._push = self._sched.push
+        #: ``(time, priority, sequence, event)`` entries, cancelled
+        #: events included until they are popped and skipped.
+        self._heap: List[tuple] = []
+        #: ``heappush``, or :func:`_refuse` once the engine is closed.
+        self._push = heappush
         self._sequence = 0
         self._events_executed = 0
         self._pool: List[Event] = []
-        self._pool_cap = _POOL_CAP
         #: callbacks invoked as f(event) after each executed event —
         #: how the repro.check invariant registry observes every step.
         self._watchers: list[Callable[[Event], None]] = []
@@ -129,12 +86,7 @@ class Engine:
     @property
     def now(self) -> int:
         """Current simulated time (ns)."""
-        return self.clock.now
-
-    @property
-    def scheduler(self) -> str:
-        """The scheduler kind this engine runs on ("heap"/"calendar")."""
-        return self._sched.kind
+        return self.clock._now
 
     @property
     def events_executed(self) -> int:
@@ -174,15 +126,12 @@ class Engine:
             event.label = label
             event.generation += 1
         else:
+            # Positional: a keyword call costs about twice as much, and
+            # this runs once per non-recycled event.
             event = Event(
-                time=when,
-                priority=priority,
-                sequence=sequence,
-                callback=callback,
-                label=label,
-                transient=transient,
+                when, priority, sequence, callback, False, label, transient
             )
-        self._push(event)
+        self._push(self._heap, (when, priority, sequence, event))
         return event
 
     def schedule_after(
@@ -199,47 +148,6 @@ class Engine:
         return self.schedule_at(
             self.clock._now + delay, callback, priority, label, transient
         )
-
-    def schedule_transient_after(
-        self,
-        delay: int,
-        callback: Callable[[], None],
-        priority: int = 20,
-        label: str = "",
-    ) -> None:
-        """Lean transient scheduling for fire-and-forget hops.
-
-        Equivalent to ``schedule_after(..., transient=True)`` with the
-        handle discarded, minus the per-call overhead that path pays:
-        no Event returned, no enum coercion (*priority* must already be
-        a plain int).  The engine bench behind the calendar/heap gate
-        (:mod:`repro.perf.gate`) drives its event stream through here.
-        """
-        if delay < 0:
-            raise SchedulingInPastError(f"negative delay {delay}")
-        when = self.clock._now + delay
-        sequence = self._sequence
-        self._sequence = sequence + 1
-        pool = self._pool
-        if pool:
-            event = pool.pop()
-            event.time = when
-            event.priority = priority
-            event.sequence = sequence
-            event.callback = callback
-            event.cancelled = False
-            event.label = label
-            event.generation += 1
-        else:
-            event = Event(
-                time=when,
-                priority=priority,
-                sequence=sequence,
-                callback=callback,
-                label=label,
-                transient=True,
-            )
-        self._push(event)
 
     # ------------------------------------------------------------------
     # Execution
@@ -258,14 +166,11 @@ class Engine:
         if self._profiler is not None:
             executed = self._run_profiled(until, self._profiler)
         elif not self._watchers:
-            # Fast path: no observers.  Each scheduler ships its own
-            # inlined dispatch loop.
-            executed = self._sched.drain(self, until)
+            executed = self._drain(until)
         else:
             executed = 0
-            pop_due = self._sched.pop_due
             while True:
-                event = pop_due(until)
+                event = self._pop_due(until)
                 if event is None:
                     break
                 if event.cancelled:
@@ -284,20 +189,61 @@ class Engine:
             clock.advance_to(until)
         return executed
 
+    def _drain(self, until: Optional[int]) -> int:
+        """The no-watcher dispatch loop: pop due events, advance the
+        clock, fire callbacks (each event drops its callback as it
+        leaves the heap), and recycle transient events into the
+        free-list.  Pop order is monotone, so the clock store needs no
+        backwards check.  The lifetime counter is updated even when a
+        callback raises.
+        """
+        heap = self._heap
+        clock = self.clock
+        pool = self._pool
+        pop = heappop
+        executed = 0
+        try:
+            while heap:
+                if until is not None and heap[0][0] > until:
+                    break
+                time, _, _, event = pop(heap)
+                callback = event.callback
+                event.callback = None
+                if event.cancelled:
+                    if event.transient and len(pool) < _POOL_CAP:
+                        pool.append(event)
+                    continue
+                clock._now = time
+                callback()
+                executed += 1
+                if event.transient and len(pool) < _POOL_CAP:
+                    pool.append(event)
+        finally:
+            self._events_executed += executed
+        return executed
+
+    def _pop_due(self, until: Optional[int]) -> Optional[Event]:
+        """Pop the earliest event if it is due by *until* (no limit when
+        None); otherwise leave it queued and return None."""
+        heap = self._heap
+        if not heap or (until is not None and heap[0][0] > until):
+            return None
+        return heappop(heap)[3]
+
     def _run_profiled(self, until: Optional[int], profiler) -> int:
         """Dispatch loop with per-event subsystem attribution.
 
-        Mirrors the watcher-capable slow path (never the schedulers'
-        inlined drains) so every event passes through one place where
-        its label, simulated interval, and callback wall time can be
-        recorded.  Sample counts and sim-ns are deterministic; wall-ns
-        is measured but kept out of the deterministic artifacts.
+        Mirrors the watcher-capable loop (never the inlined drain) so
+        every event passes through one place where its label,
+        simulated interval, and callback wall time can be recorded.
+        Sample counts and sim-ns are deterministic; wall-ns is measured
+        but kept out of the deterministic artifacts.
         """
         import time as _time
 
         executed = 0
         clock = self.clock
-        pop_due = self._sched.pop_due
+        pop_due = self._pop_due
         watchers = self._watchers
         record = profiler.record
         perf = _time.perf_counter_ns
@@ -358,19 +304,27 @@ class Engine:
         ``schedule_*`` or :meth:`run` raises
         :class:`~repro.sim.errors.EngineClosedError`.  Idempotent.
         """
-        self._sched.close()
+        for entry in self._heap:
+            entry[3].callback = None
+        self._heap.clear()
         self._push = _refuse
         self._pool.clear()
         self._watchers.clear()
+
+    def next_time(self) -> Optional[int]:
+        """Time of the earliest queued event, cancelled ones included,
+        or None when nothing is queued.  O(1): the heap's root."""
+        heap = self._heap
+        return heap[0][0] if heap else None
 
     def pending_events(self) -> List[Event]:
         """Sorted snapshot of non-cancelled pending events.
 
         The snapshot is ordered by the firing order ``(time, priority,
-        sequence)`` regardless of which scheduler backs the engine —
-        callers (invariant checkers, tests, debuggers) see the exact
-        sequence the engine would drain, never raw heap or bucket
-        layout.  Mutating the returned list does not affect the engine.
+        sequence)`` — callers (invariant checkers, tests, debuggers)
+        see the exact sequence the engine would drain, never the raw
+        heap layout.  Mutating the returned list does not affect the
+        engine.
 
         Sequence numbers are engine-local, so this ordering is only
         meaningful *within* one engine.  For a merged view across the
@@ -380,9 +334,9 @@ class Engine:
         shard id (then the per-shard sequence) — comparing raw
         sequences across engines would be arbitrary.
         """
-        return sorted(
-            (event for event in self._sched.iter_pending() if not event.cancelled),
-        )
+        return [
+            entry[3] for entry in sorted(self._heap) if not entry[3].cancelled
+        ]
 
     def add_watcher(self, watcher: Callable[[Event], None]) -> None:
         """Call *watcher(event)* after every executed event.
@@ -396,6 +350,6 @@ class Engine:
 
     def __repr__(self) -> str:
         return (
-            f"Engine(now={self.clock.now}, scheduler={self._sched.kind}, "
-            f"pending={len(self._sched)}, executed={self._events_executed})"
+            f"Engine(now={self.clock.now}, pending={len(self._heap)}, "
+            f"executed={self._events_executed})"
         )

@@ -1,22 +1,22 @@
 """Events: the unit of work of the simulation engine.
 
-An :class:`Event` is a callback bound to a simulated time.  Events are
-totally ordered by ``(time, priority, sequence)``:
+An :class:`Event` is a callback bound to a simulated time.  Events fire
+in ``(time, priority, sequence)`` order:
 
 * ``time`` — when the event fires;
 * ``priority`` — ties at the same instant fire lowest-priority-number
   first, which lets e.g. a scheduler-tick event run before user work
   scheduled at the same nanosecond;
 * ``sequence`` — a monotonically increasing counter that makes ordering
-  of otherwise-equal events deterministic (FIFO) and keeps comparisons
-  from ever reaching the (uncomparable) callback.
+  of otherwise-equal events deterministic (FIFO) and keeps heap
+  comparisons from ever reaching the event itself.
 
-``Event`` is deliberately a plain ``__slots__`` class rather than a
-dataclass: the engine allocates one per scheduled callback, which makes
-it the hottest object in the whole simulator.  Slots cut per-instance
-memory roughly in half and make attribute access a fixed-offset load,
-and the hand-written comparison methods avoid the tuple the generated
-dataclass ordering would build on every heap sift.
+The engine's heap orders ``(time, priority, sequence, event)`` tuples,
+so an ``Event`` defines no ordering of its own.  It is deliberately a
+plain ``__slots__`` class rather than a dataclass: the engine allocates
+one per scheduled callback, which makes it the hottest object in the
+whole simulator.  Slots cut per-instance memory roughly in half and
+make attribute access a fixed-offset load.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ class EventPriority(enum.IntEnum):
 
 
 class Event:
-    """A scheduled callback; ordered by (time, priority, sequence).
+    """A scheduled callback; fires in (time, priority, sequence) order.
 
     ``transient`` marks events whose handle the scheduling call site
     discards (process sleeps, waitable wake-ups, spawn/join hops): the
@@ -92,47 +92,10 @@ class Event:
         self.transient = transient
         self.generation = 0
 
-    # ------------------------------------------------------------------
-    # Ordering — (time, priority, sequence); sequence is unique, so two
-    # distinct events never compare equal and the callback never enters
-    # a comparison.
-    # ------------------------------------------------------------------
-    def sort_key(self) -> tuple:
-        """The total-order key ``(time, priority, sequence)``."""
-        return (self.time, self.priority, self.sequence)
-
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        if self.priority != other.priority:
-            return self.priority < other.priority
-        return self.sequence < other.sequence
-
-    def __le__(self, other: "Event") -> bool:
-        return not other.__lt__(self)
-
-    def __gt__(self, other: "Event") -> bool:
-        return other.__lt__(self)
-
-    def __ge__(self, other: "Event") -> bool:
-        return not self.__lt__(other)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Event):
-            return NotImplemented
-        return (
-            self.time == other.time
-            and self.priority == other.priority
-            and self.sequence == other.sequence
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.time, self.priority, self.sequence))
-
     def cancel(self) -> None:
         """Mark the event so the engine skips it when popped.
 
-        Cancellation is lazy — the event stays in the scheduler but
+        Cancellation is lazy — the event stays in the engine's heap but
         becomes a no-op.  This is O(1) and avoids queue surgery.  The
         callback is dropped at once: a cancelled event never fires, so
         its closure need not outlive the call.

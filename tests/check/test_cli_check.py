@@ -65,3 +65,35 @@ class TestCheckCommand:
         assert code == 0
         assert "0 engine(s), 0 host(s), 0 pool(s)" in out
         assert "nothing to check" in out
+
+    def test_max_ulps_on_another_experiment_exits_two_naming_the_flag(
+        self, capsys
+    ):
+        code = main(["check", "table1", "--fast", "--max-ulps", "-5"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("--max-ulps: only figure3")
+        assert "'table1'" in captured.err
+
+    def test_negative_max_ulps_on_figure3_still_exits_two(self, capsys):
+        code = main(["check", "figure3", "--max-ulps", "-5"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("max_ulps must be")
+
+    def test_figure3_budget_defaults_to_sixteen_ulps(self, capsys, monkeypatch):
+        import repro.check
+        from repro.check import DEFAULT_MAX_ULPS, check_figure3
+
+        budgets = []
+
+        def spy(**kwargs):
+            budgets.append(kwargs["max_ulps"])
+            return check_figure3(**kwargs)
+
+        monkeypatch.setattr(repro.check, "check_figure3", spy)
+        assert main(["check", "figure3", "--fast"]) == 0
+        assert main(["check", "figure3", "--fast", "--max-ulps", "3"]) == 0
+        assert budgets == [DEFAULT_MAX_ULPS, 3] == [16, 3]

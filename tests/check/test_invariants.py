@@ -158,6 +158,23 @@ class TestBuiltinCheckers:
         engine.clock.advance_to(200)  # leave the event stranded at 100
         assert any("before now" in m for m in check(engine.now))
 
+    def test_event_heap_checker_names_a_planted_past_entry_by_label(self):
+        # schedule_at refuses a past time, so plant the entry behind
+        # that guard: queue it, then move the clock past it.  The O(1)
+        # root test must still hand off to the scan that names it, and
+        # a cancelled past entry stays unreported.
+        engine = Engine()
+        engine.schedule_at(300, lambda: None, label="future")
+        engine.schedule_at(100, lambda: None, label="planted")
+        engine.schedule_at(50, lambda: None, label="dead").cancel()
+        check = event_heap_checker(engine)
+        assert check(engine.now) == []
+        engine.clock.advance_to(200)
+        assert engine.next_time() == 50
+        assert check(engine.now) == [
+            "event 'planted' scheduled at 100 ns, before now=200 ns"
+        ]
+
     def test_dvfs_checker_flags_future_samples(self):
         virt, _, _, _ = make_paused_pair()
         check = dvfs_sample_checker(virt.host)

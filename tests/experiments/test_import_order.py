@@ -87,6 +87,17 @@ def test_benchmark_probe_loads_no_layer_it_does_not_run(workload):
     assert _unwanted(modules, unwanted) == []
 
 
+def test_recovery_pull_loads_one_event_kernel():
+    """The engine's heap is the whole pending-event set: the kernel the
+    recovery-pull probe loads is these modules and no scheduler."""
+    loaded = _loaded(PROBES["recovery-pull"][0])
+    assert sorted(name for name in loaded if name.startswith("repro.sim")) == [
+        "repro.sim", "repro.sim.clock", "repro.sim.engine",
+        "repro.sim.errors", "repro.sim.event", "repro.sim.rng",
+        "repro.sim.sharding", "repro.sim.units",
+    ]
+
+
 _TIMED_CALL = """
 import importlib, sys
 sys.path.insert(0, sys.argv[2])

@@ -1,13 +1,7 @@
 """Engine: event ordering, priorities, cancellation, run semantics."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
-import repro
 from repro.sim.engine import Engine
 from repro.sim.errors import SchedulingInPastError
 from repro.sim.event import EventPriority
@@ -138,22 +132,30 @@ class TestRunSemantics:
         event.cancel()
         assert len(list(engine.pending_events())) == 1
 
+    def test_next_time_is_the_heap_root_cancelled_included(self):
+        engine = Engine()
+        assert engine.next_time() is None
+        engine.schedule_at(20, lambda: None)
+        engine.schedule_at(5, lambda: None).cancel()
+        assert engine.next_time() == 5
+        engine.run(until=10)
+        assert engine.next_time() == 20
+
     def test_pending_events_sorted_in_firing_order(self):
         # Contract: the snapshot is ordered by (time, priority, sequence)
-        # — the exact drain order — on every scheduler backend, and
-        # mutating it does not disturb the engine.
-        for kind in ("heap", "calendar"):
-            engine = Engine(scheduler=kind)
-            for when in (30, 10, 20, 10, 30):
-                engine.schedule_at(when, lambda: None)
-            engine.schedule_at(10, lambda: None, EventPriority.INTERRUPT)
-            snapshot = engine.pending_events()
-            keys = [(e.time, e.priority, e.sequence) for e in snapshot]
-            assert keys == sorted(keys)
-            assert [e.time for e in snapshot] == [10, 10, 10, 20, 30, 30]
-            assert snapshot[0].priority == EventPriority.INTERRUPT
-            snapshot.clear()  # caller-owned copy
-            assert len(engine.pending_events()) == 6
+        # — the exact drain order — and mutating it does not disturb
+        # the engine.
+        engine = Engine()
+        for when in (30, 10, 20, 10, 30):
+            engine.schedule_at(when, lambda: None)
+        engine.schedule_at(10, lambda: None, EventPriority.INTERRUPT)
+        snapshot = engine.pending_events()
+        keys = [(e.time, e.priority, e.sequence) for e in snapshot]
+        assert keys == sorted(keys)
+        assert [e.time for e in snapshot] == [10, 10, 10, 20, 30, 30]
+        assert snapshot[0].priority == EventPriority.INTERRUPT
+        snapshot.clear()  # caller-owned copy
+        assert len(engine.pending_events()) == 6
 
 
 class TestDeterminism:
@@ -167,50 +169,3 @@ class TestDeterminism:
             return trace
 
         assert run_once() == run_once()
-
-
-class TestBadSchedulerEnvironment:
-    """A bad ``REPRO_SIM_SCHEDULER`` must not silently become the
-    calendar queue for library users: the import still works, and the
-    first engine that relies on the default raises, naming the value."""
-
-    def run_with_env(self, value, code):
-        src = Path(repro.__file__).resolve().parent.parent
-        env = {**os.environ, "PYTHONPATH": str(src), "REPRO_SIM_SCHEDULER": value}
-        return subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
-
-    def test_default_engine_raises_naming_value_and_kinds(self):
-        result = self.run_with_env(
-            "hybird",
-            "import repro.sim.engine as engine\n"
-            "try:\n"
-            "    engine.Engine()\n"
-            "except ValueError as exc:\n"
-            "    print(exc)\n",
-        )
-        assert result.returncode == 0, result.stderr
-        message = result.stdout.strip()
-        assert message.startswith("REPRO_SIM_SCHEDULER: ")
-        assert "'hybird'" in message
-        assert "'calendar'" in message and "'heap'" in message
-
-    def test_explicit_choices_still_build(self):
-        result = self.run_with_env(
-            "hybird",
-            "from repro.sim.engine import Engine, set_default_scheduler\n"
-            "print(Engine(scheduler='heap').scheduler)\n"
-            "set_default_scheduler('heap')\n"
-            "print(Engine().scheduler)\n",
-        )
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.split() == ["heap", "heap"]
-
-    def test_valid_value_is_the_default(self):
-        result = self.run_with_env(
-            "heap", "from repro.sim.engine import Engine\nprint(Engine().scheduler)\n"
-        )
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "heap"

@@ -1,153 +1,144 @@
-"""Scheduler backends: heap/calendar differential identity + pooling.
+"""The engine's one event queue: firing order and the transient pool.
 
-The determinism contract says the scheduler backend is invisible: the
-same schedule pops in the same (time, priority, sequence) order from
-either backend, bit for bit.  These tests drive both backends with
-identical random workloads — including ones sized to force calendar
-grows, shrinks, and sparse-jump repositioning — and require identical
-execution traces.  A second group pins the transient-event pool: a
-cancelled transient's callback must never fire after recycling.
+The engine keeps pending events in one binary heap keyed by ``(time,
+priority, sequence)``.  A property test drives it with random
+schedules — same-instant ties, events scheduled from inside callbacks,
+lazy cancellation, recycled transients, ``run(until=...)`` splits —
+through each dispatch loop, and requires the firing order to be
+exactly ``sorted()`` of every scheduled, uncancelled key.  A second
+group pins the transient-event pool: a cancelled transient's callback
+must never fire after recycling.
 """
 
-import random
-
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.sim.engine import Engine, default_scheduler, set_default_scheduler
+from repro.obs.context import activate
+from repro.obs.profile import SubsystemProfiler
+from repro.sim.engine import Engine
 from repro.sim.event import EventPriority
-from repro.sim.schedulers import make_scheduler, scheduler_kinds
+
+PRIORITIES = st.sampled_from(list(EventPriority))
+
+#: (time, priority, transient, cancel before the run)
+INITIAL = st.tuples(
+    st.integers(min_value=0, max_value=60), PRIORITIES, st.booleans(),
+    st.booleans(),
+)
+
+#: what one fired event does: (delay of the event it schedules — zero
+#: for a same-instant hop —, its priority, transient, which still
+#: pending handle to cancel; an index past the end cancels none)
+STEP = st.tuples(
+    st.sampled_from((0, 0, 1, 7, 50)), PRIORITIES, st.booleans(),
+    st.integers(min_value=0, max_value=6),
+)
 
 
-def _run_random_schedule(kind, seed, initial=200, churn=400, spread=50_000):
-    """Execute a randomized self-rescheduling workload; return the trace.
-
-    Each callback appends (now, tag) and with some probability schedules
-    more work, so the backend is exercised both from outside run() and
-    from inside the hot drain loop.
-    """
-    rng = random.Random(seed)
-    engine = Engine(scheduler=kind)
-    trace = []
-    budget = [churn]
-
-    def fire(tag):
-        trace.append((engine.now, tag))
-        if budget[0] > 0 and rng.random() < 0.6:
-            budget[0] -= 1
-            delay = rng.choice((0, rng.randrange(1, 100), rng.randrange(1, spread)))
-            priority = rng.choice(
-                (EventPriority.INTERRUPT, EventPriority.SCHEDULER, EventPriority.NORMAL)
-            )
-            engine.schedule_after(delay, lambda t=f"{tag}.{budget[0]}": fire(t), priority)
-
-    for index in range(initial):
-        when = rng.randrange(spread)
-        priority = rng.choice(tuple(EventPriority))
-        engine.schedule_at(when, lambda t=str(index): fire(t), priority)
-    engine.run()
-    return trace
+def _engine(dispatch):
+    if dispatch == "profiled":
+        with activate(profiler=SubsystemProfiler()):
+            return Engine()
+    engine = Engine()
+    if dispatch == "watcher":
+        engine.add_watcher(lambda event: None)
+    return engine
 
 
-class TestDifferentialPopOrder:
-    @pytest.mark.parametrize("seed", range(8))
-    def test_heap_and_calendar_traces_identical(self, seed):
-        heap_trace = _run_random_schedule("heap", seed)
-        calendar_trace = _run_random_schedule("calendar", seed)
-        assert heap_trace == calendar_trace
+class _Script:
+    """Schedules, fires and cancels events, recording every key."""
 
-    def test_identical_across_resize_pressure(self):
-        # Enough events to push the calendar through grow rebuilds, then
-        # a drain to trigger shrink checks — the trace must not notice.
-        traces = {}
-        for kind in scheduler_kinds():
-            rng = random.Random(99)
-            engine = Engine(scheduler=kind)
-            trace = []
-            for index in range(5000):
-                when = rng.randrange(1_000_000)
-                engine.schedule_at(when, lambda t=index: trace.append((engine.now, t)))
-            engine.run()
-            traces[kind] = trace
-        assert traces["heap"] == traces["calendar"]
+    def __init__(self, engine, steps):
+        self.engine = engine
+        self.steps = iter(steps)
+        self.scheduled = []
+        self.cancelled = set()
+        self.fired = []
+        #: (key, handle) of every non-transient event: a transient's
+        #: handle may not be kept, so only these can be cancelled.
+        self.held = []
 
-    def test_identical_with_clustered_then_sparse_times(self):
-        # A dense cluster followed by far-future stragglers exercises the
-        # sparse-calendar direct jump (the cursor must land on the
-        # *earliest* pending window, not the latest).
-        traces = {}
-        for kind in scheduler_kinds():
-            engine = Engine(scheduler=kind)
-            trace = []
-            for index in range(64):
-                engine.schedule_at(index, lambda t=index: trace.append((engine.now, t)))
-            for index, when in enumerate((10**9, 5 * 10**9, 2 * 10**9)):
-                engine.schedule_at(
-                    when, lambda t=f"far{index}": trace.append((engine.now, t))
-                )
-            engine.run()
-            traces[kind] = trace
-        assert traces["heap"] == traces["calendar"]
+    def schedule(self, when, priority, transient):
+        cell = []
+        event = self.engine.schedule_at(
+            when, lambda: self.fire(cell[0]), priority, transient=transient
+        )
+        key = (event.time, event.priority, event.sequence)
+        cell.append(key)
+        self.scheduled.append(key)
+        if not transient:
+            self.held.append((key, event))
 
-    @pytest.mark.parametrize("kind", ["heap", "calendar"])
-    def test_raw_scheduler_pops_sorted(self, kind):
-        from repro.sim.event import Event
+    def cancel(self, key, event):
+        event.cancel()
+        self.cancelled.add(key)
 
-        rng = random.Random(3)
-        sched = make_scheduler(kind)
-        events = [
-            Event(
-                time=rng.randrange(100_000),
-                priority=rng.choice((0, 10, 20)),
-                sequence=sequence,
-                callback=lambda: None,
-            )
-            for sequence in range(1000)
+    def fire(self, key):
+        assert self.engine.now == key[0]
+        self.fired.append(key)
+        step = next(self.steps, None)
+        if step is None:
+            return
+        delay, priority, transient, cancel = step
+        if delay == 0:
+            # A same-instant child may not outrank its parent, or it
+            # would precede the parent in sorted() yet fire after it.
+            priority = max(priority, key[1])
+        self.schedule(key[0] + delay, priority, transient)
+        pending = [
+            entry for entry in self.held
+            if entry[0] > key and entry[0] not in self.cancelled
         ]
-        for event in events:
-            sched.push(event)
-        popped = []
-        while True:
-            event = sched.pop_due(None)
-            if event is None:
-                break
-            popped.append(event)
-        assert popped == sorted(events)
+        if cancel < len(pending):
+            self.cancel(*pending[cancel])
 
 
-class TestChaosByteIdentity:
-    def test_chaos_output_identical_under_both_schedulers(self):
-        from repro.experiments.chaos import ChaosConfig, render_chaos, run_chaos
-
-        outputs = {}
-        original = default_scheduler()
-        for kind in scheduler_kinds():
-            set_default_scheduler(kind)
-            try:
-                result = run_chaos(ChaosConfig(hosts=2, requests=120, seed=5))
-                outputs[kind] = render_chaos(result)
-            finally:
-                set_default_scheduler(original)
-        assert outputs["heap"] == outputs["calendar"]
+@pytest.mark.parametrize("dispatch", ("drain", "watcher", "profiled"))
+class TestFiringOrder:
+    @given(
+        initial=st.lists(INITIAL, min_size=1, max_size=40),
+        steps=st.lists(STEP, max_size=80),
+        split=st.one_of(st.none(), st.integers(min_value=0, max_value=120)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_firing_order_is_sorted_keys_of_uncancelled_events(
+        self, dispatch, initial, steps, split
+    ):
+        engine = _engine(dispatch)
+        script = _Script(engine, steps)
+        for when, priority, transient, cancelled in initial:
+            script.schedule(when, priority, transient)
+            if cancelled and not transient:
+                script.cancel(*script.held[-1])
+        if split is not None:
+            engine.run(until=split)
+            assert engine.now == split
+        engine.run()
+        expected = sorted(set(script.scheduled) - script.cancelled)
+        assert script.fired == expected
+        assert engine.events_executed == len(expected)
+        assert engine.pending_events() == []
 
 
 class TestTransientPool:
-    @pytest.mark.parametrize("kind", ["heap", "calendar"])
-    def test_cancelled_transient_callback_never_resurrects(self, kind):
+    def test_cancelled_transient_callback_never_resurrects(self):
         """Recycling must not let a stale handle re-arm its old callback.
 
         Cancel transient events mid-run, then schedule enough new
         transients to cycle the pool; the cancelled callbacks must stay
         dead and every pooled reuse must bump the generation counter.
         """
-        engine = Engine(scheduler=kind)
+        engine = Engine()
         fired = []
         poisoned = []
 
         def seed_events():
             stale = []
             for index in range(50):
-                engine.schedule_transient_after(
-                    10 + index, lambda t=index: poisoned.append(t)
+                engine.schedule_after(
+                    10 + index, lambda t=index: poisoned.append(t),
+                    transient=True,
                 )
             # Grab the pending transients and cancel every one of them.
             for event in engine.pending_events():
@@ -156,8 +147,8 @@ class TestTransientPool:
                     event.cancel()
             # Recycle pressure: reuse pooled events for live callbacks.
             for index in range(200):
-                engine.schedule_transient_after(
-                    20 + index, lambda t=index: fired.append(t)
+                engine.schedule_after(
+                    20 + index, lambda t=index: fired.append(t), transient=True
                 )
             for event, generation in stale:
                 if not event.cancelled:  # reused for a live callback
@@ -171,12 +162,12 @@ class TestTransientPool:
     def test_pool_reuse_bumps_generation(self):
         engine = Engine()
         holder = []
-        engine.schedule_transient_after(1, lambda: None)
+        engine.schedule_after(1, lambda: None, transient=True)
         engine.run()
         assert len(engine._pool) == 1
         recycled = engine._pool[-1]
         generation = recycled.generation
-        engine.schedule_transient_after(1, lambda: holder.append(True))
+        engine.schedule_after(1, lambda: holder.append(True), transient=True)
         assert recycled.generation == generation + 1
         engine.run()
         assert holder == [True]
@@ -184,26 +175,6 @@ class TestTransientPool:
     def test_pool_capacity_is_bounded(self):
         engine = Engine()
         for index in range(6000):
-            engine.schedule_transient_after(index, lambda: None)
+            engine.schedule_after(index, lambda: None, transient=True)
         engine.run()
         assert len(engine._pool) <= 4096
-
-
-class TestDefaultSchedulerSelection:
-    def test_set_default_scheduler_round_trip(self):
-        # The calendar queue is the process default (>2x on the chaos
-        # profile); the heap stays available as the reference backend.
-        assert default_scheduler() == "calendar"
-        try:
-            previous = set_default_scheduler("heap")
-            assert previous == "calendar"
-            assert Engine().scheduler == "heap"
-        finally:
-            set_default_scheduler("calendar")
-        assert Engine().scheduler == "calendar"
-
-    def test_unknown_scheduler_rejected(self):
-        with pytest.raises(ValueError):
-            Engine(scheduler="fibonacci")
-        with pytest.raises(ValueError):
-            set_default_scheduler("fibonacci")

@@ -80,7 +80,6 @@ class TestCommands:
     @pytest.mark.parametrize(
         "variable, argv",
         [
-            ("REPRO_SIM_SCHEDULER", ["chaos", "cluster"]),
             ("REPRO_DISPATCH_POLICY", ["demo"]),
             ("REPRO_PREWARM_POLICY", ["replay"]),
         ],
