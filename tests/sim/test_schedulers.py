@@ -5,10 +5,14 @@ priority, sequence)``.  A property test drives it with random
 schedules — same-instant ties, events scheduled from inside callbacks,
 lazy cancellation, recycled transients, ``run(until=...)`` splits —
 through each dispatch loop, and requires the firing order to be
-exactly ``sorted()`` of every scheduled, uncancelled key.  A second
-group pins the transient-event pool: a cancelled transient's callback
-must never fire after recycling.
+exactly ``sorted()`` of every scheduled, uncancelled key.  Seeded
+differential tests check the same against a reference sort for a heap
+grown to thousands of events and for clustered-then-sparse times.  A
+last group pins the transient-event pool: a cancelled transient's
+callback must never fire after recycling.
 """
+
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.obs.context import activate
 from repro.obs.profile import SubsystemProfiler
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, default_scheduler
 from repro.sim.event import EventPriority
 
 PRIORITIES = st.sampled_from(list(EventPriority))
@@ -119,6 +123,63 @@ class TestFiringOrder:
         assert script.fired == expected
         assert engine.events_executed == len(expected)
         assert engine.pending_events() == []
+
+
+class TestDifferentialPopOrder:
+    def test_identical_across_resize_pressure(self):
+        # Thousands of pending events grow the heap list, then the drain
+        # shrinks it; the trace must equal the reference sort.
+        rng = random.Random(99)
+        engine = Engine()
+        trace = []
+        expected = []
+        for index in range(5000):
+            when = rng.randrange(1_000_000)
+            engine.schedule_at(when, lambda t=index: trace.append((engine.now, t)))
+            expected.append((when, index))
+        engine.run()
+        assert trace == sorted(expected)
+        assert engine.pending_events() == []
+
+    def test_identical_with_clustered_then_sparse_times(self):
+        # A dense cluster followed by far-future stragglers scheduled out
+        # of order: the earliest straggler must fire first.
+        engine = Engine()
+        trace = []
+        for index in range(64):
+            engine.schedule_at(index, lambda t=index: trace.append((engine.now, t)))
+        for index, when in enumerate((10**9, 5 * 10**9, 2 * 10**9)):
+            engine.schedule_at(
+                when, lambda t=f"far{index}": trace.append((engine.now, t))
+            )
+        engine.run()
+        assert trace == [(index, index) for index in range(64)] + [
+            (10**9, "far0"), (2 * 10**9, "far2"), (5 * 10**9, "far1"),
+        ]
+
+    @pytest.mark.parametrize("kind", [default_scheduler()])
+    def test_raw_scheduler_pops_sorted(self, kind):
+        """The queue ``default_scheduler()`` names pops pending events
+        in ``(time, priority, sequence)`` order."""
+        assert kind == "heap"
+        rng = random.Random(3)
+        engine = Engine()
+        events = [
+            engine.schedule_at(
+                rng.randrange(100_000), lambda: None,
+                rng.choice(tuple(EventPriority)),
+            )
+            for _ in range(1000)
+        ]
+        popped = []
+        while True:
+            event = engine._pop_due(None)
+            if event is None:
+                break
+            popped.append(event)
+        key = lambda event: (event.time, event.priority, event.sequence)
+        assert [key(event) for event in popped] == sorted(map(key, events))
+        assert sorted(map(id, popped)) == sorted(map(id, events))
 
 
 class TestTransientPool:
