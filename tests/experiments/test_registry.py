@@ -151,6 +151,18 @@ class TestGolden:
         assert main(["experiment", spec_id, "--fast"]) == 0
         assert capsys.readouterr().out == golden.read_text()
 
+    @pytest.mark.parametrize("spec_id", sorted(EXPECTED_IDS))
+    @pytest.mark.parametrize("suffix", ["txt", "json"])
+    def test_every_spec_text_and_json_match_golden(self, spec_id, suffix, capsys):
+        """``repro experiment <id> --fast --seed 0`` stdout, and the same
+        with ``--json``, for every registered spec."""
+        from repro.cli import main
+
+        golden = Path(__file__).parent / "golden" / "experiment" / f"{spec_id}.{suffix}"
+        argv = ["experiment", spec_id, "--fast", "--seed", "0"]
+        assert main(argv + (["--json"] if suffix == "json" else [])) == 0
+        assert capsys.readouterr().out == golden.read_text()
+
 
 class TestFullAblations:
     """Full mode runs every ablation study the repo has, and each one's
