@@ -42,7 +42,8 @@ def _run_in_context(
     args: argparse.Namespace, obs, **context
 ) -> Optional[str]:
     """Run registry spec ``args.name`` under one run context and return
-    its rendered summary (None, said on stderr, for an unknown id).
+    its rendered summary (None, said on stderr, for an unknown id or a
+    ``--platform`` the spec does not model).
 
     ``trace``, ``profile`` and ``check`` are three views of this one
     run: each chooses only what the context holds (the obs bundle, a
@@ -51,15 +52,14 @@ def _run_in_context(
     from repro.obs.context import activate
 
     try:
-        spec = get_experiment(args.name)
-    except KeyError as exc:
+        run = get_experiment(args.name).bind(
+            ExperimentConfig(fast=args.fast, seed=args.seed, platform=args.platform)
+        )
+    except (KeyError, ValueError) as exc:
         print(exc.args[0], file=sys.stderr)
         return None
-    config = ExperimentConfig(
-        fast=args.fast, seed=args.seed, platform=args.platform
-    )
     with activate(obs, **context):
-        return spec.run(config).summary()
+        return run().summary()
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -77,21 +77,22 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     try:
-        spec = get_experiment(args.name)
-        config = ExperimentConfig(
-            fast=args.fast,
-            seed=args.seed,
-            platform=args.platform,
-            shards=args.shards,
+        run = get_experiment(args.name).bind(
+            ExperimentConfig(
+                fast=args.fast,
+                seed=args.seed,
+                platform=args.platform,
+                shards=args.shards,
+            )
         )
     except (KeyError, ValueError) as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
-    result = spec.run(config)
+    result = run()
     if args.json:
         print(result.to_json())
         return 0
-    print(f"== {spec.title} ({args.platform}) ==\n")
+    print(f"== {result.spec.title} ({args.platform}) ==\n")
     print(result.summary())
     return 0
 
@@ -161,7 +162,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     obs = Observability()
     if args.name != "figure3":
         invariants = InvariantRegistry(obs=obs)
-        _run_in_context(args, obs, invariants=invariants)
+        if _run_in_context(args, obs, invariants=invariants) is None:
+            return 2
         report = report_run(args.name, args.platform, invariants)
     else:
         try:

@@ -14,12 +14,16 @@ Four ablations beyond the paper's headline experiments:
 * :func:`ablate_mechanism_split` — per-step attribution of the HORSE
   win: how much of the saved time comes from the merge (step 4), the
   load update (step 5), and the trimmed command path.
+
+:func:`run_ablations` runs them, plus the energy, restore and dispatch
+ablations of the sibling ``ablations_*`` modules in full mode, as the
+registry's ``ablations`` experiment.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Any, Dict, List, Sequence
 
 from repro.core.hot_resume import HorseConfig, HorsePauseResume
 from repro.experiments.figure3 import run_figure3
@@ -208,3 +212,75 @@ def ablate_mechanism_split(vcpus: int = 36) -> MechanismSplit:
             float(horse_steps.get(step, 0)),
         )
     return split
+
+
+# ----------------------------------------------------------------------
+# All of them, as one experiment
+# ----------------------------------------------------------------------
+#: Computed properties each ablation reports beside its dataclass fields.
+_EXTRAS = {
+    "restore_prefetch": ("effective_ready_ns",),
+    "dispatch_interference": ("mean_delta_us", "p99_delta_us"),
+}
+
+
+@dataclass
+class AblationsResult:
+    #: ablation name -> its point, or its list of points
+    studies: Dict[str, Any] = field(default_factory=dict)
+
+    def rows(self) -> List[Dict[str, Any]]:
+        """One row per point, named by its ``ablation``."""
+        from repro.experiments.rows import object_row
+
+        rows = []
+        for name in sorted(self.studies):
+            value = self.studies[name]
+            for point in value if isinstance(value, list) else [value]:
+                row = object_row(point, _EXTRAS.get(name, ()))
+                if name == "mechanism_split":
+                    # Its payload is a step -> (vanilla, horse) dict;
+                    # flatten to the per-step saving the figure reports.
+                    for step in sorted(point.steps):
+                        row[f"saving_{step}_ns"] = point.saving_ns(step)
+                    row["total_saving_ns"] = point.total_saving_ns()
+                row["ablation"] = name
+                rows.append(row)
+        return rows
+
+
+def run_ablations(fast: bool = False, seed: int = 0) -> AblationsResult:
+    """Fast mode runs two ablations; full mode runs all seven."""
+    result = AblationsResult(
+        {
+            "ull_runqueue_count": ablate_ull_runqueue_count(
+                queue_counts=(1, 4) if fast else (1, 2, 4, 8)
+            ),
+            "mechanism_split": ablate_mechanism_split(),
+        }
+    )
+    if not fast:
+        from repro.experiments.ablations_dispatch import run_dispatch_interference
+        from repro.experiments.ablations_energy import ablate_skip_vs_coalesce
+        from repro.experiments.ablations_restore import ablate_restore_prefetch
+
+        result.studies.update(
+            precompute_churn=ablate_precompute_churn(),
+            platform=ablate_platform(),
+            skip_vs_coalesce=ablate_skip_vs_coalesce(),
+            restore_prefetch=ablate_restore_prefetch(),
+            dispatch_interference=run_dispatch_interference(seed=seed),
+        )
+    return result
+
+
+def render_ablations(result: AblationsResult) -> str:
+    lines = []
+    current = None
+    for row in result.rows():
+        name = row.pop("ablation")
+        if name != current:
+            lines.append(f"== {name} ==")
+            current = name
+        lines.append("  " + " ".join(f"{k}={v}" for k, v in sorted(row.items())))
+    return "\n".join(lines)

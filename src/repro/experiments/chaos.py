@@ -192,6 +192,15 @@ class ChaosResult:
     def ok(self) -> bool:
         return all(outcome.ok for outcome in self.outcomes.values())
 
+    def rows(self) -> List[Dict[str, object]]:
+        """One row per resilience mode (the sharded study's too)."""
+        from repro.experiments.rows import object_row
+
+        return [
+            object_row(outcome, extra=("p99_us", "ull_p50_us", "ull_p99_us"))
+            for outcome in self.outcomes.values()
+        ]
+
 
 #: Breaker tuning for the study: trip fast (2 consecutive failures) and
 #: back off for a whole second — on a flaky host faulting more than half

@@ -327,6 +327,39 @@ class ClusterRecoveryResult:
     def ok(self) -> bool:
         return not self.violations
 
+    def rows(self) -> List[Dict[str, object]]:
+        """One row per failure-domain cell."""
+        rows: List[Dict[str, object]] = []
+        for group in sorted(self.cells):
+            cell = self.cells[group]
+            rows.append(
+                {
+                    "group": cell.group,
+                    "submitted": cell.submitted,
+                    "completed": cell.completed,
+                    "shed": cell.shed,
+                    "failed": cell.failed,
+                    "gw_crashes": cell.gw_crashes,
+                    "gw_recoveries": cell.gw_recoveries,
+                    "redispatched": cell.redispatched,
+                    "fenced": cell.fenced,
+                    "parked": cell.parked,
+                    "p99_us": (
+                        percentile(cell.latencies_us, 99.0)
+                        if cell.latencies_us
+                        else 0.0
+                    ),
+                    "recovery_p99_us": (
+                        percentile(cell.recovery_latencies_us, 99.0)
+                        if cell.recovery_latencies_us
+                        else 0.0
+                    ),
+                    "violations": len(cell.violations),
+                    "oracle_ok": not self.oracle_mismatches,
+                }
+            )
+        return rows
+
 
 def _compare_oracle(
     group: int,

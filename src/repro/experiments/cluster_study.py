@@ -58,6 +58,14 @@ class ClusterStudyResult:
     def policies(self) -> List[str]:
         return sorted(self.outcomes)
 
+    def rows(self) -> List[Dict[str, object]]:
+        from repro.experiments.rows import object_row
+
+        return [
+            object_row(self.outcome(policy), extra=("cold_rate",))
+            for policy in self.policies()
+        ]
+
 
 def _default_policies() -> Dict[str, PlacementPolicy]:
     return {
@@ -131,3 +139,18 @@ def run_cluster_study(
         )
         _close_cell(cluster.engine, [cluster])
     return result
+
+
+def render_cluster_study(result: ClusterStudyResult) -> str:
+    lines = [
+        f"{'policy':14s} {'triggers':>8s} {'cold':>6s} {'cold %':>7s} "
+        f"{'balance cv':>10s} {'init us':>9s}"
+    ]
+    for policy in result.policies():
+        outcome = result.outcome(policy)
+        lines.append(
+            f"{outcome.policy:14s} {outcome.triggers:8d} "
+            f"{outcome.cold_fallbacks:6d} {100 * outcome.cold_rate:6.2f}% "
+            f"{outcome.balance_cv:10.3f} {outcome.mean_init_us:9.2f}"
+        )
+    return "\n".join(lines)

@@ -103,6 +103,15 @@ class ColocationResult:
             - self.run("vanilla", ull_vcpus).summary().p95_us
         )
 
+    def rows(self) -> List[Dict[str, object]]:
+        """One row per (mode, uLL vCPU count): its latency summary."""
+        from repro.experiments.rows import object_row
+
+        return [
+            {**object_row(run.summary()), "mode": mode, "ull_vcpus": ull_vcpus}
+            for (mode, ull_vcpus), run in sorted(self.runs.items())
+        ]
+
 
 @dataclass
 class _FlightRecord:

@@ -158,6 +158,29 @@ class DispatchZooResult:
     def ok(self) -> bool:
         return all(cell.ok for cell in self.cells.values())
 
+    def rows(self) -> List[Dict[str, object]]:
+        """Flat scalar rows: one per (policy, rate, mix, class)."""
+        rows: List[Dict[str, object]] = []
+        for (policy, failure_rate, mix), cell in sorted(self.cells.items()):
+            for cls in sorted(cell.classes):
+                stats = cell.classes[cls]
+                rows.append(
+                    {
+                        "policy": policy,
+                        "failure_rate": failure_rate,
+                        "mix": mix,
+                        "cls": cls,
+                        "submitted": stats.submitted,
+                        "completed": stats.completed,
+                        "shed": stats.shed,
+                        "failed": stats.failed,
+                        "p50_us": stats.p50_us,
+                        "p99_us": stats.p99_us,
+                        "ok": cell.ok,
+                    }
+                )
+        return rows
+
 
 def _schedule_arrivals(
     gateway: ResilientGateway, cluster: FaaSCluster, mix: str,
@@ -305,27 +328,3 @@ def render_dispatch_zoo(result: DispatchZooResult) -> str:
                         f"{len(cell.violations)} violations"
                     )
     return "\n".join(lines)
-
-
-def dispatch_zoo_rows(result: DispatchZooResult) -> List[Dict[str, object]]:
-    """Flat scalar rows: one per (policy, rate, mix, class)."""
-    rows: List[Dict[str, object]] = []
-    for (policy, failure_rate, mix), cell in sorted(result.cells.items()):
-        for cls in sorted(cell.classes):
-            stats = cell.classes[cls]
-            rows.append(
-                {
-                    "policy": policy,
-                    "failure_rate": failure_rate,
-                    "mix": mix,
-                    "cls": cls,
-                    "submitted": stats.submitted,
-                    "completed": stats.completed,
-                    "shed": stats.shed,
-                    "failed": stats.failed,
-                    "p50_us": stats.p50_us,
-                    "p99_us": stats.p99_us,
-                    "ok": cell.ok,
-                }
-            )
-    return rows

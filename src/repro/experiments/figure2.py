@@ -56,6 +56,20 @@ class Figure2Result:
                 return p
         raise KeyError(f"no breakdown point for {vcpus} vCPUs")
 
+    def rows(self) -> List[Dict[str, object]]:
+        """One row per vCPU count, with each step's mean."""
+        rows = []
+        for point in self.points:
+            row: Dict[str, object] = {
+                "vcpus": point.vcpus,
+                "mean_total_ns": point.mean_total_ns,
+                "hot_share": point.hot_share,
+            }
+            for step, mean_ns in sorted(point.mean_step_ns.items()):
+                row[f"step_{step}_ns"] = mean_ns
+            rows.append(row)
+        return rows
+
 
 def run_figure2(
     vcpu_counts: Sequence[int] = VCPU_SWEEP,

@@ -72,6 +72,14 @@ class Figure3Result:
         values = [self.mean_ns("horse", v) for v in self.vcpu_counts()]
         return max(values) / min(values)
 
+    def rows(self) -> List[Dict[str, object]]:
+        """One row per (setup, vCPU count)."""
+        return [
+            {"setup": setup, "vcpus": vcpus, "mean_ns": self.mean_ns(setup, vcpus)}
+            for setup in sorted(self.series)
+            for vcpus in self.vcpu_counts()
+        ]
+
 
 def _resume_once(
     platform: str, config: HorseConfig | None, vcpus: int, memory_mb: int

@@ -60,6 +60,9 @@ class Figure4Result:
         values = [self.init_pct(c, StartType.HORSE) for c in self.categories()]
         return (min(values), max(values))
 
+    def rows(self) -> List[Dict[str, object]]:
+        return self.grid.rows()
+
 
 def run_figure4(
     repetitions: int = 10,

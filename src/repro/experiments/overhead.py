@@ -108,6 +108,28 @@ class OverheadResult:
         )
         return 100.0 * delta / (SAMPLE_PERIOD_NS * self.cores)
 
+    def rows(self) -> List[Dict[str, object]]:
+        """One row per vCPU count: the HORSE-minus-vanilla deltas."""
+        return [
+            {
+                "vcpus": vcpus,
+                "memory_delta_bytes": self.memory_delta_bytes(vcpus),
+                "pause_cpu_delta_pct": self.pause_cpu_delta_pct(vcpus),
+                "resume_cpu_delta_pct": self.resume_cpu_delta_pct(vcpus),
+            }
+            for vcpus in self.vcpu_counts()
+        ]
+
+
+def render_overhead(result: OverheadResult) -> str:
+    return "\n".join(
+        f"uLL vCPUs={row['vcpus']}: mem delta "
+        f"{row['memory_delta_bytes'] / 1000:.1f} kB, "
+        f"pause CPU {row['pause_cpu_delta_pct']:.6f} %, "
+        f"resume CPU {row['resume_cpu_delta_pct']:.6f} %"
+        for row in result.rows()
+    )
+
 
 def _run_one(
     mode: str, ull_vcpus: int, seed: int, platform: str = "firecracker"

@@ -60,6 +60,14 @@ class PoolStudyResult:
     def policy_names(self) -> List[str]:
         return sorted(self.outcomes)
 
+    def rows(self) -> List[Dict[str, object]]:
+        from repro.experiments.rows import object_row
+
+        return [
+            object_row(self.outcome(name), extra=("hit_rate",))
+            for name in self.policy_names()
+        ]
+
 
 def _default_policies() -> Dict[str, PrewarmPolicy]:
     # The adaptive baseline is the ATC'20 hybrid policy, binned finely
@@ -161,3 +169,19 @@ def _run_policy(policy_name, policy, trace, seed) -> PolicyOutcome:
     )
     engine.close()
     return outcome
+
+
+def render_pool_study(result: PoolStudyResult) -> str:
+    lines = [
+        f"{'policy':14s} {'triggers':>8s} {'hits':>6s} {'hit %':>7s} "
+        f"{'cold':>6s} {'evict':>6s} {'peak':>5s} {'init us':>9s}"
+    ]
+    for name in result.policy_names():
+        outcome = result.outcome(name)
+        lines.append(
+            f"{outcome.policy_name:14s} {outcome.triggers:8d} "
+            f"{outcome.warm_hits:6d} {100 * outcome.hit_rate:6.2f}% "
+            f"{outcome.cold_starts:6d} {outcome.evictions:6d} "
+            f"{outcome.peak_pooled:5d} {outcome.mean_init_us:9.2f}"
+        )
+    return "\n".join(lines)

@@ -36,7 +36,6 @@ __all__ = [
     "FrontierResult",
     "run_prewarm_frontier",
     "render_prewarm_frontier",
-    "prewarm_frontier_rows",
 ]
 
 #: Policies on the frontier: baseline, two fixed windows bracketing the
@@ -101,6 +100,33 @@ class FrontierResult:
             out.extend(result.violations())
         return out
 
+    def rows(self) -> List[Dict[str, object]]:
+        """One row per (budget, policy) cell, budget-major."""
+        rows: List[Dict[str, object]] = []
+        for (policy, budget_mb), cell in sorted(
+            self.cells.items(), key=lambda item: (item[0][1], item[0][0])
+        ):
+            rows.append(
+                {
+                    "policy": policy,
+                    "budget_mb": budget_mb,
+                    "events": cell.events,
+                    "p50_us": cell.percentile_us(50.0),
+                    "p99_us": cell.percentile_us(99.0),
+                    "p999_us": cell.percentile_us(99.9),
+                    "horse_hits": cell.total("horse_hits"),
+                    "restores": cell.total("restores"),
+                    "cold_boots": cell.total("cold_boots"),
+                    "evictions": cell.total("pressure_evictions"),
+                    "prewarm_loads": cell.total("prewarm_loads"),
+                    "peak_resident_mb": sum(
+                        c.peak_resident_mb for c in cell.cells
+                    ),
+                    "violations": len(cell.violations()),
+                }
+            )
+        return rows
+
 
 def run_prewarm_frontier(
     fast: bool = True, seed: int = 0, shards: int = 1
@@ -125,33 +151,6 @@ def run_prewarm_frontier(
     return result
 
 
-def prewarm_frontier_rows(result: FrontierResult) -> List[Dict[str, object]]:
-    rows: List[Dict[str, object]] = []
-    for (policy, budget_mb), cell in sorted(
-        result.cells.items(), key=lambda item: (item[0][1], item[0][0])
-    ):
-        rows.append(
-            {
-                "policy": policy,
-                "budget_mb": budget_mb,
-                "events": cell.events,
-                "p50_us": cell.percentile_us(50.0),
-                "p99_us": cell.percentile_us(99.0),
-                "p999_us": cell.percentile_us(99.9),
-                "horse_hits": cell.total("horse_hits"),
-                "restores": cell.total("restores"),
-                "cold_boots": cell.total("cold_boots"),
-                "evictions": cell.total("pressure_evictions"),
-                "prewarm_loads": cell.total("prewarm_loads"),
-                "peak_resident_mb": sum(
-                    c.peak_resident_mb for c in cell.cells
-                ),
-                "violations": len(cell.violations()),
-            }
-        )
-    return rows
-
-
 def render_prewarm_frontier(result: FrontierResult) -> str:
     """Fixed-width frontier table, byte-stable per seed."""
     config = result.config
@@ -170,7 +169,7 @@ def render_prewarm_frontier(result: FrontierResult) -> str:
         f"  {'budget MB':>10} {'policy':>10} {'p50 us':>12} {'p99 us':>12}"
         f" {'p99.9 us':>12} {'horse':>7} {'restore':>8} {'evict':>6}",
     ]
-    for row in prewarm_frontier_rows(result):
+    for row in result.rows():
         lines.append(
             f"  {row['budget_mb']:>10.0f} {row['policy']:>10}"
             f" {row['p50_us']:>12.3f} {row['p99_us']:>12.3f}"

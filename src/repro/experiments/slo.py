@@ -65,6 +65,14 @@ class SloResult:
     def attainment(self, category: str, scenario: StartType) -> float:
         return self.cell(category, scenario).attainment
 
+    def rows(self) -> List[Dict[str, object]]:
+        from repro.experiments.rows import object_row, sorted_cells
+
+        return [
+            object_row(cell, extra=("attainment",))
+            for _key, cell in sorted_cells(self)
+        ]
+
 
 def run_slo(
     invocations: int = 200,
@@ -120,3 +128,14 @@ def run_slo(
                 total=invocations,
             )
     return result
+
+
+def render_slo(result: SloResult) -> str:
+    lines = [f"{'category':16s} {'scenario':10s} {'budget us':>10s} {'attained':>9s}"]
+    for cell in result.rows():
+        lines.append(
+            f"{cell['category']:16s} {cell['scenario']:10s} "
+            f"{cell['budget_ns'] / 1000:10.1f} "
+            f"{100 * cell['attainment']:8.2f}%"
+        )
+    return "\n".join(lines)

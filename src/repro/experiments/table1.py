@@ -79,6 +79,21 @@ class Table1Result:
             for scenario in TABLE1_SCENARIOS
         }
 
+    def rows(self) -> List[Dict[str, object]]:
+        """One row per (category, scenario) cell."""
+        from repro.experiments.rows import sorted_cells
+
+        return [
+            {
+                "category": category,
+                "scenario": scenario.value,
+                "init_us_mean": cell.init_us.mean,
+                "exec_us_mean": cell.exec_us.mean,
+                "init_pct_mean": cell.init_pct.mean,
+            }
+            for (category, scenario), cell in sorted_cells(self)
+        ]
+
 
 def _measure_invocation(
     rngs: RngRegistry,

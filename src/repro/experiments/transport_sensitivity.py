@@ -50,6 +50,11 @@ class TransportSensitivityResult:
         horse = self.cell(transport, StartType.HORSE).mean_overhead_pct
         return warm - horse
 
+    def rows(self) -> List[Dict[str, object]]:
+        from repro.experiments.rows import object_row, sorted_cells
+
+        return [object_row(cell) for _key, cell in sorted_cells(self)]
+
 
 def run_transport_sensitivity(
     invocations: int = 100,
@@ -91,3 +96,17 @@ def run_transport_sensitivity(
                 mean_init_ns=init_ns_sum / invocations,
             )
     return result
+
+
+def render_transport_sensitivity(result: TransportSensitivityResult) -> str:
+    lines = [
+        f"{'transport':12s} {'scenario':10s} {'overhead %':>10s} "
+        f"{'transport ns':>13s} {'init ns':>10s}"
+    ]
+    for cell in result.rows():
+        lines.append(
+            f"{cell['transport']:12s} {cell['scenario']:10s} "
+            f"{cell['mean_overhead_pct']:10.3f} {cell['mean_transport_ns']:13.1f} "
+            f"{cell['mean_init_ns']:10.1f}"
+        )
+    return "\n".join(lines)

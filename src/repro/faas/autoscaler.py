@@ -138,8 +138,6 @@ class PoolAutoscaler:
         )
         self._tick_event: Optional[Event] = None
         self._running = False
-        self.reconciliations = 0
-        self.scale_ups = 0
         self.current_target = config.min_pool
 
     # ------------------------------------------------------------------
@@ -175,13 +173,11 @@ class PoolAutoscaler:
     def _reconcile(self) -> None:
         if not self._running:
             return
-        self.reconciliations += 1
         target = self.desired_pool_size()
         self.current_target = target
         pooled = self.faas.pool.size(self.function_name)
         if pooled < target:
             self.faas.provision_warm(self.function_name, count=target - pooled)
-            self.scale_ups += 1
         # Scale-down: shrink the protected quota; keep-alive evicts the
         # rest naturally (no abrupt teardown of warm capacity).
         self.faas.pool.mark_provisioned(self.function_name, target)

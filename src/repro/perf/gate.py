@@ -7,13 +7,16 @@ gates CI on regressions against a committed baseline:
   the *machine*, not the repo: the regression check normalizes every
   other bench by the calibration ratio between the baseline machine and
   the current one, so a slower CI runner does not read as a regression.
-* ``engine_heap_chaos`` — event throughput of the engine's heap on
-  the chaos profile: a closed-loop driver holding a large outstanding
-  set (8,192 quick / 32,768 full pending events, well above the ~1,500
-  any registry experiment holds) with the chaos study's delay mix
-  (same-instant wake-ups, µs-scale request steps, ms-scale background
-  timers), scheduled through ``schedule_at`` / ``schedule_after`` as
-  production code schedules.
+* ``engine_heap_chaos`` — event throughput of the engine on the
+  traffic the registry runs: a sequence of short engine lifetimes
+  (cells), each peaking at the chaos study's measured pending-event
+  peak (338 quick / 1,506 full, DESIGN.md §10).  Half of that set is
+  closed-loop request chains with the chaos delay mix (same-instant
+  wake-ups, µs-scale request steps, ms-scale background timers); the
+  other half is 600 s keep-alive timers, about a quarter of all pushes
+  as in recovery-pull, which never fire.  Everything is scheduled
+  through ``schedule_at`` / ``schedule_after`` as production code
+  schedules, and each cell ends with ``Engine.close()``.
 * ``p2sm_merge`` — the P²SM precompute + merge pipeline on the real
   linked-list structures (elements merged per second).
 * ``coalesced_load`` — the fused load-update path: precompute the
@@ -37,11 +40,9 @@ gates CI on regressions against a committed baseline:
 Output rows follow the ``BENCH_sim_kernel.json`` schema::
 
     {"bench": str, "events_per_sec": float, "wall_s": float,
-     "seed": int, "py": "3.12", "scheduler": "heap", "obs": "off"}
+     "seed": int, "py": "3.12", "obs": "off"}
 
-``scheduler`` records whether the bench ran on the engine's heap
-(``"heap"``) or never touched the engine (``"none"``).  ``obs`` is
-``"on"`` only for the obs-enabled variants.
+``obs`` is ``"on"`` only for the obs-enabled variants.
 
 Noise protocol: each micro-bench runs R rounds and reports the best
 (minimum wall time) — the standard estimator for the noise floor on a
@@ -75,11 +76,22 @@ _PY = f"{sys.version_info.major}.{sys.version_info.minor}"
 # ----------------------------------------------------------------------
 # Workload generators (deterministic per seed)
 # ----------------------------------------------------------------------
+#: Share of pushes that arm a timer the run never reaches: in one
+#: recovery-pull round, 7,269 of 29,734 pushes are 600 s keep-alive
+#: evictions armed far past the drain horizon.
+_KEEPALIVE_SHARE = 7_269 / 29_734
+_KEEPALIVE_NS = 600_000_000_000
+
+
 def _chaos_deltas(n: int, seed: int) -> List[int]:
-    """The chaos profile's inter-event delay mix (ns)."""
+    """The chaos profile's push mix: inter-event delays (ns), with
+    ``_KEEPALIVE_NS`` marking a keep-alive timer."""
     rng = random.Random(seed)
     out: List[int] = []
     for _ in range(n):
+        if rng.random() < _KEEPALIVE_SHARE:
+            out.append(_KEEPALIVE_NS)
+            continue
         r = rng.random()
         if r < 0.40:
             out.append(0)  # same-instant hops (wake-ups, spawns)
@@ -90,28 +102,37 @@ def _chaos_deltas(n: int, seed: int) -> List[int]:
     return out
 
 
-def _drive_engine(
-    outstanding: int, deltas: List[int], spread: int, seed: int
-) -> float:
-    """One closed-loop run; returns events/sec."""
+def _never() -> None:
+    raise AssertionError("a keep-alive timer fired inside the bench horizon")
+
+
+def _drive_cell(chains: int, deltas: List[int], seed: int) -> int:
+    """One engine's life, as a registry cell lives it: *chains*
+    closed-loop request chains consume *deltas*, keep-alive timers pile
+    up past the horizon, and the engine closes with them pending.
+    Returns the events fired."""
     from repro.sim.engine import Engine
 
     engine = Engine()
-    pending = iter(deltas[outstanding:])
+    pending = iter(deltas)
     schedule = engine.schedule_after
 
     def tick() -> None:
         delay = next(pending, None)
+        while delay == _KEEPALIVE_NS:
+            schedule(delay, _never)
+            delay = next(pending, None)
         if delay is not None:
             schedule(delay, tick, transient=True)
 
-    rng = random.Random(seed ^ 1)
-    for _ in range(outstanding):
-        engine.schedule_at(rng.randrange(spread), tick, transient=True)
-    start = time.perf_counter()
-    engine.run()
-    elapsed = time.perf_counter() - start
-    return engine.events_executed / elapsed
+    rng = random.Random(seed)
+    # Initial events spread so the density matches the closed loop's
+    # own (~0.4 events/µs of simulated time).
+    for _ in range(chains):
+        engine.schedule_at(rng.randrange(chains * 2500), tick, transient=True)
+    executed = engine.run(until=_KEEPALIVE_NS - 1)
+    engine.close()
+    return executed
 
 
 #: Interleaved-pair measurement cache, keyed on (pair, quick, seed).
@@ -127,17 +148,32 @@ _PAIR_CACHE: Dict[tuple, Dict[str, Dict[str, object]]] = {}
 
 
 def bench_engine_heap(quick: bool, seed: int) -> Dict[str, object]:
-    outstanding = 8192 if quick else 32768
+    """Engine lifetimes on the registry's traffic.  Each cell's pending
+    set peaks at chaos's measured peak (DESIGN.md §10: 338 pending
+    events in fast mode, 1,506 full): half request chains, half
+    keep-alive timers that never fire."""
+    outstanding = 338 if quick else 1506
     n_events = 150_000 if quick else 500_000
     rounds = 3 if quick else 5
-    # Initial events spread so steady-state density matches the closed
-    # loop's own (~0.4 events/µs of simulated time).
-    spread = outstanding * 2500
+    chains = outstanding // 2
+    per_cell = round((outstanding - chains) / _KEEPALIVE_SHARE)
     deltas = _chaos_deltas(n_events, seed)
-    best = max(
-        _drive_engine(outstanding, deltas, spread, seed) for _ in range(rounds)
-    )
-    return {"events_per_sec": best, "wall_s": n_events / best, "scheduler": "heap"}
+    cells = [
+        deltas[start:start + per_cell]
+        for start in range(0, n_events - per_cell + 1, per_cell)
+    ]
+    best = 0.0
+    wall = 0.0
+    for _ in range(rounds):
+        start = time.perf_counter()
+        executed = sum(
+            _drive_cell(chains, cell, seed + index)
+            for index, cell in enumerate(cells)
+        )
+        elapsed = time.perf_counter() - start
+        if executed / elapsed > best:
+            best, wall = executed / elapsed, elapsed
+    return {"events_per_sec": best, "wall_s": wall}
 
 
 def bench_calibration(quick: bool, seed: int) -> Dict[str, object]:
@@ -154,7 +190,6 @@ def bench_calibration(quick: bool, seed: int) -> Dict[str, object]:
     return {
         "events_per_sec": iterations / best,
         "wall_s": best,
-        "scheduler": "none",
     }
 
 
@@ -189,7 +224,6 @@ def bench_p2sm_merge(quick: bool, seed: int) -> Dict[str, float]:
     return {
         "events_per_sec": merged / best_timed,
         "wall_s": best_timed,
-        "scheduler": "none",
     }
 
 
@@ -209,7 +243,6 @@ def bench_coalesced_load(quick: bool, seed: int) -> Dict[str, float]:
     return {
         "events_per_sec": iterations / best,
         "wall_s": best,
-        "scheduler": "none",
     }
 
 
@@ -413,7 +446,7 @@ def bench_replay_e2e(quick: bool, seed: int) -> Dict[str, object]:
         best = min(best, time.perf_counter() - start)
         events = result.events
     # No Engine involved: the replayer is its own event loop.
-    return {"events_per_sec": events / best, "wall_s": best, "scheduler": "none"}
+    return {"events_per_sec": events / best, "wall_s": best}
 
 
 BENCHES: Dict[str, Callable[[bool, int], Dict[str, object]]] = {
@@ -453,8 +486,6 @@ def run_benches(
             "wall_s": round(float(measured["wall_s"]), 4),
             "seed": seed,
             "py": _PY,
-            # Benches that never touch the engine report "none".
-            "scheduler": measured.get("scheduler", "heap"),
             "obs": measured.get("obs", "off"),
         }
         # The sharded pair additionally records its worker layout and

@@ -8,7 +8,6 @@ from repro.experiments.dispatch_zoo import (
     DISPATCH_MIXES,
     ZOO_POLICIES,
     DispatchZooConfig,
-    dispatch_zoo_rows,
     render_dispatch_zoo,
     run_dispatch_zoo,
     run_zoo_cell,
@@ -104,7 +103,7 @@ class TestDeterminismAndRender:
         assert "UNSOUND" not in rendered
 
     def test_rows_are_flat_scalars(self, result):
-        rows = dispatch_zoo_rows(result)
+        rows = result.rows()
         assert len(rows) == sum(
             len(cell.classes) for cell in result.cells.values()
         )

@@ -15,7 +15,6 @@ from repro.experiments.prewarm_frontier import (
     FRONTIER_BUDGET_FRACTIONS,
     FRONTIER_POLICIES,
     frontier_config,
-    prewarm_frontier_rows,
     render_prewarm_frontier,
     run_prewarm_frontier,
 )
@@ -33,7 +32,7 @@ def result():
 def by_cell(result):
     return {
         (row["policy"], row["budget_mb"]): row
-        for row in prewarm_frontier_rows(result)
+        for row in result.rows()
     }
 
 
@@ -49,7 +48,7 @@ class TestSweepShape:
         }
 
     def test_rows_are_flat_scalars_sorted_by_budget_then_policy(self, result):
-        rows = prewarm_frontier_rows(result)
+        rows = result.rows()
         keys = [(row["budget_mb"], row["policy"]) for row in rows]
         assert keys == sorted(keys)
         for row in rows:

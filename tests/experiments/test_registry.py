@@ -7,6 +7,8 @@ are smoke-run end to end; the rest are checked structurally so the
 suite stays fast.
 """
 
+import importlib
+import inspect
 import json
 from pathlib import Path
 
@@ -41,6 +43,25 @@ EXPECTED_IDS = {
     "ablations",
 }
 
+#: The specs whose drivers model no hypervisor platform.
+PLATFORMLESS_IDS = {
+    "ablations",
+    "chaos",
+    "cluster_recovery",
+    "cluster_sharded",
+    "cluster_study",
+    "dispatch_zoo",
+    "pool_study",
+    "prewarm_frontier",
+    "transport_sensitivity",
+}
+
+
+def _load(target):
+    module, _, name = target.partition(":")
+    return getattr(importlib.import_module(module), name)
+
+
 #: Cheap enough to execute in the tier-1 suite (fast mode).
 SMOKE_IDS = ("table1", "figure2", "overhead", "transport_sensitivity")
 
@@ -55,9 +76,8 @@ class TestRegistryShape:
             assert spec.id and spec.id == spec.id.strip()
             assert spec.title
             assert spec.fast_estimate_s > 0
-            assert callable(spec.runner)
-            assert callable(spec.renderer)
-            assert callable(spec.rows_fn)
+            assert callable(_load(spec.driver))
+            assert callable(_load(spec.render))
 
     def test_get_unknown_id_raises_keyerror(self):
         with pytest.raises(KeyError):
@@ -69,12 +89,18 @@ class TestRegistryShape:
 
 
 class TestExperimentConfig:
-    def test_fast_mode_shrinks_workload(self):
-        fast = ExperimentConfig(fast=True)
-        full = ExperimentConfig(fast=False)
-        assert fast.repetitions < full.repetitions
-        assert len(fast.vcpu_sweep) < len(full.vcpu_sweep)
-        assert set(fast.vcpu_sweep) <= set(full.vcpu_sweep)
+    @pytest.mark.parametrize("spec_id", sorted(EXPECTED_IDS))
+    def test_fast_mode_overrides_only_defaults_it_changes(self, spec_id):
+        """Full mode is the driver's (or its config class's) defaults;
+        each ``fast`` entry names one of its parameters, not a knob the
+        config forwards, and changes that parameter's default."""
+        spec = get(spec_id)
+        parameters = inspect.signature(
+            _load(spec.config or spec.driver)
+        ).parameters
+        for name, value in spec.fast.items():
+            assert name not in {"seed", "platform", "shards", "fast"}
+            assert parameters[name].default != value, (spec_id, name)
 
     def test_defaults(self):
         config = ExperimentConfig()
@@ -137,6 +163,45 @@ class TestCliContract:
         for spec, line in zip(all_specs(), lines):
             assert line.split()[0] == spec.id
             assert line.endswith(spec.title)
+
+
+class TestPlatform:
+    """A ``--platform`` the spec does not model fails before it runs;
+    the default platform and the specs that model one still run."""
+
+    def test_specs_that_model_no_platform_refuse_xen(self):
+        refused = set()
+        for spec in all_specs():
+            try:
+                spec.bind(ExperimentConfig(platform="xen"))
+            except ValueError as exc:
+                assert f"--platform xen: {spec.id!r}" in str(exc)
+                refused.add(spec.id)
+        assert refused == PLATFORMLESS_IDS
+
+    @pytest.mark.parametrize("command", ["experiment", "trace", "profile", "check"])
+    def test_every_command_exits_2_naming_flag_and_id(
+        self, command, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        argv = [command, "transport_sensitivity", "--fast", "--platform", "xen"]
+        if command in ("trace", "profile"):
+            argv += ["--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--platform xen" in captured.err
+        assert "'transport_sensitivity'" in captured.err
+        assert not (tmp_path / "out").exists()
+
+    def test_figure3_runs_on_xen(self, capsys):
+        from repro.cli import main
+
+        assert main(["experiment", "figure3", "--fast", "--platform", "xen"]) == 0
+        assert capsys.readouterr().out.startswith(
+            f"== {get('figure3').title} (xen) ==\n"
+        )
 
 
 class TestGolden:

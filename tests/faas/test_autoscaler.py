@@ -14,6 +14,14 @@ def make_platform():
     return faas
 
 
+def autoscale_ticks(engine, function="fw"):
+    """Times of the pending reconciliation ticks for *function*."""
+    return [
+        event.time for event in engine.pending_events()
+        if event.label == f"autoscale:{function}"
+    ]
+
+
 def make_autoscaler(faas, **overrides):
     defaults = dict(
         window_ns=seconds(10), period_ns=seconds(2), headroom=1.5,
@@ -86,9 +94,10 @@ class TestReconciliation:
         scaler.start()
         for _ in range(20):
             scaler.observe_trigger()
+        assert faas.pool.size("fw") == 0
         faas.engine.run(until=seconds(3))  # one reconciliation
         assert faas.pool.size("fw") == 3
-        assert scaler.scale_ups >= 1
+        assert faas.pool.provisioned_count("fw") == 3
 
     def test_scale_down_lowers_quota(self):
         faas = make_platform()
@@ -107,10 +116,14 @@ class TestReconciliation:
         scaler = make_autoscaler(faas)
         scaler.start()
         faas.engine.run(until=seconds(3))
-        count = scaler.reconciliations
+        assert autoscale_ticks(faas.engine) == [seconds(4)]
         scaler.stop()
+        assert autoscale_ticks(faas.engine) == []
+        for _ in range(20):
+            scaler.observe_trigger()
         faas.engine.run(until=seconds(30))
-        assert scaler.reconciliations == count
+        assert autoscale_ticks(faas.engine) == []
+        assert faas.pool.provisioned_count("fw") == 1
 
     def test_scaled_pool_serves_horse_triggers(self):
         faas = make_platform()
@@ -187,7 +200,7 @@ class TestEdgeCases:
         scaler = make_autoscaler(faas, min_pool=1)
         scaler.start()
         faas.engine.run(until=seconds(5))  # ticks with an empty window
-        assert scaler.reconciliations >= 2
+        assert autoscale_ticks(faas.engine) == [seconds(6)]  # 2 s, 4 s ran
         assert scaler.current_target == 1
         assert faas.pool.provisioned_count("fw") == 1
 
@@ -241,11 +254,11 @@ class TestEdgeCases:
         engine.schedule_at(seconds(4), lambda: shard.recover(engine.now))
         engine.run(until=seconds(5))
         assert shard.epoch == 1
-        ticks_at_recovery = scaler.reconciliations
-        assert ticks_at_recovery >= 1
+        # ticks at 2 s and 4 s ran, across the crash and the recovery
+        assert autoscale_ticks(engine, "firewall") == [seconds(6)]
         assert scaler.current_target == 3  # window survived the epoch bump
         engine.run(until=seconds(9))
-        assert scaler.reconciliations > ticks_at_recovery
+        assert autoscale_ticks(engine, "firewall") == [seconds(10)]
         # Post-recovery traffic routed through the NEW incarnation still
         # lands on the same data plane the autoscaler provisioned.
         shard.submit("firewall", origin=123)

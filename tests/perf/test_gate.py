@@ -36,14 +36,10 @@ class TestRunBenches:
         rows = run_benches(quick=True, only=["calibration"])
         assert len(rows) == 1
         row = rows[0]
-        assert set(row) == {
-            "bench", "events_per_sec", "wall_s", "seed", "py",
-            "scheduler", "obs",
-        }
+        assert set(row) == {"bench", "events_per_sec", "wall_s", "seed", "py", "obs"}
         assert row["bench"] == "calibration"
         assert row["events_per_sec"] > 0
         assert row["wall_s"] > 0
-        assert row["scheduler"] == "none"
         assert row["obs"] == "off"
 
     def test_unknown_bench_rejected(self):
@@ -143,10 +139,7 @@ class TestCommittedBaseline:
     def test_committed_baseline_has_schema(self):
         with open(BENCH_BASELINE) as handle:
             rows = json.load(handle)
-        base_keys = {
-            "bench", "events_per_sec", "wall_s", "seed", "py",
-            "scheduler", "obs",
-        }
+        base_keys = {"bench", "events_per_sec", "wall_s", "seed", "py", "obs"}
         for row in rows:
             if row["bench"].startswith("cluster_sharded"):
                 # The sharded pair records its worker layout and the
