@@ -21,9 +21,10 @@ Commands:
 
 The ``experiment``/``list``/``trace``/``profile``/``check``/``report``/
 ``validate`` commands drive off the experiment registry
-(:mod:`repro.experiments.registry`): registering a new
-:class:`~repro.experiments.registry.ExperimentSpec` makes it runnable
-and listable here with no CLI change.
+(:mod:`repro.experiments.registry`): a new entry in its table of
+:class:`~repro.experiments.registry.ExperimentSpec` data (driver,
+renderer, fast-mode arguments), over a result that owns its
+``rows()``, makes it runnable and listable here with no CLI change.
 """
 
 from __future__ import annotations

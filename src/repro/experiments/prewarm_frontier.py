@@ -129,7 +129,7 @@ class FrontierResult:
 
 
 def run_prewarm_frontier(
-    fast: bool = True, seed: int = 0, shards: int = 1
+    fast: bool = False, seed: int = 0, shards: int = 1
 ) -> FrontierResult:
     """Every (policy, budget) cell over the same replayed trace."""
     config = frontier_config(fast, seed)

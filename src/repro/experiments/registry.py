@@ -103,9 +103,9 @@ class ExperimentSpec:
     ``driver`` returns the experiment's native result, whose ``rows()``
     flattens it for JSON export; ``render`` turns it into the CLI's
     text output.  ``fast`` holds the driver's fast-mode keyword
-    arguments — or, when ``config`` names the driver's config class,
-    that class's.  ``fast_estimate_s`` is the rough wall-clock of a
-    fast-mode run (shown by ``repro list``).
+    arguments — or, when ``config_class`` names the driver's config
+    class, that class's.  ``fast_estimate_s`` is the rough wall-clock
+    of a fast-mode run (shown by ``repro list``).
     """
 
     id: str
@@ -114,7 +114,7 @@ class ExperimentSpec:
     driver: str
     render: str
     fast: Mapping[str, Any] = field(default_factory=dict)
-    config: Optional[str] = None
+    config_class: Optional[str] = None
 
     def bind(self, config: ExperimentConfig) -> Callable[[], ExperimentResult]:
         """The run *config* asks for, ready to call.
@@ -134,10 +134,10 @@ class ExperimentSpec:
         shape = dict(self.fast) if config.fast else {}
         arguments = _named(driver, knobs)
         taken = set(arguments)
-        if self.config is None:
+        if self.config_class is None:
             arguments.update(shape)
         else:
-            config_type = _load(self.config)
+            config_type = _load(self.config_class)
             settings = _named(config_type, knobs)
             taken.update(settings)
             arguments["config"] = config_type(**shape, **settings)
@@ -216,7 +216,7 @@ _SPECS = (
         driver="repro.experiments.chaos:run_chaos",
         render="repro.experiments.chaos:render_chaos",
         fast={"hosts": 2, "requests": 200},
-        config="repro.experiments.chaos:ChaosConfig",
+        config_class="repro.experiments.chaos:ChaosConfig",
     ),
     ExperimentSpec(
         id="dispatch_zoo",
@@ -230,7 +230,7 @@ _SPECS = (
             "failure_rates": (0.1,),
             "mixes": ("balanced", "accel"),
         },
-        config="repro.experiments.dispatch_zoo:DispatchZooConfig",
+        config_class="repro.experiments.dispatch_zoo:DispatchZooConfig",
     ),
     ExperimentSpec(
         id="cluster_sharded",
@@ -239,7 +239,7 @@ _SPECS = (
         driver="repro.experiments.sharded_chaos:run_sharded_chaos",
         render="repro.experiments.sharded_chaos:render_sharded_chaos",
         fast={"groups": 4, "requests": 240},
-        config="repro.experiments.sharded_chaos:ShardedChaosConfig",
+        config_class="repro.experiments.sharded_chaos:ShardedChaosConfig",
     ),
     ExperimentSpec(
         id="cluster_recovery",
@@ -248,7 +248,7 @@ _SPECS = (
         driver="repro.experiments.cluster_recovery:run_recovery",
         render="repro.experiments.cluster_recovery:render_recovery",
         fast={"groups": 2, "requests": 200},
-        config="repro.experiments.cluster_recovery:ClusterRecoveryConfig",
+        config_class="repro.experiments.cluster_recovery:ClusterRecoveryConfig",
     ),
     ExperimentSpec(
         id="cluster_study",

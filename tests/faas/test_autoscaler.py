@@ -262,6 +262,6 @@ class TestEdgeCases:
         # Post-recovery traffic routed through the NEW incarnation still
         # lands on the same data plane the autoscaler provisioned.
         shard.submit("firewall", origin=123)
-        scaler.stop()  # or the tick would reschedule forever below
-        engine.run()
+        scaler.stop()
+        engine.run(until=seconds(30))
         assert shard.log.outcome_of(123).state == "completed"
