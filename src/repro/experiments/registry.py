@@ -119,16 +119,13 @@ class ExperimentSpec:
     def bind(self, config: ExperimentConfig) -> Callable[[], ExperimentResult]:
         """The run *config* asks for, ready to call.
 
-        ``seed``, ``platform``, ``shards`` and ``fast`` go to whichever
-        of them the driver (or its config class) names; a non-default
-        platform that neither names raises :class:`ValueError` before
-        anything runs.
+        ``seed``, ``platform`` and ``shards`` go to whichever of them
+        the driver (or its config class) names; a non-default platform
+        that neither names raises :class:`ValueError` before anything
+        runs.
         """
         knobs = dict(
-            seed=config.seed,
-            platform=config.platform,
-            shards=config.shards,
-            fast=config.fast,
+            seed=config.seed, platform=config.platform, shards=config.shards
         )
         driver = _load(self.driver)
         shape = dict(self.fast) if config.fast else {}
@@ -272,6 +269,7 @@ _SPECS = (
         fast_estimate_s=8.0,
         driver="repro.experiments.prewarm_frontier:run_prewarm_frontier",
         render="repro.experiments.prewarm_frontier:render_prewarm_frontier",
+        fast={"fast": True},
     ),
     ExperimentSpec(
         id="slo",
@@ -295,6 +293,7 @@ _SPECS = (
         fast_estimate_s=2.0,
         driver="repro.experiments.ablations:run_ablations",
         render="repro.experiments.ablations:render_ablations",
+        fast={"fast": True},
     ),
 )
 

@@ -8,15 +8,14 @@ gates CI on regressions against a committed baseline:
   other bench by the calibration ratio between the baseline machine and
   the current one, so a slower CI runner does not read as a regression.
 * ``engine_heap_chaos`` — event throughput of the engine on the
-  traffic the registry runs: a sequence of short engine lifetimes
-  (cells), each peaking at the chaos study's measured pending-event
-  peak (338 quick / 1,506 full, DESIGN.md §10).  Half of that set is
-  closed-loop request chains with the chaos delay mix (same-instant
-  wake-ups, µs-scale request steps, ms-scale background timers); the
-  other half is 600 s keep-alive timers, about a quarter of all pushes
-  as in recovery-pull, which never fire.  Everything is scheduled
-  through ``schedule_at`` / ``schedule_after`` as production code
-  schedules, and each cell ends with ``Engine.close()``.
+  chaos study's traffic: a sequence of engine lifetimes (cells), each
+  of the measured median length (6,824 pushes) and push mix of a
+  full-size chaos engine (DESIGN.md §10): request steps and 1-6 s
+  timers with delays drawn from the measured deciles, and 600 s
+  keep-alive timers that pile up past the run's end, with the measured
+  share of each kind cancelled.  Everything is scheduled through
+  ``schedule_at`` / ``schedule_after`` as production code schedules,
+  and each cell ends with ``Engine.close()``.
 * ``p2sm_merge`` — the P²SM precompute + merge pipeline on the real
   linked-list structures (elements merged per second).
 * ``coalesced_load`` — the fused load-update path: precompute the
@@ -76,60 +75,92 @@ _PY = f"{sys.version_info.major}.{sys.version_info.minor}"
 # ----------------------------------------------------------------------
 # Workload generators (deterministic per seed)
 # ----------------------------------------------------------------------
-#: Share of pushes that arm a timer the run never reaches: in one
-#: recovery-pull round, 7,269 of 29,734 pushes are 600 s keep-alive
-#: evictions armed far past the drain horizon.
-_KEEPALIVE_SHARE = 7_269 / 29_734
+# One engine lifetime of the chaos study at full size, as measured on
+# ``repro experiment chaos`` (seed 0; three engines, 20,054 pushes;
+# DESIGN.md §10).  Pushes are of three kinds: request steps (delay under
+# 1 s), timers (1-6 s; most fire) and 600 s keep-alive evictions (armed
+# past the run's end; most are cancelled, the rest are still pending
+# when the engine closes).
+#: Median pushes per engine lifetime (engines: 6,175 / 6,824 / 7,055).
+_CELL_PUSHES = 6_824
+#: Request steps pending at each engine's peak: 14, 15 and 17.
+_CHAINS = 15
+_TIMER_SHARE = 4_764 / 20_054
+_TIMER_CANCELLED = 490 / 4_764
+_KEEPALIVE_SHARE = 3_667 / 20_054
+_KEEPALIVE_CANCELLED = 3_442 / 3_667
 _KEEPALIVE_NS = 600_000_000_000
+#: Deciles (minimum to maximum) of the measured delays, ns.
+_STEP_DECILES = (
+    12_190, 16_306, 17_210, 17_960, 18_877, 157_704, 1_000_000,
+    96_420_201, 100_533_635, 104_445_469, 996_738_903,
+)
+_TIMER_DECILES = (
+    1_005_495_097, 1_591_981_426, 1_598_132_093, 1_601_848_827,
+    1_608_484_111, 2_083_200_092, 2_949_902_964, 3_671_183_005,
+    4_386_029_287, 5_141_657_790, 5_908_250_407,
+)
 
 
-def _chaos_deltas(n: int, seed: int) -> List[int]:
-    """The chaos profile's push mix: inter-event delays (ns), with
-    ``_KEEPALIVE_NS`` marking a keep-alive timer."""
+def _from_deciles(rng: random.Random, deciles: Sequence[int]) -> int:
+    """A delay drawn uniformly within a uniformly chosen decile."""
+    index = rng.randrange(len(deciles) - 1)
+    return rng.randint(deciles[index], deciles[index + 1])
+
+
+def _chaos_pushes(n: int, seed: int) -> List[tuple]:
+    """*n* pushes in chaos's measured mix: ``(delay_ns, cancelled)``,
+    where *cancelled* marks a timer its owner cancels before it fires."""
     rng = random.Random(seed)
-    out: List[int] = []
+    out: List[tuple] = []
     for _ in range(n):
-        if rng.random() < _KEEPALIVE_SHARE:
-            out.append(_KEEPALIVE_NS)
-            continue
-        r = rng.random()
-        if r < 0.40:
-            out.append(0)  # same-instant hops (wake-ups, spawns)
-        elif r < 0.85:
-            out.append(rng.randrange(1_000, 100_000))  # request path
+        kind = rng.random()
+        if kind < _KEEPALIVE_SHARE:
+            out.append((_KEEPALIVE_NS, rng.random() < _KEEPALIVE_CANCELLED))
+        elif kind < _KEEPALIVE_SHARE + _TIMER_SHARE:
+            delay = _from_deciles(rng, _TIMER_DECILES)
+            out.append((delay, rng.random() < _TIMER_CANCELLED))
         else:
-            out.append(rng.randrange(1_000_000, 10_000_000))  # background
+            out.append((_from_deciles(rng, _STEP_DECILES), False))
     return out
+
+
+def _expire() -> None:
+    """A timer firing: its owner's work is out of the bench's scope."""
 
 
 def _never() -> None:
     raise AssertionError("a keep-alive timer fired inside the bench horizon")
 
 
-def _drive_cell(chains: int, deltas: List[int], seed: int) -> int:
-    """One engine's life, as a registry cell lives it: *chains*
-    closed-loop request chains consume *deltas*, keep-alive timers pile
-    up past the horizon, and the engine closes with them pending.
-    Returns the events fired."""
+def _drive_cell(pushes: List[tuple], seed: int) -> int:
+    """One engine's life, as a chaos cell lives it: ``_CHAINS`` request
+    chains consume *pushes*, each step arming the timers that precede
+    its next step and cancelling those the previous step doomed; the
+    engine runs to the keep-alive horizon and closes with the surviving
+    keep-alives pending.  Returns the events fired."""
     from repro.sim.engine import Engine
 
     engine = Engine()
-    pending = iter(deltas)
+    pending = iter(pushes)
     schedule = engine.schedule_after
+    doomed: list = []
 
     def tick() -> None:
-        delay = next(pending, None)
-        while delay == _KEEPALIVE_NS:
-            schedule(delay, _never)
-            delay = next(pending, None)
-        if delay is not None:
-            schedule(delay, tick, transient=True)
+        for event in doomed:
+            event.cancel()
+        doomed.clear()
+        for delay, cancelled in pending:
+            if delay < _TIMER_DECILES[0]:
+                schedule(delay, tick, transient=True)
+                return
+            event = schedule(delay, _never if delay == _KEEPALIVE_NS else _expire)
+            if cancelled:
+                doomed.append(event)
 
     rng = random.Random(seed)
-    # Initial events spread so the density matches the closed loop's
-    # own (~0.4 events/µs of simulated time).
-    for _ in range(chains):
-        engine.schedule_at(rng.randrange(chains * 2500), tick, transient=True)
+    for _ in range(_CHAINS):
+        engine.schedule_at(_from_deciles(rng, _STEP_DECILES), tick, transient=True)
     executed = engine.run(until=_KEEPALIVE_NS - 1)
     engine.close()
     return executed
@@ -148,26 +179,21 @@ _PAIR_CACHE: Dict[tuple, Dict[str, Dict[str, object]]] = {}
 
 
 def bench_engine_heap(quick: bool, seed: int) -> Dict[str, object]:
-    """Engine lifetimes on the registry's traffic.  Each cell's pending
-    set peaks at chaos's measured peak (DESIGN.md §10: 338 pending
-    events in fast mode, 1,506 full): half request chains, half
-    keep-alive timers that never fire."""
-    outstanding = 338 if quick else 1506
+    """Engine lifetimes in the chaos study's measured shape; quick mode
+    runs fewer of the same cells, so its rate compares with a full-mode
+    baseline."""
     n_events = 150_000 if quick else 500_000
     rounds = 3 if quick else 5
-    chains = outstanding // 2
-    per_cell = round((outstanding - chains) / _KEEPALIVE_SHARE)
-    deltas = _chaos_deltas(n_events, seed)
+    pushes = _chaos_pushes(n_events, seed)
     cells = [
-        deltas[start:start + per_cell]
-        for start in range(0, n_events - per_cell + 1, per_cell)
+        pushes[start:start + _CELL_PUSHES]
+        for start in range(0, n_events - _CELL_PUSHES + 1, _CELL_PUSHES)
     ]
     wall = float("inf")
     for _ in range(rounds):  # best-of-rounds: identical work, min wall
         start = time.perf_counter()
         executed = sum(
-            _drive_cell(chains, cell, seed + index)
-            for index, cell in enumerate(cells)
+            _drive_cell(cell, seed + index) for index, cell in enumerate(cells)
         )
         wall = min(wall, time.perf_counter() - start)
     return {"events_per_sec": executed / wall, "wall_s": wall}

@@ -93,15 +93,18 @@ class TestExperimentConfig:
         """Full mode is the driver's (or its config class's) defaults;
         each ``fast`` entry names one of its parameters, not a knob the
         config forwards, and shrinks that parameter's default: a smaller
-        number, or a sweep with fewer points."""
+        number, a sweep with fewer points, or the driver's own ``fast``
+        switch turned on."""
         for spec in all_specs():
             parameters = inspect.signature(
                 _load(spec.config_class or spec.driver)
             ).parameters
             for name, value in spec.fast.items():
-                assert name not in {"seed", "platform", "shards", "fast"}
+                assert name not in {"seed", "platform", "shards"}
                 default = parameters[name].default
-                if isinstance(value, tuple):
+                if isinstance(value, bool):  # the driver's own fast switch
+                    assert value and default is False, (spec.id, name)
+                elif isinstance(value, tuple):
                     assert len(value) < len(default), (spec.id, name)
                 else:
                     assert value < default, (spec.id, name)
@@ -209,28 +212,18 @@ class TestPlatform:
 
 
 class TestGolden:
-    """``repro experiment <id> --fast`` stdout, byte for byte, for the
-    specs whose numbers come from the modelled P2SM refresh cost."""
-
-    @pytest.mark.parametrize("spec_id", ["overhead", "ablations"])
-    def test_fast_seed0_output_matches_golden(self, spec_id, capsys):
-        from repro.cli import main
-
-        golden = Path(__file__).parent / "golden" / f"{spec_id}_fast_seed0.txt"
-        assert main(["experiment", spec_id, "--fast"]) == 0
-        assert capsys.readouterr().out == golden.read_text()
+    """Every spec at ``--fast --seed 0``, byte for byte: its rendered
+    summary (``repro experiment <id>`` prints it under the title
+    header) and its ``--json`` export, both from one run."""
 
     @pytest.mark.parametrize("spec_id", sorted(EXPECTED_IDS))
-    @pytest.mark.parametrize("suffix", ["txt", "json"])
-    def test_every_spec_text_and_json_match_golden(self, spec_id, suffix, capsys):
-        """``repro experiment <id> --fast --seed 0`` stdout, and the same
-        with ``--json``, for every registered spec."""
-        from repro.cli import main
-
-        golden = Path(__file__).parent / "golden" / "experiment" / f"{spec_id}.{suffix}"
-        argv = ["experiment", spec_id, "--fast", "--seed", "0"]
-        assert main(argv + (["--json"] if suffix == "json" else [])) == 0
-        assert capsys.readouterr().out == golden.read_text()
+    def test_fast_seed0_output_matches_golden(self, spec_id):
+        golden = Path(__file__).parent / "golden"
+        result = get(spec_id).run(ExperimentConfig(fast=True, seed=0))
+        summary = (golden / f"{spec_id}_fast_seed0.txt").read_text()
+        assert result.summary() + "\n" == summary
+        exported = (golden / f"{spec_id}_fast_seed0.json").read_text()
+        assert result.to_json() + "\n" == exported
 
 
 class TestFullAblations:

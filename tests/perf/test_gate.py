@@ -61,6 +61,34 @@ class TestRunBenches:
         }
 
 
+class TestEngineBenchShape:
+    """The engine bench replays the push mix measured on a full-size
+    chaos engine (DESIGN.md §10), not a shape of its own."""
+
+    def test_push_mix_follows_the_measured_shares(self):
+        from repro.perf.gate import _KEEPALIVE_NS, _TIMER_DECILES, _chaos_pushes
+
+        pushes = _chaos_pushes(40_000, 7)
+        keepalives = [cancel for delay, cancel in pushes if delay == _KEEPALIVE_NS]
+        timers = [
+            cancel for delay, cancel in pushes
+            if _TIMER_DECILES[0] <= delay < _KEEPALIVE_NS
+        ]
+        assert len(keepalives) / len(pushes) == pytest.approx(3_667 / 20_054, abs=0.01)
+        assert len(timers) / len(pushes) == pytest.approx(4_764 / 20_054, abs=0.01)
+        assert sum(keepalives) / len(keepalives) == pytest.approx(0.94, abs=0.02)
+        assert sum(timers) / len(timers) == pytest.approx(0.10, abs=0.02)
+
+    def test_cell_fires_chaos_events_per_push(self):
+        """Chaos fires one event per 1.27 pushes; a cell, with its
+        keep-alives left pending, lands within a few percent."""
+        from repro.perf.gate import _CELL_PUSHES, _CHAINS, _chaos_pushes, _drive_cell
+
+        cell = _chaos_pushes(_CELL_PUSHES, 7)
+        fired = _drive_cell(cell, 7)
+        assert (len(cell) + _CHAINS) / fired == pytest.approx(1.27, abs=0.04)
+
+
 class TestCheckAgainstBaseline:
     def test_within_tolerance_passes(self):
         rows = [_row("calibration", 100.0), _row("p2sm_merge", 90.0)]
