@@ -92,10 +92,11 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     result = run()
     if args.json:
         print(result.to_json())
-        return 0
-    print(f"== {result.spec.title} ({args.platform}) ==\n")
-    print(result.summary())
-    return 0
+    else:
+        print(f"== {result.spec.title} ({args.platform}) ==\n")
+        print(result.summary())
+    # Results with a soundness verdict (the chaos family) fail the command.
+    return 0 if getattr(result.raw, "ok", True) else 1
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:

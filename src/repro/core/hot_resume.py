@@ -30,7 +30,7 @@ thread, threads run concurrently), and a single fused load update.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, ItemsView, Optional
 
 from repro.core.p2sm import (
     MergeReport,
@@ -55,22 +55,28 @@ from repro.hypervisor.pause_resume import (
     ResumeResult,
     apply_resume_fault,
     dequeue_sandbox,
-    emit_resume_obs,
+    record_resume_spans,
+    tally_resume,
 )
 from repro.hypervisor.runqueue import RunQueue
 from repro.hypervisor.sandbox import Sandbox, SandboxState
 from repro.hypervisor.scheduler.base import SchedulerPolicy
 from repro.metrics.recorder import Breakdown
 from repro.obs.context import Observability, current as current_obs
+from repro.obs.metrics import MetricRegistry
+from repro.obs.phases import fold_resumes
 
 
-def _pause_handles(metrics):
-    """Registry-cached instrument bundle shared by every HORSE pause path."""
-    return (
-        metrics.counter("pause.count"),
-        metrics.counter("p2sm.precompute_entries"),
-        metrics.histogram("pause.precompute_ns"),
-    )
+def _fold_pauses(metrics: MetricRegistry, pauses: ItemsView) -> None:
+    """Fold the HORSE pause tally, keyed ``(precompute_entries,
+    precompute_ns)``, into its counters and histogram."""
+    count = metrics.counter("pause.count")
+    entries = metrics.counter("p2sm.precompute_entries")
+    precompute = metrics.histogram("pause.precompute_ns")
+    for (pause_entries, precompute_ns), n in pauses:
+        count.inc(n)
+        entries.inc(pause_entries * n)
+        precompute.observe(precompute_ns, n)
 
 
 @dataclass(frozen=True)
@@ -142,9 +148,10 @@ class HorsePauseResume:
         #: domains) — the fast path fails under the same injector as the
         #: vanilla path.
         self.fault_hook: Optional[ResumeFaultHook] = None
-        #: (pause ctr, precompute ctr, precompute histo) — bound on the
-        #: first observed pause in _emit_pause_obs; see _pause_handles.
-        self._pause_instruments = None
+        #: the registry's resume and pause tallies (None when metrics are off)
+        metrics = self.obs.metrics
+        self._resumes = metrics.tally(fold_resumes)
+        self._pauses = metrics.tally(_fold_pauses)
 
     # ------------------------------------------------------------------
     # Pause: dequeue + precompute
@@ -212,11 +219,17 @@ class HorsePauseResume:
             duration += coalesce_ns
 
         if self.obs.enabled:
-            self._emit_pause_obs(
-                sandbox, now_ns, queue.core_id,
-                dequeue_ns=dequeue_ns, sort_ns=sort_ns, p2sm_ns=p2sm_ns,
-                coalesce_ns=coalesce_ns, precompute_entries=precompute_entries,
-            )
+            if self._pauses is not None:
+                self._pauses[
+                    precompute_entries, round(sort_ns + p2sm_ns + coalesce_ns)
+                ] += 1
+            if self.obs.tracer.enabled:
+                self._record_pause_spans(
+                    sandbox, now_ns, queue.core_id,
+                    dequeue_ns=dequeue_ns, sort_ns=sort_ns, p2sm_ns=p2sm_ns,
+                    coalesce_ns=coalesce_ns,
+                    precompute_entries=precompute_entries,
+                )
         return HorsePauseResult(
             sandbox_id=sandbox.sandbox_id,
             duration_ns=round(duration),
@@ -225,7 +238,7 @@ class HorsePauseResume:
             precompute_bytes=self.costs.horse_memory_bytes(sandbox.vcpu_count),
         )
 
-    def _emit_pause_obs(
+    def _record_pause_spans(
         self,
         sandbox: Sandbox,
         now_ns: int,
@@ -238,53 +251,37 @@ class HorsePauseResume:
     ) -> None:
         """Span tree for a HORSE pause: dequeue, then the precompute
         work (vCPU sort, P2SM refresh, coalesced-update build) that
-        buys the O(1) resume.
-
-        Span building and metric updates gate independently on the
-        tracer's and registry's own ``enabled`` flags: a metrics-only
-        bundle skips all span/kwarg construction, a tracer-only bundle
-        skips the instrument updates.
+        buys the O(1) resume.  Called only when the tracer is enabled.
         """
         tracer = self.obs.tracer
-        if tracer.enabled:
-            tracer.name_process(core_id, f"cpu{core_id}")
-            tid = tracer.tid_for(sandbox.sandbox_id, pid=core_id)
-            root = tracer.open_span(
-                "pause", now_ns, category="pause", pid=core_id, tid=tid,
-                sandbox=sandbox.sandbox_id, path="horse",
-            )
-            cursor = now_ns
+        tracer.name_process(core_id, f"cpu{core_id}")
+        tid = tracer.tid_for(sandbox.sandbox_id, pid=core_id)
+        root = tracer.open_span(
+            "pause", now_ns, category="pause", pid=core_id, tid=tid,
+            sandbox=sandbox.sandbox_id, path="horse",
+        )
+        cursor = now_ns
+        tracer.record_span(
+            "dequeue", cursor, round(dequeue_ns), pid=core_id, tid=tid,
+            category="pause",
+        )
+        cursor += round(dequeue_ns)
+        precompute = tracer.open_span(
+            "precompute", cursor, category="pause", pid=core_id, tid=tid,
+            entries=precompute_entries,
+        )
+        for name, phase_ns in (
+            ("sort_vcpus", sort_ns),
+            ("p2sm_refresh", p2sm_ns),
+            ("coalesce", coalesce_ns),
+        ):
             tracer.record_span(
-                "dequeue", cursor, round(dequeue_ns), pid=core_id, tid=tid,
+                name, cursor, round(phase_ns), pid=core_id, tid=tid,
                 category="pause",
             )
-            cursor += round(dequeue_ns)
-            precompute = tracer.open_span(
-                "precompute", cursor, category="pause", pid=core_id, tid=tid,
-                entries=precompute_entries,
-            )
-            for name, phase_ns in (
-                ("sort_vcpus", sort_ns),
-                ("p2sm_refresh", p2sm_ns),
-                ("coalesce", coalesce_ns),
-            ):
-                tracer.record_span(
-                    name, cursor, round(phase_ns), pid=core_id, tid=tid,
-                    category="pause",
-                )
-                cursor += round(phase_ns)
-            precompute.close(cursor)
-            root.close(cursor)
-        metrics = self.obs.metrics
-        if metrics.enabled:
-            handles = self._pause_instruments
-            if handles is None:
-                handles = self._pause_instruments = metrics.bound(
-                    "horse.pause", _pause_handles
-                )
-            handles[0].inc()
-            handles[1].inc(precompute_entries)
-            handles[2].observe(round(sort_ns + p2sm_ns + coalesce_ns))
+            cursor += round(phase_ns)
+        precompute.close(cursor)
+        root.close(cursor)
 
     # ------------------------------------------------------------------
     # Resume: the fast path
@@ -380,16 +377,20 @@ class HorsePauseResume:
         self.ull.on_queue_updated(queue.runqueue_id)
 
         if self.obs.enabled:
-            config = self.config
-            emit_resume_obs(
-                self.obs, sandbox, now_ns, breakdown, "horse", queue.core_id,
-                root={"fast_path": config.fast_command_path},
-                merge={
-                    "p2sm": config.enable_p2sm, "threads": merge_threads,
-                    "pointer_writes": pointer_writes,
-                },
-                load_update={"coalesced": config.enable_coalescing},
-            )
+            if self._resumes is not None:
+                tally_resume(self._resumes, breakdown)
+            tracer = self.obs.tracer
+            if tracer.enabled:
+                config = self.config
+                record_resume_spans(
+                    tracer, sandbox, now_ns, breakdown, "horse", queue.core_id,
+                    root={"fast_path": config.fast_command_path},
+                    merge={
+                        "p2sm": config.enable_p2sm, "threads": merge_threads,
+                        "pointer_writes": pointer_writes,
+                    },
+                    load_update={"coalesced": config.enable_coalescing},
+                )
         return HorseResumeResult(
             sandbox_id=sandbox.sandbox_id,
             breakdown=breakdown,

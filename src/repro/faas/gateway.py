@@ -15,7 +15,7 @@ nanosecond-scale trigger"), so the pipeline is exactly
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, ItemsView, List, Optional
 
 from repro.core.hot_resume import HorsePauseResume
 from repro.faas.function import FunctionRegistry, FunctionSpec
@@ -25,6 +25,7 @@ from repro.faas.startup import StartOutcome, StartStrategy
 from repro.hypervisor.platform import VirtualizationPlatform
 from repro.hypervisor.sandbox import Sandbox
 from repro.obs.context import NULL_OBS, Observability
+from repro.obs.metrics import MetricRegistry
 from repro.obs.span import OpenSpan
 from repro.sim.engine import Engine
 
@@ -32,6 +33,28 @@ from repro.sim.engine import Engine
 #: their core id as pid; the FaaS control plane gets its own track far
 #: above any real core count.
 FAAS_PID = 1_000_000
+
+
+def _fold_triggers(metrics: MetricRegistry, triggers: ItemsView) -> None:
+    """Fold the trigger tally, keyed ``(start type, init ns)``."""
+    trigger = metrics.counter("gateway.trigger")
+    init = metrics.histogram("invocation.init_ns")
+    for (start_type, init_ns), n in triggers:
+        trigger.inc(n)
+        start = start_type.value
+        metrics.counter(
+            f"gateway.start.{start}", f"invocations started via {start}"
+        ).inc(n)
+        init.observe(init_ns, n)
+
+
+def _fold_completions(metrics: MetricRegistry, completions: ItemsView) -> None:
+    """Fold the completion tally, keyed by total ns."""
+    complete = metrics.counter("gateway.complete")
+    total = metrics.histogram("invocation.total_ns")
+    for total_ns, n in completions:
+        complete.inc(n)
+        total.observe(total_ns, n)
 
 
 class FaaSGateway:
@@ -59,21 +82,20 @@ class FaaSGateway:
         self.invocations: List[Invocation] = []
         #: hooks fired when an invocation completes (experiments attach)
         self.completion_hooks: List[Callable[[Invocation], None]] = []
-        # Instrument handles are bound once here instead of looked up
-        # per trigger (the bundle never changes).
+        # The four gateway instruments exist from construction on;
+        # each trigger and completion is one write to a registry tally.
         metrics = obs.metrics
-        self._ctr_trigger = metrics.counter(
-            "gateway.trigger", "invocations triggered"
-        )
-        self._ctr_complete = metrics.counter(
-            "gateway.complete", "invocations completed"
-        )
-        self._hist_init = metrics.histogram(
+        metrics.counter("gateway.trigger", "invocations triggered")
+        metrics.counter("gateway.complete", "invocations completed")
+        metrics.histogram(
             "invocation.init_ns", help="trigger -> sandbox-ready latency"
         )
-        self._hist_total = metrics.histogram(
+        metrics.histogram(
             "invocation.total_ns", help="trigger -> function-end latency"
         )
+        #: (start type, init ns) per trigger; total ns per completion
+        self._triggers = metrics.tally(_fold_triggers)
+        self._completions = metrics.tally(_fold_completions)
 
     # ------------------------------------------------------------------
     def trigger(
@@ -184,12 +206,8 @@ class FaaSGateway:
         self, invocation: Invocation, outcome: StartOutcome
     ) -> None:
         """Metric half of invocation finish."""
-        self._ctr_trigger.inc()
-        start = outcome.start_type.value
-        self.obs.metrics.counter(
-            f"gateway.start.{start}", f"invocations started via {start}"
-        ).inc()
-        self._hist_init.observe(invocation.initialization_ns)
+        if self._triggers is not None:
+            self._triggers[outcome.start_type, invocation.initialization_ns] += 1
 
     # ------------------------------------------------------------------
     def _complete(
@@ -210,9 +228,8 @@ class FaaSGateway:
             else:
                 self.virt.vanilla.pause(sandbox, now)
             self.pool.release(spec.name, sandbox)
-        if self.obs.enabled:
-            self._ctr_complete.inc()
-            self._hist_total.observe(invocation.total_ns)
+        if self._completions is not None:
+            self._completions[invocation.total_ns] += 1
         for hook in self.completion_hooks:
             hook(invocation)
 

@@ -20,22 +20,31 @@ the platform that owns the pool.
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Callable, Deque, Dict, ItemsView, List, Optional
 
 from repro.faas.keepalive import PrewarmPolicy
 from repro.hypervisor.sandbox import Sandbox, SandboxState
 from repro.obs.context import NULL_OBS, Observability, current_run
+from repro.obs.metrics import MetricRegistry
 from repro.sim.engine import Engine
 from repro.sim.event import Event
 
 
-def _pool_handles(metrics):
-    """Registry-cached (hit, miss, evict) counters for the hot paths."""
-    return (
-        metrics.counter("pool.hit", "warm-pool hits"),
-        metrics.counter("pool.miss", "warm-pool misses (no idle sandbox)"),
-        metrics.counter("pool.evict", "keep-alive evictions"),
-    )
+#: The pool's counters; the pool tally is keyed by these names.
+_COUNTERS = {
+    "pool.hit": "warm-pool hits",
+    "pool.miss": "warm-pool misses (no idle sandbox)",
+    "pool.evict": "keep-alive evictions",
+}
+
+
+def _fold_events(metrics: MetricRegistry, events: ItemsView) -> None:
+    """Fold the pool tally; all three counters exist once any pool
+    event happened."""
+    for name, help in _COUNTERS.items():
+        metrics.counter(name, help)
+    for name, n in events:
+        metrics.counter(name).inc(n)
 
 
 class SandboxPool:
@@ -52,6 +61,8 @@ class SandboxPool:
         self._policy = policy
         self._on_evict = on_evict
         self.obs = obs
+        #: the registry's pool tally, shared by every pool (None when off)
+        self._events = obs.metrics.tally(_fold_events)
         self._idle: Dict[str, Deque[Sandbox]] = defaultdict(deque)
         #: sandbox_id -> pending eviction event (cancelled on acquire)
         self._eviction_events: Dict[str, Event] = {}
@@ -89,16 +100,16 @@ class SandboxPool:
         queue = self._idle.get(function_name)
         if not queue:
             self.misses += 1
-            if self.obs.enabled:
-                self.obs.metrics.bound("pool", _pool_handles)[1].inc()
+            if self._events is not None:
+                self._events["pool.miss"] += 1
             return None
         sandbox = queue.popleft()
         event = self._eviction_events.pop(sandbox.sandbox_id, None)
         if event is not None:
             event.cancel()
         self.hits += 1
-        if self.obs.enabled:
-            self.obs.metrics.bound("pool", _pool_handles)[0].inc()
+        if self._events is not None:
+            self._events["pool.hit"] += 1
         return sandbox
 
     def release(self, function_name: str, sandbox: Sandbox) -> None:
@@ -147,7 +158,8 @@ class SandboxPool:
         sandbox.transition(SandboxState.STOPPED)
         self.evictions += 1
         if self.obs.enabled:
-            self.obs.metrics.bound("pool", _pool_handles)[2].inc()
+            if self._events is not None:
+                self._events["pool.evict"] += 1
             self.obs.tracer.record_instant(
                 "pool.evict",
                 self._engine.now,

@@ -19,7 +19,7 @@ exactly the data behind the paper's Figure 2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, ItemsView, List, Optional, Tuple
 
 from repro.hypervisor.costs import CostModel
 from repro.hypervisor.cpu import Host
@@ -28,7 +28,9 @@ from repro.hypervisor.scheduler.base import SchedulerPolicy
 from repro.hypervisor.vcpu import Vcpu
 from repro.metrics.recorder import Breakdown
 from repro.obs.context import Observability, current as current_obs
-from repro.obs.phases import observe_resume
+from repro.obs.metrics import MetricRegistry, Tally
+from repro.obs.phases import fold_resumes
+from repro.obs.span import Tracer
 
 # Step names, used as Breakdown phase keys everywhere downstream.
 #: Injected stall (slow-resume fault); present only in chaos runs.
@@ -191,8 +193,18 @@ def dequeue_sandbox(
     return dequeued, by_queue
 
 
-def emit_resume_obs(
-    obs: Observability,
+def tally_resume(resumes: Tally, breakdown: Breakdown) -> None:
+    """Count one resume in the registry's resume tally (see
+    :func:`repro.obs.phases.fold_resumes`); shared by the vanilla and
+    the HORSE resume, which both always charge the merge and the load
+    step."""
+    phases = breakdown.phases
+    # sum() of the values is Breakdown.total_ns without the property call.
+    resumes[phases[STEP_MERGE], phases[STEP_LOAD], sum(phases.values())] += 1
+
+
+def record_resume_spans(
+    tracer: Tracer,
     sandbox: Sandbox,
     now_ns: int,
     breakdown: Breakdown,
@@ -202,43 +214,38 @@ def emit_resume_obs(
     load_update: Dict[str, object],
     root: Optional[Dict[str, object]] = None,
 ) -> None:
-    """Lay a resume's steps out as nested spans and feed the phase
-    histograms; shared by the vanilla and the HORSE resume.
+    """Lay a resume's steps out as nested spans; shared by the vanilla
+    and the HORSE resume.
 
     The children tile the root exactly, so the span total always
     reconciles with the breakdown.  *pid* is the core the resume ran
     on; *root*, *merge* and *load_update* are each path's own span
-    attributes.  Span building and the histogram updates gate
-    independently on ``tracer.enabled`` / ``metrics.enabled``: a
-    metrics-only bundle never builds a span, a tracer-only bundle
-    never touches the registry.
+    attributes, which callers build only when the tracer is enabled.
     """
-    tracer = obs.tracer
-    if tracer.enabled:
-        tracer.name_process(pid, f"cpu{pid}")
-        tid = tracer.tid_for(sandbox.sandbox_id, pid=pid)
-        timeline = tracer.timeline(
-            "resume", now_ns, category="resume", pid=pid, tid=tid,
-            sandbox=sandbox.sandbox_id, path=path,
-            vcpus=sandbox.vcpu_count, **(root or {}),
-        )
-        phases = breakdown.phases
-        if phases.get(STEP_STALL):
-            timeline.phase("stall", phases[STEP_STALL], injected=True)
-        timeline.phase("parse", phases.get(STEP_PARSE, 0))
-        timeline.phase("lock", phases.get(STEP_LOCK, 0))
-        timeline.phase("sanity", phases.get(STEP_SANITY, 0))
-        timeline.phase("merge", phases.get(STEP_MERGE, 0), **merge)
-        timeline.phase("load_update", phases.get(STEP_LOAD, 0), **load_update)
-        timeline.phase("dispatch", phases.get(STEP_FINALIZE, 0))
-        timeline.finish(total_ns=breakdown.total_ns)
-    metrics = obs.metrics
-    if metrics.enabled:
-        observe_resume(metrics, breakdown)
+    tracer.name_process(pid, f"cpu{pid}")
+    tid = tracer.tid_for(sandbox.sandbox_id, pid=pid)
+    timeline = tracer.timeline(
+        "resume", now_ns, category="resume", pid=pid, tid=tid,
+        sandbox=sandbox.sandbox_id, path=path,
+        vcpus=sandbox.vcpu_count, **(root or {}),
+    )
+    phases = breakdown.phases
+    if phases.get(STEP_STALL):
+        timeline.phase("stall", phases[STEP_STALL], injected=True)
+    timeline.phase("parse", phases.get(STEP_PARSE, 0))
+    timeline.phase("lock", phases.get(STEP_LOCK, 0))
+    timeline.phase("sanity", phases.get(STEP_SANITY, 0))
+    timeline.phase("merge", phases.get(STEP_MERGE, 0), **merge)
+    timeline.phase("load_update", phases.get(STEP_LOAD, 0), **load_update)
+    timeline.phase("dispatch", phases.get(STEP_FINALIZE, 0))
+    timeline.finish(total_ns=breakdown.total_ns)
 
 
-def _pause_counter(metrics):
-    return metrics.counter("pause.count")
+def _fold_pauses(metrics: MetricRegistry, pauses: ItemsView) -> None:
+    """Fold the vanilla pause tally (one key) into ``pause.count``."""
+    count = metrics.counter("pause.count")
+    for _key, n in pauses:
+        count.inc(n)
 
 
 class VanillaPauseResume:
@@ -256,11 +263,18 @@ class VanillaPauseResume:
         self.costs = costs
         # Defaults to the active observability context so drivers that
         # construct the resume path directly trace without plumbing.
-        self.obs = obs if obs is not None else current_obs()
+        self.attach_observability(obs if obs is not None else current_obs())
         self._resume_lock_owner: Optional[str] = None
         #: Optional per-resume fault decision (repro.resilience failure
         #: domains): transient errors, latency stalls, permanent hangs.
         self.fault_hook: Optional[ResumeFaultHook] = None
+
+    def attach_observability(self, obs: Observability) -> None:
+        """Report pauses and resumes to *obs*: its tracer, and one
+        resume and one pause tally in its registry."""
+        self.obs = obs
+        self._resumes = obs.metrics.tally(fold_resumes)
+        self._pauses = obs.metrics.tally(_fold_pauses)
 
     # ------------------------------------------------------------------
     # Placement
@@ -289,9 +303,9 @@ class VanillaPauseResume:
         )
         sandbox.transition(SandboxState.PAUSED)
         if self.obs.enabled:
-            metrics = self.obs.metrics
-            if metrics.enabled:
-                metrics.bound("pause.count", _pause_counter).inc()
+            pauses = self._pauses
+            if pauses is not None:
+                pauses[None] += 1
             tracer = self.obs.tracer
             if tracer.enabled:
                 tracer.record_span(
@@ -344,13 +358,17 @@ class VanillaPauseResume:
             self._resume_lock_owner = None
 
         if self.obs.enabled:
-            emit_resume_obs(
-                self.obs, sandbox, now_ns, breakdown, "vanilla",
-                # a host's run-queue ids are its core ids
-                runqueue_ids[0] if runqueue_ids else 0,
-                merge={"scan_steps": scan_steps},
-                load_update={"coalesced": False, "folds": sandbox.vcpu_count},
-            )
+            if self._resumes is not None:
+                tally_resume(self._resumes, breakdown)
+            tracer = self.obs.tracer
+            if tracer.enabled:
+                record_resume_spans(
+                    tracer, sandbox, now_ns, breakdown, "vanilla",
+                    # a host's run-queue ids are its core ids
+                    runqueue_ids[0] if runqueue_ids else 0,
+                    merge={"scan_steps": scan_steps},
+                    load_update={"coalesced": False, "folds": sandbox.vcpu_count},
+                )
         return ResumeResult(
             sandbox_id=sandbox.sandbox_id,
             breakdown=breakdown,

@@ -112,7 +112,7 @@ class VirtualizationPlatform:
         flushes the old one's export and freezes it, so each registry
         holds exactly the counts made while it was attached.
         """
-        self.vanilla.obs = obs
+        self.vanilla.attach_observability(obs)
         metrics = obs.metrics
         export = self.export
         if export is not None and export.metrics is not metrics:

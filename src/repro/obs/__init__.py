@@ -45,8 +45,7 @@ _EXPORTS = {
     "RESUME_MERGE_NS": "repro.obs.phases",
     "RESUME_PHASE_METRICS": "repro.obs.phases",
     "RESUME_TOTAL_NS": "repro.obs.phases",
-    "dispatch_ns": "repro.obs.phases",
-    "observe_resume": "repro.obs.phases",
+    "fold_resumes": "repro.obs.phases",
     "SubsystemProfiler": "repro.obs.profile",
     "NULL_TRACER": "repro.obs.span",
     "OpenSpan": "repro.obs.span",

@@ -7,10 +7,9 @@ default everywhere — a single ``obs.enabled`` check is all an untraced
 hot path pays.
 
 The bundle is immutable: its tracer, registry and ``enabled`` flag
-are fixed at construction.  A component may therefore bind instrument
-handles once — at construction, or through the registry's
-:meth:`~repro.obs.metrics.MetricRegistry.bound` cache — and never has
-to re-check them.  To observe with a different tracer or registry,
+are fixed at construction.  A component may therefore bind its
+registry tallies (:meth:`~repro.obs.metrics.MetricRegistry.tally`)
+once, at construction, and never has to re-check them.  To observe with a different tracer or registry,
 build a new bundle.
 
 The module also keeps the one *run context* stack: what is built

@@ -14,6 +14,10 @@ Instruments are deliberately primitive (no labels, no time windows):
   latencies (1-2-5 decades from 1 ns to 10 s), with exact ``sum`` and
   ``count`` so phase totals reconcile exactly against span durations.
 
+A per-event site never touches an instrument: it adds one to a
+:meth:`MetricRegistry.tally` entry keyed by the event's exact values,
+and every read of the registry folds the tallies into the instruments.
+
 ``NULL_REGISTRY`` swallows everything; hot paths guard attribute
 building behind ``registry.enabled`` / ``obs.enabled``.
 """
@@ -21,7 +25,11 @@ building behind ``registry.enabled`` / ``obs.enabled``.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Any, Dict, List, Optional, Tuple
+from collections import defaultdict
+from typing import (
+    Any, Callable, DefaultDict, Dict, Hashable, ItemsView, List, Optional,
+    Tuple,
+)
 
 
 def _decades(lo_exp: int, hi_exp: int) -> Tuple[float, ...]:
@@ -102,11 +110,12 @@ class Histogram:
         self.minimum = float("inf")
         self.maximum = float("-inf")
 
-    def observe(self, value: float) -> None:
+    def observe(self, value: float, count: int = 1) -> None:
+        """Record *value* *count* times."""
         value = float(value)
-        self.counts[bisect_left(self.bounds, value)] += 1
-        self.count += 1
-        self.sum += value
+        self.counts[bisect_left(self.bounds, value)] += count
+        self.count += count
+        self.sum += value * count
         if value < self.minimum:
             self.minimum = value
         if value > self.maximum:
@@ -145,15 +154,23 @@ class Histogram:
         return f"Histogram({self.name}, n={self.count}, mean={self.mean:.1f})"
 
 
+#: A tally: distinct event key -> how many events carried it.
+Tally = DefaultDict[Hashable, int]
+#: Folds a tally's ``(key, events)`` pairs into the registry's instruments.
+Fold = Callable[["MetricRegistry", ItemsView], None]
+
+
 class MetricRegistry:
     """Named get-or-create store for counters, gauges, and histograms.
 
-    Components that keep a count anyway as a plain int (run-queue
-    inserts and dequeues, scheduler enqueues, PELT load folds) register
-    a *collector* — a callable invoked before every read of the
-    instruments (``counters``, ``histograms``, ``snapshot``, ``render``)
-    so exported numbers are current without any per-event metric
-    traffic.
+    Nothing on a per-event path calls an instrument.  Components that
+    keep a count anyway as a plain int (run-queue inserts and dequeues,
+    scheduler enqueues, PELT load folds) register a *collector*; every
+    other per-event site writes one :meth:`tally` entry.  Every read of
+    the instruments (``names``, ``counters``, ``histograms``,
+    ``snapshot``, ``render``) folds the tallies and runs the collectors
+    first, so exported numbers are current; ``counter(name).value``
+    alone is not.
     """
 
     enabled = True
@@ -163,20 +180,39 @@ class MetricRegistry:
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
         self._collectors: List[Any] = []
+        self._tallies: Dict[Fold, Tally] = {}
         self._bound_handles: Dict[str, Any] = {}
 
     # ------------------------------------------------------------------
-    def bound(self, key: str, factory: Any) -> Any:
-        """Get-or-create a cached bundle of instrument handles.
+    def tally(self, fold: Fold) -> Optional[Tally]:
+        """The event tally that *fold* reads, created on first request.
 
-        Per-event instrument sites (pool acquire, the pause and resume
-        paths) resolve their handles once per registry through this
-        cache instead of re-looking names up per event; because metric
-        names are global, short-lived components — the chaos study
-        churns through hundreds of per-host pools — share one binding
-        rather than each paying the registry lookups again.  *factory*
-        receives the registry and returns the handle bundle; ``clear()``
-        drops the cache with the instruments.
+        A per-event site binds it once and writes ``tally[key] += 1``,
+        where *key* holds the event's exact values (a resume's
+        ``(merge_ns, load_ns, total_ns)``, say): one dict write instead
+        of a handful of instrument calls.  Every read of the registry
+        calls ``fold(registry, tally.items())`` on each non-empty tally
+        and empties it.  *fold* get-or-creates every instrument it
+        feeds, all of them on every call, so an instrument appears
+        exactly when its first event happened; it updates them with
+        ``inc(n)`` / ``observe(value, n)``, which is exact for integer
+        values (histogram buckets, min and max ignore order, and
+        ``sum`` stays exact below 2**53).  Sites sharing a *fold* share
+        one tally; ``clear()`` drops the pending counts, not the
+        tallies, so a bound tally stays live.  A disabled registry
+        returns None.
+        """
+        tally = self._tallies.get(fold)
+        if tally is None:
+            tally = self._tallies[fold] = defaultdict(int)
+        return tally
+
+    def bound(self, key: str, factory: Any) -> Any:
+        """Get-or-create a cached per-registry object (the
+        ``runqueue.last_len`` cell every run queue writes).
+
+        *factory* receives the registry and returns the object;
+        ``clear()`` drops the cache with the instruments.
         """
         handles = self._bound_handles.get(key)
         if handles is None:
@@ -193,7 +229,11 @@ class MetricRegistry:
         self._collectors.remove(collector)
 
     def collect(self) -> None:
-        """Flush batched component state into instruments."""
+        """Fold the pending tallies and run the collectors."""
+        for fold, tally in self._tallies.items():
+            if tally:
+                fold(self, tally.items())
+                tally.clear()
         for collector in self._collectors:
             collector()
 
@@ -239,6 +279,7 @@ class MetricRegistry:
 
     # ------------------------------------------------------------------
     def names(self) -> List[str]:
+        self.collect()
         return sorted(
             list(self._counters) + list(self._gauges) + list(self._histograms)
         )
@@ -274,7 +315,6 @@ class MetricRegistry:
 
     def render(self) -> str:
         """Human-readable summary table, sorted by metric name."""
-        self.collect()
         lines: List[str] = []
         for name in self.names():
             if name in self._counters:
@@ -294,8 +334,9 @@ class MetricRegistry:
         self._counters.clear()
         self._gauges.clear()
         self._histograms.clear()
-        # Dropping the bound-handle cache keeps a cleared registry from
-        # resurrecting stale instruments through old bindings.
+        for tally in self._tallies.values():
+            tally.clear()
+        # Hosts attached after a clear get a fresh runqueue.last_len cell.
         self._bound_handles.clear()
 
 
@@ -319,7 +360,7 @@ class _NullGauge(Gauge):
 class _NullHistogram(Histogram):
     __slots__ = ()
 
-    def observe(self, value: float) -> None:
+    def observe(self, value: float, count: int = 1) -> None:
         return None
 
 
@@ -345,6 +386,9 @@ class NullRegistry(MetricRegistry):
 
     def histogram(self, name, bounds=None, help="") -> Histogram:
         return NULL_HISTOGRAM
+
+    def tally(self, fold: Fold) -> Optional[Tally]:
+        return None
 
 
 #: Shared do-nothing registry; pass a real MetricRegistry to opt in.

@@ -1,4 +1,4 @@
-"""Resume-phase metric names and the breakdown -> histogram bridge.
+"""Resume-phase metric names and the tally -> histogram fold.
 
 The paper's latency claim is a *per-phase* story: where do the
 nanoseconds go between ``resume()`` and first instruction?  This module
@@ -16,7 +16,8 @@ reconciliation property the observability tests assert.
 
 from __future__ import annotations
 
-from repro.metrics.recorder import Breakdown
+from typing import ItemsView
+
 from repro.obs.metrics import MetricRegistry
 
 RESUME_MERGE_NS = "resume.merge_ns"
@@ -32,54 +33,20 @@ RESUME_PHASE_METRICS = (
 )
 
 
-def dispatch_ns(breakdown: Breakdown) -> int:
-    """Non-hot remainder of a resume: total minus merge minus load."""
-    # Imported lazily: pause_resume's low-level deps import repro.obs,
-    # so a module-level import here would be circular.
-    from repro.hypervisor.pause_resume import STEP_LOAD, STEP_MERGE
+def fold_resumes(metrics: MetricRegistry, resumes: ItemsView) -> None:
+    """Fold a resume tally into the phase histograms and ``resume.count``.
 
-    return (
-        breakdown.total_ns
-        - breakdown.phases.get(STEP_MERGE, 0)
-        - breakdown.phases.get(STEP_LOAD, 0)
-    )
-
-
-#: (STEP_MERGE, STEP_LOAD), resolved once — the lazy import otherwise
-#: costs a sys.modules lookup per recorded resume.
-_STEPS = None
-
-
-def _resume_handles(metrics: MetricRegistry):
-    return (
-        metrics.histogram(RESUME_MERGE_NS),
-        metrics.histogram(RESUME_LOAD_UPDATE_NS),
-        metrics.histogram(RESUME_DISPATCH_NS),
-        metrics.histogram(RESUME_TOTAL_NS),
-        metrics.counter("resume.count"),
-    )
-
-
-def observe_resume(metrics: MetricRegistry, breakdown: Breakdown) -> None:
-    """Fold one resume's phase durations into the registry histograms.
-
-    The five instrument handles are bound once per registry
-    (``metrics.bound``), so steady-state cost is five C-level method
-    calls — no name lookups, no enum re-hashing beyond the two phase
-    reads.
+    Each key is one resume's ``(merge_ns, load_ns, total_ns)``; the
+    dispatch phase is the remainder, total minus merge minus load.
     """
-    global _STEPS
-    if _STEPS is None:
-        from repro.hypervisor.pause_resume import STEP_LOAD, STEP_MERGE
-
-        _STEPS = (STEP_MERGE, STEP_LOAD)
-    handles = metrics.bound("resume", _resume_handles)
-    phases = breakdown.phases
-    merge = phases.get(_STEPS[0], 0)
-    load = phases.get(_STEPS[1], 0)
-    total = breakdown.total_ns
-    handles[0].observe(merge)
-    handles[1].observe(load)
-    handles[2].observe(total - merge - load)
-    handles[3].observe(total)
-    handles[4].inc()
+    merge_h = metrics.histogram(RESUME_MERGE_NS)
+    load_h = metrics.histogram(RESUME_LOAD_UPDATE_NS)
+    dispatch_h = metrics.histogram(RESUME_DISPATCH_NS)
+    total_h = metrics.histogram(RESUME_TOTAL_NS)
+    count = metrics.counter("resume.count")
+    for (merge, load, total), n in resumes:
+        merge_h.observe(merge, n)
+        load_h.observe(load, n)
+        dispatch_h.observe(total - merge - load, n)
+        total_h.observe(total, n)
+        count.inc(n)

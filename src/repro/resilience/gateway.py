@@ -34,12 +34,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, ItemsView, List, Optional, Tuple
 
 from repro.faas.cluster import FaaSCluster, plan_start
 from repro.faas.invocation import Invocation, StartType
 from repro.hypervisor.pause_resume import HungResumeError, TransientResumeError
 from repro.obs.context import Observability, current as current_obs
+from repro.obs.metrics import MetricRegistry
 from repro.resilience.breaker import BreakerConfig, BreakerState, CircuitBreaker
 from repro.resilience.degradation import (
     AdmissionConfig,
@@ -155,6 +156,18 @@ class ResilienceConfig:
     dispatch: Optional[str] = None
 
 
+def _fold_completions(metrics: MetricRegistry, completions: ItemsView) -> None:
+    """Fold the completion tally, keyed by request latency."""
+    complete = metrics.counter("resilience.complete", "requests completed")
+    latency = metrics.histogram(
+        "request.latency_ns",
+        help="submit -> completion, retries/backoff included",
+    )
+    for latency_ns, n in completions:
+        complete.inc(n)
+        latency.observe(latency_ns, n)
+
+
 class ResilientGateway:
     """Failure-aware request layer over one cluster."""
 
@@ -236,6 +249,8 @@ class ResilientGateway:
             if self.obs.metrics.enabled
             else None
         )
+        #: request latency per completion (None when metrics are off)
+        self._completions = self.obs.metrics.tally(_fold_completions)
 
     # ------------------------------------------------------------------
     def attach(self, injector: FailureInjector) -> None:
@@ -609,13 +624,8 @@ class ResilientGateway:
             self.active -= 1
             if self.journal is not None:
                 self.journal.record_outcome(request, now, fence=attempt.fence)
-            if self.obs.enabled:
-                metrics = self.obs.metrics
-                metrics.counter("resilience.complete", "requests completed").inc()
-                metrics.histogram(
-                    "request.latency_ns",
-                    help="submit -> completion, retries/backoff included",
-                ).observe(request.latency_ns or 0)
+            if self._completions is not None:
+                self._completions[request.latency_ns or 0] += 1
         else:
             request.redundant_hedges += 1
             if self.obs.enabled:

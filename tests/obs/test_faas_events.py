@@ -19,7 +19,7 @@ from repro.workloads import FirewallWorkload
 
 
 def _counter(obs, name):
-    return obs.metrics.counter(name).value
+    return obs.metrics.counters()[name].value
 
 
 @pytest.fixture

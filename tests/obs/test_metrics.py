@@ -133,9 +133,9 @@ class TestRegistry:
 
 
 class TestBoundHandles:
-    """Registry-level handle cache: metric names are global, so bound
-    instrument tuples are shared across short-lived components instead
-    of being rebuilt per instance."""
+    """Registry-level cache of per-registry objects (the run queues'
+    ``runqueue.last_len`` cell): one per registry, shared by every
+    component that asks for it."""
 
     def test_factory_runs_once_and_result_is_shared(self):
         registry = MetricRegistry()

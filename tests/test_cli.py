@@ -94,6 +94,32 @@ class TestCommands:
         assert captured.err.startswith(f"{variable}: ")
         assert "'hybird'" in captured.err
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_unsound_result_exits_one_with_unchanged_stdout(
+        self, capsys, monkeypatch, json_flag
+    ):
+        import repro.experiments.chaos as chaos
+
+        class Verdict:
+            def __init__(self, ok):
+                self.ok = ok
+
+            def rows(self):
+                return [{"mode": "retry", "lost": 1}]
+
+        monkeypatch.setattr(chaos, "render_chaos", lambda result: "UNSOUND")
+
+        def run(ok):
+            monkeypatch.setattr(chaos, "run_chaos", lambda config: Verdict(ok))
+            status = main(["experiment", "chaos", "--fast", *json_flag])
+            return status, capsys.readouterr().out
+
+        sound_status, sound_out = run(True)
+        unsound_status, unsound_out = run(False)
+        assert (sound_status, unsound_status) == (0, 1)
+        assert unsound_out == sound_out
+        assert ('"lost": 1' if json_flag else "UNSOUND") in unsound_out
+
     def test_trace_unknown_experiment_fails(self, capsys):
         assert main(["trace", "figure99"]) == 2
         assert "unknown experiment" in capsys.readouterr().err
