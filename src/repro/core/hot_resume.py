@@ -61,10 +61,14 @@ from repro.hypervisor.pause_resume import (
 from repro.hypervisor.runqueue import RunQueue
 from repro.hypervisor.sandbox import Sandbox, SandboxState
 from repro.hypervisor.scheduler.base import SchedulerPolicy
+from repro.hypervisor.vcpu import VcpuState
 from repro.metrics.recorder import Breakdown
 from repro.obs.context import Observability, current as current_obs
 from repro.obs.metrics import MetricRegistry
 from repro.obs.phases import fold_resumes
+
+
+_RUNNABLE = VcpuState.RUNNABLE
 
 
 def _fold_pauses(metrics: MetricRegistry, pauses: ItemsView) -> None:
@@ -158,23 +162,22 @@ class HorsePauseResume:
     # ------------------------------------------------------------------
     def pause(self, sandbox: Sandbox, now_ns: int) -> HorsePauseResult:
         sandbox.require_state(SandboxState.RUNNING)
+        ull = self.ull
+        costs = self.costs
         # A sandbox that was HORSE-paused but then resumed through the
         # *vanilla* path keeps its stale queue assignment (the vanilla
         # path knows nothing about the uLL manager); detach it before
         # re-assigning.
-        self.ull.unassign(sandbox)
+        ull.unassign(sandbox)
         sandbox.clear_horse_artifacts()
         dequeued, by_queue = dequeue_sandbox(self.host, sandbox, now_ns)
-        duration = (
-            self.costs.pause_fixed_ns + self.costs.pause_dequeue_vcpu_ns * dequeued
-        )
+        duration = costs.pause_fixed_ns + costs.pause_dequeue_vcpu_ns * dequeued
         # Dequeuing mutated reserved queues: every *other* paused
         # sandbox tied to them holds arrayB entries referencing nodes
         # that may just have been unlinked — refresh their
         # precomputation now ("the updates are performed each time
         # ull_runqueue is updated", §4.1.3).  Each refresh hands back
         # the snapshot it walked (None when nothing tied needed one).
-        ull = self.ull
         snapshots = {
             queue_id: ull.on_queue_updated(queue_id)
             for queue_id in by_queue
@@ -184,12 +187,16 @@ class HorsePauseResume:
 
         dequeue_ns = duration
 
-        # Build merge_vcpus: the sandbox's vCPUs, pre-sorted once by the
-        # scheduler key so resume never iterates them again.
-        for vcpu in sandbox.vcpus:
-            self.policy.on_enqueue(vcpu)
-        sandbox.merge_vcpus = sorted(sandbox.vcpus, key=self.policy.sort_key)
-        sort_ns = self.costs.horse_pause_sort_vcpu_ns * sandbox.vcpu_count
+        # Ready each vCPU's accounting for its next enqueue, then build
+        # merge_vcpus: the vCPUs pre-sorted once by the scheduler key
+        # (below, with the precompute) so resume never iterates them
+        # again.  The sort is charged per vCPU.
+        vcpus = sandbox.vcpus
+        vcpu_count = len(vcpus)
+        on_enqueue = self.policy.on_enqueue
+        for vcpu in vcpus:
+            on_enqueue(vcpu)
+        sort_ns = costs.horse_pause_sort_vcpu_ns * vcpu_count
         duration += sort_ns
 
         # Tie to a reserved queue and precompute P2SM structures.
@@ -204,18 +211,22 @@ class HorsePauseResume:
             snapshot = snapshots.get(queue.runqueue_id)
             if snapshot is None:
                 snapshot = QueueSnapshot.of(queue.entities)
-            sandbox.p2sm_state = P2SMState(
-                sandbox.merge_vcpus, queue.entities, snapshot
-            )
-            precompute_entries = len(snapshot.nodes) + len(sandbox.merge_vcpus)
-            p2sm_ns = self.costs.p2sm_refresh_entry_ns * precompute_entries
+            # The state sorts A by the queue's key, which is the
+            # scheduler's: its sorted copy is merge_vcpus.
+            state = P2SMState(vcpus, queue.entities, snapshot)
+            sandbox.p2sm_state = state
+            sandbox.merge_vcpus = state.values_a
+            precompute_entries = len(snapshot.nodes) + vcpu_count
+            p2sm_ns = costs.p2sm_refresh_entry_ns * precompute_entries
             duration += p2sm_ns
+        else:
+            sandbox.merge_vcpus = sorted(vcpus, key=self.policy.sort_key)
 
         # The fused load update depends only on the vCPU count.
         coalesce_ns = 0.0
         if self.config.enable_coalescing:
-            sandbox.coalesced_update = coalesced_enqueue_update(sandbox.vcpu_count)
-            coalesce_ns = self.costs.horse_pause_coalesce_ns
+            sandbox.coalesced_update = coalesced_enqueue_update(vcpu_count)
+            coalesce_ns = costs.horse_pause_coalesce_ns
             duration += coalesce_ns
 
         if self.obs.enabled:
@@ -235,7 +246,7 @@ class HorsePauseResume:
             duration_ns=round(duration),
             dequeued_vcpus=dequeued,
             precompute_entries=precompute_entries,
-            precompute_bytes=self.costs.horse_memory_bytes(sandbox.vcpu_count),
+            precompute_bytes=costs.horse_memory_bytes(vcpu_count),
         )
 
     def _record_pause_spans(
@@ -316,6 +327,7 @@ class HorsePauseResume:
                 "ull_runqueue assignment"
             )
         queue = self.ull.queue(queue_id)
+        vcpus = sandbox.vcpus
 
         # Step 4: merge merge_vcpus into the reserved queue.
         merge_threads = 0
@@ -328,8 +340,6 @@ class HorsePauseResume:
             report: MergeReport = sandbox.p2sm_state.merge()
             merge_threads = report.threads
             pointer_writes = report.pointer_writes
-            for vcpu in sandbox.vcpus:
-                vcpu.mark_runnable(queue.runqueue_id)
             breakdown.add(
                 STEP_MERGE, round(self.costs.p2sm_merge_cost_ns(report.threads))
             )
@@ -338,12 +348,13 @@ class HorsePauseResume:
             # reserved queue so one coalesced update covers all vCPUs.
             assert sandbox.merge_vcpus is not None
             scan_steps = sorted_merge_reference(queue.entities, sandbox.merge_vcpus)
-            for vcpu in sandbox.vcpus:
-                vcpu.mark_runnable(queue.runqueue_id)
             breakdown.add(
                 STEP_MERGE,
-                round(self.costs.merge_cost_ns(sandbox.vcpu_count, scan_steps)),
+                round(self.costs.merge_cost_ns(len(vcpus), scan_steps)),
             )
+        for vcpu in vcpus:
+            vcpu.state = _RUNNABLE
+            vcpu.runqueue_id = queue_id
 
         if self.mid_resume_hook is not None:
             self.mid_resume_hook(sandbox, queue, now_ns)
@@ -359,10 +370,10 @@ class HorsePauseResume:
             queue.load.apply_coalesced(now_ns, update.alpha_n, update.beta_sum)
             breakdown.add(STEP_LOAD, round(self.costs.coalesced_update_ns))
         else:
-            for vcpu in sandbox.vcpus:
+            for vcpu in vcpus:
                 queue.load.enqueue_entity(now_ns, vcpu.weight)
             breakdown.add(
-                STEP_LOAD, round(self.costs.load_update_cost_ns(sandbox.vcpu_count))
+                STEP_LOAD, round(self.costs.load_update_cost_ns(len(vcpus)))
             )
 
         # Step 6: finalize.

@@ -95,24 +95,25 @@ class SortedLinkedList(Generic[T]):
         """Insert *value* at its sorted position; returns the new node.
 
         This is the vanilla per-vCPU sorted merge: an O(n) scan from the
-        head, counted in ``scan_steps``.
+        head to the last node whose key is <= *value*'s (the sentinel if
+        none), counted in ``scan_steps``.  The hops are counted in a
+        local and added once.
         """
+        key = self._key
+        key_value = key(value)
+        prev = self.head
+        following = prev.next
+        hops = 0
+        while following is not None and key(following.value) <= key_value:
+            hops += 1
+            prev = following
+            following = following.next
+        self.scan_steps += hops
         node = ListNode(value)
-        prev = self._find_insertion_point(self._key(value))
-        node.next = prev.next
+        node.next = following
         prev.next = node
         self._size += 1
         return node
-
-    def _find_insertion_point(self, key_value: float) -> ListNode[T]:
-        """Last node whose key is <= *key_value* (sentinel if none)."""
-        prev = self.head
-        node = self.head.next
-        while node is not None and self._key(node.value) <= key_value:
-            self.scan_steps += 1
-            prev = node
-            node = node.next
-        return prev
 
     def remove(self, value: T) -> bool:
         """Remove the first node holding *value* (identity or equality).

@@ -78,13 +78,13 @@ class QueueSnapshot(NamedTuple):
 
     @classmethod
     def of(cls, target: SortedLinkedList) -> "QueueSnapshot":
-        nodes = [target.head]
-        node = target.head.next
-        while node is not None:
+        node = target.head
+        nodes = [node]
+        values = []
+        while (node := node.next) is not None:
             nodes.append(node)
-            node = node.next
-        key = target.key
-        keys = [key(node.value) for node in nodes[1:]]
+            values.append(node.value)
+        keys = list(map(target.key, values))
         return cls(nodes, keys, all(map(le, keys, keys[1:])))
 
 
@@ -271,12 +271,15 @@ class P2SMState(Generic[T]):
         """
         pos_a = self.pos_a
         array_b = self.array_b
-        report = MergeReport(threads=len(pos_a))
+        splice_after = self._target.splice_after
+        merged = 0
         for position, chain in pos_a.items():
-            anchor = array_b[position]
-            self._target.splice_after(anchor, chain.head, chain.tail, chain.length)
-            report.pointer_writes += 2
-            report.merged_elements += chain.length
+            length = chain.length
+            splice_after(array_b[position], chain.head, chain.tail, length)
+            merged += length
+        threads = len(pos_a)
+        # Two pointer writes per merge thread (Algorithm 1).
+        report = MergeReport(threads, 2 * threads, merged)
         self._pos_a = {}
         self.values_a = []
         # The chain nodes now belong to the target.

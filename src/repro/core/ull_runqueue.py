@@ -140,7 +140,7 @@ class UllRunqueueManager:
         """
         snapshot: Optional[QueueSnapshot] = None
         refreshed = entries = 0
-        for sandbox in self._assignments.get(runqueue_id, []):
+        for sandbox in self._assignments.get(runqueue_id, ()):
             state: Optional[P2SMState] = sandbox.p2sm_state
             if state is None:
                 continue

@@ -32,7 +32,7 @@ from repro.faas.cluster import FaaSCluster
 from repro.faas.frontend import RoutedArrival, plan_arrivals
 from repro.faas.function import FunctionSpec
 from repro.metrics.stats import percentile
-from repro.obs.context import phase
+from repro.obs.context import current as current_obs, phase
 from repro.resilience import (
     BreakerConfig,
     FailureConfig,
@@ -303,13 +303,16 @@ def _close_cell(engine: Engine, clusters: Sequence[FaaSCluster]) -> None:
     the host.  Nothing then points into the cell from outside or back
     up inside it, so reference counting frees all of it when the
     cell's function returns, with no work left for the cyclic
-    collector.
+    collector.  The registry's pending tallies are folded too (the
+    collectors are left for the next read), so the keys the cell's
+    completions wrote are not kept until the run ends.
     """
     engine.close()
     for cluster in clusters:
         for host in cluster.hosts:
             if host.virt.export is not None:
                 host.virt.export.freeze()
+    current_obs().metrics.fold_tallies()
 
 
 def _cell_outcome(

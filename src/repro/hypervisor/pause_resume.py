@@ -25,7 +25,7 @@ from repro.hypervisor.costs import CostModel
 from repro.hypervisor.cpu import Host
 from repro.hypervisor.sandbox import Sandbox, SandboxError, SandboxState
 from repro.hypervisor.scheduler.base import SchedulerPolicy
-from repro.hypervisor.vcpu import Vcpu
+from repro.hypervisor.vcpu import Vcpu, VcpuState
 from repro.metrics.recorder import Breakdown
 from repro.obs.context import Observability, current as current_obs
 from repro.obs.metrics import MetricRegistry, Tally
@@ -44,6 +44,8 @@ STEP_FINALIZE = "6-finalize"
 
 #: The two steps the paper attributes 87.5-93.1 % of the resume to.
 HOT_STEPS = (STEP_MERGE, STEP_LOAD)
+
+_PAUSED = VcpuState.PAUSED
 
 
 @dataclass
@@ -185,7 +187,8 @@ def dequeue_sandbox(
                 by_queue[queue_id] = [vcpu]
             else:
                 group.append(vcpu)
-        vcpu.mark_paused()
+            vcpu.runqueue_id = None
+        vcpu.state = _PAUSED
     runqueues = host.runqueues
     dequeued = 0
     for queue_id, group in by_queue.items():
@@ -284,10 +287,11 @@ class VanillaPauseResume:
         dominate and are charged by the start strategies).  Each vCPU
         goes to the least-loaded general-purpose queue, as on resume."""
         sandbox.require_state(SandboxState.CREATING)
-        placements = self.host.least_loaded_generals(sandbox.vcpu_count)
+        placements = self.host.least_loaded_generals(len(sandbox.vcpus))
+        on_enqueue = self.policy.on_enqueue
         for vcpu in sandbox.vcpus:
             runqueue = next(placements)
-            self.policy.on_enqueue(vcpu)
+            on_enqueue(vcpu)
             runqueue.enqueue_sorted(vcpu, now_ns)
         sandbox.transition(SandboxState.RUNNING)
 
@@ -383,29 +387,32 @@ class VanillaPauseResume:
         Returns the run queues used and the total sorted-insert scan
         steps (span attribution data for the observability layer).
         """
+        costs = self.costs
+        on_enqueue = self.policy.on_enqueue
+        scan_step_ns = costs.merge_scan_step_ns
+        warm_merge_ns = costs.merge_warm_vcpu_ns
+        warm_load_ns = costs.load_update_warm_ns
+        # The first vCPU pays the cold costs, every later one the warm.
+        vcpu_merge_ns = costs.merge_first_vcpu_ns
+        vcpu_load_ns = costs.load_update_first_ns
         merge_ns = 0.0
         load_ns = 0.0
         total_scan_steps = 0
         runqueue_ids: List[int] = []
         # Vanilla placement rule: least-loaded general-purpose queue.
-        placements = self.host.least_loaded_generals(sandbox.vcpu_count)
-        for position, vcpu in enumerate(sandbox.vcpus):
+        placements = self.host.least_loaded_generals(len(sandbox.vcpus))
+        for vcpu in sandbox.vcpus:
             runqueue = next(placements)
-            self.policy.on_enqueue(vcpu)
-            # Step 4: real O(n) sorted insert; count the scan hops.
-            scan_steps = runqueue.enqueue_sorted_without_load(vcpu)
+            on_enqueue(vcpu)
+            # Steps 4 + 5: real O(n) sorted insert (its scan hops come
+            # back) and real PELT fold on that queue's load.
+            scan_steps = runqueue.enqueue_sorted(vcpu, now_ns)
             total_scan_steps += scan_steps
-            if position == 0:
-                merge_ns += self.costs.merge_first_vcpu_ns
-            else:
-                merge_ns += self.costs.merge_warm_vcpu_ns
-            merge_ns += self.costs.merge_scan_step_ns * scan_steps
-            # Step 5: real PELT fold on that queue's load.
-            runqueue.load.enqueue_entity(now_ns, vcpu.weight)
-            if position == 0:
-                load_ns += self.costs.load_update_first_ns
-            else:
-                load_ns += self.costs.load_update_warm_ns
+            merge_ns += vcpu_merge_ns
+            merge_ns += scan_step_ns * scan_steps
+            load_ns += vcpu_load_ns
+            vcpu_merge_ns = warm_merge_ns
+            vcpu_load_ns = warm_load_ns
             runqueue_ids.append(runqueue.runqueue_id)
         breakdown.add(STEP_MERGE, round(merge_ns))
         breakdown.add(STEP_LOAD, round(load_ns))

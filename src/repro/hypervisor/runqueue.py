@@ -21,7 +21,9 @@ from typing import Callable, List, Optional, Sequence
 
 from repro.core.linked_list import SortedLinkedList
 from repro.hypervisor.load_tracking import RunqueueLoad
-from repro.hypervisor.vcpu import Vcpu
+from repro.hypervisor.vcpu import Vcpu, VcpuState
+
+_RUNNABLE = VcpuState.RUNNABLE
 
 
 class RunQueue:
@@ -75,22 +77,33 @@ class RunQueue:
         return self.entities.key
 
     def enqueue_sorted(self, vcpu: Vcpu, now_ns: int) -> int:
-        """Vanilla step 4+5 for one vCPU.
+        """Vanilla step 4+5 for one vCPU, in one call.
 
-        Performs the real O(n) sorted insert and the real PELT fold.
+        Performs the real O(n) sorted insert, marks the vCPU runnable on
+        this queue, counts the insert and does the real PELT fold.
         Returns the scan steps the insert consumed so the caller can
         charge simulated time.
         """
-        steps = self.enqueue_sorted_without_load(vcpu)
+        entities = self.entities
+        before = entities.scan_steps
+        entities.insert_sorted(vcpu)
+        vcpu.state = _RUNNABLE
+        vcpu.runqueue_id = self.runqueue_id
+        self.sorted_inserts += 1
+        steps = entities.scan_steps - before
+        self.insert_scan_steps += steps
+        self.last_len[0] = entities._size
         self.load.enqueue_entity(now_ns, vcpu.weight)
         return steps
 
     def enqueue_sorted_without_load(self, vcpu: Vcpu) -> int:
-        """Sorted insert only — used when load updates are coalesced."""
+        """:meth:`enqueue_sorted` without the PELT fold (a dispatched
+        vCPU's rotation back onto its queue)."""
         entities = self.entities
         before = entities.scan_steps
         entities.insert_sorted(vcpu)
-        vcpu.mark_runnable(self.runqueue_id)
+        vcpu.state = _RUNNABLE
+        vcpu.runqueue_id = self.runqueue_id
         self.sorted_inserts += 1
         steps = entities.scan_steps - before
         self.insert_scan_steps += steps

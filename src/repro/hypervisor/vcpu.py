@@ -25,7 +25,9 @@ class Vcpu:
 
     Schedulers order vCPUs by a policy-specific sort key fed by
     ``credit`` (credit2) or ``vruntime`` (CFS); both fields live here so
-    a sandbox can migrate between platforms in tests.
+    a sandbox can migrate between platforms in tests.  ``state`` and
+    ``runqueue_id`` are written in place by whatever moves the vCPU: the
+    run queue's sorted insert, and the pause and resume paths.
     """
 
     __slots__ = (
@@ -57,14 +59,6 @@ class Vcpu:
         self.vruntime = vruntime
         self.state = VcpuState.OFFLINE
         self.runqueue_id: Optional[int] = None
-
-    def mark_runnable(self, runqueue_id: int) -> None:
-        self.state = VcpuState.RUNNABLE
-        self.runqueue_id = runqueue_id
-
-    def mark_paused(self) -> None:
-        self.state = VcpuState.PAUSED
-        self.runqueue_id = None
 
     def mark_running(self) -> None:
         self.state = VcpuState.RUNNING

@@ -228,12 +228,21 @@ class MetricRegistry:
         """Unregister a collector added by :meth:`add_collector`."""
         self._collectors.remove(collector)
 
-    def collect(self) -> None:
-        """Fold the pending tallies and run the collectors."""
+    def fold_tallies(self) -> None:
+        """Fold every pending tally into its instruments and empty it.
+
+        Exact and order-free, so folding early reads the same as folding
+        at the next read; a finished cell calls it so its per-latency
+        completion keys do not pile up until the run ends.
+        """
         for fold, tally in self._tallies.items():
             if tally:
                 fold(self, tally.items())
                 tally.clear()
+
+    def collect(self) -> None:
+        """Fold the pending tallies and run the collectors."""
+        self.fold_tallies()
         for collector in self._collectors:
             collector()
 

@@ -15,6 +15,7 @@ from repro.check import (
 from repro.core.hot_resume import HorsePauseResume
 from repro.hypervisor.platform import firecracker_platform
 from repro.hypervisor.sandbox import Sandbox
+from repro.hypervisor.vcpu import VcpuState
 from repro.obs import MetricRegistry, Observability, Tracer
 from repro.sim.engine import Engine
 
@@ -141,7 +142,8 @@ class TestBuiltinCheckers:
         host.runqueues[vcpu.runqueue_id].entities.remove(vcpu)
         unbuilt = host.spec.total_cores - 2  # a general queue nothing used
         assert unbuilt not in host.runqueues
-        vcpu.mark_runnable(unbuilt)
+        vcpu.state = VcpuState.RUNNABLE
+        vcpu.runqueue_id = unbuilt
         built = sorted(host.runqueues)
         problems = lifecycle_checker(host, [running, paused])(0)
         assert problems == [

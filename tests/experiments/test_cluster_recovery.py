@@ -297,3 +297,19 @@ def test_obs_on_cell_leaves_no_frozen_export_registered():
         run_recovery_cell(config, 0, arrivals)
     assert metrics._collectors == []
     assert metrics.snapshot()["load.fold.coalesced"]["value"] > 0
+
+
+def test_obs_on_run_leaves_no_pending_tally():
+    # Closing a cell also folds the registry's tallies, so the
+    # per-latency completion keys each cell writes are not kept until
+    # the registry is next read.  The fold is exact, so the values read
+    # afterwards are unchanged (tests/resilience/test_metric_snapshot.py
+    # pins them).
+    from repro.obs import NULL_TRACER, MetricRegistry, Observability, activate
+
+    metrics = MetricRegistry()
+    with activate(Observability(NULL_TRACER, metrics)):
+        run_recovery(ClusterRecoveryConfig(groups=2, requests=200, seed=0), shards=1)
+    assert len(metrics._tallies) >= 4  # resume, pause and completion tallies
+    assert all(not tally for tally in metrics._tallies.values())
+    assert metrics.snapshot()["invocation.total_ns"]["count"] > 0
