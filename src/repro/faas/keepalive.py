@@ -103,9 +103,6 @@ class IdleHistogram:
             cursor[1] = at
             cursor[2] = below
 
-    def oob_fraction(self) -> float:
-        return self.oob / self.total if self.total else 0.0
-
     def percentile_bin(self, pct: float) -> Optional[int]:
         """Nearest-rank bin index; ``None`` when the rank falls OOB."""
         at = self.cursor(pct)[1]
@@ -180,6 +177,22 @@ class PrewarmPolicy:
     """
 
     name = "abstract"
+
+    def on_arrival(
+        self, fn: Hashable, gap_ns: Optional[int], warm: Optional[bool]
+    ) -> PolicyDecision:
+        """One arrival's whole policy step, and the decision after it.
+
+        *gap_ns* is the idle gap since the previous completion (``None``
+        for a first arrival or a concurrent hit); *warm* says whether a
+        resident sandbox served it (``None`` for a concurrent hit).  The
+        replay's capacity cell makes exactly this one call per arrival.
+        """
+        if gap_ns is not None:
+            self.observe_gap(fn, gap_ns)
+        if warm is not None:
+            self.record_outcome(fn, warm)
+        return self.decision(fn)
 
     def decision(self, fn: Hashable) -> PolicyDecision:
         raise NotImplementedError
@@ -296,31 +309,34 @@ class HybridHistogram(PrewarmPolicy):
             )
         return entry[0]
 
-    def observe_gap(self, fn: Hashable, gap_ns: int) -> None:
-        self.histogram(fn).observe(gap_ns)
-
-    def record_outcome(self, fn: Hashable, warm: bool) -> None:
-        if warm:
-            self._misses[fn] = 0
-            return
-        misses = self._misses.get(fn, 0) + 1
-        if misses >= self.pattern_miss_limit:
-            # Pattern changed: the histogram predicts the *old* behaviour
-            # (that's why we keep missing) — start over.
-            entry = self._functions.get(fn)
-            if entry is not None:
-                entry[0].reset()
-            misses = 0
-        self._misses[fn] = misses
-
-    def decision(self, fn: Hashable) -> PolicyDecision:
+    def on_arrival(
+        self, fn: Hashable, gap_ns: Optional[int], warm: Optional[bool]
+    ) -> PolicyDecision:
         entry = self._functions.get(fn)
+        if gap_ns is not None:
+            if entry is None:
+                self.histogram(fn)
+                entry = self._functions[fn]
+            entry[0].observe(gap_ns)
+        if warm is not None:
+            if warm:
+                self._misses[fn] = 0
+            else:
+                misses = self._misses.get(fn, 0) + 1
+                if misses >= self.pattern_miss_limit:
+                    # Pattern changed: the histogram predicts the *old*
+                    # behaviour (that's why we keep missing) — start over.
+                    if entry is not None:
+                        entry[0].reset()
+                    misses = 0
+                self._misses[fn] = misses
         if entry is None:
             return self._fallback
         hist, head, tail = entry
-        if hist.total < self.min_observations:
+        total = hist.total
+        if total < self.min_observations:
             return self._fallback
-        if hist.oob_fraction() > self.oob_threshold:
+        if hist.oob / total > self.oob_threshold:
             # The function's gaps mostly exceed the histogram range —
             # its percentiles say nothing useful.
             return self._fallback
@@ -329,6 +345,15 @@ class HybridHistogram(PrewarmPolicy):
         if window is None:
             window = self._windows[bins] = self._window(hist, *bins)
         return window
+
+    def observe_gap(self, fn: Hashable, gap_ns: int) -> None:
+        self.on_arrival(fn, gap_ns, None)
+
+    def record_outcome(self, fn: Hashable, warm: bool) -> None:
+        self.on_arrival(fn, None, warm)
+
+    def decision(self, fn: Hashable) -> PolicyDecision:
+        return self.on_arrival(fn, None, None)
 
     def _window(
         self, hist: IdleHistogram, head_bin: int, tail_bin: int

@@ -159,7 +159,7 @@ class CellStats:
     pressure_evictions: int = 0
     overcommit_loads: int = 0
     protected_skips: int = 0          # victims spared by autoscale_protect
-    peak_resident_mb: float = 0.0
+    peak_resident_mb: float = 0.0     # peak resident count x sandbox_mb
     peak_lifecycle_heap: int = 0
     peak_buffered: int = 0            # replayer merge ceiling (<= functions)
     exhausted_streams: int = 0
@@ -195,6 +195,8 @@ class _Cell:
         self.lru: "OrderedDict[int, None]" = OrderedDict()
         self.lifecycle: List[Tuple[int, int, int]] = []
         self._compact_at = 1024
+        #: most sandboxes resident at once (MB only in :meth:`finish`)
+        self.peak_resident = 0
         self.latency: Counter = Counter()
         self.stats = CellStats(group=group, budget_mb=self.budget_mb)
 
@@ -244,30 +246,23 @@ class _Cell:
         del self.lru[fn]
         self.stats.pressure_evictions += 1
 
-    def _track_peaks(self) -> None:
-        stats = self.stats
-        mb = len(self.lru) * self.sandbox_mb
-        if mb > stats.peak_resident_mb:
-            stats.peak_resident_mb = mb
-        if len(self.lifecycle) > stats.peak_lifecycle_heap:
-            stats.peak_lifecycle_heap = len(self.lifecycle)
-
     # -- lifecycle timers (lazy-cancel heap + compaction) ----------------
+    #
+    # A timer is armed by setting ``state.unload_at`` / ``state.load_at``
+    # and pushing ``(when, kind, fn)``; every push is followed by the
+    # compaction check ``len(self.lifecycle) > self._compact_at``.
 
-    def _schedule(self, state: _FnState, when: int, kind: int, fn: int) -> None:
-        if kind == _UNLOAD:
-            state.unload_at = when
-        else:
-            state.load_at = when
-        heapq.heappush(self.lifecycle, (when, kind, fn))
-        # Lazy cancellation: stale entries are dropped on pop.  Compact
-        # when stale entries dominate so the heap stays O(live timers).
-        # The threshold doubles after each compaction so the O(states)
-        # live-timer count amortizes to O(1) per schedule.
-        if len(self.lifecycle) > self._compact_at:
-            if len(self.lifecycle) > 4 * self._live_timers():
-                self._compact()
-            self._compact_at = max(1024, 2 * len(self.lifecycle))
+    def _maybe_compact(self) -> None:
+        """The heap outgrew its threshold: compact if stale entries dominate.
+
+        Lazy cancellation: stale entries are dropped on pop.  Compact
+        when they dominate so the heap stays O(live timers).  The
+        threshold doubles after each check so the O(states) live-timer
+        count amortizes to O(1) per push.
+        """
+        if len(self.lifecycle) > 4 * self._live_timers():
+            self._compact()
+        self._compact_at = max(1024, 2 * len(self.lifecycle))
 
     def _live_timers(self) -> int:
         return sum(
@@ -327,8 +322,17 @@ class _Cell:
         state.resident = True
         self.lru[fn] = None
         self.stats.prewarm_loads += 1
-        self._schedule(state, now + state.post_load_keep_ns, _UNLOAD, fn)
-        self._track_peaks()
+        when = state.unload_at = now + state.post_load_keep_ns
+        heapq.heappush(self.lifecycle, (when, _UNLOAD, fn))
+        depth = len(self.lifecycle)
+        if depth > self._compact_at:
+            self._maybe_compact()
+            depth = len(self.lifecycle)
+        if depth > self.stats.peak_lifecycle_heap:
+            self.stats.peak_lifecycle_heap = depth
+        resident = len(self.lru)
+        if resident > self.peak_resident:
+            self.peak_resident = resident
 
     # -- arrivals --------------------------------------------------------
 
@@ -336,6 +340,7 @@ class _Cell:
         lifecycle = self.lifecycle
         if lifecycle and lifecycle[0][0] <= now:
             self._drain_lifecycle(now)
+            lifecycle = self.lifecycle    # a compaction may have rebuilt it
         state = self.states.get(fn)
         if state is None:
             state = self.states[fn] = _FnState()
@@ -358,20 +363,22 @@ class _Cell:
                 )
             tracker.observe(now)
 
-        policy = self.policy
         busy_until = state.busy_until
         if busy_until > now:
             # Sandbox is executing: the invocation piggybacks, no
             # init latency (and no idle gap to observe).
             init_ns = 0
             stats.concurrent_hits += 1
+            decision = self.policy.on_arrival(fn, None, None)
         else:
-            if state.last_end >= 0:
-                policy.observe_gap(fn, now - state.last_end)
-            if state.resident:
+            last_end = state.last_end
+            warm = state.resident
+            decision = self.policy.on_arrival(
+                fn, now - last_end if last_end >= 0 else None, warm
+            )
+            if warm:
                 init_ns = self.horse_resume_ns
                 stats.horse_hits += 1
-                policy.record_outcome(fn, True)
             else:
                 if state.has_snapshot:
                     init_ns = self.restore_ns
@@ -379,12 +386,12 @@ class _Cell:
                 else:
                     init_ns = self.cold_ns
                     stats.cold_boots += 1
-                policy.record_outcome(fn, False)
                 self._free_for_load(now, strict=False)
                 state.resident = True
                 state.has_snapshot = True     # boot/restore leaves a snapshot
                 self.lru[fn] = None
-        self.lru.move_to_end(fn)
+        lru = self.lru
+        lru.move_to_end(fn)
         if now >= self.warmup_ns:
             self.latency[init_ns] += 1
         else:
@@ -395,21 +402,33 @@ class _Cell:
             end = busy_until
         state.busy_until = state.last_end = end
 
-        decision = policy.decision(fn)
-        if decision.prewarm_ns is None:
+        prewarm_ns = decision.prewarm_ns
+        if prewarm_ns is None:
             state.load_at = None          # cancel any pending prewarm
-            self._schedule(state, end + decision.keep_alive_ns, _UNLOAD, fn)
+            when = state.unload_at = end + decision.keep_alive_ns
+            heapq.heappush(lifecycle, (when, _UNLOAD, fn))
         else:
             state.post_load_keep_ns = decision.keep_alive_ns
-            self._schedule(state, end, _UNLOAD, fn)
-            self._schedule(state, end + decision.prewarm_ns, _LOAD, fn)
-        mb = len(self.lru) * self.sandbox_mb
-        if mb > stats.peak_resident_mb:
-            stats.peak_resident_mb = mb
-        if len(self.lifecycle) > stats.peak_lifecycle_heap:
-            stats.peak_lifecycle_heap = len(self.lifecycle)
+            state.unload_at = end
+            heapq.heappush(lifecycle, (end, _UNLOAD, fn))
+            if len(lifecycle) > self._compact_at:
+                self._maybe_compact()
+                lifecycle = self.lifecycle
+            when = state.load_at = end + prewarm_ns
+            heapq.heappush(lifecycle, (when, _LOAD, fn))
+        depth = len(lifecycle)
+        if depth > self._compact_at:
+            self._maybe_compact()
+            depth = len(self.lifecycle)
+        if depth > stats.peak_lifecycle_heap:
+            stats.peak_lifecycle_heap = depth
+        resident = len(lru)
+        if resident > self.peak_resident:
+            self.peak_resident = resident
 
     def finish(self) -> CellStats:
+        # The count's peak is the MB peak: sandbox_mb > 0 scales monotonically.
+        self.stats.peak_resident_mb = self.peak_resident * self.sandbox_mb
         self.stats.latency_counts = dict(self.latency)
         return self.stats
 
@@ -424,11 +443,12 @@ def run_cell(config: PrewarmConfig, group: int) -> CellStats:
     if not 0 <= group < config.groups:
         raise ValueError(f"group {group} out of range for {config.groups}")
     cell = _Cell(config, group)
+    on_arrival = cell.on_arrival
     replay_stats = ReplayStats()
     for when, fn, _seq in merged_stream(
         config.replay, replay_stats, cell_indices(config, group)
     ):
-        cell.on_arrival(when, fn)
+        on_arrival(when, fn)
     stats = cell.finish()
     stats.peak_buffered = replay_stats.peak_buffered
     stats.exhausted_streams = replay_stats.exhausted_streams

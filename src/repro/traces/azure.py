@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from math import log
 from typing import Dict, Iterator, List
 
 from repro.sim.units import SECOND
@@ -92,8 +93,11 @@ def burst_arrival_stream(
     Yields integer-ns timestamps in nondecreasing order and never
     materializes the whole trace — the streaming replayer
     (:mod:`repro.traces.replay`) holds thousands of these concurrently.
-    *rng* needs only ``random()`` and ``expovariate()``, so both
-    :class:`random.Random` and the replayer's counter-based streams fit.
+    *rng* needs only ``random()``, so both :class:`random.Random` and
+    the replayer's counter-based streams fit.  Each exponential gap is
+    drawn as ``-log(1.0 - rng.random()) / rate``: the expression
+    :meth:`random.Random.expovariate` evaluates (CPython 3.11 and 3.12),
+    so a :class:`random.Random` yields the same values either way.
 
     Edge cases (each exercised by the replay test battery):
 
@@ -110,6 +114,7 @@ def burst_arrival_stream(
         raise ValueError(f"arrival rate must be >= 0, got {rate}")
     if rate == 0:
         return
+    uniform = rng.random
     # During active periods the instantaneous rate is boosted so the
     # long-run average matches *rate* despite idle gaps.
     active_rate = rate / config.burst_on_fraction
@@ -119,19 +124,20 @@ def burst_arrival_stream(
         # Always-on: one uninterrupted Poisson process over the window.
         t = 0.0
         while True:
-            t += rng.expovariate(active_rate)
+            t += -log(1.0 - uniform()) / active_rate
             if t >= duration_s:
                 return
             yield round(t * SECOND)
+    on_rate, off_rate = 1.0 / mean_on, 1.0 / mean_off
     now = 0.0
-    active = rng.random() < config.burst_on_fraction
+    active = uniform() < config.burst_on_fraction
     while now < duration_s:
-        period = rng.expovariate(1.0 / (mean_on if active else mean_off))
+        period = -log(1.0 - uniform()) / (on_rate if active else off_rate)
         period_end = min(duration_s, now + period)
         if active:
             t = now
             while True:
-                t += rng.expovariate(active_rate)
+                t += -log(1.0 - uniform()) / active_rate
                 if t >= period_end:
                     break
                 yield round(t * SECOND)

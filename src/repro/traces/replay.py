@@ -38,7 +38,6 @@ import hashlib
 import heapq
 import math
 from dataclasses import dataclass
-from math import log
 from typing import Iterator, List, Optional, Tuple
 
 from repro.sim.units import SECOND
@@ -93,10 +92,6 @@ class SplitMix64:
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
         return ((z ^ (z >> 31)) >> 11) * (1.0 / (1 << 53))
-
-    def expovariate(self, lambd: float) -> float:
-        # 1 - random() is in (0, 1], so log() never sees zero.
-        return -log(1.0 - self.random()) / lambd
 
     def paretovariate(self, alpha: float) -> float:
         u = 1.0 - self.random()
@@ -219,12 +214,20 @@ def function_profile(config: ReplayConfig, index: int) -> FunctionProfile:
     fixed prefix of it), so any function's behaviour is reproducible
     without touching the other ``functions - 1`` streams.
     """
+    return _seeded_profile(config, index)[0]
+
+
+def _seeded_profile(
+    config: ReplayConfig, index: int
+) -> Tuple[FunctionProfile, SplitMix64]:
+    """Function *index*'s profile and its stream, positioned after the
+    profile's draws — the one place the function's seed is hashed."""
     if not 0 <= index < config.functions:
         raise ValueError(f"function index {index} out of range")
     rng = SplitMix64(stream_seed(config.seed, index))
     cohort = rng.random()
     if cohort < config.idle_fraction:
-        return FunctionProfile(index=index, kind="idle")
+        return FunctionProfile(index=index, kind="idle"), rng
     if cohort < config.idle_fraction + config.periodic_fraction:
         # Log-uniform period over [min, max]: short timers are common,
         # hour-scale ones exist (the fixed-keep-alive killer).
@@ -233,7 +236,7 @@ def function_profile(config: ReplayConfig, index: int) -> FunctionProfile:
         phase_s = rng.random() * period_s
         return FunctionProfile(
             index=index, kind="periodic", period_s=period_s, phase_s=phase_s
-        )
+        ), rng
     # Bursty cohort: Pareto-tailed rate with mean mean_rate_per_function.
     # E[paretovariate(a)] = a/(a-1), so scale by (a-1)/a to normalize the
     # mean WITHOUT a population-wide sum — keeps streams independent.
@@ -244,19 +247,21 @@ def function_profile(config: ReplayConfig, index: int) -> FunctionProfile:
         * (alpha - 1.0)
         / alpha
     )
-    return FunctionProfile(index=index, kind="bursty", rate_per_s=rate)
+    return FunctionProfile(index=index, kind="bursty", rate_per_s=rate), rng
 
 
 def _periodic_stream(
     profile: FunctionProfile, config: ReplayConfig, rng: SplitMix64
 ) -> Iterator[int]:
     """Timer-trigger ticks with per-tick jitter, monotone by construction."""
+    random = rng.random
     duration_ns = round(config.duration_s * SECOND)
     period_ns = profile.period_s * SECOND
+    jitter_span = config.period_jitter
     t = profile.phase_s * SECOND
     prev = -1
     while True:
-        jitter = 1.0 + config.period_jitter * (2.0 * rng.random() - 1.0)
+        jitter = 1.0 + jitter_span * (2.0 * random() - 1.0)
         when = round(t)
         if when >= duration_ns:
             return
@@ -270,22 +275,15 @@ def _periodic_stream(
 def arrival_stream(config: ReplayConfig, index: int) -> Iterator[int]:
     """Lazy arrival timestamps (ns, nondecreasing) for one function.
 
-    Resumes the function's seeded stream where :func:`function_profile`
+    Continues the function's seeded stream where its profile's draws
     left off, so profile + arrivals together consume one deterministic
     draw sequence per function.
     """
-    rng = SplitMix64(stream_seed(config.seed, index))
-    profile = function_profile(config, index)
-    # function_profile consumed draws from an identical stream; replay
-    # the same prefix so arrival draws line up deterministically.
-    rng.random()                                  # cohort draw
+    profile, rng = _seeded_profile(config, index)
     if profile.kind == "idle":
         return iter(())
     if profile.kind == "periodic":
-        rng.random()                              # period draw
-        rng.random()                              # phase draw
         return _periodic_stream(profile, config, rng)
-    rng.random()                                  # rate (pareto) draw
     return burst_arrival_stream(
         profile.rate_per_s, config.duration_s, config.azure_config(), rng
     )
@@ -325,6 +323,8 @@ def merged_stream(
     """
     if indices is None:
         indices = list(range(config.functions))
+    if stats is None:
+        stats = ReplayStats()             # counted, then dropped
     # Entries are (t, index, seq, stream).  Indices are distinct, so
     # comparisons never reach the stream.
     heap: List[Tuple[int, int, int, Iterator[int]]] = []
@@ -332,27 +332,23 @@ def merged_stream(
         it = arrival_stream(config, index)
         first = next(it, None)
         if first is None:
-            if stats is not None:
-                stats.exhausted_streams += 1
+            stats.exhausted_streams += 1
             continue
         heap.append((first, index, 0, it))
     heapq.heapify(heap)
-    if stats is not None:
-        stats.peak_buffered = max(stats.peak_buffered, len(heap))
+    stats.peak_buffered = max(stats.peak_buffered, len(heap))
     while heap:
         t, index, seq, it = heap[0]
         yield t, index, seq
         nxt = next(it, None)
         if nxt is None:
             heapq.heappop(heap)
-            if stats is not None:
-                stats.exhausted_streams += 1
+            stats.exhausted_streams += 1
         else:
             # Replace the popped head in one sift — the heap never
             # grows past its initial size.
             heapq.heapreplace(heap, (nxt, index, seq + 1, it))
-        if stats is not None:
-            stats.events += 1
+        stats.events += 1
 
 
 def materialized_oracle(config: ReplayConfig) -> List[Tuple[int, int, int]]:

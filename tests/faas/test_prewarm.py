@@ -7,6 +7,7 @@ is never evicted — is driven both directly and end-to-end (any breach
 lands in ``CellStats.violations``).
 """
 
+import heapq
 import math
 
 import pytest
@@ -19,18 +20,20 @@ from repro.faas.keepalive import (
     IdleHistogram,
     NoKeepAlive,
     PolicyDecision,
+    PrewarmPolicy,
     make_policy,
 )
 from repro.faas.prewarm import (
     PrewarmConfig,
+    cell_indices,
     counter_percentile_ns,
     render_replay,
     run_cell,
     run_replay,
 )
-from repro.faas.prewarm import _Cell, _FnState
+from repro.faas.prewarm import _LOAD, _UNLOAD, _Cell, _FnState
 from repro.sim.units import SECOND
-from repro.traces.replay import ReplayConfig
+from repro.traces.replay import ReplayConfig, merged_stream
 
 MINUTE = 60 * SECOND
 
@@ -49,7 +52,7 @@ class TestIdleHistogram:
         hist = IdleHistogram(bin_width_ns=MINUTE, bins=4)
         hist.observe(4 * MINUTE)          # range is [0, 4 min)
         assert hist.oob == 1
-        assert hist.oob_fraction() == 1.0
+        assert hist.total == 1
 
     def test_percentile_nearest_rank(self):
         hist = IdleHistogram(bin_width_ns=MINUTE, bins=10)
@@ -141,7 +144,7 @@ class TestHybridHistogramWindows:
         )
 
     def test_tail_rank_in_oob_falls_back(self):
-        # 6 in-range + 4 OOB: oob_fraction 0.4 passes the threshold,
+        # 6 in-range + 4 OOB: an OOB fraction of 0.4 passes the threshold,
         # but the p99 rank (10 of 10) lands in the OOB tail.
         policy = self.make_policy()
         for _ in range(6):
@@ -541,6 +544,94 @@ class TestCounterPercentile:
     def test_bad_percentile_rejected(self):
         with pytest.raises(ValueError):
             counter_percentile_ns({1: 1}, 101.0)
+
+
+class AlwaysPrewarm(PrewarmPolicy):
+    """Unload at completion, reload 5 s later, keep 60 s after the load."""
+
+    def decision(self, fn):
+        return PolicyDecision(prewarm_ns=5 * SECOND, keep_alive_ns=60 * SECOND)
+
+
+def assert_timers_in_heap(cell):
+    heap = set(cell.lifecycle)
+    for fn, state in cell.states.items():
+        if state.unload_at is not None:
+            assert (state.unload_at, _UNLOAD, fn) in heap, fn
+        if state.load_at is not None:
+            assert (state.load_at, _LOAD, fn) in heap, fn
+
+
+class TestLifecycleCompaction:
+    """The lifecycle heap cancels lazily and compacts past a threshold:
+    every armed timer must stay in it, and compaction drops only stale
+    entries, so a cell that compacts ends exactly like one that never
+    does."""
+
+    def prewarming_cell(self):
+        cell = _Cell(make_config(), group=0)
+        cell.policy = AlwaysPrewarm()
+        return cell
+
+    def add_stale_timers(self, cell, count=64):
+        """Cancelled far-future timers of a function with none armed."""
+        cell.states.setdefault(99, _FnState())
+        for i in range(count):
+            heapq.heappush(cell.lifecycle, (10**18 + i, _UNLOAD, 99))
+
+    def test_compaction_between_an_arrivals_two_pushes(self):
+        cell = self.prewarming_cell()
+        self.add_stale_timers(cell)
+        cell._compact_at = len(cell.lifecycle)    # the unload push checks
+        cell.on_arrival(0, 1)
+        assert len(cell.lifecycle) == 2           # compacted, then the load
+        assert_timers_in_heap(cell)
+
+    def test_compaction_inside_the_drain(self):
+        cell = self.prewarming_cell()
+        cell.on_arrival(0, 1)                     # unload, then load 5 s on
+        self.add_stale_timers(cell)
+        # The drain pops fn 1's two timers; its prewarm load's push checks.
+        cell._compact_at = len(cell.lifecycle) - 2
+        cell.on_arrival(10 * SECOND, 2)
+        assert cell.stats.prewarm_loads == 1
+        assert all(when < 10**18 for when, _kind, _fn in cell.lifecycle)
+        assert_timers_in_heap(cell)
+
+    def replay_config(self):
+        replay = ReplayConfig(
+            functions=250, duration_s=900.0, seed=0, idle_fraction=0.0,
+            periodic_fraction=0.8, period_min_s=20.0, period_max_s=120.0,
+            mean_rate_per_function=0.05,
+        )
+        return PrewarmConfig(
+            replay=replay, policy="hybrid-10",
+            memory_budget_mb=0.5 * 250 * 128.0, sandbox_mb=128.0,
+        )
+
+    def replay(self, cell, check=False):
+        config = cell.config
+        for when, fn, _seq in merged_stream(
+            config.replay, None, cell_indices(config, cell.group)
+        ):
+            cell.on_arrival(when, fn)
+            if check:
+                assert_timers_in_heap(cell)
+        return cell.finish()
+
+    def test_armed_timers_stay_in_the_heap_through_a_replay(self):
+        stats = self.replay(_Cell(self.replay_config(), 0), check=True)
+        assert stats.prewarm_loads > 0 and stats.expiry_unloads > 0
+
+    def test_compaction_changes_no_outcome(self):
+        compacting = self.replay(_Cell(self.replay_config(), 0))
+        cell = _Cell(self.replay_config(), 0)
+        cell._compact_at = math.inf       # the threshold is never passed
+        never = self.replay(cell)
+        assert compacting.peak_lifecycle_heap < never.peak_lifecycle_heap
+        for name in vars(never):
+            if name != "peak_lifecycle_heap":
+                assert getattr(compacting, name) == getattr(never, name), name
 
 
 class TestShardInvariance:

@@ -79,6 +79,10 @@ ALLOWLIST = {
     "repro.faas.pool:SandboxPool.idle_sandboxes": (
         "read-only accessor tests assert pool contents through"
     ),
+    "repro.traces.replay:function_profile": (
+        "read-only accessor tests assert the replay population's cohorts "
+        "and periods through (tests/traces/test_replay.py)"
+    ),
     "repro.faas.keepalive:IdleHistogram.percentile_bin": (
         "read-only accessor tests assert the nearest-rank cursors "
         "through, against the nearest_rank_bin oracle in "

@@ -1,5 +1,8 @@
 """Azure-like trace synthesis: structure and statistics."""
 
+import hashlib
+import json
+import math
 import random
 
 import pytest
@@ -94,6 +97,44 @@ class TestBurstArrivalStream:
         stream = burst_arrival_stream(0.01, 0.001, config, random.Random(4))
         assert list(stream) == []
         assert list(stream) == []         # exhausted generators stay empty
+
+
+class TestInlineExponentialDraw:
+    """``burst_arrival_stream`` draws each exponential gap inline as
+    ``-log(1.0 - random()) / rate``, so a generator needs only
+    ``random()``.  That is the expression ``random.Random.expovariate``
+    evaluates, so traces synthesized from a ``random.Random`` keep their
+    values; these tests pin both facts on the running interpreter."""
+
+    @pytest.mark.parametrize("rate", [1.0, 2.5, 1.0 / 7.0, 1e-3])
+    def test_expovariate_is_the_inline_expression(self, rate):
+        library, inline = random.Random(2024), random.Random(2024)
+        for _ in range(1000):
+            expected = library.expovariate(rate)
+            assert -math.log(1.0 - inline.random()) / rate == expected
+        assert inline.getstate() == library.getstate()
+
+    @pytest.mark.parametrize(
+        "seed, overrides, events, digest",
+        [
+            (0, {}, 576,
+             "bcc410b5f78b41e6e43a858c0f6af8dabc3da5c65021749f1b5d0fee243e1821"),
+            (7, {"functions": 12, "duration_s": 20.0, "burst_on_fraction": 1.0},
+             240,
+             "0d048858aa6fa1c586d2520b4f66ab22180d3932e0492c1f450bc7ce980bb236"),
+            (12345,
+             {"functions": 30, "duration_s": 60.0, "mean_rate_per_function": 3.0},
+             4641,
+             "db2dbbba89a99cb1368f1258f4e4c1f168f1fb73f935f23b8a15819ffbcd11b8"),
+        ],
+    )
+    def test_synthesized_trace_pinned(self, seed, overrides, events, digest):
+        # Digests of the invocation lists as synthesized with
+        # rng.expovariate() calls; the inline draw must reproduce them.
+        trace = synthesize_trace(AzureTraceConfig(**overrides), random.Random(seed))
+        text = json.dumps(trace.invocations, sort_keys=True)
+        assert sum(map(len, trace.invocations.values())) == events
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestStructure:

@@ -6,8 +6,6 @@ contracts with hand-built cases plus the production-cardinality soak
 (marked ``soak``; tier-1 skips it via the default ``-m "not soak"``).
 """
 
-import math
-
 import pytest
 
 from repro.traces.replay import (
@@ -33,26 +31,18 @@ class TestSplitMix64:
 
     @pytest.mark.parametrize("seed", [0, 1, 0xDEADBEEF, 2**64 - 1, stream_seed(0, 3)])
     def test_draws_bit_exact_against_next_u64(self, seed):
-        # Each random()/expovariate() call consumes exactly one 64-bit
-        # word: its top 53 bits scaled into [0, 1).  The expected values
-        # come from a second generator's next_u64(), whose first outputs
+        # Each random() call consumes exactly one 64-bit word: its top
+        # 53 bits scaled into [0, 1).  The expected values come from a
+        # second generator's next_u64(), whose first outputs
         # test_reference_sequence pins.
         rng, words = SplitMix64(seed), SplitMix64(seed)
-        for i in range(20_000):           # 10,000 draws of each kind
-            u = (words.next_u64() >> 11) / 2**53
-            if i % 2:
-                assert rng.expovariate(2.5) == -math.log(1.0 - u) / 2.5
-            else:
-                assert rng.random() == u
+        for _ in range(20_000):
+            assert rng.random() == (words.next_u64() >> 11) / 2**53
 
     def test_random_in_unit_interval(self):
         rng = SplitMix64(1234)
         values = [rng.random() for _ in range(1000)]
         assert all(0.0 <= v < 1.0 for v in values)
-
-    def test_expovariate_positive(self):
-        rng = SplitMix64(99)
-        assert all(rng.expovariate(2.0) > 0 for _ in range(100))
 
     def test_paretovariate_at_least_one(self):
         rng = SplitMix64(7)
